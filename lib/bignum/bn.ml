@@ -5,6 +5,16 @@ let limb_bits = 24
 let base = 1 lsl limb_bits
 let limb_mask = base - 1
 
+(* Accumulator bound of the product-scanning Montgomery kernels: one
+   output column sums at most 2k limb products (k of a*b, k of u*m), each
+   at most (2^24-1)^2 < 2^48, plus the carry from the column below
+   (< 2k*2^24), all in one native int.  For k < 2^13 the products stay
+   below 2k*2^48 <= 2^62 - 2^49, which leaves the carry ample room under
+   max_int = 2^62 - 1.  [Mont.create_width] refuses working widths from
+   8192 limbs (196608 bits) up, and callers take their non-Montgomery
+   fallbacks. *)
+let mont_max_limbs = 8191
+
 type t = { sign : int; mag : int array }
 (* Invariants: mag has no leading (high-index) zero limb; sign = 0 iff mag
    is empty; each limb is in [0, base). *)
@@ -391,7 +401,8 @@ let ct_select_raw ~k bit a b dst =
   tc := !tc + k;
   let m = ct_mask bit in
   for i = 0 to k - 1 do
-    dst.(i) <- (a.(i) land m) lor (b.(i) land lnot m)
+    Array.unsafe_set dst i
+      ((Array.unsafe_get a i land m) lor (Array.unsafe_get b i land lnot m))
   done
 
 (* dst <- (a + b) mod base^k; returns the carry bit *)
@@ -444,15 +455,17 @@ let ct_reduce_once ~k ~mm ~hi t off sc soff dst =
   tc := !tc + (2 * k);
   let borrow = ref 0 in
   for i = 0 to k - 1 do
-    let s = t.(off + i) - mm.(i) - !borrow in
-    sc.(soff + i) <- s land limb_mask;
+    let s = Array.unsafe_get t (off + i) - Array.unsafe_get mm i - !borrow in
+    Array.unsafe_set sc (soff + i) (s land limb_mask);
     borrow := (s asr limb_bits) land 1
   done;
   (* v >= m iff the high limb is set (v >= base^k > m) or there is no
      borrow out of the low-limb subtraction *)
   let m = ct_mask (hi lor (1 - !borrow)) in
   for i = 0 to k - 1 do
-    dst.(i) <- (sc.(soff + i) land m) lor (t.(off + i) land lnot m)
+    Array.unsafe_set dst i
+      ((Array.unsafe_get sc (soff + i) land m)
+       lor (Array.unsafe_get t (off + i) land lnot m))
   done
 
 (* dst (length ka+kb) <- a * b: fixed schoolbook with no zero-limb skip,
@@ -510,14 +523,15 @@ module Mont = struct
 
   (* [width] pads the working width beyond the modulus' own limb count —
      the CRT path uses it so both halves run at one fixed width even when
-     p and q have different limb counts.  Context setup itself performs
-     wide divisions (R^2 mod m); it is amortized per modulus and sits
-     outside the per-op sentinel scope, like real libraries' key-load
-     precomputation. *)
+     p and q have different limb counts.  Widths beyond [mont_max_limbs]
+     would overflow the kernels' column accumulator and are refused.
+     Context setup itself performs wide divisions (R^2 mod m); it is
+     amortized per modulus and sits outside the per-op sentinel scope,
+     like real libraries' key-load precomputation. *)
   let create_width ?width m =
-    if m.sign <= 0 || is_even m || is_one m then None
+    let k = max (Array.length m.mag) (match width with Some w -> w | None -> 0) in
+    if m.sign <= 0 || is_even m || is_one m || k > mont_max_limbs then None
     else begin
-      let k = max (Array.length m.mag) (match width with Some w -> w | None -> 0) in
       let pad x =
         let r = Array.make k 0 in
         Array.blit x.mag 0 r 0 (Array.length x.mag);
@@ -531,30 +545,48 @@ module Mont = struct
 
   let create m = create_width m
 
-  (* In-place Montgomery reduction pass over w (length 2k+1): afterwards
-     the value sits in w[k..2k] and is < 2m (given the input was < m*R).
-     Fixed-length carry propagation: the carry out of each row is folded
-     through every remaining cell rather than rippling until it dies, so
-     the sweep length depends on the row index only, never on the data. *)
+  (* The kernels below work on flat little-endian limb arrays of fixed
+     length k, with no allocation inside the loops, and scan by product:
+     output column i gathers every limb product whose indices sum to i
+     into one native-int accumulator and carries once per column (Comba's
+     ordering), with the Montgomery reduction interleaved column by
+     column (Koc et al.'s "finely integrated product scanning").  The
+     reduction digit u_i is fixed by the low limb of column i — it makes
+     that limb zero — and joins the u*m products of every later column,
+     so the digits live in the low half of the scratch while the high
+     half collects the result limbs.  Loop bounds depend on k and the
+     column index only; see [mont_max_limbs] for why one int holds a
+     column.  The quotient digits are the unique ones that make the low k
+     limbs vanish, so the result is the one REDC value for these
+     operands, whatever order the products are summed in. *)
+
+  (* In-place Montgomery reduction pass over w (length 2k+1, value < m*R):
+     afterwards w[k..2k] holds REDC(w) < 2m and w[0..k-1] the quotient
+     digits. *)
   let mont_redc_core ~k ~mm ~n0' w =
+    let acc = ref 0 in
     for i = 0 to k - 1 do
-      let u = Array.unsafe_get w i * n0' land limb_mask in
-      let c = ref 0 in
-      for j = 0 to k - 1 do
-        let s = Array.unsafe_get w (i + j) + (u * Array.unsafe_get mm j) + !c in
-        Array.unsafe_set w (i + j) (s land limb_mask);
-        c := s lsr limb_bits
+      let s = ref (!acc + Array.unsafe_get w i) in
+      for j = 0 to i - 1 do
+        s := !s + (Array.unsafe_get w j * Array.unsafe_get mm (i - j))
       done;
-      for idx = i + k to 2 * k do
-        let s = w.(idx) + !c in
-        w.(idx) <- s land limb_mask;
-        c := s lsr limb_bits
-      done
-    done
+      let u = (!s land limb_mask) * n0' land limb_mask in
+      Array.unsafe_set w i u;
+      acc := (!s + (u * Array.unsafe_get mm 0)) lsr limb_bits
+    done;
+    for i = k to (2 * k) - 1 do
+      let s = ref (!acc + Array.unsafe_get w i) in
+      for j = i - k + 1 to k - 1 do
+        s := !s + (Array.unsafe_get w j * Array.unsafe_get mm (i - j))
+      done;
+      Array.unsafe_set w i (!s land limb_mask);
+      acc := !s lsr limb_bits
+    done;
+    w.(2 * k) <- w.(2 * k) + !acc
 
   (* dst (k limbs) <- REDC(w) for w of length 2k+1 (destroyed); the raw
      fixed-width counterpart of [redc], used below [pow] and by the CRT
-     path.  w[0..k-1] are zero after the core pass and double as the
+     path.  The spent quotient digits in w[0..k-1] double as the
      conditional-subtract scratch. *)
   let mont_redc_raw ~k ~mm ~n0' w dst =
     let wc = word_muls_ () in
@@ -576,89 +608,79 @@ module Mont = struct
 
   let from_mont ctx x = redc ctx x
 
-  (* The exponentiation kernel below works on flat little-endian limb
-     arrays of fixed length k, with no allocation inside the loop: CIOS
-     (coarsely integrated operand scanning) interleaves the multiply with
-     the Montgomery reduction.  Limb products fit the native int:
-     (2^24-1)^2 + 2*(2^24-1) < 2^49. *)
-
-  (* dst <- a*b*R^-1 mod m.  [t] is scratch of length 2k+2 (the CIOS
-     accumulator in t[0..k+1], conditional-subtract scratch in
-     t[k+2..2k+1]); aliasing dst with a or b is fine (dst is written only
-     after a and b are read), but dst must not alias t. *)
+  (* dst <- a*b*R^-1 mod m.  [t] is scratch of length at least 2k (the
+     quotient digits in t[0..k-1], the result limbs in t[k..2k-1], then
+     the conditional-subtract scratch over the spent digits); aliasing
+     dst with a or b is fine (dst is written only after a and b are
+     read), but dst must not alias t. *)
   let mont_mul_raw ~k ~mm ~n0' ~t a b dst =
+    let acc = ref 0 in
+    for i = 0 to k - 1 do
+      let s = ref (!acc + (Array.unsafe_get a i * Array.unsafe_get b 0)) in
+      for j = 0 to i - 1 do
+        s :=
+          !s
+          + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+          + (Array.unsafe_get t j * Array.unsafe_get mm (i - j))
+      done;
+      let u = (!s land limb_mask) * n0' land limb_mask in
+      Array.unsafe_set t i u;
+      acc := (!s + (u * Array.unsafe_get mm 0)) lsr limb_bits
+    done;
+    for i = k to (2 * k) - 1 do
+      let s = ref !acc in
+      for j = i - k + 1 to k - 1 do
+        s :=
+          !s
+          + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+          + (Array.unsafe_get t j * Array.unsafe_get mm (i - j))
+      done;
+      Array.unsafe_set t i (!s land limb_mask);
+      acc := !s lsr limb_bits
+    done;
     let wc = word_muls_ () in
     wc := !wc + (2 * k * k);
-    Array.fill t 0 (k + 2) 0;
-    for i = 0 to k - 1 do
-      let ai = Array.unsafe_get a i in
-      let c = ref 0 in
-      for j = 0 to k - 1 do
-        let s = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !c in
-        Array.unsafe_set t j (s land limb_mask);
-        c := s lsr limb_bits
-      done;
-      let s = t.(k) + !c in
-      t.(k) <- s land limb_mask;
-      t.(k + 1) <- t.(k + 1) + (s lsr limb_bits);
-      let u = t.(0) * n0' land limb_mask in
-      let c = ref ((t.(0) + (u * Array.unsafe_get mm 0)) lsr limb_bits) in
-      for j = 1 to k - 1 do
-        let s = Array.unsafe_get t j + (u * Array.unsafe_get mm j) + !c in
-        Array.unsafe_set t (j - 1) (s land limb_mask);
-        c := s lsr limb_bits
-      done;
-      let s = t.(k) + !c in
-      t.(k - 1) <- s land limb_mask;
-      t.(k) <- t.(k + 1) + (s lsr limb_bits);
-      t.(k + 1) <- 0
-    done;
-    (* result in t.(0..k) is < 2m: one branchless conditional subtraction *)
-    ct_reduce_once ~k ~mm ~hi:t.(k) t 0 t (k + 2) dst
+    (* the result t[k..2k-1] plus the final carry is < 2m: one branchless
+       conditional subtraction *)
+    ct_reduce_once ~k ~mm ~hi:!acc t k t 0 dst
 
-  (* dst <- a*a*R^-1 mod m.  [t2] is scratch of length 2k+1.  Exploits the
-     symmetry of squaring (off-diagonal products computed once, doubled),
-     then a separate Montgomery reduction pass: ~25% fewer limb products
-     than [mont_mul_raw] with both operands equal.  Aliasing dst with a is
-     fine. *)
-  let mont_sqr_raw ~k ~mm ~n0' ~t2 a dst =
+  (* Column i of a square: twice the off-diagonal products a_j * a_(i-j)
+     with lo <= j < i - j, plus the diagonal a_(i/2)^2 of an even column.
+     [lo] keeps both indices below the width. *)
+  let sqr_column a ~lo i =
+    let od = ref 0 in
+    for j = lo to ((i + 1) lsr 1) - 1 do
+      od := !od + (Array.unsafe_get a j * Array.unsafe_get a (i - j))
+    done;
+    let d = if i land 1 = 0 then Array.unsafe_get a (i lsr 1) else 0 in
+    (2 * !od) + (d * d)
+
+  (* dst <- a*a*R^-1 mod m, with the same scratch [t] as [mont_mul_raw].
+     Exploits the symmetry of squaring (each off-diagonal product computed
+     once and doubled): ~25% fewer limb products than [mont_mul_raw] with
+     both operands equal.  Aliasing dst with a is fine. *)
+  let mont_sqr_raw ~k ~mm ~n0' ~t a dst =
+    let acc = ref 0 in
+    for i = 0 to k - 1 do
+      let s = ref (!acc + sqr_column a ~lo:0 i) in
+      for j = 0 to i - 1 do
+        s := !s + (Array.unsafe_get t j * Array.unsafe_get mm (i - j))
+      done;
+      let u = (!s land limb_mask) * n0' land limb_mask in
+      Array.unsafe_set t i u;
+      acc := (!s + (u * Array.unsafe_get mm 0)) lsr limb_bits
+    done;
+    for i = k to (2 * k) - 1 do
+      let s = ref (!acc + sqr_column a ~lo:(i - k + 1) i) in
+      for j = i - k + 1 to k - 1 do
+        s := !s + (Array.unsafe_get t j * Array.unsafe_get mm (i - j))
+      done;
+      Array.unsafe_set t i (!s land limb_mask);
+      acc := !s lsr limb_bits
+    done;
     let wc = word_muls_ () in
     wc := !wc + ((k * (k - 1) / 2) + k + (k * k));
-    Array.fill t2 0 ((2 * k) + 1) 0;
-    (* off-diagonal products, each counted once *)
-    for i = 0 to k - 2 do
-      let ai = Array.unsafe_get a i in
-      let c = ref 0 in
-      for j = i + 1 to k - 1 do
-        let s = Array.unsafe_get t2 (i + j) + (ai * Array.unsafe_get a j) + !c in
-        Array.unsafe_set t2 (i + j) (s land limb_mask);
-        c := s lsr limb_bits
-      done;
-      t2.(i + k) <- t2.(i + k) + !c
-    done;
-    (* double them, then add the diagonal a_i^2 *)
-    let c = ref 0 in
-    for idx = 0 to (2 * k) - 1 do
-      let s = (2 * Array.unsafe_get t2 idx) + !c in
-      Array.unsafe_set t2 idx (s land limb_mask);
-      c := s lsr limb_bits
-    done;
-    t2.(2 * k) <- !c;
-    let c = ref 0 in
-    for i = 0 to k - 1 do
-      let ai = Array.unsafe_get a i in
-      let s = t2.(2 * i) + (ai * ai) + !c in
-      t2.(2 * i) <- s land limb_mask;
-      let s2 = t2.((2 * i) + 1) + (s lsr limb_bits) in
-      t2.((2 * i) + 1) <- s2 land limb_mask;
-      c := s2 lsr limb_bits
-    done;
-    t2.(2 * k) <- t2.(2 * k) + !c;
-    (* Montgomery reduction of the 2k-limb square (fixed carry sweeps),
-       then one branchless conditional subtraction.  t2[0..k-1] are zero
-       after the reduction pass and double as its scratch. *)
-    mont_redc_core ~k ~mm ~n0' t2;
-    ct_reduce_once ~k ~mm ~hi:t2.(2 * k) t2 k t2 0 dst
+    ct_reduce_once ~k ~mm ~hi:!acc t k t 0 dst
 
   (* x.mag padded to exactly k limbs *)
   let raw_of ~k x =
@@ -670,7 +692,7 @@ module Mont = struct
     if a.sign < 0 || b.sign < 0 then invalid_arg "Bn.Mont.mul: negative input";
     let k = ctx.k in
     if Array.length a.mag <= k && Array.length b.mag <= k then begin
-      let t = Array.make ((2 * k) + 2) 0 in
+      let t = Array.make (2 * k) 0 in
       let dst = Array.make k 0 in
       mont_mul_raw ~k ~mm:ctx.mm ~n0':ctx.n0' ~t (raw_of ~k a) (raw_of ~k b) dst;
       normalize 1 dst
@@ -683,7 +705,7 @@ module Mont = struct
   let to_mont ctx x =
     if x.sign < 0 || cmp_mag x.mag ctx.m.mag >= 0 then invalid_arg "Bn.Mont.to_mont: out of range";
     let k = ctx.k in
-    let t = Array.make ((2 * k) + 2) 0 in
+    let t = Array.make (2 * k) 0 in
     let dst = Array.make k 0 in
     mont_mul_raw ~k ~mm:ctx.mm ~n0':ctx.n0' ~t (raw_of ~k x) ctx.r2_raw dst;
     normalize 1 dst
@@ -700,87 +722,46 @@ module Mont = struct
     Array.fill dst 0 k 0;
     for j = 0 to 15 do
       let m = ct_mask (((j lxor idx) - 1) lsr (Sys.int_size - 1)) in
-      let e = table.(j) in
+      let e = Array.unsafe_get table j in
       for i = 0 to k - 1 do
-        dst.(i) <- dst.(i) lor (e.(i) land m)
+        Array.unsafe_set dst i (Array.unsafe_get dst i lor (Array.unsafe_get e i land m))
       done
     done
 
+  (* table.(j) <- bm^j in the Montgomery domain, j = 0..15: the 4-bit
+     window table both exponentiation routes gather from *)
+  let window_table ctx ~t bm =
+    let k = ctx.k in
+    let table = Array.make 16 ctx.one_raw in
+    table.(1) <- bm;
+    for j = 2 to 15 do
+      let e = Array.make k 0 in
+      mont_mul_raw ~k ~mm:ctx.mm ~n0':ctx.n0' ~t table.(j - 1) bm e;
+      table.(j) <- e
+    done;
+    table
+
+  (* 4-bit window i of exp, read from its magnitude padded to [elimbs]
+     limbs; limb_bits is a multiple of 4, so a window never straddles
+     limbs *)
+  let nibbles ~elimbs exp =
+    let emag = Array.make elimbs 0 in
+    Array.blit exp.mag 0 emag 0 (Array.length exp.mag);
+    fun i ->
+      let bitpos = 4 * i in
+      (emag.(bitpos / limb_bits) lsr (bitpos mod limb_bits)) land 0xf
+
   (* Test-only leak hook for the CI leakage-sentinel smoke test: when
-     armed, [pow_raw] adds the exponent's popcount to both
+     armed, every exponentiation adds the exponent's popcount to both
      secret-independence counters — reintroducing exactly the class of
      secret-dependent cost the ct-leakage sentinel exists to catch. *)
   let test_leak_key = Domain.DLS.new_key (fun () -> ref false)
 
   let inject_test_leak v = Domain.DLS.get test_leak_key := v
 
-  (* braw: the base as exactly k limbs, any value < base^k (it is reduced
-     mod m implicitly by the first Montgomery multiply).  Returns
-     (braw mod m)^exp mod m as k limbs.  Below this point every kernel is
-     fixed-width and branchless; the only exponent-driven control left is
-     the short-exponent fast path, reserved for public exponents. *)
-  let pow_raw ctx ~braw ~exp =
-    let k = ctx.k in
-    let mm = ctx.mm and n0' = ctx.n0' in
-    let t = Array.make ((2 * k) + 2) 0 in
-    let t2 = Array.make ((2 * k) + 1) 0 in
-    let bm = Array.make k 0 in
-    mont_mul_raw ~k ~mm ~n0' ~t braw ctx.r2_raw bm;
-    let one_m = ctx.one_raw in
-    let nbits = bit_length exp in
-    let result =
-      if nbits <= 2 * limb_bits then begin
-        (* short exponents (e.g. the public 65537): plain square-and-multiply
-           beats paying for a window table.  Branching on exponent bits is
-           acceptable here because short exponents are public by
-           construction (RSA e, protocol cofactors) — never dp/dq/x. *)
-        let result = Array.copy one_m in
-        for i = nbits - 1 downto 0 do
-          mont_sqr_raw ~k ~mm ~n0' ~t2 result result;
-          if test_bit exp i then mont_mul_raw ~k ~mm ~n0' ~t result bm result
-        done;
-        result
-      end
-      else begin
-        (* Fixed 4-bit windows; limb_bits is a multiple of 4, so a window
-           never straddles limbs.  Long exponents are the secret ones (RSA
-           dp/dq, DH private), so the schedule must not depend on their bit
-           pattern: the exponent is padded to the modulus width and every
-           window pays one gathered table multiply — a zero window
-           multiplies by the Montgomery one.  The word-mul count (and thus
-           the charged cycle cost) is a function of the limb count k alone,
-           which is what the leakage sentinel asserts per private_op
-           sample.  The top window seeds the accumulator directly instead
-           of squaring the Montgomery one four times — same fixed schedule,
-           4 squarings and 1 multiply cheaper per exponentiation. *)
-        let table = Array.make 16 one_m in
-        table.(1) <- bm;
-        for j = 2 to 15 do
-          let e = Array.make k 0 in
-          mont_mul_raw ~k ~mm ~n0' ~t table.(j - 1) bm e;
-          table.(j) <- e
-        done;
-        let elimbs = max k (Array.length exp.mag) in
-        let emag = Array.make elimbs 0 in
-        Array.blit exp.mag 0 emag 0 (Array.length exp.mag);
-        let nibble i =
-          let bitpos = 4 * i in
-          (emag.(bitpos / limb_bits) lsr (bitpos mod limb_bits)) land 0xf
-        in
-        let nwin = elimbs * limb_bits / 4 in
-        let g = Array.make k 0 in
-        let result = Array.make k 0 in
-        ct_gather ~k table (nibble (nwin - 1)) result;
-        for w = nwin - 2 downto 0 do
-          for _ = 1 to 4 do
-            mont_sqr_raw ~k ~mm ~n0' ~t2 result result
-          done;
-          ct_gather ~k table (nibble w) g;
-          mont_mul_raw ~k ~mm ~n0' ~t result g result
-        done;
-        result
-      end
-    in
+  (* The tail every exponentiation shares: the leak hook, then leave the
+     Montgomery domain with a REDC of the k-limb result. *)
+  let finish ctx ~exp result =
     if !(Domain.DLS.get test_leak_key) then begin
       let pc = ref 0 in
       Array.iter
@@ -796,18 +777,110 @@ module Mont = struct
       let tc = ct_traffic_ () in
       tc := !tc + !pc
     end;
-    (* leave the Montgomery domain: REDC of the k-limb result *)
-    Array.fill t2 0 ((2 * k) + 1) 0;
-    Array.blit result 0 t2 0 k;
+    let k = ctx.k in
+    let w = Array.make ((2 * k) + 1) 0 in
+    Array.blit result 0 w 0 k;
     let out = Array.make k 0 in
-    mont_redc_raw ~k ~mm ~n0' t2 out;
+    mont_redc_raw ~k ~mm:ctx.mm ~n0':ctx.n0' w out;
     out
+
+  (* braw: the base as exactly k limbs, any value < base^k (it is reduced
+     mod m implicitly by the first Montgomery multiply).  Returns
+     (braw mod m)^exp mod m as k limbs.  Below this point every kernel is
+     fixed-width and branchless; the only exponent-driven control left is
+     the short-exponent fast path, reserved for public exponents. *)
+  let pow_raw ctx ~braw ~exp =
+    let k = ctx.k in
+    let mm = ctx.mm and n0' = ctx.n0' in
+    let t = Array.make (2 * k) 0 in
+    let bm = Array.make k 0 in
+    mont_mul_raw ~k ~mm ~n0' ~t braw ctx.r2_raw bm;
+    let nbits = bit_length exp in
+    let result =
+      if nbits <= 2 * limb_bits then begin
+        (* short exponents (e.g. the public 65537): plain square-and-multiply
+           beats paying for a window table.  Branching on exponent bits is
+           acceptable here because short exponents are public by
+           construction (RSA e, protocol cofactors) — never dp/dq/x. *)
+        let result = Array.copy ctx.one_raw in
+        for i = nbits - 1 downto 0 do
+          mont_sqr_raw ~k ~mm ~n0' ~t result result;
+          if test_bit exp i then mont_mul_raw ~k ~mm ~n0' ~t result bm result
+        done;
+        result
+      end
+      else begin
+        (* Fixed 4-bit windows.  Long exponents are the secret ones (RSA
+           dp/dq, DH private), so the schedule must not depend on their bit
+           pattern: the exponent is padded to the modulus width and every
+           window pays one gathered table multiply — a zero window
+           multiplies by the Montgomery one.  The word-mul count (and thus
+           the charged cycle cost) is a function of the limb count k alone,
+           which is what the leakage sentinel asserts per private_op
+           sample.  The top window seeds the accumulator directly instead
+           of squaring the Montgomery one four times — same fixed schedule,
+           4 squarings and 1 multiply cheaper per exponentiation. *)
+        let table = window_table ctx ~t bm in
+        let elimbs = max k (Array.length exp.mag) in
+        let nibble = nibbles ~elimbs exp in
+        let nwin = elimbs * limb_bits / 4 in
+        let g = Array.make k 0 in
+        let result = Array.make k 0 in
+        ct_gather ~k table (nibble (nwin - 1)) result;
+        for w = nwin - 2 downto 0 do
+          for _ = 1 to 4 do
+            mont_sqr_raw ~k ~mm ~n0' ~t result result
+          done;
+          ct_gather ~k table (nibble w) g;
+          mont_mul_raw ~k ~mm ~n0' ~t result g result
+        done;
+        result
+      end
+    in
+    finish ctx ~exp result
 
   let pow ctx ~base:b ~exp =
     if exp.sign < 0 then invalid_arg "Bn.Mont.pow: negative exponent";
     if b.sign < 0 || cmp_mag b.mag ctx.m.mag >= 0 then
       invalid_arg "Bn.Mont.pow: base out of range";
     normalize 1 (pow_raw ctx ~braw:(raw_of ~k:ctx.k b) ~exp)
+
+  (* Fixed-base comb: for a base used over and over (the DH generator),
+     precompute comb.(w).(j) = base^(j * 16^w) in the Montgomery domain
+     for every 4-bit window w of a k-limb exponent.  Then base^exp is one
+     gather per window and a product of the gathered entries — nwin - 1
+     multiplies and no squarings, against pow_raw's 4 squarings and a
+     multiply per window.  Same constant shape: the schedule and both
+     counters depend on k alone. *)
+  let comb_create ctx ~braw =
+    let k = ctx.k in
+    let t = Array.make (2 * k) 0 in
+    let nwin = k * limb_bits / 4 in
+    let bw = Array.make k 0 in
+    mont_mul_raw ~k ~mm:ctx.mm ~n0':ctx.n0' ~t braw ctx.r2_raw bw;
+    let comb = Array.make nwin [||] in
+    for w = 0 to nwin - 1 do
+      if w > 0 then
+        for _ = 1 to 4 do
+          mont_sqr_raw ~k ~mm:ctx.mm ~n0':ctx.n0' ~t bw bw
+        done;
+      comb.(w) <- window_table ctx ~t (Array.copy bw)
+    done;
+    comb
+
+  (* base^exp mod m as k limbs, for an exponent of at most k limbs *)
+  let comb_pow ctx comb ~exp =
+    let k = ctx.k in
+    let t = Array.make (2 * k) 0 in
+    let nibble = nibbles ~elimbs:k exp in
+    let g = Array.make k 0 in
+    let result = Array.make k 0 in
+    ct_gather ~k comb.(0) (nibble 0) result;
+    for w = 1 to Array.length comb - 1 do
+      ct_gather ~k comb.(w) (nibble w) g;
+      mont_mul_raw ~k ~mm:ctx.mm ~n0':ctx.n0' ~t result g result
+    done;
+    finish ctx ~exp result
 end
 
 (* Montgomery contexts are costly to build (R^2 mod m needs a wide
@@ -846,6 +919,38 @@ let mod_pow ~base:b ~exp ~modulus =
     (* even or single-limb modulus: Montgomery reduction needs gcd(m, R)=1,
        so take the constant-shape ladder instead of the branchy plain path *)
     mod_pow_const_shape ~base:b ~exp ~modulus
+
+(* Fixed-base comb tables, keyed by (modulus, base).  Domain-local like
+   the Montgomery cache; a table holds 16 * 6k entries of k limbs. *)
+let comb_cache_key : ((t * t) * (Mont.ctx * int array array array)) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let comb_cache_max = 4
+
+let comb_table modulus b =
+  let cache = Domain.DLS.get comb_cache_key in
+  match List.find_opt (fun ((m, g), _) -> equal m modulus && equal g b) !cache with
+  | Some (_, v) -> Some v
+  | None ->
+    Option.map
+      (fun ctx ->
+        let v = (ctx, Mont.comb_create ctx ~braw:(Mont.raw_of ~k:ctx.Mont.k (rem b modulus))) in
+        let keep = List.filteri (fun i _ -> i < comb_cache_max - 1) !cache in
+        cache := ((modulus, b), v) :: keep;
+        v)
+      (mont_ctx modulus)
+
+let mod_pow_fixed_base ~base:b ~exp ~modulus =
+  (* the moduli mod_pow sends to Montgomery, and exponents a comb covers *)
+  let comb =
+    if modulus.sign > 0 && is_odd modulus && Array.length modulus.mag > 1 && exp.sign >= 0
+    then comb_table modulus b
+    else None
+  in
+  match comb with
+  | Some (ctx, comb) when Array.length exp.mag <= ctx.Mont.k ->
+    normalize 1 (Mont.comb_pow ctx comb ~exp)
+  | _ -> mod_pow ~base:b ~exp ~modulus
 
 (* ---- public constant-time fixed-width wrappers ---- *)
 
@@ -953,7 +1058,7 @@ module Ct = struct
     Array.blit craw 0 w 0 (min (Array.length craw) (2 * k));
     let u = Array.make k 0 in
     Mont.mont_redc_raw ~k ~mm:ctx.Mont.mm ~n0':ctx.Mont.n0' w u;
-    let t = Array.make ((2 * k) + 2) 0 in
+    let t = Array.make (2 * k) 0 in
     let d = Array.make k 0 in
     Mont.mont_mul_raw ~k ~mm:ctx.Mont.mm ~n0':ctx.Mont.n0' ~t u ctx.Mont.r2_raw d;
     d
@@ -990,7 +1095,7 @@ module Ct = struct
            domain; m2 may exceed p, which to_mont absorbs (any value
            below base^kh reduces mod p through the REDC multiply) *)
         let mmp = cp.Mont.mm and n0p = cp.Mont.n0' in
-        let t = Array.make ((2 * kh) + 2) 0 in
+        let t = Array.make (2 * kh) 0 in
         let am1 = Array.make kh 0 and am2 = Array.make kh 0 in
         Mont.mont_mul_raw ~k:kh ~mm:mmp ~n0':n0p ~t m1 cp.Mont.r2_raw am1;
         Mont.mont_mul_raw ~k:kh ~mm:mmp ~n0':n0p ~t m2 cp.Mont.r2_raw am2;

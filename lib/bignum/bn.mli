@@ -96,6 +96,18 @@ val mod_pow : base:t -> exp:t -> modulus:t -> t
     primes); the even-modulus tests pin both the routing and the
     fallback's correctness. *)
 
+val mod_pow_fixed_base : base:t -> exp:t -> modulus:t -> t
+(** Same value as [mod_pow], for a base that recurs across calls (the
+    Diffie–Hellman generator).  The first call for a [(modulus, base)]
+    pair builds a fixed-base comb — [base^(j * 16^w)] in the Montgomery
+    domain for every 4-bit window [w] of a modulus-width exponent —
+    cached per domain; every call then costs one masked table gather per
+    window and one Montgomery multiply per window after the first, with
+    no squarings.  The schedule, [Mont.word_muls] and [Ct.limb_traffic]
+    depend only on the modulus width, never on the exponent's bits.
+    Exponents wider than the modulus and moduli outside Montgomery's
+    domain take [mod_pow]. *)
+
 (** Montgomery arithmetic (REDC), exposed for callers that reuse a context
     across many exponentiations — the real-world behaviour behind the
     [RSA_FLAG_CACHE_PRIVATE] copies the paper tracks. *)
@@ -106,6 +118,14 @@ module Mont : sig
   (** [create m] precomputes a context for an odd modulus [m > 1];
       [None] otherwise. *)
 
+  val create_width : ?width:int -> t -> ctx option
+  (** [create_width ~width m] works at [max width (num_limbs m)] limbs,
+      so moduli of different sizes can share one fixed operand width.
+      [None] for the moduli [create] rejects and for working widths above
+      8191 limbs: the product-scanning kernels sum each output column —
+      up to 2k limb products of at most (2^24-1)^2 plus a carry — in one
+      native int, and the guard keeps 2k * 2^48 within 2^62. *)
+
   val modulus : ctx -> t
 
   val to_mont : ctx -> t -> t
@@ -114,7 +134,10 @@ module Mont : sig
   val from_mont : ctx -> t -> t
 
   val mul : ctx -> t -> t -> t
-  (** Montgomery product of two domain values. *)
+  (** Montgomery product of two domain values: [a * b * R^-1 mod m] with
+      [R = 2^(24k)].  The kernels scan by product (column-wise, one
+      carry per output column) with the reduction interleaved, over
+      fixed-width limb vectors and branch-free. *)
 
   val pow : ctx -> base:t -> exp:t -> t
   (** [pow ctx ~base ~exp] = [base^exp mod m] for plain (non-domain)
@@ -128,9 +151,10 @@ module Mont : sig
       context caches. *)
 
   val inject_test_leak : bool -> unit
-  (** Test-only hook: when armed, [pow] adds the exponent's popcount to
-      both [word_muls] and [Ct.limb_traffic] — a deliberate
-      secret-dependent cost that the ct-leakage sentinels must catch.
+  (** Test-only hook: when armed, [pow] and [mod_pow_fixed_base] add the
+      exponent's popcount to both [word_muls] and [Ct.limb_traffic] — a
+      deliberate secret-dependent cost that the ct-leakage sentinels must
+      catch.
       Never enable outside tests/CI smoke runs. *)
 end
 

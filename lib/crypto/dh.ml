@@ -42,9 +42,11 @@ let group_medium =
 
 type keypair = { secret : Bn.t; public : Bn.t }
 
+let keypair_of_secret params secret =
+  { secret; public = Bn.mod_pow_fixed_base ~base:params.g ~exp:secret ~modulus:params.p }
+
 let generate_keypair rng params =
-  let secret = Bn.add (Bn.random_below rng (Bn.sub params.p (Bn.of_int 3))) Bn.two in
-  { secret; public = Bn.mod_pow ~base:params.g ~exp:secret ~modulus:params.p }
+  keypair_of_secret params (Bn.add (Bn.random_below rng (Bn.sub params.p (Bn.of_int 3))) Bn.two)
 
 let shared_secret params ~secret ~peer_public =
   if Bn.compare peer_public Bn.two < 0

@@ -31,5 +31,6 @@ let () =
          Test_telemetry.suite;
          Test_flight.suite;
          Test_ct.suite;
+         Test_mont_kernels.suite;
          Test_final.suite
        ])
