@@ -196,13 +196,12 @@ let time_min ?(reps = 5) f =
   !best
 
 let scan_engine_bench () =
-  section "Scan engine — seed multipass vs single pass vs incremental (4096 pages)";
+  section "Scan engine — cold single pass vs incremental (4096 pages)";
   let num_pages = 4096 in
   let sys = System.create ~num_pages ~seed:11 ~level:Protection.Unprotected () in
   let k = System.kernel sys in
   let patterns = System.patterns sys in
-  (* cold full sweeps of an idle machine *)
-  let t_multipass = time_mean (fun () -> Scanner.scan_multipass k ~patterns) in
+  (* cold full sweep of an idle machine *)
   let t_single = time_mean (fun () -> Scanner.scan k ~patterns) in
   (* steady-state incremental re-scan (nothing dirty between scans) *)
   let cache = Memguard_scan.Scan_cache.create k ~patterns in
@@ -212,11 +211,8 @@ let scan_engine_bench () =
   let timeline scan_mode =
     time_once (fun () -> Experiment.timeline ~num_pages ~scan_mode Experiment.Ssh)
   in
-  let t_timeline_seed = timeline System.Multipass in
   let t_timeline_full = timeline System.Full in
   let t_timeline_incr = timeline System.Incremental in
-  let speedup_single = t_multipass /. t_single in
-  let speedup_timeline = t_timeline_seed /. t_timeline_incr in
   (* instrumented timeline runs: per-scan wall-time percentiles per mode,
      plus the incremental cache's hit-rate / dirty-page ratio.  Separate
      runs so the headline timings above stay untraced. *)
@@ -225,9 +221,9 @@ let scan_engine_bench () =
     ignore (Experiment.timeline ~num_pages ~scan_mode ~obs Experiment.Ssh);
     (obs, Obs.Metrics.samples obs ("scan.wall_s." ^ System.mode_name scan_mode))
   in
-  let _, wall_seed = percentiles System.Multipass in
   let _, wall_full = percentiles System.Full in
   let obs_incr, wall_incr = percentiles System.Incremental in
+  let walls = [ ("full", wall_full); ("incremental", wall_incr) ] in
   let clean = float_of_int (Obs.Metrics.counter obs_incr "scan.cache_clean_pages") in
   let dirty = float_of_int (Obs.Metrics.counter obs_incr "scan.cache_dirty_pages") in
   let hit_rate = clean /. Float.max 1.0 (clean +. dirty) in
@@ -247,11 +243,11 @@ let scan_engine_bench () =
   let ledger_overhead_pct = 100. *. ((t_ledger_on /. t_ledger_off) -. 1.) in
   (* timeseries rider: the full telemetry path (per-tick series sampling
      plus the default alert pack evaluated every scan) vs the same
-     timeline with observability off.  Wall-clock, so warn-only in the
-     perf gate; the per-series sample counts below are the deterministic
-     half — they pin exactly how often System.scan feeds each series,
-     so a sampling regression (a series silently dropped or double-fed)
-     fails the bench-gate key check even on a noisy runner. *)
+     timeline with observability off.  Wall-clock, so never gated; the
+     per-series sample counts below are the deterministic half — they
+     pin exactly how often System.scan feeds each series, so a sampling
+     regression (a series silently dropped or double-fed) fails CI's
+     BENCH_scan.json key check even on a noisy runner. *)
   let t_telemetry =
     time_min (fun () ->
         let obs = Obs.create ~ring_capacity:(1 lsl 20) () in
@@ -280,8 +276,8 @@ let scan_engine_bench () =
   in
   (* fleet rider: aggregate scan+timeline throughput of a sharded fleet,
      sequential vs parallel on 4 domains.  Connection/cycle counts are
-     deterministic; the seconds and the speedup are wall-clock (warn-only
-     in the perf gate — on a 1-core host the speedup is honestly ~1x). *)
+     deterministic; the seconds and the speedup are wall-clock (never
+     gated — on a 1-core host the speedup is honestly ~1x). *)
   let fleet_cfg =
     { Fleet.default with
       Fleet.shards = 8;
@@ -315,7 +311,7 @@ let scan_engine_bench () =
            (List.hd timed) (List.tl timed))
   in
   (* per-domain scan throughput: deterministic pages/sweeps per shard,
-     wall-clock pages/s per worker domain (warn-only in the gate) *)
+     wall-clock pages/s per worker domain *)
   let fleet_pages_swept =
     List.fold_left (fun acc (s : Fleet.shard_result) -> acc + s.Fleet.pages_swept) 0
       fleet.Fleet.shard_results
@@ -341,14 +337,10 @@ let scan_engine_bench () =
   let fleet_conns_per_sec =
     float_of_int fleet.Fleet.total_connections /. t_fleet_best
   in
-  Format.printf "%-44s %12.6f s@." "full scan, seed (one pass per pattern)" t_multipass;
-  Format.printf "%-44s %12.6f s  (%.2fx)@." "full scan, single-pass multi-pattern" t_single
-    speedup_single;
+  Format.printf "%-44s %12.6f s@." "full scan, single-pass multi-pattern" t_single;
   Format.printf "%-44s %12.6f s@." "incremental re-scan, idle machine" t_incr_idle;
-  Format.printf "%-44s %12.6f s@." "fig 5/6 timeline, seed re-scan per tick" t_timeline_seed;
   Format.printf "%-44s %12.6f s@." "fig 5/6 timeline, single-pass re-scan" t_timeline_full;
-  Format.printf "%-44s %12.6f s  (%.2fx vs seed)@." "fig 5/6 timeline, incremental"
-    t_timeline_incr speedup_timeline;
+  Format.printf "%-44s %12.6f s@." "fig 5/6 timeline, incremental" t_timeline_incr;
   Format.printf "%-44s %11.1f%%@." "scan-cache hit rate (timeline)" (100. *. hit_rate);
   Format.printf "%-44s %11.1f%%@." "dirty-page ratio (timeline)" (100. *. dirty_ratio);
   List.iter
@@ -356,7 +348,7 @@ let scan_engine_bench () =
       Format.printf "%-44s %12.6f / %.6f / %.6f s@."
         (Printf.sprintf "per-scan wall time %s (p50/p90/max)" mode)
         (p samples 50.) (p samples 90.) (p samples 100.))
-    [ ("multipass", wall_seed); ("full", wall_full); ("incremental", wall_incr) ];
+    walls;
   Format.printf "%-44s %11.1f%%@." "exposure ledger overhead (timeline)" ledger_overhead_pct;
   Format.printf "%-44s %11.1f%%@." "timeseries + alert overhead (timeline)"
     timeseries_overhead_pct;
@@ -388,78 +380,54 @@ let scan_engine_bench () =
       Format.printf "%-44s %12d byte-ticks (%d sensitive outside mlock)@."
         (Printf.sprintf "exposure at %s" name) total unsafe)
     exposure_by_level;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"num_pages\": %d,\n\
-      \  \"patterns\": %d,\n\
-      \  \"full_scan_multipass_s\": %.6f,\n\
-      \  \"full_scan_single_pass_s\": %.6f,\n\
-      \  \"incremental_rescan_idle_s\": %.6f,\n\
-      \  \"timeline_seed_multipass_s\": %.6f,\n\
-      \  \"timeline_full_rescan_s\": %.6f,\n\
-      \  \"timeline_incremental_s\": %.6f,\n\
-      \  \"speedup_single_pass_vs_multipass\": %.2f,\n\
-      \  \"speedup_timeline\": %.2f,\n\
-      \  \"scan_cache_hit_rate\": %.4f,\n\
-      \  \"dirty_page_ratio\": %.4f,\n\
-      \  \"timeline_scan_wall_p50_multipass_s\": %.6f,\n\
-      \  \"timeline_scan_wall_p90_multipass_s\": %.6f,\n\
-      \  \"timeline_scan_wall_max_multipass_s\": %.6f,\n\
-      \  \"timeline_scan_wall_p50_full_s\": %.6f,\n\
-      \  \"timeline_scan_wall_p90_full_s\": %.6f,\n\
-      \  \"timeline_scan_wall_max_full_s\": %.6f,\n\
-      \  \"timeline_scan_wall_p50_incremental_s\": %.6f,\n\
-      \  \"timeline_scan_wall_p90_incremental_s\": %.6f,\n\
-      \  \"timeline_scan_wall_max_incremental_s\": %.6f,\n\
-      \  \"exposure_ledger_overhead_pct\": %.2f,\n\
-      \  \"timeseries_overhead_pct\": %.2f,\n\
-      \  \"fleet_shards\": %d,\n\
-      \  \"fleet_connections\": %d,\n\
-      \  \"fleet_requests\": %d,\n\
-      \  \"fleet_total_cycles\": %d,\n\
-      \  \"fleet_sensitive_unsafe_byte_ticks\": %d,\n\
-      \  \"fleet_domains_recommended\": %d,\n\
-      \  \"fleet_timeline_domains_1_s\": %.6f,\n\
-      \  \"fleet_timeline_domains_2_s\": %.6f,\n\
-      \  \"fleet_timeline_domains_4_s\": %.6f,\n\
-      \  \"fleet_speedup_domains_4\": %.2f,\n\
-      \  \"fleet_connections_per_sec\": %.0f,\n\
-      \  \"fleet_scan_pages_swept\": %d,\n\
-      \  \"fleet_scan_sweeps\": %d,\n\
-      \  \"fleet_scan_sweep_cycles\": %d,\n\
-      \  \"fleet_scan_pages_per_sec\": %.0f%s\n\
-       }\n"
-      num_pages (List.length patterns) t_multipass t_single t_incr_idle t_timeline_seed
-      t_timeline_full t_timeline_incr speedup_single speedup_timeline hit_rate dirty_ratio
-      (p wall_seed 50.) (p wall_seed 90.) (p wall_seed 100.)
-      (p wall_full 50.) (p wall_full 90.) (p wall_full 100.)
-      (p wall_incr 50.) (p wall_incr 90.) (p wall_incr 100.)
-      ledger_overhead_pct timeseries_overhead_pct fleet_cfg.Fleet.shards
-      fleet.Fleet.total_connections
-      fleet.Fleet.total_requests fleet.Fleet.total_cycles fleet.Fleet.sensitive_unsafe
-      fleet_domains_recommended t_fleet_1 t_fleet_2 t_fleet_4 fleet_speedup
-      fleet_conns_per_sec fleet_pages_swept fleet_sweeps fleet_sweep_cycles
-      fleet_scan_pages_per_sec
-      (String.concat ""
-         (List.map
-            (fun (name, total, unsafe) ->
-              let slug = String.map (function '-' -> '_' | c -> c) name in
-              Printf.sprintf
-                ",\n  \"exposure_byte_ticks_%s\": %d,\n\
-                 \  \"exposure_sensitive_unsafe_byte_ticks_%s\": %d" slug total slug unsafe)
-            exposure_by_level
-          @ List.map
-              (fun (name, n) ->
-                let slug =
-                  String.map (function '.' | '-' -> '_' | c -> c) name
-                in
-                Printf.sprintf ",\n  \"series_samples_%s\": %d" slug n)
-              series_counts))
+  let slug chars name = String.map (fun c -> if List.mem c chars then '_' else c) name in
+  let count n = float_of_int n in
+  let scalars =
+    [ ("num_pages", count num_pages);
+      ("patterns", count (List.length patterns));
+      ("full_scan_single_pass_s", t_single);
+      ("incremental_rescan_idle_s", t_incr_idle);
+      ("timeline_full_rescan_s", t_timeline_full);
+      ("timeline_incremental_s", t_timeline_incr);
+      ("scan_cache_hit_rate", hit_rate);
+      ("dirty_page_ratio", dirty_ratio);
+      ("exposure_ledger_overhead_pct", ledger_overhead_pct);
+      ("timeseries_overhead_pct", timeseries_overhead_pct);
+      ("fleet_shards", count fleet_cfg.Fleet.shards);
+      ("fleet_connections", count fleet.Fleet.total_connections);
+      ("fleet_requests", count fleet.Fleet.total_requests);
+      ("fleet_total_cycles", count fleet.Fleet.total_cycles);
+      ("fleet_sensitive_unsafe_byte_ticks", count fleet.Fleet.sensitive_unsafe);
+      ("fleet_domains_recommended", count fleet_domains_recommended);
+      ("fleet_timeline_domains_1_s", t_fleet_1);
+      ("fleet_timeline_domains_2_s", t_fleet_2);
+      ("fleet_timeline_domains_4_s", t_fleet_4);
+      ("fleet_speedup_domains_4", fleet_speedup);
+      ("fleet_connections_per_sec", fleet_conns_per_sec);
+      ("fleet_scan_pages_swept", count fleet_pages_swept);
+      ("fleet_scan_sweeps", count fleet_sweeps);
+      ("fleet_scan_sweep_cycles", count fleet_sweep_cycles);
+      ("fleet_scan_pages_per_sec", fleet_scan_pages_per_sec)
+    ]
+    @ List.concat_map
+        (fun (mode, samples) ->
+          List.map
+            (fun (q, tag) ->
+              (Printf.sprintf "timeline_scan_wall_%s_%s_s" tag mode, p samples q))
+            [ (50., "p50"); (90., "p90"); (100., "max") ])
+        walls
+    @ List.concat_map
+        (fun (name, total, unsafe) ->
+          let slug = slug [ '-' ] name in
+          [ ("exposure_byte_ticks_" ^ slug, count total);
+            ("exposure_sensitive_unsafe_byte_ticks_" ^ slug, count unsafe)
+          ])
+        exposure_by_level
+    @ List.map
+        (fun (name, n) -> ("series_samples_" ^ slug [ '.'; '-' ] name, count n))
+        series_counts
   in
-  let oc = open_out "BENCH_scan.json" in
-  output_string oc json;
-  close_out oc;
+  Obs.Snapshot.write "BENCH_scan.json" (Obs.Snapshot.of_scalars ~kind:"bench-scan" scalars);
   Format.printf "wrote BENCH_scan.json@."
 
 (* ------------------------------------------------------------------ *)
@@ -487,128 +455,6 @@ let chaos_bench () =
         (if Campaign.passed r then "" else "  FAIL"))
     [ Protection.Unprotected; Protection.Secure_dealloc; Protection.Kernel_level;
       Protection.Integrated ]
-
-(* ------------------------------------------------------------------ *)
-(* Part 1d: deterministic perf gate (--baseline / --check)             *)
-(* ------------------------------------------------------------------ *)
-
-(* Simulated-cycle totals of the overhead report on a small machine.
-   Unlike every wall-clock number above, these are exact and
-   reproducible bit-for-bit across hosts, so CI can diff them against a
-   committed baseline with a tight tolerance and zero noise.  A failure
-   means a code change made some countermeasure (or the unprotected
-   baseline) do more simulated work — which is exactly the regression
-   the gate exists to catch. *)
-let gate_metrics () =
-  let rows = Overhead.run ~num_pages:1024 () in
-  let slug level = String.map (function '-' -> '_' | c -> c) (Protection.name level) in
-  let overhead =
-    List.concat_map
-      (fun (r : Overhead.row) ->
-        (Printf.sprintf "overhead_cycles_%s" (slug r.Overhead.level), r.Overhead.cycles)
-        ::
-        (* per-subsystem rows pinpoint *which* mechanism regressed *)
-        List.map
-          (fun (sub, c) ->
-            (Printf.sprintf "overhead_cycles_%s_%s" (slug r.Overhead.level) sub, c))
-          r.Overhead.by_subsystem)
-      rows
-  in
-  (* a small sequential fleet: its merged counts are exact, so the gate
-     also catches regressions in the sharded path (lost connections,
-     cycle drift, exposure leaks across the merge) *)
-  let fleet =
-    Fleet.run
-      { Fleet.default with
-        Fleet.shards = 4;
-        domains = 1;
-        num_pages = 1024;
-        conns_low = 8;
-        conns_high = 16
-      }
-  in
-  overhead
-  @ [ ("fleet_gate_connections", fleet.Fleet.total_connections);
-      ("fleet_gate_requests", fleet.Fleet.total_requests);
-      ("fleet_gate_cycles", fleet.Fleet.total_cycles);
-      ("fleet_gate_sensitive_unsafe", fleet.Fleet.sensitive_unsafe)
-    ]
-
-let metrics_to_json metrics =
-  Printf.sprintf "{\n%s\n}\n"
-    (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %S: %d" k v) metrics))
-
-(* flat {"key": number} parser — just enough for baseline.json, so the
-   gate needs no JSON library *)
-let parse_flat_json s =
-  let n = String.length s in
-  let metrics = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    if s.[!i] = '"' then begin
-      let j = String.index_from s (!i + 1) '"' in
-      let key = String.sub s (!i + 1) (j - !i - 1) in
-      let k = ref (j + 1) in
-      while !k < n && (s.[!k] = ':' || s.[!k] = ' ' || s.[!k] = '\n') do incr k done;
-      let start = !k in
-      while
-        !k < n
-        && (match s.[!k] with
-            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-            | _ -> false)
-      do
-        incr k
-      done;
-      if !k > start then
-        metrics := (key, float_of_string (String.sub s start (!k - start))) :: !metrics;
-      i := !k
-    end
-    else incr i
-  done;
-  List.rev !metrics
-
-let write_baseline path =
-  let metrics = gate_metrics () in
-  let oc = open_out path in
-  output_string oc (metrics_to_json metrics);
-  close_out oc;
-  Format.printf "wrote %s (%d metrics)@." path (List.length metrics)
-
-(* The gate is the flight differ: baseline and current become scalars-only
-   archives and Obs.Diff classifies every delta — the same tolerance on
-   all three families reproduces the old hand-rolled semantics (every
-   metric gets the CLI tolerance; wall-clock regressions warn, anything
-   else fails hard).  The old per-key comparison loop is gone. *)
-let check_baseline path ~tolerance =
-  section
-    (Printf.sprintf "perf gate — flight diff vs %s (tolerance %d%%)" path tolerance);
-  let baseline =
-    let ic = open_in path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Obs.Snapshot.of_scalars ~kind:"bench-gate" (parse_flat_json s)
-  in
-  let current =
-    Obs.Snapshot.of_scalars ~kind:"bench-gate"
-      (List.map (fun (k, v) -> (k, float_of_int v)) (gate_metrics ()))
-  in
-  let tol = float_of_int tolerance in
-  let d =
-    Obs.Diff.diff ~det_tol_pct:tol ~wall_tol_pct:tol ~exp_tol_pct:tol baseline current
-  in
-  Obs.Diff.pp Format.std_formatter d;
-  let soft = Obs.Diff.regressions d - Obs.Diff.hard_regressions d in
-  if soft > 0 then
-    Format.printf "@.%d wall-clock metric(s) drifted beyond %d%% (not gated)@." soft
-      tolerance;
-  let hard = Obs.Diff.hard_regressions d in
-  if hard > 0 then begin
-    Format.printf "@.perf gate FAILED: %d metric(s) regressed beyond %d%%@." hard tolerance;
-    exit 1
-  end
-  else
-    Format.printf "@.perf gate ok: %d metric(s) within %d%% of baseline@." d.Obs.Diff.compared
-      tolerance
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: Bechamel micro-benchmarks                                   *)
@@ -766,24 +612,9 @@ let () =
   let skip_micro = List.mem "--skip-micro" args in
   let json = List.mem "--json" args in
   let chaos = List.mem "--chaos" args in
-  let arg_value flag =
-    let rec go = function
-      | a :: v :: _ when String.equal a flag -> Some v
-      | _ :: rest -> go rest
-      | [] -> None
-    in
-    go args
-  in
-  let tolerance =
-    match arg_value "--tolerance" with Some s -> int_of_string s | None -> 15
-  in
   Format.printf
     "memguard benchmark harness — Harrison & Xu, DSN'07 reproduction@.\
      (shapes, not absolute values, are the comparison target; see EXPERIMENTS.md)@.";
-  match (arg_value "--check", arg_value "--baseline") with
-  | Some path, _ -> check_baseline path ~tolerance
-  | None, Some path -> write_baseline path
-  | None, None ->
   if json then scan_engine_bench ()
   else if chaos then chaos_bench ()
   else begin

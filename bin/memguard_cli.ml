@@ -428,14 +428,13 @@ let scan_mode_conv =
     match s with
     | "incremental" -> Ok System.Incremental
     | "full" -> Ok System.Full
-    | "multipass" -> Ok System.Multipass
-    | _ -> Error (`Msg "expected 'incremental', 'full' or 'multipass'")
+    | _ -> Error (`Msg "expected 'incremental' or 'full'")
   in
   Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (System.mode_name m))
 
 let scan_mode_arg =
   Arg.(value & opt scan_mode_conv System.Incremental
-       & info [ "scan-mode" ] ~docv:"MODE" ~doc:"Scanner mode: incremental, full or multipass.")
+       & info [ "scan-mode" ] ~docv:"MODE" ~doc:"Scanner mode: incremental or full.")
 
 let timeline_server = function Experiment.Ssh -> Timeline.Ssh | Experiment.Http -> Timeline.Http
 
@@ -490,23 +489,12 @@ let observe_cmd =
 
 let watch_cmd =
   let module Obs = Memguard_obs.Obs in
-  let json_escape s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-  in
   let alerts_json_of obs ~level ~server ~seed =
     let buf = Buffer.create 1024 in
     let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
     let comma_sep f xs = List.iteri (fun i x -> if i > 0 then add ","; f x) xs in
     add "{\n";
-    add "  \"level\": \"%s\",\n" (json_escape (Protection.name level));
+    add "  \"level\": \"%s\",\n" (Obs.json_escape (Protection.name level));
     add "  \"server\": \"%s\",\n"
       (match server with Experiment.Ssh -> "ssh" | Experiment.Http -> "http");
     add "  \"seed\": %d,\n" seed;
@@ -515,8 +503,8 @@ let watch_cmd =
     comma_sep
       (fun (name, series, cond) ->
         add "{\"name\":\"%s\",\"series\":\"%s\",\"condition\":\"%s\",\"fired\":%d}"
-          (json_escape name) (json_escape series)
-          (json_escape (Obs.Alert.describe_condition cond))
+          (Obs.json_escape name) (Obs.json_escape series)
+          (Obs.json_escape (Obs.Alert.describe_condition cond))
           (Obs.Alert.fired obs name))
       (Obs.Alert.rules obs);
     add "],\n";
@@ -524,7 +512,7 @@ let watch_cmd =
     comma_sep
       (fun (tick, rule, series, value) ->
         add "{\"tick\":%d,\"rule\":\"%s\",\"series\":\"%s\",\"value\":%s}" tick
-          (json_escape rule) (json_escape series) (Obs.float_json value))
+          (Obs.json_escape rule) (Obs.json_escape series) (Obs.float_json value))
       (Obs.Alert.firings obs);
     add "]\n}\n";
     Buffer.contents buf
@@ -726,8 +714,9 @@ let overhead_cmd =
   let flight =
     Arg.(value & opt (some string) None
          & info [ "flight" ] ~docv:"FILE"
-             ~doc:"Record a scalars-only flight archive of the table (keys match the \
-                   bench perf gate) to $(docv) — diff two with $(b,memguard diff).")
+             ~doc:"Record a scalars-only flight archive of the table (cycles, \
+                   requests, signatures and slowdown per level, cycles per \
+                   subsystem) to $(docv) — diff two with $(b,memguard diff).")
   in
   Cmd.v
     (Cmd.info "overhead"

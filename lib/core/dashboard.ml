@@ -168,18 +168,6 @@ let class_series t c =
 
 (* ---- JSON twin ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 8192 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -189,7 +177,7 @@ let to_json t =
       (Obs.class_name c) v
   in
   add "{\n";
-  add "  \"level\": \"%s\",\n" (json_escape (Protection.name t.level));
+  add "  \"level\": \"%s\",\n" (Obs.json_escape (Protection.name t.level));
   add "  \"server\": \"%s\",\n" (server_name t.server);
   add "  \"scan_mode\": \"%s\",\n" (System.mode_name t.scan_mode);
   add "  \"seed\": %d,\n" t.seed;
@@ -239,16 +227,16 @@ let to_json t =
     t.breaches;
   add "],\n";
   add "  \"overhead\": {\"total_cycles\": %d, \"by_subsystem\": {" t.cycles;
-  comma_sep (fun (s, v) -> add "\"%s\":%d" (json_escape s) v) t.cycles_by_subsystem;
+  comma_sep (fun (s, v) -> add "\"%s\":%d" (Obs.json_escape s) v) t.cycles_by_subsystem;
   add "}},\n";
   add "  \"counters\": {";
-  comma_sep (fun (k, v) -> add "\"%s\":%d" (json_escape k) v) t.counters;
+  comma_sep (fun (k, v) -> add "\"%s\":%d" (Obs.json_escape k) v) t.counters;
   add "},\n";
   add "  \"timeseries\": [";
   comma_sep
     (fun m ->
       add "{\"name\":\"%s\",\"kind\":\"%s\",\"stride\":%d,\"samples\":%d,\"points\":["
-        (json_escape m.ms_name) (json_escape m.ms_kind) m.ms_stride m.ms_samples;
+        (Obs.json_escape m.ms_name) (Obs.json_escape m.ms_kind) m.ms_stride m.ms_samples;
       comma_sep (fun (tick, v) -> add "[%d,%s]" tick (Obs.float_json v)) m.ms_points;
       add "]}")
     t.metrics;
@@ -257,23 +245,23 @@ let to_json t =
   comma_sep
     (fun (b : Forensics.budget_row) ->
       add "{\"trace\":%d,\"request\":\"%s\",\"pid\":%d,\"start_tick\":%d,\"byte_ticks\":%d}"
-        b.Forensics.br_trace (json_escape b.Forensics.br_request) b.Forensics.br_pid
+        b.Forensics.br_trace (Obs.json_escape b.Forensics.br_request) b.Forensics.br_pid
         b.Forensics.br_start_tick b.Forensics.br_byte_ticks)
     t.budgets;
   add "],\n";
   add "  \"alert_rules\": [";
   comma_sep
     (fun (name, series, cond) ->
-      add "{\"name\":\"%s\",\"series\":\"%s\",\"condition\":\"%s\"}" (json_escape name)
-        (json_escape series)
-        (json_escape (Obs.Alert.describe_condition cond)))
+      add "{\"name\":\"%s\",\"series\":\"%s\",\"condition\":\"%s\"}" (Obs.json_escape name)
+        (Obs.json_escape series)
+        (Obs.json_escape (Obs.Alert.describe_condition cond)))
     t.alert_rules;
   add "],\n";
   add "  \"alerts\": [";
   comma_sep
     (fun a ->
       add "{\"tick\":%d,\"rule\":\"%s\",\"series\":\"%s\",\"value\":%s}" a.fired_tick
-        (json_escape a.rule) (json_escape a.rule_series) (Obs.float_json a.value))
+        (Obs.json_escape a.rule) (Obs.json_escape a.rule_series) (Obs.float_json a.value))
     t.alerts;
   add "]\n}\n";
   Buffer.contents buf
@@ -284,16 +272,7 @@ let palette =
   [| "#2563eb"; "#dc2626"; "#16a34a"; "#d97706"; "#9333ea"; "#0891b2"; "#db2777";
      "#65a30d" |]
 
-let html_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+include (Forensics : sig val html_escape : string -> string end)
 
 let short_num v =
   if v >= 1_000_000. then Printf.sprintf "%.1fM" (v /. 1_000_000.)

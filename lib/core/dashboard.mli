@@ -127,7 +127,8 @@ val svg_sparkline : (int * float) list -> string
     min/max envelope.  Shared with the fleet and watch HTML reports. *)
 
 val html_escape : string -> string
-(** Escape [<], [>] and [&] for interpolation into HTML/SVG text. *)
+(** Escape [<], [>] and [&] for interpolation into HTML/SVG text
+    ({!Forensics.html_escape}, re-exported). *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** Terminal summary: headline exposure + totals + breach count. *)

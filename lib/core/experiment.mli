@@ -67,8 +67,7 @@ val timeline :
     connection counts per shard.  [scan_mode]
     (default [Incremental]) uses the dirty-page scan cache for the
     per-tick snapshots; [Full] forces a cold single-pass re-scan at every
-    tick and [Multipass] the seed behaviour of one cold pass per pattern
-    (both kept for benchmarking).  [obs] threads an observability context
+    tick (kept for benchmarking).  [obs] threads an observability context
     through the machine (see {!System.create}): the run's snapshots then
     carry per-hit provenance and the context accumulates the event trace
     and subsystem metrics.  [recorder] is called once, after the last

@@ -259,29 +259,16 @@ let budget_table obs =
 
 (* ---- rendering ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let link_json l =
   Printf.sprintf
     "{\"span\":%d,\"parent\":%d,\"name\":\"%s\",\"pid\":%d,\"start_tick\":%d,\"end_tick\":%d}"
-    l.lk_span l.lk_parent (json_escape l.lk_name) l.lk_pid l.lk_start_tick l.lk_end_tick
+    l.lk_span l.lk_parent (Obs.json_escape l.lk_name) l.lk_pid l.lk_start_tick l.lk_end_tick
 
 let fan_json n =
   Printf.sprintf
     "{\"seq\":%d,\"tick\":%d,\"kind\":\"%s\",\"pid\":%d,\"addr\":%d,\"len\":%d,\"origin\":\"%s\",\"span\":%d,\"span_name\":\"%s\",\"verdict\":\"%s\"}"
-    n.fn_seq n.fn_tick (json_escape n.fn_kind) n.fn_pid n.fn_addr n.fn_len
-    (json_escape n.fn_origin) n.fn_span (json_escape n.fn_span_name)
+    n.fn_seq n.fn_tick (Obs.json_escape n.fn_kind) n.fn_pid n.fn_addr n.fn_len
+    (Obs.json_escape n.fn_origin) n.fn_span (Obs.json_escape n.fn_span_name)
     (match n.fn_verdict with Some v -> verdict_name v | None -> "")
 
 let to_json t =
@@ -291,13 +278,14 @@ let to_json t =
     String.concat ","
       (List.map
          (fun (a, l, o) -> Printf.sprintf "{\"addr\":%d,\"len\":%d,\"origin\":\"%s\"}" a l
-             (json_escape o))
+             (Obs.json_escape o))
          t.f_live)
   in
   Printf.sprintf
     "{\"tick\":%d,\"label\":\"%s\",\"addr\":%d,\"origin\":\"%s\",\"birth_tick\":%d,\"trace\":%d,\"request\":\"%s\",\"request_pid\":%d,\"chain\":[%s],\"fanout\":[%s],\"live\":[%s],\"leak_budget_byte_ticks\":%d}"
-    t.f_tick (json_escape t.f_label) t.f_addr (json_escape t.f_origin) t.f_birth_tick
-    t.f_trace (json_escape t.f_request) t.f_request_pid chain fanout live t.f_leak_budget
+    t.f_tick (Obs.json_escape t.f_label) t.f_addr (Obs.json_escape t.f_origin)
+    t.f_birth_tick t.f_trace (Obs.json_escape t.f_request) t.f_request_pid chain fanout live
+    t.f_leak_budget
 
 let pp ppf t =
   let open Format in

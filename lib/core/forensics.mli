@@ -104,3 +104,7 @@ val to_json : t -> string
 (** Canonical single-object JSON (deterministic field order). *)
 
 val to_html : t -> string
+
+val html_escape : string -> string
+(** Escape [<], [>] and [&] for HTML text — shared by every HTML
+    renderer (re-exported as {!Dashboard.html_escape}). *)

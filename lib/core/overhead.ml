@@ -56,8 +56,8 @@ let run ?(levels = default_levels) ?num_pages ?seed ?key_bits ?scan_mode ?record
   (match recorder with
    | None -> ()
    | Some f ->
-     (* scalars-only archive, keyed exactly like the bench perf gate so a
-        flight diff and the gate read the same names for the same numbers *)
+     (* scalars-only archive: bench/flight_overhead.json is one of these,
+        and [memguard_cli diff] gates every key of it exactly *)
      let slug level = String.map (function '-' -> '_' | c -> c) (Protection.name level) in
      let scalars =
        List.concat_map
@@ -124,11 +124,14 @@ let to_json rows =
       Buffer.add_string buf (if i > 0 then ",\n    " else "\n    ");
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"level\": %S, \"cycles\": %d, \"requests\": %d, \"signatures\": %d, \
+           "{\"level\": \"%s\", \"cycles\": %d, \"requests\": %d, \"signatures\": %d, \
             \"slowdown\": %.4f, \"by_subsystem\": {%s}}"
-           (Protection.name r.level) r.cycles r.requests r.signatures r.slowdown
+           (Obs.json_escape (Protection.name r.level)) r.cycles r.requests r.signatures
+           r.slowdown
            (String.concat ", "
-              (List.map (fun (s, v) -> Printf.sprintf "%S: %d" s v) r.by_subsystem))))
+              (List.map
+                 (fun (s, v) -> Printf.sprintf "\"%s\": %d" (Obs.json_escape s) v)
+                 r.by_subsystem))))
     rows;
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf

@@ -55,10 +55,11 @@ val run :
   row list
 (** Run every level (default {!default_levels}) and normalise slowdown
     against the first row.  [recorder] receives a scalars-only flight
-    archive (kind ["overhead"]) keyed exactly like the bench perf gate —
+    archive (kind ["overhead"]) —
     [overhead_cycles_<level>], [overhead_cycles_<level>_<subsystem>],
-    plus requests / signatures / slowdown per level — so a flight diff
-    and the gate read the same names for the same numbers. *)
+    plus requests / signatures / slowdown per level.
+    [bench/flight_overhead.json] is the committed one that
+    [memguard_cli diff] gates against. *)
 
 val subsystems : row list -> string list
 (** Union of subsystem tags across rows, sorted. *)

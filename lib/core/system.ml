@@ -13,12 +13,9 @@ module Tty_dump = Memguard_attack.Tty_dump
 module Scan_cache = Memguard_scan.Scan_cache
 module Obs = Memguard_obs.Obs
 
-type scan_mode = Incremental | Full | Multipass
+type scan_mode = Incremental | Full
 
-let mode_name = function
-  | Incremental -> "incremental"
-  | Full -> "full"
-  | Multipass -> "multipass"
+let mode_name = function Incremental -> "incremental" | Full -> "full"
 
 type t = {
   kernel_ : Kernel.t;
@@ -190,9 +187,6 @@ let scan t ~time =
   let hits, pages_scanned =
     match t.scan_mode_ with
     | Full -> (Scanner.scan t.kernel_ ~patterns:(patterns t), num_pages)
-    | Multipass ->
-      ( Scanner.scan_multipass t.kernel_ ~patterns:(patterns t),
-        num_pages * List.length (patterns t) )
     | Incremental ->
       let cache =
         match t.cache_ with

@@ -10,11 +10,9 @@ type scan_mode =
   | Incremental  (** dirty-page cache: re-sweep only pages written since the
                      previous scan (the default) *)
   | Full  (** cold single-pass multi-pattern sweep on every scan *)
-  | Multipass  (** cold sweep {e per pattern} — the pre-engine baseline,
-                   kept for benchmarking *)
 
 val mode_name : scan_mode -> string
-(** ["incremental"] / ["full"] / ["multipass"] — the tag used in trace
+(** ["incremental"] / ["full"] — the tag used in trace
     events and metric names. *)
 
 val key_path : string

@@ -84,6 +84,44 @@ let float_json f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.6g" f
 
+(* JSON string escaping for every export.  Printf's %S is OCaml lexing —
+   decimal \ddd escapes, which JSON parsers reject — so it must never
+   render a JSON string. *)
+let json_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* a quoted JSON string *)
+let json_str s = "\"" ^ json_escape s ^ "\""
+
+(* The one-entry-per-line layout shared by the exports: "[\n a,\n b\n]"
+   ("[\n]" when empty), and likewise for objects with "key": value
+   entries. *)
+let json_lines opn cls entries =
+  opn ^ String.concat "," (List.map (fun e -> "\n " ^ e) entries) ^ "\n" ^ cls
+
+let json_array = json_lines "[" "]"
+let json_object kvs = json_lines "{" "}" (List.map (fun (k, v) -> json_str k ^ ": " ^ v) kvs)
+
+(* Chrome trace_event complete event ("ph":"X"); [args] is the rendered
+   body of its args object. *)
+let chrome_complete ~name ~ts ~dur ~pid ~tid args =
+  Printf.sprintf
+    "{\"name\":%s,\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":%d,\"args\":{%s}}"
+    (json_str name) ts dur pid tid args
+
 (* [birth_trace]/[birth_span] name the request-scoped causal span that
    created the copy; clones made by blit/stash/restore inherit them, so
    the whole fan-out of a key attributes to the originating request *)
@@ -571,10 +609,10 @@ module Trace = struct
 
   let json_field (k, v) =
     match v with
-    | `S s -> Printf.sprintf "%S:%S" k s
-    | `I i -> Printf.sprintf "%S:%d" k i
-    | `B b -> Printf.sprintf "%S:%b" k b
-    | `F f -> Printf.sprintf "%S:%s" k (float_json f)
+    | `S s -> Printf.sprintf "%s:%s" (json_str k) (json_str s)
+    | `I i -> Printf.sprintf "%s:%d" (json_str k) i
+    | `B b -> Printf.sprintf "%s:%b" (json_str k) b
+    | `F f -> Printf.sprintf "%s:%s" (json_str k) (float_json f)
 
   let jsonl_of_record r =
     let name, fields = fields_of_event r.event in
@@ -583,7 +621,7 @@ module Trace = struct
        :: Printf.sprintf "\"tick\":%d" r.tick
        :: Printf.sprintf "\"trace\":%d" r.trace
        :: Printf.sprintf "\"span\":%d" r.span
-       :: Printf.sprintf "\"event\":%S" name
+       :: Printf.sprintf "\"event\":%s" (json_str name)
        :: List.map json_field fields)
     ^ "}"
 
@@ -596,119 +634,46 @@ module Trace = struct
       (records ctx);
     Buffer.contents buf
 
-  (* Timestamps are tick * 1e6 plus the record's rank within its tick, so
-     events inside one tick keep their order and a scan's start/finish pair
-     is at least 1 us apart — wide enough to render as a duration slice. *)
-  let to_chrome ctx =
-    let rs = Array.of_list (records ctx) in
-    let n = Array.length rs in
-    let ts = Array.make n 0 in
-    let cur_tick = ref min_int and off = ref 0 in
-    for i = 0 to n - 1 do
-      if rs.(i).tick <> !cur_tick then begin
-        cur_tick := rs.(i).tick;
-        off := 0
-      end;
-      ts.(i) <- (rs.(i).tick * 1_000_000) + min !off 999_999;
-      incr off
-    done;
-    let consumed = Array.make n false in
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "[";
-    let first = ref true in
-    let emit_obj s =
-      Buffer.add_string buf (if !first then "\n " else ",\n ");
-      first := false;
-      Buffer.add_string buf s
-    in
-    let instant r t =
-      let name, fields = fields_of_event r.event in
-      let pid = match List.assoc_opt "pid" fields with Some (`I p) -> p | _ -> 0 in
-      Printf.sprintf
-        "{\"name\":%S,\"ph\":\"i\",\"s\":\"g\",\"ts\":%d,\"pid\":%d,\"tid\":0,\"args\":{%s}}"
-        name t pid
-        (String.concat "," (List.map json_field fields))
-    in
-    for i = 0 to n - 1 do
-      if not consumed.(i) then
-        match rs.(i).event with
-        | Scan_started { mode } -> (
-          let rec find j =
-            if j >= n then None
-            else
-              match rs.(j).event with
-              | Scan_finished { mode = m; _ } when m = mode && not consumed.(j) ->
-                Some j
-              | _ -> find (j + 1)
-          in
-          match find (i + 1) with
-          | Some j ->
-            consumed.(j) <- true;
-            let _, fields = fields_of_event rs.(j).event in
-            emit_obj
-              (Printf.sprintf
-                 "{\"name\":\"scan\",\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":0,\"tid\":0,\"args\":{%s}}"
-                 ts.(i)
-                 (max 1 (ts.(j) - ts.(i)))
-                 (String.concat "," (List.map json_field fields)))
-          | None -> emit_obj (instant rs.(i) ts.(i)))
-        | _ -> emit_obj (instant rs.(i) ts.(i))
-    done;
-    Buffer.add_string buf "\n]\n";
-    Buffer.contents buf
-
   (* OTel-style span list: one object per causal span, id order, with
      trace_id / span_id / parent_span_id and both clocks (ticks and
      simulated cycles).  Canonical JSON — safe to fingerprint. *)
   let spans_to_json ctx =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "[";
-    List.iteri
-      (fun i s ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"trace_id\":%d,\"span_id\":%d,\"parent_span_id\":%d,\"name\":%S,\"pid\":%d,\"start_tick\":%d,\"end_tick\":%d,\"start_cycles\":%d,\"end_cycles\":%d}"
-             s.sp_trace s.sp_id s.sp_parent s.sp_name s.sp_pid s.sp_start_tick
-             s.sp_end_tick s.sp_start_cycles s.sp_end_cycles))
-      (spans ctx);
-    Buffer.add_string buf "\n]\n";
-    Buffer.contents buf
+    json_array
+      (List.map
+         (fun s ->
+           Printf.sprintf
+             "{\"trace_id\":%d,\"span_id\":%d,\"parent_span_id\":%d,\"name\":%s,\"pid\":%d,\"start_tick\":%d,\"end_tick\":%d,\"start_cycles\":%d,\"end_cycles\":%d}"
+             s.sp_trace s.sp_id s.sp_parent (json_str s.sp_name) s.sp_pid s.sp_start_tick
+             s.sp_end_tick s.sp_start_cycles s.sp_end_cycles)
+         (spans ctx))
+    ^ "\n"
 
   (* Chrome-trace view of the causal spans on the simulated-cycle clock:
      each trace renders as its own process row (pid = trace id), so the
      kernel operations a request caused nest under that request's root
      span rather than under the simulated process that ran them. *)
   let spans_to_chrome ctx =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "[";
-    let first = ref true in
-    let emit_obj s =
-      Buffer.add_string buf (if !first then "\n " else ",\n ");
-      first := false;
-      Buffer.add_string buf s
-    in
     let ss = spans ctx in
-    List.iter
-      (fun s ->
-        if s.sp_parent = 0 then
-          emit_obj
-            (Printf.sprintf
-               "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":%S}}"
-               s.sp_trace
-               (Printf.sprintf "trace %d: %s" s.sp_trace s.sp_name)))
-      ss;
-    List.iter
-      (fun s ->
-        emit_obj
-          (Printf.sprintf
-             "{\"name\":%S,\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":0,\"args\":{\"span\":%d,\"parent\":%d,\"sim_pid\":%d,\"start_tick\":%d}}"
-             s.sp_name s.sp_start_cycles
-             (max 1 (s.sp_end_cycles - s.sp_start_cycles))
-             s.sp_trace s.sp_id s.sp_parent s.sp_pid s.sp_start_tick))
-      ss;
-    Buffer.add_string buf "\n]\n";
-    Buffer.contents buf
+    json_array
+      (List.filter_map
+         (fun s ->
+           if s.sp_parent <> 0 then None
+           else
+             Some
+               (Printf.sprintf
+                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":%s}}"
+                  s.sp_trace
+                  (json_str (Printf.sprintf "trace %d: %s" s.sp_trace s.sp_name))))
+         ss
+      @ List.map
+          (fun s ->
+            chrome_complete ~name:s.sp_name ~ts:s.sp_start_cycles
+              ~dur:(max 1 (s.sp_end_cycles - s.sp_start_cycles))
+              ~pid:s.sp_trace ~tid:0
+              (Printf.sprintf "\"span\":%d,\"parent\":%d,\"sim_pid\":%d,\"start_tick\":%d"
+                 s.sp_id s.sp_parent s.sp_pid s.sp_start_tick))
+          ss)
+    ^ "\n"
 end
 
 (* ---- prometheus exposition helpers (shared by Metrics and Timeseries) ---- *)
@@ -820,7 +785,7 @@ module Metrics = struct
     List.iteri
       (fun i (k, v) ->
         Buffer.add_string buf (if i > 0 then ",\n    " else "\n    ");
-        Buffer.add_string buf (Printf.sprintf "%S: %d" k v))
+        Buffer.add_string buf (Printf.sprintf "%s: %d" (json_str k) v))
       (counters ctx);
     Buffer.add_string buf "\n  },\n  \"histograms\": {";
     List.iteri
@@ -829,9 +794,9 @@ module Metrics = struct
         Buffer.add_string buf (if i > 0 then ",\n    " else "\n    ");
         Buffer.add_string buf
           (Printf.sprintf
-             "%S: {\"count\": %d, \"p50\": %s, \"p90\": %s, \"p99\": %s, \"max\": %s}"
-             name (List.length vs) (pct_json vs 50.) (pct_json vs 90.) (pct_json vs 99.)
-             (pct_json vs 100.)))
+             "%s: {\"count\": %d, \"p50\": %s, \"p90\": %s, \"p99\": %s, \"max\": %s}"
+             (json_str name) (List.length vs) (pct_json vs 50.) (pct_json vs 90.)
+             (pct_json vs 99.) (pct_json vs 100.)))
       (histograms ctx);
     Buffer.add_string buf "\n  }\n}\n";
     Buffer.contents buf
@@ -1403,18 +1368,14 @@ module Profiler = struct
     let ss =
       List.sort (fun a b -> compare (a.sstart, a.sseq) (b.sstart, b.sseq)) ctx.spans_
     in
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "[";
-    List.iteri
-      (fun i s ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"name\":%S,\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"depth\":%d}}"
-             s.sname s.sstart (s.send - s.sstart) s.spid s.spid s.sdepth))
-      ss;
-    Buffer.add_string buf "\n]\n";
-    Buffer.contents buf
+    json_array
+      (List.map
+         (fun s ->
+           chrome_complete ~name:s.sname ~ts:s.sstart ~dur:(s.send - s.sstart) ~pid:s.spid
+             ~tid:s.spid
+             (Printf.sprintf "\"depth\":%d" s.sdepth))
+         ss)
+    ^ "\n"
 end
 
 (* ---- per-tick metric time series ---- *)
@@ -1587,29 +1548,19 @@ module Timeseries = struct
   (* Canonical JSON: name-sorted array of series with their retained
      points — the merge unit for fleet reports and the dashboard twin. *)
   let to_json ctx =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "[";
-    let first = ref true in
-    List.iter
-      (fun name ->
-        match find ctx name with
-        | None -> ()
-        | Some s ->
-          Buffer.add_string buf (if !first then "\n " else ",\n ");
-          first := false;
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"name\":%S,\"kind\":%S,\"stride\":%d,\"samples\":%d,\"points\":["
-               s.s_name (export_kind s) s.s_stride s.s_seen);
-          for j = 0 to s.s_len - 1 do
-            if j > 0 then Buffer.add_string buf ",";
-            Buffer.add_string buf
-              (Printf.sprintf "[%d,%s]" s.s_ticks.(j) (float_json s.s_vals.(j)))
-          done;
-          Buffer.add_string buf "]}")
-      (names ctx);
-    Buffer.add_string buf "\n]";
-    Buffer.contents buf
+    json_array
+      (List.filter_map
+         (fun name ->
+           Option.map
+             (fun s ->
+               Printf.sprintf
+                 "{\"name\":%s,\"kind\":%s,\"stride\":%d,\"samples\":%d,\"points\":[%s]}"
+                 (json_str s.s_name) (json_str (export_kind s)) s.s_stride s.s_seen
+                 (String.concat ","
+                    (List.init s.s_len (fun j ->
+                         Printf.sprintf "[%d,%s]" s.s_ticks.(j) (float_json s.s_vals.(j))))))
+             (find ctx name))
+         (names ctx))
 end
 
 (* ---- declarative alert rules ---- *)
@@ -1731,40 +1682,16 @@ module Alert = struct
     | Some r -> r.a_fired
     | None -> 0
 
+  (* one firing as a JSON object — also the archive's alert entry *)
+  let firing_json (tick, rule, series, value) =
+    Printf.sprintf "{\"tick\":%d,\"rule\":%s,\"series\":%s,\"value\":%s}" tick
+      (json_str rule) (json_str series) (float_json value)
+
   (* Canonical JSON: the firing log, chronological. *)
-  let to_json ctx =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "[";
-    List.iteri
-      (fun i (tick, rule, series, value) ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        Buffer.add_string buf
-          (Printf.sprintf "{\"tick\":%d,\"rule\":%S,\"series\":%S,\"value\":%s}" tick rule
-             series (float_json value)))
-      (firings ctx);
-    Buffer.add_string buf "\n]";
-    Buffer.contents buf
+  let to_json ctx = json_array (List.map firing_json (firings ctx))
 end
 
 (* ---- flight-recorder archives & structural run diffing ---- *)
-
-(* JSON string escaping (Printf %S is OCaml lexing — decimal \ddd escapes —
-   and must never reach an archive that a JSON parser will read back) *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 (* Minimal recursive-descent JSON reader.  The repo emits all its JSON by
    hand (canonically, for fingerprint stability); this is the matching
@@ -2050,95 +1977,53 @@ module Snapshot = struct
       ~shards ()
 
   let to_json t =
-    let buf = Buffer.create 8192 in
-    let str s = Printf.sprintf "\"%s\"" (json_escape s) in
-    Buffer.add_string buf
-      (Printf.sprintf "{\n\"flight_version\": %d,\n\"kind\": %s,\n" t.ar_version
-         (str t.ar_kind));
-    Buffer.add_string buf "\"meta\": {";
-    List.iteri
-      (fun i (k, v) ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        Buffer.add_string buf (Printf.sprintf "%s: %s" (str k) (str v)))
-      t.ar_meta;
-    Buffer.add_string buf "\n},\n\"scalars\": {";
-    List.iteri
-      (fun i (k, v) ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        Buffer.add_string buf (Printf.sprintf "%s: %s" (str k) (float_json v)))
-      t.ar_scalars;
-    Buffer.add_string buf "\n},\n\"series\": [";
-    List.iteri
-      (fun i e ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"name\":%s,\"kind\":%s,\"stride\":%d,\"samples\":%d,\"last_tick\":%d,\"last\":%s,\"min\":%s,\"max\":%s,\"points\":["
-             (str e.e_name) (str e.e_kind) e.e_stride e.e_samples e.e_last_tick
-             (float_json e.e_last) (float_json e.e_min) (float_json e.e_max));
-        List.iteri
-          (fun j (tk, v) ->
-            if j > 0 then Buffer.add_string buf ",";
-            Buffer.add_string buf (Printf.sprintf "[%d,%s]" tk (float_json v)))
-          e.e_points;
-        Buffer.add_string buf "]}")
-      t.ar_series;
-    Buffer.add_string buf "\n],\n\"exposure\": [";
-    List.iteri
-      (fun i (o, c, v) ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        Buffer.add_string buf
-          (Printf.sprintf "{\"origin\":%s,\"class\":%s,\"byte_ticks\":%d}" (str o) (str c)
-             v))
-      t.ar_exposure;
-    Buffer.add_string buf "\n],\n\"counters\": {";
-    List.iteri
-      (fun i (k, v) ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        Buffer.add_string buf (Printf.sprintf "%s: %d" (str k) v))
-      t.ar_counters;
-    Buffer.add_string buf "\n},\n\"cost_subsystem\": {";
-    List.iteri
-      (fun i (k, v) ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        Buffer.add_string buf (Printf.sprintf "%s: %d" (str k) v))
-      t.ar_cost_subsystem;
-    Buffer.add_string buf "\n},\n\"cost_op\": [";
-    List.iteri
-      (fun i (op, cnt, cyc) ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        Buffer.add_string buf
-          (Printf.sprintf "{\"op\":%s,\"count\":%d,\"cycles\":%d}" (str op) cnt cyc))
-      t.ar_cost_op;
-    Buffer.add_string buf "\n],\n\"alerts\": [";
-    List.iteri
-      (fun i (tick, rule, series, value) ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        Buffer.add_string buf
-          (Printf.sprintf "{\"tick\":%d,\"rule\":%s,\"series\":%s,\"value\":%s}" tick
-             (str rule) (str series) (float_json value)))
-      t.ar_alerts;
-    Buffer.add_string buf "\n],\n\"budgets\": {";
-    List.iteri
-      (fun i (k, v) ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        Buffer.add_string buf (Printf.sprintf "%s: %d" (str k) v))
-      t.ar_budgets;
-    Buffer.add_string buf "\n},\n\"shards\": [";
-    List.iteri
-      (fun i sh ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        Buffer.add_string buf
-          (Printf.sprintf "{\"id\":%d,\"label\":%s,\"cells\":{" sh.sh_id (str sh.sh_label));
-        List.iteri
-          (fun j (k, v) ->
-            if j > 0 then Buffer.add_string buf ",";
-            Buffer.add_string buf (Printf.sprintf "%s:%s" (str k) (float_json v)))
-          sh.sh_cells;
-        Buffer.add_string buf "}}")
-      t.ar_shards;
-    Buffer.add_string buf "\n]\n}\n";
-    Buffer.contents buf
+    let obj f kvs = json_object (List.map (fun (k, v) -> (k, f v)) kvs) in
+    let inline f xs = String.concat "," (List.map f xs) in
+    String.concat ",\n"
+      [ Printf.sprintf "{\n\"flight_version\": %d" t.ar_version;
+        "\"kind\": " ^ json_str t.ar_kind;
+        "\"meta\": " ^ obj json_str t.ar_meta;
+        "\"scalars\": " ^ obj float_json t.ar_scalars;
+        "\"series\": "
+        ^ json_array
+            (List.map
+               (fun e ->
+                 Printf.sprintf
+                   "{\"name\":%s,\"kind\":%s,\"stride\":%d,\"samples\":%d,\"last_tick\":%d,\"last\":%s,\"min\":%s,\"max\":%s,\"points\":[%s]}"
+                   (json_str e.e_name) (json_str e.e_kind) e.e_stride e.e_samples
+                   e.e_last_tick (float_json e.e_last) (float_json e.e_min)
+                   (float_json e.e_max)
+                   (inline (fun (tk, v) -> Printf.sprintf "[%d,%s]" tk (float_json v))
+                      e.e_points))
+               t.ar_series);
+        "\"exposure\": "
+        ^ json_array
+            (List.map
+               (fun (o, c, v) ->
+                 Printf.sprintf "{\"origin\":%s,\"class\":%s,\"byte_ticks\":%d}"
+                   (json_str o) (json_str c) v)
+               t.ar_exposure);
+        "\"counters\": " ^ obj string_of_int t.ar_counters;
+        "\"cost_subsystem\": " ^ obj string_of_int t.ar_cost_subsystem;
+        "\"cost_op\": "
+        ^ json_array
+            (List.map
+               (fun (op, cnt, cyc) ->
+                 Printf.sprintf "{\"op\":%s,\"count\":%d,\"cycles\":%d}" (json_str op)
+                   cnt cyc)
+               t.ar_cost_op);
+        "\"alerts\": " ^ json_array (List.map Alert.firing_json t.ar_alerts);
+        "\"budgets\": " ^ obj string_of_int t.ar_budgets;
+        "\"shards\": "
+        ^ json_array
+            (List.map
+               (fun sh ->
+                 Printf.sprintf "{\"id\":%d,\"label\":%s,\"cells\":{%s}}" sh.sh_id
+                   (json_str sh.sh_label)
+                   (inline (fun (k, v) -> json_str k ^ ":" ^ float_json v) sh.sh_cells))
+               t.ar_shards)
+      ]
+    ^ "\n}\n"
 
   let of_json text =
     match Json.parse text with
@@ -2324,13 +2209,12 @@ module Diff = struct
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
     m = 0 || go 0
 
-  (* Same heuristic the bench gate has always used: seconds suffixes and
-     rate-like names are host-dependent wall-clock measurements (warn
-     only); everything else the simulation computes is deterministic.
-     "rate" must match as the token "_rate", not a substring — bare
-     substring matching classified every *_integrated key as wall-clock
-     (integ-RATE-d), silently downgrading the level's cycle totals to
-     warn-only in the old hand-rolled bench gate. *)
+  (* Seconds suffixes and rate-like names are host-dependent wall-clock
+     measurements (warn only); everything else the simulation computes
+     is deterministic.  "rate" must match as the token "_rate", not a
+     substring — bare substring matching would classify every
+     *_integrated key as wall-clock (integ-RATE-d), silently downgrading
+     that level's cycle totals to warn-only. *)
   let wallclockish key =
     (String.length key > 2 && String.sub key (String.length key - 2) 2 = "_s")
     || List.exists (has_sub key) [ "per_sec"; "_pct"; "speedup"; "_rate"; "ratio"; "wall" ]
@@ -2469,30 +2353,23 @@ module Diff = struct
     end
 
   let to_json t =
-    let buf = Buffer.create 2048 in
-    let str s = Printf.sprintf "\"%s\"" (json_escape s) in
-    Buffer.add_string buf (Printf.sprintf "{\n\"compared\": %d,\n\"meta\": [" t.compared);
-    List.iteri
-      (fun i (k, b, c) ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        let s = function None -> "null" | Some v -> str v in
-        Buffer.add_string buf
-          (Printf.sprintf "{\"key\":%s,\"base\":%s,\"current\":%s}" (str k) (s b) (s c)))
-      t.meta_diff;
-    Buffer.add_string buf "\n],\n\"deltas\": [";
-    List.iteri
-      (fun i d ->
-        Buffer.add_string buf (if i = 0 then "\n " else ",\n ");
-        let opt = function None -> "null" | Some v -> float_json v in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"key\":%s,\"family\":%s,\"base\":%s,\"current\":%s,\"pct\":%s,\"verdict\":%s,\"hard\":%b}"
-             (str d.d_key)
-             (str (family_name d.d_family))
-             (opt d.d_base) (opt d.d_cur) (float_json d.d_pct)
-             (str (verdict_name d.d_verdict))
-             d.d_hard))
-      t.deltas;
-    Buffer.add_string buf "\n]\n}\n";
-    Buffer.contents buf
+    let opt f = function None -> "null" | Some v -> f v in
+    Printf.sprintf "{\n\"compared\": %d,\n\"meta\": %s,\n\"deltas\": %s\n}\n" t.compared
+      (json_array
+         (List.map
+            (fun (k, b, c) ->
+              Printf.sprintf "{\"key\":%s,\"base\":%s,\"current\":%s}" (json_str k)
+                (opt json_str b) (opt json_str c))
+            t.meta_diff))
+      (json_array
+         (List.map
+            (fun d ->
+              Printf.sprintf
+                "{\"key\":%s,\"family\":%s,\"base\":%s,\"current\":%s,\"pct\":%s,\"verdict\":%s,\"hard\":%b}"
+                (json_str d.d_key)
+                (json_str (family_name d.d_family))
+                (opt float_json d.d_base) (opt float_json d.d_cur) (float_json d.d_pct)
+                (json_str (verdict_name d.d_verdict))
+                d.d_hard)
+            t.deltas))
 end

@@ -70,6 +70,13 @@ val float_json : float -> string
     downstream; {!Snapshot.of_json} reads [null] back as NaN).  Every
     JSON renderer that feeds a fingerprint shares it. *)
 
+val json_escape : string -> string
+(** JSON string-body escaping (quote, backslash, control characters as
+    [\uXXXX]; bytes from 0x80 pass through, so UTF-8 stays UTF-8).
+    Distinct from [Printf %S], which is {e OCaml} lexing with decimal
+    [\ddd] escapes that JSON parsers reject.  Every JSON writer in the
+    repo renders its strings with this. *)
+
 (** Typed lifecycle events.  Addresses are {e physical} (or swap-device
     offsets for {!Swap_out}); a virtually contiguous buffer that spans
     frames emits one event per physical chunk. *)
@@ -239,14 +246,6 @@ module Trace : sig
 
   val to_jsonl : ctx -> string
   (** Newline-terminated JSONL, one object per retained record. *)
-
-  val to_chrome : ctx -> string
-  (** Chrome [trace_event] format — loadable in [about://tracing] /
-      Perfetto.  [ts] (microseconds) is [tick * 1e6] plus the record's
-      rank within its tick, so same-tick events keep their order.  A
-      [Scan_started]/[Scan_finished] pair of the same mode becomes one
-      duration ([ph:"X"]) event named ["scan"] carrying the finish args;
-      everything else (and any unpaired start) is an instant. *)
 end
 
 module Metrics : sig
@@ -642,7 +641,7 @@ module Timeseries : sig
   (** Newest offered sample, independent of retention. *)
 
   val sample_count : ctx -> string -> int
-  (** Total samples offered (deterministic — the bench gate pins it). *)
+  (** Total samples offered (deterministic — BENCH_scan.json pins it). *)
 
   val retained : ctx -> string -> int
   (** Points currently held (<= capacity). *)
@@ -736,12 +735,6 @@ module Alert : sig
       [{"tick", "rule", "series", "value"}], chronological. *)
 end
 
-val json_escape : string -> string
-(** JSON string-body escaping (quote, backslash, control characters).
-    Distinct from [Printf %S], which is {e OCaml} lexing with decimal
-    [\ddd] escapes — feeding [%S] output to a JSON parser corrupts any
-    string containing a control byte.  Flight archives use this. *)
-
 (** Flight-recorder archive: the full observable state of one run —
     series envelopes with retained points, the exposure ledger per
     origin x class, counters, per-subsystem / per-op cost totals, alert
@@ -809,7 +802,8 @@ module Snapshot : sig
       never leaks into the canonical bytes. *)
 
   val of_scalars : ?kind:string -> ?meta:(string * string) list -> (string * float) list -> t
-  (** Scalars-only archive — the shape the bench gate records. *)
+  (** Scalars-only archive — the shape of the overhead flight archive
+      and of [BENCH_scan.json]. *)
 
   val record :
     kind:string ->
@@ -892,8 +886,7 @@ module Diff : sig
   val family_of_key : string -> family
   (** Classify a flattened key: exposure if it mentions ["exposure"],
       ["sensitive_unsafe"] or ["byte_ticks"] or is a ["budget:"] entry;
-      else wall-clock on the bench gate's long-standing heuristic
-      ([_s] suffix, ["per_sec"], ["_pct"], ["speedup"], ["_rate"] as a
+      else wall-clock by name ([_s] suffix, ["per_sec"], ["_pct"], ["speedup"], ["_rate"] as a
       token, ["ratio"], ["wall"]); else deterministic.  The ["rate"]
       match is deliberately a token, not a substring — a substring match
       classified every [*_integrated] key as wall-clock. *)

@@ -47,26 +47,6 @@ let scan k ~patterns =
       acc := { label = labels.(pat); addr = pos; pfn; location = locate k ~pfn } :: !acc);
   sort_hits (List.rev !acc)
 
-(* The pre-engine baseline: one full sweep of RAM per pattern.  Kept as a
-   reference implementation for differential tests and for benchmarking the
-   single-pass engine against it; results are identical to [scan]. *)
-let scan_multipass k ~patterns =
-  let mem = Kernel.mem k in
-  let raw = Phys_mem.raw mem in
-  let ps = Phys_mem.page_size mem in
-  Obs.Cost.charge (Kernel.obs k) ~sub:"scan" Scan_byte
-    (Bytes.length raw * List.length patterns);
-  List.concat_map
-    (fun (label, needle) ->
-      if needle = "" then invalid_arg "Scanner.scan: empty pattern";
-      List.map
-        (fun addr ->
-          let pfn = addr / ps in
-          { label; addr; pfn; location = locate k ~pfn })
-        (Bytes_util.find_all ~needle raw))
-    patterns
-  |> sort_hits
-
 let scan_swap k ~patterns =
   match Kernel.swap k with
   | None -> []

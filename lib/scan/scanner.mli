@@ -32,12 +32,6 @@ val scan : Memguard_kernel.Kernel.t -> patterns:(string * string) list -> hit li
     [(label, needle)] pairs; needles must be non-empty.  Hits are returned
     sorted by [(addr, label)]. *)
 
-val scan_multipass :
-  Memguard_kernel.Kernel.t -> patterns:(string * string) list -> hit list
-(** Reference baseline: one full sweep of physical memory {e per pattern}
-    (the pre-engine implementation).  Returns exactly the same hits as
-    {!scan}; kept for differential testing and benchmarking. *)
-
 val scan_swap : Memguard_kernel.Kernel.t -> patterns:(string * string) list -> (string * int) list
 (** Sweep the swap device (if any): [(label, byte offset)] of each match —
     the swap-disclosure ablation. *)

@@ -1,8 +1,8 @@
-(* The exposure observatory: ledger arithmetic, breach SLO, chrome-trace
-   durations, /proc-style introspection, the dashboard pipeline, and the
-   two correctness anchors — a brute-force shadow ledger recomputed from
-   raw machine state after random campaigns, and the byte-identical
-   determinism guard for ledger-on runs. *)
+(* The exposure observatory: ledger arithmetic, breach SLO, /proc-style
+   introspection, the dashboard pipeline, and the two correctness
+   anchors — a brute-force shadow ledger recomputed from raw machine
+   state after random campaigns, and the byte-identical determinism
+   guard for ledger-on runs. *)
 
 open Memguard
 module Kernel = Memguard_kernel.Kernel
@@ -15,42 +15,6 @@ module Report = Memguard_scan.Report
 
 let contains ~needle hay =
   Memguard_util.Bytes_util.count ~needle (Bytes.of_string hay) >= 1
-
-(* ---- chrome trace: scan pairs become duration slices ---- *)
-
-let test_chrome_trace_golden () =
-  let obs = Obs.create () in
-  Obs.set_tick obs 1;
-  Obs.Trace.emit obs (Obs.Scan_started { mode = "full" });
-  Obs.Trace.emit obs
-    (Obs.Copy_created { origin = Obs.Pem_buffer; pid = 2; addr = 4096; len = 32 });
-  Obs.Trace.emit obs (Obs.Scan_finished { mode = "full"; hits = 3; pages_scanned = 8 });
-  Obs.set_tick obs 2;
-  Obs.Trace.emit obs (Obs.Scan_started { mode = "full" });
-  (* golden: the matched pair collapses into one ph:"X" slice carrying the
-     finish args; the copy event inside the scan keeps its rank-offset
-     timestamp; the unpaired start at t=2 stays an instant *)
-  let expected =
-    "[\n\
-    \ {\"name\":\"scan\",\"ph\":\"X\",\"ts\":1000000,\"dur\":2,\"pid\":0,\"tid\":0,\
-     \"args\":{\"mode\":\"full\",\"hits\":3,\"pages_scanned\":8}},\n\
-    \ {\"name\":\"copy_created\",\"ph\":\"i\",\"s\":\"g\",\"ts\":1000001,\"pid\":2,\
-     \"tid\":0,\"args\":{\"origin\":\"pem_buffer\",\"pid\":2,\"addr\":4096,\"len\":32}},\n\
-    \ {\"name\":\"scan_started\",\"ph\":\"i\",\"s\":\"g\",\"ts\":2000000,\"pid\":0,\
-     \"tid\":0,\"args\":{\"mode\":\"full\"}}\n\
-     ]\n"
-  in
-  Alcotest.(check string) "golden chrome trace" expected (Obs.Trace.to_chrome obs)
-
-let test_chrome_trace_durations_positive () =
-  (* same-tick pairs still render with dur >= 1 us *)
-  let obs = Obs.create () in
-  Obs.set_tick obs 0;
-  Obs.Trace.emit obs (Obs.Scan_started { mode = "incremental" });
-  Obs.Trace.emit obs (Obs.Scan_finished { mode = "incremental"; hits = 0; pages_scanned = 1 });
-  let chrome = Obs.Trace.to_chrome obs in
-  Alcotest.(check bool) "is a duration" true (contains ~needle:"\"ph\":\"X\"" chrome);
-  Alcotest.(check bool) "dur at least 1" true (contains ~needle:"\"dur\":1" chrome)
 
 (* ---- metrics: the p99 column and empty-histogram guards ---- *)
 
@@ -307,10 +271,7 @@ let test_dashboard_exports () =
 
 let suite =
   [ ( "exposure",
-      [ Alcotest.test_case "chrome trace golden" `Quick test_chrome_trace_golden;
-        Alcotest.test_case "chrome trace durations positive" `Quick
-          test_chrome_trace_durations_positive;
-        Alcotest.test_case "metrics p99" `Quick test_metrics_p99;
+      [ Alcotest.test_case "metrics p99" `Quick test_metrics_p99;
         Alcotest.test_case "ledger splits on frame boundaries" `Quick
           test_exposure_advance_splits_on_frames;
         Alcotest.test_case "breach SLO fires once" `Quick test_breach_slo_fires_once;

@@ -213,7 +213,7 @@ let test_overhead_recorder_matches_gate_keys () =
     [ "overhead_cycles_unprotected"; "overhead_cycles_integrated";
       "overhead_slowdown_integrated"; "overhead_requests_library"
     ];
-  (* per-subsystem keys ride along, named exactly like the bench gate *)
+  (* per-subsystem keys ride along, as bench/flight_overhead.json gates them *)
   Alcotest.(check bool) "per-subsystem key present" true
     (List.exists
        (fun (k, _) -> contains ~needle:"overhead_cycles_integrated_" k)

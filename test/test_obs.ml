@@ -225,6 +225,55 @@ let test_tracing_is_side_effect_free () =
         (a.Report.hits = b.Report.hits))
     plain traced
 
+(* ---- JSON string encoding of every export ---- *)
+
+let contains ~needle hay =
+  Memguard_util.Bytes_util.count ~needle (Bytes.of_string hay) >= 1
+
+(* a control byte, tab, quote, backslash and a UTF-8 e-acute *)
+let awkward = "a\001b\tq\"x\\\xc3\xa9"
+
+(* Printf's %S renders "\001" and every non-ASCII byte as a decimal
+   \ddd escape, which JSON parsers reject. *)
+let has_decimal_escape s =
+  let n = String.length s in
+  let rec go i =
+    i + 1 < n
+    && ((s.[i] = '\\' && (match s.[i + 1] with '0' .. '9' -> true | _ -> false))
+       || go (if s.[i] = '\\' then i + 2 else i + 1))
+  in
+  go 0
+
+let test_exports_escape_as_json () =
+  let obs = Obs.create () in
+  Obs.set_tick obs 1;
+  Obs.Metrics.incr obs awkward;
+  Obs.Metrics.observe obs awkward 1.0;
+  Obs.Trace.emit obs (Obs.Audit_violation { check = awkward; detail = awkward });
+  Obs.Trace.with_span obs awkward (fun () -> ());
+  Obs.Timeseries.record obs awkward 1.0;
+  Obs.Alert.install obs ~name:awkward ~series:awkward
+    (Obs.Alert.Threshold { cmp = Obs.Alert.Gt; value = 0.; for_ticks = 1 });
+  Obs.Alert.eval obs ~tick:1;
+  Alcotest.(check int) "alert fired" 1 (Obs.Alert.fired obs awkward);
+  List.iter
+    (fun (what, json) ->
+      Alcotest.(check bool) (what ^ ": \\u0001") true (contains ~needle:"\\u0001" json);
+      Alcotest.(check bool) (what ^ ": no decimal escape") false (has_decimal_escape json);
+      Alcotest.(check bool) (what ^ ": UTF-8 kept") true (contains ~needle:"\xc3\xa9" json))
+    [ ("Metrics.to_json", Obs.Metrics.to_json obs);
+      ("Trace.to_jsonl", Obs.Trace.to_jsonl obs);
+      ("Trace.spans_to_json", Obs.Trace.spans_to_json obs);
+      ("Timeseries.to_json", Obs.Timeseries.to_json obs);
+      ("Alert.to_json", Obs.Alert.to_json obs)
+    ];
+  let snap = Obs.Snapshot.of_scalars ~meta:[ ("name", awkward) ] [ ("x", 1.) ] in
+  match Obs.Snapshot.of_json (Obs.Snapshot.to_json snap) with
+  | Error e -> Alcotest.failf "snapshot round-trip: %s" e
+  | Ok back ->
+    Alcotest.(check (list (pair string string))) "meta read back unchanged"
+      [ ("name", awkward) ] back.Obs.Snapshot.ar_meta
+
 let suite =
   [ ( "obs",
       [ Alcotest.test_case "null ctx records nothing" `Quick test_null_records_nothing;
@@ -233,6 +282,7 @@ let suite =
         Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
         Alcotest.test_case "metrics percentile" `Quick test_metrics_percentile;
         Alcotest.test_case "metrics json" `Quick test_metrics_json;
+        Alcotest.test_case "exports escape strings as JSON" `Quick test_exports_escape_as_json;
         Alcotest.test_case "provenance register/lookup/clear" `Quick
           test_provenance_register_lookup_clear;
         Alcotest.test_case "provenance register supersedes" `Quick
