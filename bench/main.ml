@@ -324,7 +324,9 @@ let scan_engine_bench () =
     List.fold_left
       (fun acc (s : Fleet.shard_result) ->
         acc
-        + (match List.assoc_opt "scan" s.Fleet.cycles_by_subsystem with
+        + (match
+             List.assoc_opt "scan" s.Fleet.dash.Dashboard.cycles_by_subsystem
+           with
            | Some c -> c
            | None -> 0))
       0 fleet.Fleet.shard_results

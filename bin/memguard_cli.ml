@@ -11,6 +11,9 @@
 open Cmdliner
 open Memguard
 
+let write_file path content =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content)
+
 let level_conv =
   let parse s =
     match Protection.of_name s with
@@ -34,8 +37,7 @@ let server_conv =
     | "http" | "apache" -> Ok Experiment.Http
     | _ -> Error (`Msg "expected 'ssh' or 'http'")
   in
-  Arg.conv
-    (parse, fun fmt s -> Format.pp_print_string fmt (match s with Experiment.Ssh -> "ssh" | Experiment.Http -> "http"))
+  Arg.conv (parse, fun fmt s -> Format.pp_print_string fmt (Timeline.server_name s))
 
 let server_arg =
   Arg.(value & opt server_conv Experiment.Ssh
@@ -46,13 +48,34 @@ let trials_arg default =
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
+(* an int option whose values outside [valid] are usage errors (exit 124)
+   rather than exceptions deep inside the simulator *)
+let checked_int valid expected =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when valid n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected %s" s expected))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let pages_arg default =
-  Arg.(value & opt int default
+  Arg.(value
+       & opt (checked_int (fun n -> n > 0 && n land (n - 1) = 0) "a power of two") default
        & info [ "pages" ] ~docv:"N" ~doc:"Physical memory size in 4 KiB pages (power of two).")
 
 let key_bits_arg =
-  Arg.(value & opt int 256
+  Arg.(value
+       & opt (checked_int (fun n -> n >= 32 && n mod 2 = 0) "an even number >= 32") 256
        & info [ "key-bits" ] ~docv:"N" ~doc:"RSA modulus size (the paper used 1024).")
+
+let churn_arg =
+  Arg.(value & opt int 3 & info [ "churn" ] ~docv:"N" ~doc:"Reconnect cycles per slot per tick.")
+
+let breach_age_arg =
+  Arg.(value & opt (some int) None
+       & info [ "breach-age" ] ~docv:"TICKS"
+           ~doc:"Arm the exposure SLO: emit a breach event when sensitive key bytes \
+                 outside mlocked-anon memory grow older than $(docv).")
 
 let int_list_conv =
   let parse s =
@@ -74,7 +97,7 @@ let timeline_cmd =
   let module Obs = Memguard_obs.Obs in
   let run level server seed pages key_bits churn trace metrics series flight =
     Format.printf "# timeline: server=%s level=%s (%s)@."
-      (match server with Experiment.Ssh -> "ssh" | Experiment.Http -> "http")
+      (Timeline.server_name server)
       (Protection.name level) (Protection.describe level);
     let obs =
       if trace <> None || metrics || series <> None then
@@ -84,9 +107,7 @@ let timeline_cmd =
     let recorder =
       Option.map
         (fun path snap ->
-          let oc = open_out path in
-          output_string oc (Obs.Snapshot.to_json snap);
-          close_out oc;
+          write_file path (Obs.Snapshot.to_json snap);
           Format.printf "@.# wrote flight archive to %s@." path)
         flight
     in
@@ -102,22 +123,16 @@ let timeline_cmd =
       Format.printf "%a" Memguard_scan.Report.pp_series_origins snaps;
       (match trace with
        | Some path ->
-         let oc = open_out path in
-         output_string oc (Obs.Trace.to_jsonl obs);
-         close_out oc;
+         write_file path (Obs.Trace.to_jsonl obs);
          Format.printf "@.# wrote %d trace events to %s (%d dropped by the ring)@."
            (List.length (Obs.Trace.records obs)) path (Obs.Trace.dropped obs)
        | None -> ());
       (match series with
        | Some path ->
-         let oc = open_out path in
-         output_string oc
+         write_file path
            (if Filename.check_suffix path ".prom" then
-              Obs.Timeseries.to_prometheus
-                ~labels:[ ("level", Protection.name level) ]
-                obs
+              Obs.Timeseries.to_prometheus ~labels:[ ("level", Protection.name level) ] obs
             else Obs.Timeseries.to_json obs);
-         close_out oc;
          Format.printf "@.# wrote %d telemetry series to %s@."
            (List.length (Obs.Timeseries.names obs)) path
        | None -> ());
@@ -125,9 +140,6 @@ let timeline_cmd =
         Format.printf "@.# subsystem metrics@.";
         Format.printf "%a" Obs.Metrics.dump obs
       end
-  in
-  let churn =
-    Arg.(value & opt int 3 & info [ "churn" ] ~docv:"N" ~doc:"Reconnect cycles per slot per tick.")
   in
   let trace =
     Arg.(value & opt (some string) None
@@ -154,13 +166,13 @@ let timeline_cmd =
   in
   Cmd.v
     (Cmd.info "timeline" ~doc:"Figures 5/6/9-16/21-28: key copies over the scripted t=0..29 run")
-    Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ key_bits_arg $ churn
+    Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ key_bits_arg $ churn_arg
           $ trace $ metrics $ series $ flight)
 
 let ext2_cmd =
   let run level server seed pages key_bits trials connections directories =
     Format.printf "# ext2 directory-leak attack sweep: server=%s level=%s@."
-      (match server with Experiment.Ssh -> "ssh" | Experiment.Http -> "http")
+      (Timeline.server_name server)
       (Protection.name level);
     let pts =
       Experiment.ext2_sweep ~level ~seed ~num_pages:pages ~key_bits ~trials ?connections
@@ -176,7 +188,7 @@ let ext2_cmd =
 let tty_cmd =
   let run level server seed pages key_bits trials connections =
     Format.printf "# n_tty memory-dump attack sweep: server=%s level=%s@."
-      (match server with Experiment.Ssh -> "ssh" | Experiment.Http -> "http")
+      (Timeline.server_name server)
       (Protection.name level);
     let pts =
       Experiment.tty_sweep ~level ~seed ~num_pages:pages ~key_bits ~trials ?connections server
@@ -268,13 +280,13 @@ let ablations_cmd =
 
 let dat_cmd =
   let run what server level seed out =
-    let server_str = match server with Experiment.Ssh -> "ssh" | Experiment.Http -> "http" in
     let what_str = match what with `Timeline -> "timeline" | `Ext2 -> "ext2" | `Tty -> "tty" in
-    let base = Printf.sprintf "%s/%s-%s-%s" out what_str server_str (Protection.name level) in
-    let write_file path content =
-      let oc = open_out path in
-      output_string oc content;
-      close_out oc;
+    let base =
+      Printf.sprintf "%s/%s-%s-%s" out what_str (Timeline.server_name server)
+        (Protection.name level)
+    in
+    let write path content =
+      write_file path content;
       Format.printf "wrote %s@." path
     in
     (try Unix.mkdir out 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -297,8 +309,8 @@ let dat_cmd =
                     (if alloc then 1 else 0)))
              (Memguard_scan.Report.locations s))
          snaps;
-       write_file (base ^ "-counts.dat") (Buffer.contents counts);
-       write_file (base ^ "-locations.dat") (Buffer.contents locations)
+       write (base ^ "-counts.dat") (Buffer.contents counts);
+       write (base ^ "-locations.dat") (Buffer.contents locations)
      | `Ext2 ->
        let pts = Experiment.ext2_sweep ~level ~seed server in
        let buf = Buffer.create 256 in
@@ -309,7 +321,7 @@ let dat_cmd =
              (Printf.sprintf "%d %d %f %f\n" p.Experiment.connections p.Experiment.directories
                 p.Experiment.mean_copies p.Experiment.success_rate))
          pts;
-       write_file (base ^ ".dat") (Buffer.contents buf)
+       write (base ^ ".dat") (Buffer.contents buf)
      | `Tty ->
        let pts = Experiment.tty_sweep ~level ~seed server in
        let buf = Buffer.create 256 in
@@ -320,7 +332,7 @@ let dat_cmd =
              (Printf.sprintf "%d %f %f\n" p.Experiment.connections p.Experiment.mean_copies
                 p.Experiment.success_rate))
          pts;
-       write_file (base ^ ".dat") (Buffer.contents buf))
+       write (base ^ ".dat") (Buffer.contents buf))
   in
   let what =
     Arg.(value
@@ -436,18 +448,10 @@ let scan_mode_arg =
   Arg.(value & opt scan_mode_conv System.Incremental
        & info [ "scan-mode" ] ~docv:"MODE" ~doc:"Scanner mode: incremental or full.")
 
-let timeline_server = function Experiment.Ssh -> Timeline.Ssh | Experiment.Http -> Timeline.Http
-
-let write_file path content =
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc
-
 let observe_cmd =
   let run level server seed pages scan_mode churn breach_age html json =
     let d =
-      Dashboard.run ~level ~num_pages:pages ~seed ~scan_mode ~churn ?breach_age
-        ~server:(timeline_server server) ()
+      Dashboard.run ~level ~num_pages:pages ~seed ~scan_mode ~churn ?breach_age ~server ()
     in
     Format.printf "%a" Dashboard.pp_summary d;
     (match html with
@@ -460,15 +464,6 @@ let observe_cmd =
       write_file path (Dashboard.to_json d);
       Format.printf "wrote %s@." path
     | None -> ()
-  in
-  let churn =
-    Arg.(value & opt int 3 & info [ "churn" ] ~docv:"N" ~doc:"Reconnect cycles per slot per tick.")
-  in
-  let breach_age =
-    Arg.(value & opt (some int) None
-         & info [ "breach-age" ] ~docv:"TICKS"
-             ~doc:"Arm the exposure SLO: emit a breach event when sensitive key bytes \
-                   outside mlocked-anon memory grow older than $(docv).")
   in
   let html =
     Arg.(value & opt (some string) None
@@ -485,7 +480,7 @@ let observe_cmd =
          "Exposure observatory: run the fig-5 timeline with the exposure ledger on and \
           render the byte-tick dashboard (HTML and/or JSON)")
     Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ scan_mode_arg
-          $ churn $ breach_age $ html $ json)
+          $ churn_arg $ breach_age_arg $ html $ json)
 
 let watch_cmd =
   let module Obs = Memguard_obs.Obs in
@@ -496,7 +491,7 @@ let watch_cmd =
     add "{\n";
     add "  \"level\": \"%s\",\n" (Obs.json_escape (Protection.name level));
     add "  \"server\": \"%s\",\n"
-      (match server with Experiment.Ssh -> "ssh" | Experiment.Http -> "http");
+      (Timeline.server_name server);
     add "  \"seed\": %d,\n" seed;
     add "  \"series_sampled\": %d,\n" (List.length (Obs.Timeseries.names obs));
     add "  \"rules\": [";
@@ -517,14 +512,14 @@ let watch_cmd =
     add "]\n}\n";
     Buffer.contents buf
   in
-  let watch_html_of obs ~level ~server =
+  let watch_html_of (d : Dashboard.t) =
     let buf = Buffer.create 8192 in
     let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
     let esc = Dashboard.html_escape in
     add "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n";
     add "<title>memguard watch — %s/%s</title>\n"
-      (esc (Protection.name level))
-      (match server with Experiment.Ssh -> "ssh" | Experiment.Http -> "http");
+      (esc (Protection.name d.Dashboard.level))
+      (Timeline.server_name d.Dashboard.server);
     add
       "<style>body{font:14px/1.5 system-ui,sans-serif;margin:24px auto;max-width:960px;color:#111}\n\
        h1{font-size:20px}table{border-collapse:collapse;margin:8px 0}\n\
@@ -542,30 +537,30 @@ let watch_cmd =
           (esc m.Dashboard.ms_name) (esc m.Dashboard.ms_kind) (Obs.float_json last)
           m.Dashboard.ms_samples
           (Dashboard.svg_sparkline m.Dashboard.ms_points))
-      (Dashboard.collect_metrics obs);
+      d.Dashboard.metrics;
     add "</table>\n";
     add "<h1>alerts</h1>\n";
-    (match Obs.Alert.firings obs with
+    (match d.Dashboard.alerts with
      | [] -> add "<p class=\"ok\">no alerts fired</p>\n"
      | fs ->
        add "<table><tr><th>tick</th><th>rule</th><th>series</th><th>value</th></tr>";
        List.iter
-         (fun (tick, rule, series, value) ->
-           add "<tr><td>%d</td><td class=\"bad\">%s</td><td>%s</td><td>%s</td></tr>" tick
-             (esc rule) (esc series) (Obs.float_json value))
+         (fun (a : Dashboard.alert_firing) ->
+           add "<tr><td>%d</td><td class=\"bad\">%s</td><td>%s</td><td>%s</td></tr>"
+             a.Dashboard.fired_tick (esc a.Dashboard.rule) (esc a.Dashboard.rule_series)
+             (Obs.float_json a.Dashboard.value))
          fs;
        add "</table>\n");
     add "</body></html>\n";
     Buffer.contents buf
   in
   let run level server seed pages scan_mode churn breach_age html alerts_json prom =
-    let obs = Obs.create ~ring_capacity:(1 lsl 20) () in
-    Obs.Exposure.set_breach_age obs breach_age;
-    Dashboard.install_default_alerts obs;
-    let sys = System.create ~num_pages:pages ~seed ~scan_mode ~obs ~level () in
-    ignore (Timeline.run ~churn sys (timeline_server server));
+    let obs = Obs.create () in
+    let d =
+      Dashboard.run ~obs ~level ~num_pages:pages ~seed ~scan_mode ~churn ?breach_age ~server ()
+    in
     Format.printf "# watch: server=%s level=%s (%d series, %d rules)@."
-      (match server with Experiment.Ssh -> "ssh" | Experiment.Http -> "http")
+      (Timeline.server_name server)
       (Protection.name level)
       (List.length (Obs.Timeseries.names obs))
       (List.length (Obs.Alert.rules obs));
@@ -604,7 +599,7 @@ let watch_cmd =
          fs);
     (match html with
      | Some path ->
-       write_file path (watch_html_of obs ~level ~server);
+       write_file path (watch_html_of d);
        Format.printf "wrote %s@." path
      | None -> ());
     (match alerts_json with
@@ -619,13 +614,6 @@ let watch_cmd =
         (Obs.Timeseries.to_prometheus ~labels obs ^ Obs.Metrics.to_prometheus ~labels obs);
       Format.printf "wrote %s@." path
     | None -> ()
-  in
-  let churn =
-    Arg.(value & opt int 3 & info [ "churn" ] ~docv:"N" ~doc:"Reconnect cycles per slot per tick.")
-  in
-  let breach_age =
-    Arg.(value & opt (some int) None
-         & info [ "breach-age" ] ~docv:"TICKS" ~doc:"Arm the exposure SLO (see observe).")
   in
   let html =
     Arg.(value & opt (some string) None
@@ -650,7 +638,7 @@ let watch_cmd =
           (exposure SLO, swap pressure, constant-time leakage sentinel) and print the \
           per-tick series table plus any alert firings")
     Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ scan_mode_arg
-          $ churn $ breach_age $ html $ alerts_json $ prom)
+          $ churn_arg $ breach_age_arg $ html $ alerts_json $ prom)
 
 let overhead_cmd =
   let module Obs = Memguard_obs.Obs in
@@ -735,9 +723,9 @@ let inspect_cmd =
     let obs = Obs.create ~ring_capacity:(1 lsl 20) () in
     (match breach_age with Some a -> Obs.Exposure.set_breach_age obs (Some a) | None -> ());
     let sys = System.create ~num_pages:pages ~seed ~scan_mode ~obs ~level () in
-    ignore (Timeline.run ~stop_at:tick sys (timeline_server server));
+    ignore (Timeline.run ~stop_at:tick sys server);
     Format.printf "# inspect: server=%s level=%s tick=%d@."
-      (match server with Experiment.Ssh -> "ssh" | Experiment.Http -> "http")
+      (Timeline.server_name server)
       (Protection.name level)
       (min tick Timeline.default_schedule.Timeline.finish);
     print_string (Introspect.render (System.kernel sys))
@@ -748,10 +736,6 @@ let inspect_cmd =
              ~doc:"Run the fig-5 timeline up to $(docv) (clamped to 29), then dump the \
                    machine state.  Default 11: just after peak traffic.")
   in
-  let breach_age =
-    Arg.(value & opt (some int) None
-         & info [ "breach-age" ] ~docv:"TICKS" ~doc:"Arm the exposure SLO (see observe).")
-  in
   Cmd.v
     (Cmd.info "inspect"
        ~doc:
@@ -759,7 +743,7 @@ let inspect_cmd =
           annotated per-process maps, buddy free lists, swap slots, page-cache residency \
           and the exposure ledger")
     Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ scan_mode_arg
-          $ tick $ breach_age)
+          $ tick $ breach_age_arg)
 
 let forensics_cmd =
   let module Obs = Memguard_obs.Obs in
@@ -768,7 +752,7 @@ let forensics_cmd =
     let obs = Obs.create ~ring_capacity:(1 lsl 20) () in
     (match breach_age with Some a -> Obs.Exposure.set_breach_age obs (Some a) | None -> ());
     let sys = System.create ~num_pages:pages ~seed ~scan_mode ~obs ~level () in
-    let snapshots = Timeline.run ~churn sys (timeline_server server) in
+    let snapshots = Timeline.run ~churn sys server in
     (match spans with
      | Some path ->
        write_file path (Obs.Trace.spans_to_json obs);
@@ -820,13 +804,6 @@ let forensics_cmd =
             Format.printf "wrote %s@." path
           | None -> ()))
   in
-  let churn =
-    Arg.(value & opt int 3 & info [ "churn" ] ~docv:"N" ~doc:"Reconnect cycles per slot per tick.")
-  in
-  let breach_age =
-    Arg.(value & opt (some int) None
-         & info [ "breach-age" ] ~docv:"TICKS" ~doc:"Arm the exposure SLO (see observe).")
-  in
   let tick =
     Arg.(value & opt (some int) None
          & info [ "t"; "tick" ] ~docv:"TICK"
@@ -864,7 +841,7 @@ let forensics_cmd =
           chain that made the copy, copy fan-out with zeroed/still-live/recycled \
           verdicts, and the owning request's leak budget")
     Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ scan_mode_arg
-          $ churn $ breach_age $ tick $ hit $ json $ html $ spans $ chrome)
+          $ churn_arg $ breach_age_arg $ tick $ hit $ json $ html $ spans $ chrome)
 
 let fleet_cmd =
   let module Fleet = Memguard_fleet.Fleet in
@@ -932,7 +909,7 @@ let fleet_cmd =
              ~doc:"Workload mix: ssh, http, or mixed (even shards sshd, odd apache).")
   in
   let shards =
-    Arg.(value & opt int 4
+    Arg.(value & opt (checked_int (fun n -> n >= 1) "a positive integer") 4
          & info [ "shards" ] ~docv:"N" ~doc:"Number of independent simulated machines.")
   in
   let domains =
@@ -951,15 +928,6 @@ let fleet_cmd =
          & info [ "conns-per-shard" ] ~docv:"K"
              ~doc:"Low-plateau concurrency per shard (peak is 2K); with the default churn \
                    each shard opens roughly 48K connections over the timeline.")
-  in
-  let churn =
-    Arg.(value & opt int 3
-         & info [ "churn" ] ~docv:"N" ~doc:"Reconnect cycles per slot per tick.")
-  in
-  let breach_age =
-    Arg.(value & opt (some int) None
-         & info [ "breach-age" ] ~docv:"TICKS"
-             ~doc:"Arm the exposure SLO on every shard (see observe).")
   in
   let json =
     Arg.(value & opt (some string) None
@@ -1002,7 +970,7 @@ let fleet_cmd =
           deterministically merge their ledgers, snapshots and cycle counts into one \
           aggregate report")
     Term.(const run $ level_arg $ mix $ shards $ domains $ pages_arg 2048 $ master_seed
-          $ conns $ churn $ scan_mode_arg $ breach_age $ json $ html $ print_fingerprint
+          $ conns $ churn_arg $ scan_mode_arg $ breach_age_arg $ json $ html $ print_fingerprint
           $ inspect_shard $ tick $ flight)
 
 let diff_cmd =

@@ -47,8 +47,6 @@ type t = {
   budgets : Forensics.budget_row list;
 }
 
-let server_name = function Timeline.Ssh -> "ssh" | Timeline.Http -> "http"
-
 (* The standing SLO pack every observed run arms:
    - exposure-slo: sensitive bytes sat outside mlocked-anon for 3
      consecutive ticks (the per-tick twin of the byte·tick breach SLO);
@@ -92,14 +90,15 @@ let collect_alerts obs =
       { fired_tick = tick; rule; rule_series = series; value })
     (Obs.Alert.firings obs)
 
-let run ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1)
-    ?(scan_mode = System.Incremental) ?(churn = 3) ?breach_age ?(server = Timeline.Ssh) ()
-    =
-  let obs = Obs.create () in
+let run ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?rng
+    ?(scan_mode = System.Incremental) ?(churn = 3) ?low ?high ?breach_age
+    ?(server = Timeline.Ssh) ?(obs = Obs.create ()) () =
   Obs.Exposure.set_breach_age obs breach_age;
   install_default_alerts obs;
-  let sys = System.create ~num_pages ~seed ~scan_mode ~obs ~level () in
-  let snapshots = Timeline.run ~churn sys server in
+  let snapshots =
+    Experiment.timeline ~level ~num_pages ~seed ?rng ~churn ?low ?high ~scan_mode ~obs
+      server
+  in
   let breaches =
     List.filter_map
       (fun (r : Obs.record) ->
@@ -178,7 +177,7 @@ let to_json t =
   in
   add "{\n";
   add "  \"level\": \"%s\",\n" (Obs.json_escape (Protection.name t.level));
-  add "  \"server\": \"%s\",\n" (server_name t.server);
+  add "  \"server\": \"%s\",\n" (Timeline.server_name t.server);
   add "  \"scan_mode\": \"%s\",\n" (System.mode_name t.scan_mode);
   add "  \"seed\": %d,\n" t.seed;
   add "  \"num_pages\": %d,\n" t.num_pages;
@@ -363,7 +362,7 @@ let to_html t =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n";
   add "<title>memguard exposure observatory — %s/%s</title>\n"
-    (html_escape (Protection.name t.level)) (server_name t.server);
+    (html_escape (Protection.name t.level)) (Timeline.server_name t.server);
   add
     "<style>body{font:14px/1.5 system-ui,sans-serif;margin:24px auto;max-width:960px;color:#111}\n\
      h1{font-size:20px}h2{font-size:16px;margin-top:28px}\n\
@@ -379,7 +378,7 @@ let to_html t =
   add "<h1>memguard exposure observatory</h1>\n";
   add "<table class=\"meta\"><tr><th>level</th><td>%s</td></tr>"
     (html_escape (Protection.name t.level));
-  add "<tr><th>server</th><td>%s</td></tr>" (server_name t.server);
+  add "<tr><th>server</th><td>%s</td></tr>" (Timeline.server_name t.server);
   add "<tr><th>scan mode</th><td>%s</td></tr>" (System.mode_name t.scan_mode);
   add "<tr><th>seed / pages</th><td>%d / %d</td></tr>" t.seed t.num_pages;
   add "<tr><th>breach SLO</th><td>%s</td></tr>"
@@ -525,7 +524,7 @@ let to_html t =
 
 let pp_summary fmt t =
   Format.fprintf fmt "level=%s server=%s mode=%s ticks=%d@." (Protection.name t.level)
-    (server_name t.server) (System.mode_name t.scan_mode) (List.length t.snapshots);
+    (Timeline.server_name t.server) (System.mode_name t.scan_mode) (List.length t.snapshots);
   Format.fprintf fmt "sensitive exposure outside mlocked-anon: %d byte-ticks@."
     (sensitive_unsafe_total t);
   List.iter

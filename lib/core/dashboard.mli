@@ -74,30 +74,34 @@ val install_default_alerts : Obs.ctx -> unit
     [rsa.private_op.word_muls] that fires if any two private operations
     ever charged a different word-mul count, and [ct-leakage-limbs], the
     same rule over [rsa.private_op.limb_traffic] guarding the branchless
-    [Bn.Ct] sweeps one layer below the ladder.  {!run} and the fleet
-    shards install it automatically; [memguard_cli watch] exposes it
-    standalone. *)
-
-val collect_metrics : Obs.ctx -> metric_series list
-(** Snapshot every {!Obs.Timeseries} series of a context (name-sorted). *)
-
-val collect_alerts : Obs.ctx -> alert_firing list
-(** Snapshot the chronological alert firings of a context. *)
+    [Bn.Ct] sweeps one layer below the ladder.  {!run} installs it, so every
+    fleet shard and every [memguard_cli observe] / [watch] run has it
+    armed. *)
 
 val run :
   ?level:Protection.level ->
   ?num_pages:int ->
   ?seed:int ->
+  ?rng:Memguard_util.Prng.t ->
   ?scan_mode:System.scan_mode ->
   ?churn:int ->
+  ?low:int ->
+  ?high:int ->
   ?breach_age:int ->
   ?server:Timeline.server ->
+  ?obs:Obs.ctx ->
   unit ->
   t
-(** One fig-5 timeline run ([Timeline.run] on a fresh system) with an
-    enabled observability context and, when [breach_age] is given, the
-    exposure SLO armed.  Defaults match {!Experiment.timeline}:
-    [Unprotected], 8192 pages, seed 1, [Incremental] scans, [Ssh]. *)
+(** One observed fig-5 timeline run ({!Experiment.timeline} on a fresh
+    system) with the default alert pack installed and, when [breach_age]
+    is given, the exposure SLO armed.  Defaults match
+    {!Experiment.timeline}: [Unprotected], 8192 pages, seed 1,
+    [Incremental] scans, [Ssh].  [rng], [low] and [high] are forwarded to
+    {!Experiment.timeline} unchanged (the fleet passes a per-shard stream
+    and its plateau sizes).  [obs] (default: a fresh enabled context) is
+    the context the run records into; pass one to keep reading it after
+    the run — the fleet takes its event stream from it, [memguard_cli
+    watch] its series and alert state. *)
 
 val sensitive_unsafe_total : t -> int
 (** Byte·ticks accumulated by {e sensitive} origins in any class other
@@ -132,8 +136,6 @@ val html_escape : string -> string
 
 val pp_summary : Format.formatter -> t -> unit
 (** Terminal summary: headline exposure + totals + breach count. *)
-
-val server_name : Timeline.server -> string
 
 val diff_html :
   base_name:string ->

@@ -7,7 +7,7 @@ module Scanner = Memguard_scan.Scanner
 module Kernel = Memguard_kernel.Kernel
 module Prng = Memguard_util.Prng
 
-type server = Ssh | Http
+type server = Timeline.server = Ssh | Http
 
 type sweep_point = {
   connections : int;
@@ -117,16 +117,13 @@ let timeline ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?
     | _ -> obs
   in
   let sys = System.create ?key_bits ~num_pages ~level ~seed ?rng ~scan_mode ?obs () in
-  let snaps =
-    Timeline.run ~churn ?low ?high sys
-      (match server with Ssh -> Timeline.Ssh | Http -> Timeline.Http)
-  in
+  let snaps = Timeline.run ~churn ?low ?high sys server in
   (match recorder with
    | None -> ()
    | Some f ->
      let meta =
        [ ("level", Protection.name level);
-         ("server", (match server with Ssh -> "ssh" | Http -> "http"));
+         ("server", Timeline.server_name server);
          ("seed", string_of_int seed);
          ("num_pages", string_of_int num_pages);
          ("churn", string_of_int churn);

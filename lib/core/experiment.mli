@@ -5,7 +5,7 @@
     Defaults are sized to finish in seconds; pass larger [trials] /
     [num_pages] / grids to approach the paper's exact parameters. *)
 
-type server = Ssh | Http
+type server = Timeline.server = Ssh | Http
 
 type sweep_point = {
   connections : int;

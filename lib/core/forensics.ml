@@ -214,9 +214,8 @@ let of_hit obs ~tick (hit : Scanner.hit) =
   of_addr obs ~tick ~label:hit.Scanner.label ~addr:hit.Scanner.addr
 
 let of_snapshot obs (snap : Report.snapshot) ~hit =
-  match List.nth_opt snap.Report.hits hit with
-  | None -> None
-  | Some h -> Some (of_hit obs ~tick:snap.Report.time h)
+  if hit < 0 then None
+  else Option.map (of_hit obs ~tick:snap.Report.time) (List.nth_opt snap.Report.hits hit)
 
 (* Exposure breaches recorded in the ring, oldest first *)
 let breaches obs =

@@ -37,7 +37,7 @@ val create :
     protection level's kernel knobs applied.  [noise] (default [true])
     runs boot-time allocator churn so that later allocations scatter over
     the whole physical range, as on a live machine.  [scan_mode] (default
-    [Incremental]) selects how {!scan} sweeps memory; all three modes
+    [Incremental]) selects how {!scan} sweeps memory; both modes
     return identical results.  [rng] overrides [seed] with an
     already-constructed generator — the fleet derives one per shard from a
     master seed ([Prng.derive]) so every shard sees an independent,

@@ -3,6 +3,8 @@ module Apache = Memguard_apps.Apache
 
 type server = Ssh | Http
 
+let server_name = function Ssh -> "ssh" | Http -> "http"
+
 type schedule = {
   start_server : int;
   traffic_low1 : int;

@@ -9,6 +9,9 @@
 
 type server = Ssh | Http
 
+val server_name : server -> string
+(** ["ssh"] / ["http"] — the tag used in reports, archives and the CLI. *)
+
 type schedule = {
   start_server : int;  (** paper: t=2 *)
   traffic_low1 : int;  (** t=6: 8 concurrent *)

@@ -44,21 +44,10 @@ type event = {
 
 type shard_result = {
   shard_id : int;
-  server : Timeline.server;
-  snapshots : Report.snapshot list;
-  totals : ((Obs.origin * Obs.mem_class) * int) list;
-  series : (int * ((Obs.origin * Obs.mem_class) * int) list) list;
-  lifetimes : (Obs.origin * int list) list;
-  breaches : Dashboard.breach list;
-  counters : (string * int) list;
-  cycles : int;
-  cycles_by_subsystem : (string * int) list;
-  metrics : Dashboard.metric_series list;
-  alerts : Dashboard.alert_firing list;
+  dash : Dashboard.t;
   events : event list;
   connections : int;
   requests : int;
-  budgets : Forensics.budget_row list;
   pages_swept : int;
   sweeps : int;
 }
@@ -100,30 +89,13 @@ let derive_rng cfg shard_id = Prng.derive (Prng.of_int cfg.master_seed) ~tag:sha
 
 let run_shard cfg shard_id =
   let obs = Obs.create () in
-  (match cfg.breach_age with
-   | Some age -> Obs.Exposure.set_breach_age obs (Some age)
-   | None -> ());
-  Dashboard.install_default_alerts obs;
-  let rng = derive_rng cfg shard_id in
-  let sys =
-    System.create ~num_pages:cfg.num_pages ~level:cfg.level ~rng
-      ~scan_mode:cfg.scan_mode ~obs ()
+  let dash =
+    Dashboard.run ~obs ~level:cfg.level ~num_pages:cfg.num_pages
+      ~rng:(derive_rng cfg shard_id) ~scan_mode:cfg.scan_mode ~churn:cfg.churn
+      ~low:cfg.conns_low ~high:cfg.conns_high ?breach_age:cfg.breach_age
+      ~server:(server_of cfg shard_id) ()
   in
-  let server = server_of cfg shard_id in
-  let snapshots =
-    Timeline.run ~churn:cfg.churn ~low:cfg.conns_low ~high:cfg.conns_high sys server
-  in
-  let counters = Obs.Metrics.counters obs in
-  let counter name = try List.assoc name counters with Not_found -> 0 in
-  let breaches =
-    List.filter_map
-      (fun (r : Obs.record) ->
-        match r.Obs.event with
-        | Obs.Exposure_breach { origin; cls; pid; addr; len; age } ->
-          Some { Dashboard.tick = r.Obs.tick; origin; cls; pid; addr; len; age }
-        | _ -> None)
-      (Obs.Trace.records obs)
-  in
+  let counter name = Option.value (List.assoc_opt name dash.Dashboard.counters) ~default:0 in
   let events =
     List.filter_map
       (fun (r : Obs.record) ->
@@ -136,21 +108,10 @@ let run_shard cfg shard_id =
       (Obs.Trace.records obs)
   in
   { shard_id;
-    server;
-    snapshots;
-    totals = Obs.Exposure.totals obs;
-    series = Obs.Exposure.series obs;
-    lifetimes = List.map (fun o -> (o, Obs.Exposure.lifetimes obs o)) Obs.all_origins;
-    breaches;
-    counters;
-    cycles = Obs.Cost.total_cycles obs;
-    cycles_by_subsystem = Obs.Cost.by_subsystem obs;
-    metrics = Dashboard.collect_metrics obs;
-    alerts = Dashboard.collect_alerts obs;
+    dash;
     events;
     connections = counter "sshd.connections" + counter "apache.connections";
     requests = counter "sshd.requests" + counter "apache.requests";
-    budgets = Forensics.budget_table obs;
     pages_swept = counter "scan.pages_swept";
     sweeps = counter "scan.runs"
   }
@@ -168,23 +129,23 @@ let merge_assoc lists =
     lists;
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) tbl [] |> List.sort compare
 
-let merge_series shards =
+let merge_series ds =
   let tbl = Hashtbl.create 32 in
   List.iter
-    (fun s ->
+    (fun (d : Dashboard.t) ->
       List.iter
         (fun (t, totals) ->
           let cur = match Hashtbl.find_opt tbl t with Some l -> l | None -> [] in
           Hashtbl.replace tbl t (totals :: cur))
-        s.series)
-    shards;
+        d.Dashboard.series)
+    ds;
   Hashtbl.fold (fun t ls acc -> (t, merge_assoc ls) :: acc) tbl []
   |> List.sort compare
 
-let merge_snapshots shards =
+let merge_snapshots ds =
   let tbl = Hashtbl.create 32 in
   List.iter
-    (fun s ->
+    (fun (d : Dashboard.t) ->
       List.iter
         (fun (sn : Report.snapshot) ->
           let tot, al, un =
@@ -194,21 +155,21 @@ let merge_snapshots shards =
           in
           Hashtbl.replace tbl sn.Report.time
             (tot + sn.Report.total, al + sn.Report.allocated, un + sn.Report.unallocated))
-        s.snapshots)
-    shards;
+        d.Dashboard.snapshots)
+    ds;
   Hashtbl.fold
     (fun time (total, allocated, unallocated) acc ->
       { Report.time; total; allocated; unallocated; hits = []; annotated = [] } :: acc)
     tbl []
   |> List.sort (fun (a : Report.snapshot) b -> compare a.Report.time b.Report.time)
 
-let merge_lifetimes shards =
+let merge_lifetimes ds =
   List.map
     (fun o ->
       ( o,
         List.concat_map
-          (fun s -> try List.assoc o s.lifetimes with Not_found -> [])
-          shards ))
+          (fun (d : Dashboard.t) -> try List.assoc o d.Dashboard.lifetimes with Not_found -> [])
+          ds ))
     Obs.all_origins
 
 (* Merge telemetry shard-wise: all shards sample on the same tick grid, so
@@ -217,20 +178,20 @@ let merge_lifetimes shards =
    shard carrying the series; stride is the coarsest seen; sample counts
    add up.  The fold order is the shard order, never the domain
    schedule — the merged list is deterministic. *)
-let merge_metrics shards =
+let merge_metrics ds =
   let names =
     List.sort_uniq compare
       (List.concat_map
-         (fun s -> List.map (fun m -> m.Dashboard.ms_name) s.metrics)
-         shards)
+         (fun (d : Dashboard.t) -> List.map (fun m -> m.Dashboard.ms_name) d.Dashboard.metrics)
+         ds)
   in
   List.map
     (fun name ->
       let inst =
         List.filter_map
-          (fun s ->
-            List.find_opt (fun m -> m.Dashboard.ms_name = name) s.metrics)
-          shards
+          (fun (d : Dashboard.t) ->
+            List.find_opt (fun m -> m.Dashboard.ms_name = name) d.Dashboard.metrics)
+          ds
       in
       let tbl = Hashtbl.create 64 in
       List.iter
@@ -258,7 +219,7 @@ let merge_metrics shards =
 (* firings ordered by (tick, shard, rule): chronological, shard-stable *)
 let merge_alerts shards =
   List.concat_map
-    (fun s -> List.map (fun a -> (s.shard_id, a)) s.alerts)
+    (fun s -> List.map (fun a -> (s.shard_id, a)) s.dash.Dashboard.alerts)
     shards
   |> List.sort (fun (sa, (a : Dashboard.alert_firing)) (sb, b) ->
          compare (a.Dashboard.fired_tick, sa, a.Dashboard.rule)
@@ -268,17 +229,13 @@ let merge_alerts shards =
    the key is simulated state only, so the merged table is deterministic
    regardless of which domain ran which shard *)
 let merge_budgets shards =
-  List.concat_map (fun s -> List.map (fun b -> (s.shard_id, b)) s.budgets) shards
+  List.concat_map
+    (fun s -> List.map (fun b -> (s.shard_id, b)) s.dash.Dashboard.budgets)
+    shards
   |> List.sort (fun (sa, (a : Forensics.budget_row)) (sb, b) ->
          compare
            (a.Forensics.br_start_tick, sa, a.Forensics.br_trace)
            (b.Forensics.br_start_tick, sb, b.Forensics.br_trace))
-
-let sensitive_unsafe_of totals =
-  List.fold_left
-    (fun acc ((o, c), v) ->
-      if Obs.origin_sensitive o && c <> Obs.Mlocked_anon then acc + v else acc)
-    0 totals
 
 (* ---- parallel execution ---- *)
 
@@ -336,7 +293,9 @@ let run_sharded cfg =
           d_sweeps = of_shards (fun s -> s.sweeps);
           d_sweep_cycles =
             of_shards (fun s ->
-                Option.value (List.assoc_opt "scan" s.cycles_by_subsystem) ~default:0);
+                Option.value
+                  (List.assoc_opt "scan" s.dash.Dashboard.cycles_by_subsystem)
+                  ~default:0);
           wall_s = walls.(w)
         })
   in
@@ -350,16 +309,16 @@ let run_sharded cfg =
     merged_events;
     total_connections = sum (fun s -> s.connections);
     total_requests = sum (fun s -> s.requests);
-    total_cycles = sum (fun s -> s.cycles);
-    sensitive_unsafe =
-      sensitive_unsafe_of (merge_assoc (List.map (fun s -> s.totals) shard_results));
+    total_cycles = sum (fun s -> s.dash.Dashboard.cycles);
+    sensitive_unsafe = sum (fun s -> Dashboard.sensitive_unsafe_total s.dash);
     domain_stats
   }
 
 (* ---- dashboard projection ---- *)
 
 let dashboard r =
-  let shards = r.shard_results in
+  let ds = List.map (fun s -> s.dash) r.shard_results in
+  let merged field = merge_assoc (List.map field ds) in
   { Dashboard.level = r.config.level;
     server =
       (match r.config.mix with Http_only -> Timeline.Http | _ -> Timeline.Ssh);
@@ -367,25 +326,23 @@ let dashboard r =
     seed = r.config.master_seed;
     num_pages = r.config.num_pages * r.config.shards;
     breach_age = r.config.breach_age;
-    snapshots = merge_snapshots shards;
-    series = merge_series shards;
-    totals = merge_assoc (List.map (fun s -> s.totals) shards);
-    lifetimes = merge_lifetimes shards;
+    snapshots = merge_snapshots ds;
+    series = merge_series ds;
+    totals = merged (fun d -> d.Dashboard.totals);
+    lifetimes = merge_lifetimes ds;
     breaches =
-      List.concat_map (fun s -> s.breaches) shards
+      List.concat_map (fun (d : Dashboard.t) -> d.Dashboard.breaches) ds
       |> List.sort (fun (a : Dashboard.breach) b ->
              compare (a.Dashboard.tick, a.Dashboard.pid, a.Dashboard.addr)
                (b.Dashboard.tick, b.Dashboard.pid, b.Dashboard.addr));
-    counters = merge_assoc (List.map (fun s -> s.counters) shards);
+    counters = merged (fun d -> d.Dashboard.counters);
     cycles = r.total_cycles;
-    cycles_by_subsystem = merge_assoc (List.map (fun s -> s.cycles_by_subsystem) shards);
-    metrics = merge_metrics shards;
-    alert_rules =
-      (let obs = Obs.create () in
-       Dashboard.install_default_alerts obs;
-       Obs.Alert.rules obs);
-    alerts = List.map snd (merge_alerts shards);
-    budgets = List.map snd (merge_budgets shards)
+    cycles_by_subsystem = merged (fun d -> d.Dashboard.cycles_by_subsystem);
+    metrics = merge_metrics ds;
+    (* every shard installs the same default pack *)
+    alert_rules = (match ds with d :: _ -> d.Dashboard.alert_rules | [] -> []);
+    alerts = List.map snd (merge_alerts r.shard_results);
+    budgets = List.map snd (merge_budgets r.shard_results)
   }
 
 let inspect_shard cfg ~shard ~tick =
@@ -403,12 +360,14 @@ let inspect_shard cfg ~shard ~tick =
 
 (* ---- rendering ---- *)
 
-let server_name = function Timeline.Ssh -> "ssh" | Timeline.Http -> "http"
+let final_copies (d : Dashboard.t) =
+  match List.rev d.Dashboard.snapshots with last :: _ -> last.Report.total | [] -> 0
 
 (* Canonical JSON: sorted lists, integers only, and no [domains] field —
    how many domains executed the fleet is a property of the run, not of
    the simulated result, and the fingerprint must not see it. *)
 let to_json r =
+  let d = dashboard r in
   let buf = Buffer.create 4096 in
   let add = Buffer.add_string buf in
   add "{\n";
@@ -435,31 +394,29 @@ let to_json r =
            "    {\"shard_id\": %d, \"server\": \"%s\", \"connections\": %d, \
             \"requests\": %d, \"cycles\": %d, \"sensitive_unsafe\": %d, \
             \"final_copies\": %d, \"breaches\": %d}"
-           s.shard_id (server_name s.server) s.connections s.requests s.cycles
-           (sensitive_unsafe_of s.totals)
-           (match List.rev s.snapshots with
-            | last :: _ -> last.Report.total
-            | [] -> 0)
-           (List.length s.breaches)))
+           s.shard_id
+           (Timeline.server_name s.dash.Dashboard.server)
+           s.connections s.requests s.dash.Dashboard.cycles
+           (Dashboard.sensitive_unsafe_total s.dash)
+           (final_copies s.dash)
+           (List.length s.dash.Dashboard.breaches)))
     r.shard_results;
   add "\n  ],\n";
   add "  \"merged_totals\": [\n";
-  let totals = merge_assoc (List.map (fun s -> s.totals) r.shard_results) in
   List.iteri
     (fun i ((o, c), v) ->
       if i > 0 then add ",\n";
       add
         (Printf.sprintf "    {\"origin\": \"%s\", \"class\": \"%s\", \"byte_ticks\": %d}"
            (Obs.origin_name o) (Obs.class_name c) v))
-    totals;
+    d.Dashboard.totals;
   add "\n  ],\n";
   add "  \"merged_counters\": [\n";
-  let counters = merge_assoc (List.map (fun s -> s.counters) r.shard_results) in
   List.iteri
     (fun i (k, v) ->
       if i > 0 then add ",\n";
       add (Printf.sprintf "    {\"name\": \"%s\", \"value\": %d}" k v))
-    counters;
+    d.Dashboard.counters;
   add "\n  ],\n";
   add "  \"timeseries\": [\n";
   List.iteri
@@ -474,7 +431,7 @@ let to_json r =
               (List.map
                  (fun (tick, v) -> Printf.sprintf "[%d,%s]" tick (Obs.float_json v))
                  m.Dashboard.ms_points))))
-    (merge_metrics r.shard_results);
+    d.Dashboard.metrics;
   add "\n  ],\n";
   add "  \"alerts\": [\n";
   List.iteri
@@ -507,7 +464,7 @@ let to_json r =
         (Printf.sprintf
            "    {\"tick\": %d, \"total\": %d, \"allocated\": %d, \"unallocated\": %d}"
            sn.Report.time sn.Report.total sn.Report.allocated sn.Report.unallocated))
-    (merge_snapshots r.shard_results);
+    d.Dashboard.snapshots;
   add "\n  ],\n";
   add "  \"events\": [\n";
   List.iteri
@@ -531,6 +488,7 @@ let fingerprint r = Digest.to_hex (Digest.string (to_json r))
    parallelism executed them.  The fingerprint itself rides along in meta:
    any drift the flattened scalars might miss still surfaces there. *)
 let snapshot r =
+  let d = dashboard r in
   let meta =
     [ ("shards", string_of_int r.config.shards);
       ("level", Protection.name r.config.level);
@@ -565,11 +523,12 @@ let snapshot r =
               e_max = List.fold_left Float.max Float.neg_infinity vs;
               e_points = m.Dashboard.ms_points
             })
-      (merge_metrics r.shard_results)
+      d.Dashboard.metrics
   in
-  let totals = merge_assoc (List.map (fun s -> s.totals) r.shard_results) in
   let exposure =
-    List.map (fun ((o, c), v) -> (Obs.origin_name o, Obs.class_name c, v)) totals
+    List.map
+      (fun ((o, c), v) -> (Obs.origin_name o, Obs.class_name c, v))
+      d.Dashboard.totals
   in
   let alerts =
     List.map
@@ -588,18 +547,14 @@ let snapshot r =
     List.map
       (fun s ->
         { Obs.Snapshot.sh_id = s.shard_id;
-          sh_label = server_name s.server;
+          sh_label = Timeline.server_name s.dash.Dashboard.server;
           sh_cells =
             [ ("connections", float_of_int s.connections);
               ("requests", float_of_int s.requests);
-              ("cycles", float_of_int s.cycles);
-              ("sensitive_unsafe", float_of_int (sensitive_unsafe_of s.totals));
-              ("final_copies",
-               float_of_int
-                 (match List.rev s.snapshots with
-                  | last :: _ -> last.Report.total
-                  | [] -> 0));
-              ("breaches", float_of_int (List.length s.breaches));
+              ("cycles", float_of_int s.dash.Dashboard.cycles);
+              ("sensitive_unsafe", float_of_int (Dashboard.sensitive_unsafe_total s.dash));
+              ("final_copies", float_of_int (final_copies s.dash));
+              ("breaches", float_of_int (List.length s.dash.Dashboard.breaches));
               ("pages_swept", float_of_int s.pages_swept);
               ("sweeps", float_of_int s.sweeps)
             ]
@@ -614,8 +569,7 @@ let snapshot r =
     ]
   in
   Obs.Snapshot.make ~kind:"fleet" ~meta ~series ~exposure
-    ~counters:(merge_assoc (List.map (fun s -> s.counters) r.shard_results))
-    ~cost_subsystem:(merge_assoc (List.map (fun s -> s.cycles_by_subsystem) r.shard_results))
+    ~counters:d.Dashboard.counters ~cost_subsystem:d.Dashboard.cycles_by_subsystem
     ~alerts ~budgets ~scalars ~shards ()
 
 let run ?recorder cfg =
@@ -634,9 +588,9 @@ let to_html r =
         (Printf.sprintf
            "<tr><td>%d</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>\n"
            s.shard_id
-           (Dashboard.html_escape (server_name s.server))
-           s.connections s.requests s.cycles
-           (sensitive_unsafe_of s.totals)))
+           (Dashboard.html_escape (Timeline.server_name s.dash.Dashboard.server))
+           s.connections s.requests s.dash.Dashboard.cycles
+           (Dashboard.sensitive_unsafe_total s.dash)))
     r.shard_results;
   add
     (Printf.sprintf

@@ -58,26 +58,18 @@ type event = {
   value : int;
 }
 
+(** What one shard produced.  [dash] is the shard's own {!Memguard.Dashboard.t}
+    — the same record [memguard_cli observe] builds for one machine: server,
+    per-tick snapshots, exposure ledger, lifetimes, breaches, counters,
+    cycles, telemetry series, alert firings and per-request leak budgets.
+    The remaining fields are fleet-only rollups read off the shard's
+    observability context. *)
 type shard_result = {
   shard_id : int;
-  server : Memguard.Timeline.server;
-  snapshots : Report.snapshot list;  (** one per tick, as [Timeline.run] *)
-  totals : ((Obs.origin * Obs.mem_class) * int) list;  (** exposure ledger *)
-  series : (int * ((Obs.origin * Obs.mem_class) * int) list) list;
-  lifetimes : (Obs.origin * int list) list;
-  breaches : Memguard.Dashboard.breach list;
-  counters : (string * int) list;
-  cycles : int;
-  cycles_by_subsystem : (string * int) list;
-  metrics : Memguard.Dashboard.metric_series list;
-      (** the shard's telemetry series (kernel/exposure/scan/cost/rsa) *)
-  alerts : Memguard.Dashboard.alert_firing list;
-      (** firings of the default alert pack on this shard *)
+  dash : Memguard.Dashboard.t;  (** the shard's observed fig-5 run *)
   events : event list;
   connections : int;  (** sshd + apache connections opened on this shard *)
   requests : int;
-  budgets : Memguard.Forensics.budget_row list;
-      (** per-request leak budgets of this shard (trace-id sorted) *)
   pages_swept : int;  (** pages the scanner swept on this shard *)
   sweeps : int;  (** scan passes run on this shard *)
 }
@@ -108,8 +100,9 @@ type report = {
 }
 
 val run_shard : config -> int -> shard_result
-(** Run shard [i] to completion on the calling domain.  Pure in
-    [(config, i)]: same inputs, byte-identical result. *)
+(** Run shard [i] to completion on the calling domain — one
+    {!Memguard.Dashboard.run} on the stream {!derive_rng} gives it.  Pure
+    in [(config, i)]: same inputs, byte-identical result. *)
 
 val run : ?recorder:(Memguard_obs.Obs.Snapshot.t -> unit) -> config -> report
 (** Run the whole fleet.  With [config.domains > 1] shards execute on

@@ -46,10 +46,12 @@ let test_run_matches_run_shard () =
     (fun i (sr : Fleet.shard_result) ->
       let solo = Fleet.run_shard c i in
       Alcotest.(check int) "shard id in order" i sr.Fleet.shard_id;
-      Alcotest.(check bool) "totals match solo run" true (solo.Fleet.totals = sr.Fleet.totals);
+      Alcotest.(check bool) "totals match solo run" true
+        (solo.Fleet.dash.Dashboard.totals = sr.Fleet.dash.Dashboard.totals);
       Alcotest.(check bool) "counters match solo run" true
-        (solo.Fleet.counters = sr.Fleet.counters);
-      Alcotest.(check int) "cycles match solo run" solo.Fleet.cycles sr.Fleet.cycles;
+        (solo.Fleet.dash.Dashboard.counters = sr.Fleet.dash.Dashboard.counters);
+      Alcotest.(check int) "cycles match solo run" solo.Fleet.dash.Dashboard.cycles
+        sr.Fleet.dash.Dashboard.cycles;
       Alcotest.(check bool) "events match solo run" true (solo.Fleet.events = sr.Fleet.events))
     report.Fleet.shard_results
 
@@ -65,14 +67,16 @@ let test_merge_linearity () =
   Alcotest.(check int) "requests add up"
     (sum (fun s -> s.Fleet.requests))
     report.Fleet.total_requests;
-  Alcotest.(check int) "cycles add up" (sum (fun s -> s.Fleet.cycles)) report.Fleet.total_cycles;
+  Alcotest.(check int) "cycles add up"
+    (sum (fun s -> s.Fleet.dash.Dashboard.cycles))
+    report.Fleet.total_cycles;
   let unsafe_of (s : Fleet.shard_result) =
     List.fold_left
       (fun acc ((origin, cls), v) ->
         if Memguard_obs.Obs.origin_sensitive origin && cls <> Memguard_obs.Obs.Mlocked_anon
         then acc + v
         else acc)
-      0 s.Fleet.totals
+      0 s.Fleet.dash.Dashboard.totals
   in
   Alcotest.(check int) "sensitive-unsafe byte-ticks add up" (sum unsafe_of)
     report.Fleet.sensitive_unsafe
@@ -90,7 +94,7 @@ let prop_merge_linearity =
       let solos = List.init shards (Fleet.run_shard c) in
       let sum f = List.fold_left (fun acc s -> acc + f s) 0 solos in
       report.Fleet.total_connections = sum (fun s -> s.Fleet.connections)
-      && report.Fleet.total_cycles = sum (fun s -> s.Fleet.cycles)
+      && report.Fleet.total_cycles = sum (fun s -> s.Fleet.dash.Dashboard.cycles)
       && report.Fleet.total_requests = sum (fun s -> s.Fleet.requests))
 
 let test_merged_event_order () =
@@ -115,7 +119,8 @@ let test_mix_assignment () =
   List.iter
     (fun (sr : Fleet.shard_result) ->
       let expect = if sr.Fleet.shard_id mod 2 = 0 then Timeline.Ssh else Timeline.Http in
-      Alcotest.(check bool) "mixed fleet alternates by parity" true (sr.Fleet.server = expect))
+      Alcotest.(check bool) "mixed fleet alternates by parity" true
+        (sr.Fleet.dash.Dashboard.server = expect))
     report.Fleet.shard_results
 
 let test_workload_ran () =

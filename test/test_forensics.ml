@@ -160,7 +160,9 @@ let fleet_cfg domains =
 let test_fleet_budget_merge () =
   let r = Fleet.run (fleet_cfg 1) in
   let shard_rows =
-    List.concat_map (fun (s : Fleet.shard_result) -> s.Fleet.budgets) r.Fleet.shard_results
+    List.concat_map
+      (fun (s : Fleet.shard_result) -> s.Fleet.dash.Dashboard.budgets)
+      r.Fleet.shard_results
   in
   Alcotest.(check bool) "shards produced budgets" true (shard_rows <> []);
   (* the merged fleet budget equals the merged sensitive-unsafe ledger *)
@@ -240,6 +242,22 @@ let test_profiler_feeds_span_histograms () =
        (Bytes.of_string page)
     >= 1)
 
+(* out-of-range hit indices, negative ones included, are [None] *)
+let test_of_snapshot_out_of_range () =
+  let obs = Obs.create () in
+  let sys = System.create ~num_pages:1024 ~seed:7 ~obs ~level:Protection.Unprotected () in
+  ignore (System.start_sshd sys);
+  let snap = System.scan sys ~time:1 in
+  let n = List.length snap.Report.hits in
+  Alcotest.(check bool) "machine has hits" true (n > 0);
+  Alcotest.(check bool) "last hit resolves" true
+    (Forensics.of_snapshot obs snap ~hit:(n - 1) <> None);
+  List.iter
+    (fun hit ->
+      Alcotest.(check bool) (Printf.sprintf "hit %d is None" hit) true
+        (Forensics.of_snapshot obs snap ~hit = None))
+    [ -1; min_int; n ]
+
 let suite =
   [ ( "forensics",
       [ Alcotest.test_case "hit forensics golden (ext2/tty)" `Slow test_hit_forensics_golden;
@@ -252,6 +270,8 @@ let suite =
         Alcotest.test_case "span histogram prometheus golden" `Quick
           test_span_histogram_prometheus;
         Alcotest.test_case "profiler feeds span histograms" `Slow
-          test_profiler_feeds_span_histograms
+          test_profiler_feeds_span_histograms;
+        Alcotest.test_case "of_snapshot out of range is None" `Quick
+          test_of_snapshot_out_of_range
       ] )
   ]

@@ -4,7 +4,9 @@
    its committed baseline under bench/.  Every gated observable is
    simulated, so any hard regression (a cycle total, an exposure
    byte·tick count, a series envelope, a fleet merge count) fails here
-   exactly as [memguard_cli diff --fail-on regression] fails in CI. *)
+   exactly as [memguard_cli diff --fail-on regression] fails in CI, and
+   so does any change to an archive's meta block (run configuration,
+   fleet fingerprint). *)
 
 open Memguard
 module Obs = Memguard_obs.Obs
@@ -25,7 +27,16 @@ let check_against path current =
     if Obs.Diff.hard_regressions d > 0 then
       Alcotest.failf "%s: %d hard regression(s)@.%a" path (Obs.Diff.hard_regressions d)
         Obs.Diff.pp d;
-    Alcotest.(check bool) (path ^ ": observables compared") true (d.Obs.Diff.compared > 0)
+    Alcotest.(check bool) (path ^ ": observables compared") true (d.Obs.Diff.compared > 0);
+    (* meta is deterministic too: a changed fleet fingerprint or timeline
+       server must fail here, not only in the CLI diff *)
+    let show = Option.value ~default:"(absent)" in
+    Alcotest.(check (list string))
+      (path ^ ": meta unchanged")
+      []
+      (List.map
+         (fun (k, b, c) -> Printf.sprintf "%s: %s -> %s" k (show b) (show c))
+         d.Obs.Diff.meta_diff)
 
 let test_flight_archives_match_baselines () =
   check_against "../bench/flight_baseline.json"

@@ -401,7 +401,7 @@ let test_fleet_telemetry () =
       Alcotest.(check bool)
         (Printf.sprintf "shard %d sampled series" s.Fleet.shard_id)
         true
-        (List.length s.Fleet.metrics > 0))
+        (List.length s.Fleet.dash.Dashboard.metrics > 0))
     r.Fleet.shard_results;
   let json = Fleet.to_json r in
   Alcotest.(check bool) "fleet json has timeseries" true (contains ~needle:"\"timeseries\"" json);
@@ -418,7 +418,11 @@ let test_fleet_telemetry () =
   let shard_sum tick =
     List.fold_left
       (fun acc s ->
-        match List.find_opt (fun m -> m.Dashboard.ms_name = "kernel.free_pages") s.Fleet.metrics with
+        match
+          List.find_opt
+            (fun m -> m.Dashboard.ms_name = "kernel.free_pages")
+            s.Fleet.dash.Dashboard.metrics
+        with
         | Some m -> acc +. (try List.assoc tick m.Dashboard.ms_points with Not_found -> 0.)
         | None -> acc)
       0. r.Fleet.shard_results
