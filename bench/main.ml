@@ -207,10 +207,13 @@ let scan_engine_bench () =
   let cache = Memguard_scan.Scan_cache.create k ~patterns in
   ignore (Memguard_scan.Scan_cache.scan cache);
   let t_incr_idle = time_mean ~reps:10 (fun () -> Memguard_scan.Scan_cache.scan cache) in
-  (* the Figure 5/6 timeline workload: 30 snapshots under live traffic *)
-  let timeline scan_mode =
-    time_once (fun () -> Experiment.timeline ~num_pages ~scan_mode Experiment.Ssh)
+  (* the Figure 5/6 timeline workload: 30 snapshots under live traffic,
+     once per scan strategy — [System.create] is where the strategy is set *)
+  let run_timeline ?obs scan_mode =
+    let sys = System.create ~num_pages ~scan_mode ?obs ~level:Protection.Unprotected () in
+    Timeline.run sys Timeline.Ssh
   in
+  let timeline scan_mode = time_once (fun () -> run_timeline scan_mode) in
   let t_timeline_full = timeline System.Full in
   let t_timeline_incr = timeline System.Incremental in
   (* instrumented timeline runs: per-scan wall-time percentiles per mode,
@@ -218,7 +221,7 @@ let scan_engine_bench () =
      runs so the headline timings above stay untraced. *)
   let percentiles scan_mode =
     let obs = Obs.create () in
-    ignore (Experiment.timeline ~num_pages ~scan_mode ~obs Experiment.Ssh);
+    ignore (run_timeline ~obs scan_mode);
     (obs, Obs.Metrics.samples obs ("scan.wall_s." ^ System.mode_name scan_mode))
   in
   let _, wall_full = percentiles System.Full in
@@ -232,13 +235,12 @@ let scan_engine_bench () =
   (* exposure ledger rider: wall-time overhead of ledger-on vs obs-off
      timeline runs, plus the byte-tick verdict per protection level *)
   let t_ledger_off =
-    time_min (fun () ->
-        Experiment.timeline ~num_pages ~scan_mode:System.Incremental Experiment.Ssh)
+    time_min (fun () -> Experiment.timeline ~num_pages Experiment.Ssh)
   in
   let t_ledger_on =
     time_min (fun () ->
         let obs = Obs.create ~ring_capacity:(1 lsl 20) () in
-        Experiment.timeline ~num_pages ~scan_mode:System.Incremental ~obs Experiment.Ssh)
+        Experiment.timeline ~num_pages ~obs Experiment.Ssh)
   in
   let ledger_overhead_pct = 100. *. ((t_ledger_on /. t_ledger_off) -. 1.) in
   (* timeseries rider: the full telemetry path (per-tick series sampling
@@ -252,14 +254,13 @@ let scan_engine_bench () =
     time_min (fun () ->
         let obs = Obs.create ~ring_capacity:(1 lsl 20) () in
         Dashboard.install_default_alerts obs;
-        Experiment.timeline ~num_pages ~scan_mode:System.Incremental ~obs Experiment.Ssh)
+        Experiment.timeline ~num_pages ~obs Experiment.Ssh)
   in
   let timeseries_overhead_pct = 100. *. ((t_telemetry /. t_ledger_off) -. 1.) in
   let series_counts =
     let obs = Obs.create ~ring_capacity:(1 lsl 20) () in
     Dashboard.install_default_alerts obs;
-    ignore
-      (Experiment.timeline ~num_pages ~scan_mode:System.Incremental ~obs Experiment.Ssh);
+    ignore (Experiment.timeline ~num_pages ~obs Experiment.Ssh);
     List.map
       (fun name -> (name, Obs.Timeseries.sample_count obs name))
       (Obs.Timeseries.names obs)
@@ -267,7 +268,7 @@ let scan_engine_bench () =
   let exposure_by_level =
     List.map
       (fun level ->
-        let d = Dashboard.run ~level ~num_pages ~scan_mode:System.Incremental () in
+        let d = Dashboard.run ~level ~num_pages () in
         let total =
           List.fold_left (fun acc (_, v) -> acc + v) 0 d.Dashboard.totals
         in

@@ -11,8 +11,12 @@
 open Cmdliner
 open Memguard
 
+(* an unwritable output path is a one-line error (exit 2), not a crash *)
 let write_file path content =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content)
+  try Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc content)
+  with Sys_error msg ->
+    Format.eprintf "memguard: cannot write %s@." msg;
+    Stdlib.exit 2
 
 let level_conv =
   let parse s =
@@ -435,24 +439,9 @@ let chaos_cmd =
           $ pages_arg Memguard_fault.Campaign.default_config.Memguard_fault.Campaign.num_pages
           $ swap_arg $ scan_every_arg $ log_arg)
 
-let scan_mode_conv =
-  let parse s =
-    match s with
-    | "incremental" -> Ok System.Incremental
-    | "full" -> Ok System.Full
-    | _ -> Error (`Msg "expected 'incremental' or 'full'")
-  in
-  Arg.conv (parse, fun fmt m -> Format.pp_print_string fmt (System.mode_name m))
-
-let scan_mode_arg =
-  Arg.(value & opt scan_mode_conv System.Incremental
-       & info [ "scan-mode" ] ~docv:"MODE" ~doc:"Scanner mode: incremental or full.")
-
 let observe_cmd =
-  let run level server seed pages scan_mode churn breach_age html json =
-    let d =
-      Dashboard.run ~level ~num_pages:pages ~seed ~scan_mode ~churn ?breach_age ~server ()
-    in
+  let run level server seed pages churn breach_age html json =
+    let d = Dashboard.run ~level ~num_pages:pages ~seed ~churn ?breach_age ~server () in
     Format.printf "%a" Dashboard.pp_summary d;
     (match html with
      | Some path ->
@@ -479,8 +468,8 @@ let observe_cmd =
        ~doc:
          "Exposure observatory: run the fig-5 timeline with the exposure ledger on and \
           render the byte-tick dashboard (HTML and/or JSON)")
-    Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ scan_mode_arg
-          $ churn_arg $ breach_age_arg $ html $ json)
+    Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ churn_arg
+          $ breach_age_arg $ html $ json)
 
 let watch_cmd =
   let module Obs = Memguard_obs.Obs in
@@ -554,11 +543,9 @@ let watch_cmd =
     add "</body></html>\n";
     Buffer.contents buf
   in
-  let run level server seed pages scan_mode churn breach_age html alerts_json prom =
+  let run level server seed pages churn breach_age html alerts_json prom =
     let obs = Obs.create () in
-    let d =
-      Dashboard.run ~obs ~level ~num_pages:pages ~seed ~scan_mode ~churn ?breach_age ~server ()
-    in
+    let d = Dashboard.run ~obs ~level ~num_pages:pages ~seed ~churn ?breach_age ~server () in
     Format.printf "# watch: server=%s level=%s (%d series, %d rules)@."
       (Timeline.server_name server)
       (Protection.name level)
@@ -637,12 +624,12 @@ let watch_cmd =
          "Telemetry watch: run the fig-5 timeline with the default alert pack armed \
           (exposure SLO, swap pressure, constant-time leakage sentinel) and print the \
           per-tick series table plus any alert firings")
-    Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ scan_mode_arg
-          $ churn_arg $ breach_age_arg $ html $ alerts_json $ prom)
+    Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ churn_arg
+          $ breach_age_arg $ html $ alerts_json $ prom)
 
 let overhead_cmd =
   let module Obs = Memguard_obs.Obs in
-  let run seed pages scan_mode json flamegraph trace flame_level flight =
+  let run seed pages json flamegraph trace flame_level flight =
     let recorder =
       Option.map
         (fun path snap ->
@@ -650,7 +637,7 @@ let overhead_cmd =
           Format.printf "wrote flight archive to %s@." path)
         flight
     in
-    let rows = Overhead.run ~num_pages:pages ~seed ~scan_mode ?recorder () in
+    let rows = Overhead.run ~num_pages:pages ~seed ?recorder () in
     Overhead.pp Format.std_formatter rows;
     (match json with
      | Some path ->
@@ -713,16 +700,16 @@ let overhead_cmd =
           protection levels under the deterministic simulated-cycle cost model and print \
           the paper-style table (cycles per connection and signature, per-subsystem \
           breakdown, slowdown vs unprotected)")
-    Term.(const run $ seed_arg $ pages_arg 4096 $ scan_mode_arg $ json $ flamegraph
-          $ trace $ flame_level $ flight)
+    Term.(const run $ seed_arg $ pages_arg 4096 $ json $ flamegraph $ trace $ flame_level
+          $ flight)
 
 let inspect_cmd =
   let module Obs = Memguard_obs.Obs in
   let module Introspect = Memguard_kernel.Introspect in
-  let run level server seed pages scan_mode tick breach_age =
+  let run level server seed pages tick breach_age =
     let obs = Obs.create ~ring_capacity:(1 lsl 20) () in
     (match breach_age with Some a -> Obs.Exposure.set_breach_age obs (Some a) | None -> ());
-    let sys = System.create ~num_pages:pages ~seed ~scan_mode ~obs ~level () in
+    let sys = System.create ~num_pages:pages ~seed ~obs ~level () in
     ignore (Timeline.run ~stop_at:tick sys server);
     Format.printf "# inspect: server=%s level=%s tick=%d@."
       (Timeline.server_name server)
@@ -742,16 +729,15 @@ let inspect_cmd =
          "/proc-style introspection: freeze the fig-5 timeline at a tick and print \
           annotated per-process maps, buddy free lists, swap slots, page-cache residency \
           and the exposure ledger")
-    Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ scan_mode_arg
-          $ tick $ breach_age_arg)
+    Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ tick
+          $ breach_age_arg)
 
 let forensics_cmd =
   let module Obs = Memguard_obs.Obs in
-  let run level server seed pages scan_mode churn breach_age tick hit json html spans
-      chrome =
+  let run level server seed pages churn breach_age tick hit json html spans chrome =
     let obs = Obs.create ~ring_capacity:(1 lsl 20) () in
     (match breach_age with Some a -> Obs.Exposure.set_breach_age obs (Some a) | None -> ());
-    let sys = System.create ~num_pages:pages ~seed ~scan_mode ~obs ~level () in
+    let sys = System.create ~num_pages:pages ~seed ~obs ~level () in
     let snapshots = Timeline.run ~churn sys server in
     (match spans with
      | Some path ->
@@ -840,13 +826,13 @@ let forensics_cmd =
           hit, and reconstruct its causal story — originating connection, kernel-op \
           chain that made the copy, copy fan-out with zeroed/still-live/recycled \
           verdicts, and the owning request's leak budget")
-    Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ scan_mode_arg
-          $ churn_arg $ breach_age_arg $ tick $ hit $ json $ html $ spans $ chrome)
+    Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ churn_arg
+          $ breach_age_arg $ tick $ hit $ json $ html $ spans $ chrome)
 
 let fleet_cmd =
   let module Fleet = Memguard_fleet.Fleet in
-  let run level mix shards domains pages master_seed conns churn scan_mode breach_age
-      json html print_fingerprint inspect_shard tick flight =
+  let run level mix shards domains pages master_seed conns churn breach_age json html
+      print_fingerprint inspect_shard tick flight =
     let cfg =
       { Fleet.shards;
         domains;
@@ -857,7 +843,6 @@ let fleet_cmd =
         conns_low = conns;
         conns_high = 2 * conns;
         churn;
-        scan_mode;
         breach_age
       }
     in
@@ -970,7 +955,7 @@ let fleet_cmd =
           deterministically merge their ledgers, snapshots and cycle counts into one \
           aggregate report")
     Term.(const run $ level_arg $ mix $ shards $ domains $ pages_arg 2048 $ master_seed
-          $ conns $ churn_arg $ scan_mode_arg $ breach_age_arg $ json $ html $ print_fingerprint
+          $ conns $ churn_arg $ breach_age_arg $ json $ html $ print_fingerprint
           $ inspect_shard $ tick $ flight)
 
 let diff_cmd =
@@ -1014,12 +999,17 @@ let diff_cmd =
   in
   let run a b json html fail_on wall_tol =
     match b with
-    | None when Sys.is_directory a -> trajectory a html
-    | None ->
-      Format.eprintf
-        "memguard diff: need two archives (or a directory of archives for the \
-         trajectory view)@.";
-      Stdlib.exit 2
+    | None -> (
+      match Sys.is_directory a with
+      | true -> trajectory a html
+      | false ->
+        Format.eprintf
+          "memguard diff: need two archives (or a directory of archives for the \
+           trajectory view)@.";
+        Stdlib.exit 2
+      | exception Sys_error msg ->
+        Format.eprintf "memguard diff: %s@." msg;
+        Stdlib.exit 2)
     | Some b ->
       let base = read_archive a and cur = read_archive b in
       let d = Obs.Diff.diff ~wall_tol_pct:wall_tol base cur in

@@ -29,7 +29,6 @@ type alert_firing = {
 type t = {
   level : Protection.level;
   server : Timeline.server;
-  scan_mode : System.scan_mode;
   seed : int;
   num_pages : int;
   breach_age : int option;
@@ -91,13 +90,11 @@ let collect_alerts obs =
     (Obs.Alert.firings obs)
 
 let run ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?rng
-    ?(scan_mode = System.Incremental) ?(churn = 3) ?low ?high ?breach_age
-    ?(server = Timeline.Ssh) ?(obs = Obs.create ()) () =
+    ?(churn = 3) ?low ?high ?breach_age ?(server = Timeline.Ssh) ?(obs = Obs.create ()) () =
   Obs.Exposure.set_breach_age obs breach_age;
   install_default_alerts obs;
   let snapshots =
-    Experiment.timeline ~level ~num_pages ~seed ?rng ~churn ?low ?high ~scan_mode ~obs
-      server
+    Experiment.timeline ~level ~num_pages ~seed ?rng ~churn ?low ?high ~obs server
   in
   let breaches =
     List.filter_map
@@ -110,7 +107,6 @@ let run ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?rng
   in
   { level;
     server;
-    scan_mode;
     seed;
     num_pages;
     breach_age;
@@ -178,7 +174,7 @@ let to_json t =
   add "{\n";
   add "  \"level\": \"%s\",\n" (Obs.json_escape (Protection.name t.level));
   add "  \"server\": \"%s\",\n" (Timeline.server_name t.server);
-  add "  \"scan_mode\": \"%s\",\n" (System.mode_name t.scan_mode);
+  add "  \"scan_mode\": \"%s\",\n" (System.mode_name System.Incremental);
   add "  \"seed\": %d,\n" t.seed;
   add "  \"num_pages\": %d,\n" t.num_pages;
   add "  \"breach_age\": %s,\n"
@@ -379,7 +375,7 @@ let to_html t =
   add "<table class=\"meta\"><tr><th>level</th><td>%s</td></tr>"
     (html_escape (Protection.name t.level));
   add "<tr><th>server</th><td>%s</td></tr>" (Timeline.server_name t.server);
-  add "<tr><th>scan mode</th><td>%s</td></tr>" (System.mode_name t.scan_mode);
+  add "<tr><th>scan mode</th><td>%s</td></tr>" (System.mode_name System.Incremental);
   add "<tr><th>seed / pages</th><td>%d / %d</td></tr>" t.seed t.num_pages;
   add "<tr><th>breach SLO</th><td>%s</td></tr>"
     (match t.breach_age with
@@ -524,7 +520,9 @@ let to_html t =
 
 let pp_summary fmt t =
   Format.fprintf fmt "level=%s server=%s mode=%s ticks=%d@." (Protection.name t.level)
-    (Timeline.server_name t.server) (System.mode_name t.scan_mode) (List.length t.snapshots);
+    (Timeline.server_name t.server)
+    (System.mode_name System.Incremental)
+    (List.length t.snapshots);
   Format.fprintf fmt "sensitive exposure outside mlocked-anon: %d byte-ticks@."
     (sensitive_unsafe_total t);
   List.iter

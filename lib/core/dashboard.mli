@@ -43,7 +43,6 @@ type alert_firing = {
 type t = {
   level : Protection.level;
   server : Timeline.server;
-  scan_mode : System.scan_mode;
   seed : int;
   num_pages : int;
   breach_age : int option;
@@ -83,7 +82,6 @@ val run :
   ?num_pages:int ->
   ?seed:int ->
   ?rng:Memguard_util.Prng.t ->
-  ?scan_mode:System.scan_mode ->
   ?churn:int ->
   ?low:int ->
   ?high:int ->
@@ -95,8 +93,7 @@ val run :
 (** One observed fig-5 timeline run ({!Experiment.timeline} on a fresh
     system) with the default alert pack installed and, when [breach_age]
     is given, the exposure SLO armed.  Defaults match
-    {!Experiment.timeline}: [Unprotected], 8192 pages, seed 1,
-    [Incremental] scans, [Ssh].  [rng], [low] and [high] are forwarded to
+    {!Experiment.timeline}: [Unprotected], 8192 pages, seed 1, [Ssh].  [rng], [low] and [high] are forwarded to
     {!Experiment.timeline} unchanged (the fleet passes a per-shard stream
     and its plateau sizes).  [obs] (default: a fresh enabled context) is
     the context the run records into; pass one to keep reading it after

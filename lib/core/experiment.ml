@@ -106,8 +106,7 @@ let tty_sweep ?(level = Protection.Unprotected) ?(trials = 5) ?(num_pages = 4096
     connections
 
 let timeline ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?rng
-    ?key_bits ?(churn = 3) ?low ?high ?(scan_mode = System.Incremental) ?obs ?recorder
-    server =
+    ?key_bits ?(churn = 3) ?low ?high ?obs ?recorder server =
   (* the recorder needs an observability context to read from; runs that
      did not pass one get a private context — still observer-only, so the
      simulated machine is byte-identical either way *)
@@ -116,7 +115,7 @@ let timeline ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?
     | None, Some _ -> Some (Memguard_obs.Obs.create ())
     | _ -> obs
   in
-  let sys = System.create ?key_bits ~num_pages ~level ~seed ?rng ~scan_mode ?obs () in
+  let sys = System.create ?key_bits ~num_pages ~level ~seed ?rng ?obs () in
   let snaps = Timeline.run ~churn ?low ?high sys server in
   (match recorder with
    | None -> ()
@@ -127,7 +126,7 @@ let timeline ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?
          ("seed", string_of_int seed);
          ("num_pages", string_of_int num_pages);
          ("churn", string_of_int churn);
-         ("scan_mode", System.mode_name scan_mode)
+         ("scan_mode", System.mode_name System.Incremental)
        ]
      in
      let final =

@@ -55,7 +55,6 @@ val timeline :
   ?churn:int ->
   ?low:int ->
   ?high:int ->
-  ?scan_mode:System.scan_mode ->
   ?obs:Memguard_obs.Obs.ctx ->
   ?recorder:(Memguard_obs.Obs.Snapshot.t -> unit) ->
   server ->
@@ -64,10 +63,8 @@ val timeline :
     the scripted t=0..29 run, one snapshot per tick.  [rng] overrides
     [seed] (see {!System.create}); [low]/[high] override the schedule's
     connection targets — the fleet scales them to reach production-size
-    connection counts per shard.  [scan_mode]
-    (default [Incremental]) uses the dirty-page scan cache for the
-    per-tick snapshots; [Full] forces a cold single-pass re-scan at every
-    tick (kept for benchmarking).  [obs] threads an observability context
+    connection counts per shard.  The per-tick snapshots come from the
+    default incremental {!System.scan}.  [obs] threads an observability context
     through the machine (see {!System.create}): the run's snapshots then
     carry per-hit provenance and the context accumulates the event trace
     and subsystem metrics.  [recorder] is called once, after the last

@@ -29,10 +29,9 @@ let sshd_opts_for level =
     nocache = Protection.nocache level
   }
 
-let run_level ?(num_pages = 4096) ?(seed = 1) ?(key_bits = 256)
-    ?(scan_mode = System.Incremental) level =
+let run_level ?(num_pages = 4096) ?(seed = 1) ?(key_bits = 256) level =
   let obs = Obs.create () in
-  let sys = System.create ~num_pages ~seed ~key_bits ~scan_mode ~obs ~level () in
+  let sys = System.create ~num_pages ~seed ~key_bits ~obs ~level () in
   ignore (Timeline.run ~sshd_opts:(sshd_opts_for level) sys Timeline.Ssh);
   { level;
     cycles = Obs.Cost.total_cycles obs;
@@ -44,8 +43,8 @@ let run_level ?(num_pages = 4096) ?(seed = 1) ?(key_bits = 256)
     obs
   }
 
-let run ?(levels = default_levels) ?num_pages ?seed ?key_bits ?scan_mode ?recorder () =
-  let rows = List.map (run_level ?num_pages ?seed ?key_bits ?scan_mode) levels in
+let run ?(levels = default_levels) ?num_pages ?seed ?key_bits ?recorder () =
+  let rows = List.map (run_level ?num_pages ?seed ?key_bits) levels in
   let rows =
     match rows with
     | [] -> []

@@ -37,7 +37,6 @@ val run_level :
   ?num_pages:int ->
   ?seed:int ->
   ?key_bits:int ->
-  ?scan_mode:System.scan_mode ->
   Protection.level ->
   row
 (** One fig-5 timeline at one level (defaults: 4096 pages, seed 1,
@@ -49,7 +48,6 @@ val run :
   ?num_pages:int ->
   ?seed:int ->
   ?key_bits:int ->
-  ?scan_mode:System.scan_mode ->
   ?recorder:(Memguard_obs.Obs.Snapshot.t -> unit) ->
   unit ->
   row list

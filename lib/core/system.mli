@@ -38,7 +38,10 @@ val create :
     runs boot-time allocator churn so that later allocations scatter over
     the whole physical range, as on a live machine.  [scan_mode] (default
     [Incremental]) selects how {!scan} sweeps memory; both modes
-    return identical results.  [rng] overrides [seed] with an
+    return identical results.  This is the only place the strategy is
+    chosen: every experiment, dashboard and fleet shard scans
+    incrementally, and [Full] is the cold reference the scan-engine bench
+    and the equivalence tests compare against.  [rng] overrides [seed] with an
     already-constructed generator — the fleet derives one per shard from a
     master seed ([Prng.derive]) so every shard sees an independent,
     reproducible stream.  [obs] (default {!Memguard_obs.Obs.null})

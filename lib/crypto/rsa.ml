@@ -133,9 +133,3 @@ let pattern_q k = Bn.to_bytes_be k.q
 let equal_priv a b =
   Bn.equal a.n b.n && Bn.equal a.e b.e && Bn.equal a.d b.d && Bn.equal a.p b.p
   && Bn.equal a.q b.q && Bn.equal a.dp b.dp && Bn.equal a.dq b.dq && Bn.equal a.qinv b.qinv
-
-let pp_priv fmt k =
-  Format.fprintf fmt "RSA-%d key (n=%s..., e=%s)" (Bn.bit_length k.n)
-    (let h = Bn.to_hex k.n in
-     String.sub h 0 (min 16 (String.length h)))
-    (Bn.to_dec k.e)

@@ -70,4 +70,3 @@ val pattern_p : priv -> string
 val pattern_q : priv -> string
 
 val equal_priv : priv -> priv -> bool
-val pp_priv : Format.formatter -> priv -> unit

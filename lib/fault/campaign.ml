@@ -308,8 +308,8 @@ let validate cfg =
 let boot ~on_scan cfg =
   let obs = Obs.create () in
   let sys =
-    System.create ~num_pages:cfg.num_pages ~seed:cfg.seed ~scan_mode:System.Incremental
-      ~obs ~swap_slots:cfg.swap_slots ~level:cfg.level ()
+    System.create ~num_pages:cfg.num_pages ~seed:cfg.seed ~obs ~swap_slots:cfg.swap_slots
+      ~level:cfg.level ()
   in
   let k = System.kernel sys in
   let sshd = System.start_sshd sys in

@@ -16,7 +16,6 @@ type config = {
   conns_low : int;
   conns_high : int;
   churn : int;
-  scan_mode : System.scan_mode;
   breach_age : int option;
 }
 
@@ -30,7 +29,6 @@ let default =
     conns_low = 16;
     conns_high = 32;
     churn = 3;
-    scan_mode = System.Incremental;
     breach_age = None
   }
 
@@ -91,7 +89,7 @@ let run_shard cfg shard_id =
   let obs = Obs.create () in
   let dash =
     Dashboard.run ~obs ~level:cfg.level ~num_pages:cfg.num_pages
-      ~rng:(derive_rng cfg shard_id) ~scan_mode:cfg.scan_mode ~churn:cfg.churn
+      ~rng:(derive_rng cfg shard_id) ~churn:cfg.churn
       ~low:cfg.conns_low ~high:cfg.conns_high ?breach_age:cfg.breach_age
       ~server:(server_of cfg shard_id) ()
   in
@@ -163,13 +161,18 @@ let merge_snapshots ds =
     tbl []
   |> List.sort (fun (a : Report.snapshot) b -> compare a.Report.time b.Report.time)
 
+(* origins no shard destroyed a copy of are dropped, as [Dashboard.run]
+   drops them: an empty list has no percentiles to render *)
 let merge_lifetimes ds =
-  List.map
+  List.filter_map
     (fun o ->
-      ( o,
+      match
         List.concat_map
           (fun (d : Dashboard.t) -> try List.assoc o d.Dashboard.lifetimes with Not_found -> [])
-          ds ))
+          ds
+      with
+      | [] -> None
+      | ls -> Some (o, ls))
     Obs.all_origins
 
 (* Merge telemetry shard-wise: all shards sample on the same tick grid, so
@@ -322,7 +325,6 @@ let dashboard r =
   { Dashboard.level = r.config.level;
     server =
       (match r.config.mix with Http_only -> Timeline.Http | _ -> Timeline.Ssh);
-    scan_mode = r.config.scan_mode;
     seed = r.config.master_seed;
     num_pages = r.config.num_pages * r.config.shards;
     breach_age = r.config.breach_age;
@@ -350,8 +352,7 @@ let inspect_shard cfg ~shard ~tick =
   let obs = Obs.create () in
   let rng = derive_rng cfg shard in
   let sys =
-    System.create ~num_pages:cfg.num_pages ~level:cfg.level ~rng
-      ~scan_mode:cfg.scan_mode ~obs ()
+    System.create ~num_pages:cfg.num_pages ~level:cfg.level ~rng ~obs ()
   in
   ignore
     (Timeline.run ~churn:cfg.churn ~low:cfg.conns_low ~high:cfg.conns_high
@@ -380,7 +381,7 @@ let to_json r =
        (Protection.name r.config.level)
        (mix_name r.config.mix) r.config.num_pages r.config.master_seed
        r.config.conns_low r.config.conns_high r.config.churn
-       (System.mode_name r.config.scan_mode));
+       (System.mode_name System.Incremental));
   add (Printf.sprintf "  \"total_connections\": %d,\n" r.total_connections);
   add (Printf.sprintf "  \"total_requests\": %d,\n" r.total_requests);
   add (Printf.sprintf "  \"total_cycles\": %d,\n" r.total_cycles);
@@ -415,7 +416,7 @@ let to_json r =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then add ",\n";
-      add (Printf.sprintf "    {\"name\": \"%s\", \"value\": %d}" k v))
+      add (Printf.sprintf "    {\"name\": \"%s\", \"value\": %d}" (Obs.json_escape k) v))
     d.Dashboard.counters;
   add "\n  ],\n";
   add "  \"timeseries\": [\n";
@@ -425,8 +426,8 @@ let to_json r =
       add
         (Printf.sprintf
            "    {\"name\": \"%s\", \"kind\": \"%s\", \"stride\": %d, \"samples\": %d, \"points\": [%s]}"
-           m.Dashboard.ms_name m.Dashboard.ms_kind m.Dashboard.ms_stride
-           m.Dashboard.ms_samples
+           (Obs.json_escape m.Dashboard.ms_name) (Obs.json_escape m.Dashboard.ms_kind)
+           m.Dashboard.ms_stride m.Dashboard.ms_samples
            (String.concat ","
               (List.map
                  (fun (tick, v) -> Printf.sprintf "[%d,%s]" tick (Obs.float_json v))
@@ -440,7 +441,8 @@ let to_json r =
       add
         (Printf.sprintf
            "    {\"tick\": %d, \"shard\": %d, \"rule\": \"%s\", \"series\": \"%s\", \"value\": %s}"
-           a.Dashboard.fired_tick shard a.Dashboard.rule a.Dashboard.rule_series
+           a.Dashboard.fired_tick shard (Obs.json_escape a.Dashboard.rule)
+           (Obs.json_escape a.Dashboard.rule_series)
            (Obs.float_json a.Dashboard.value)))
     (merge_alerts r.shard_results);
   add "\n  ],\n";
@@ -452,8 +454,9 @@ let to_json r =
         (Printf.sprintf
            "    {\"tick\": %d, \"shard\": %d, \"trace\": %d, \"request\": \"%s\", \
             \"pid\": %d, \"byte_ticks\": %d}"
-           b.Forensics.br_start_tick shard b.Forensics.br_trace b.Forensics.br_request
-           b.Forensics.br_pid b.Forensics.br_byte_ticks))
+           b.Forensics.br_start_tick shard b.Forensics.br_trace
+           (Obs.json_escape b.Forensics.br_request) b.Forensics.br_pid
+           b.Forensics.br_byte_ticks))
     (merge_budgets r.shard_results);
   add "\n  ],\n";
   add "  \"copies_by_tick\": [\n";
@@ -474,7 +477,7 @@ let to_json r =
         (Printf.sprintf
            "    {\"tick\": %d, \"shard\": %d, \"seq\": %d, \"label\": \"%s\", \
             \"value\": %d}"
-           e.tick e.shard_id e.seq e.label e.value))
+           e.tick e.shard_id e.seq (Obs.json_escape e.label) e.value))
     r.merged_events;
   add "\n  ]\n}\n";
   Buffer.contents buf
@@ -498,7 +501,7 @@ let snapshot r =
       ("conns_low", string_of_int r.config.conns_low);
       ("conns_high", string_of_int r.config.conns_high);
       ("churn", string_of_int r.config.churn);
-      ("scan_mode", System.mode_name r.config.scan_mode);
+      ("scan_mode", System.mode_name System.Incremental);
       ("fingerprint", fingerprint r)
     ]
   in

@@ -37,14 +37,12 @@ type config = {
   conns_low : int;  (** timeline low-plateau concurrency, per shard *)
   conns_high : int;  (** timeline peak concurrency, per shard *)
   churn : int;  (** reconnect cycles per slot per tick *)
-  scan_mode : Memguard.System.scan_mode;
   breach_age : int option;  (** arm the exposure SLO on every shard *)
 }
 
 val default : config
 (** 4 shards, [domains = Domain.recommended_domain_count ()], Unprotected,
-    [Mixed], 2048 pages, seed 1, low/high = 16/32, churn 3, incremental
-    scans, no SLO. *)
+    [Mixed], 2048 pages, seed 1, low/high = 16/32, churn 3, no SLO. *)
 
 (** One entry of a shard's tick-stamped event stream (scan results and
     SLO breaches, extracted from the shard's trace).  [seq] is the

@@ -27,7 +27,7 @@ type t = {
   swap : Swap.t option;
   procs : (int, Proc.t) Hashtbl.t;
   mutable next_pid : int;
-  mutable secure_dealloc : bool;
+  secure_dealloc : bool;
   mutable ext2_blocks : int list;  (* buffer-cached directory block frames *)
   (* Provos-style swap encryption: an ephemeral per-boot key that lives in
      a hardware-ish register file outside scannable RAM (the point of the
@@ -84,7 +84,6 @@ let page_size t = t.cfg.page_size
 let obs t = t.obs
 
 let set_zero_on_free t v = Buddy.set_zero_on_free t.buddy v
-let set_secure_dealloc t v = t.secure_dealloc <- v
 
 let live_procs t =
   Hashtbl.fold (fun _ p acc -> p :: acc) t.procs []

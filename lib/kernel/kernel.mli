@@ -55,7 +55,6 @@ val page_size : t -> int
 val obs : t -> Memguard_obs.Obs.ctx
 
 val set_zero_on_free : t -> bool -> unit
-val set_secure_dealloc : t -> bool -> unit
 
 (** {1 Processes} *)
 

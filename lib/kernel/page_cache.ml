@@ -107,16 +107,6 @@ let evict_lru t =
     Buddy.free_page t.buddy e.pfn;
     true
 
-let evict_all t =
-  let all = Hashtbl.fold (fun k e acc -> (k, e.pfn) :: acc) t.entries [] in
-  List.iter
-    (fun (((ino, index) as k), pfn) ->
-      Hashtbl.remove t.entries k;
-      drop_frame t ~ino ~index pfn)
-    all
-
-let frames_of_ino t ~ino = List.map snd (entries_of_ino t ~ino) |> List.sort compare
-
 let cached_frames t = Hashtbl.length t.entries
 
 let entries t =

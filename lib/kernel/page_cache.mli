@@ -34,10 +34,6 @@ val evict_lru : t -> bool
     (like the PEM text) ends up readable in unallocated memory on a
     vanilla kernel. *)
 
-val evict_all : t -> unit
-
-val frames_of_ino : t -> ino:int -> int list
-
 val cached_frames : t -> int
 (** Total number of frames held by the cache. *)
 

@@ -97,4 +97,3 @@ let take_free_run_aligned t ~size ~align =
   in
   go [] t.free_list
 
-let heap_bytes_free t = List.fold_left (fun acc (_, s) -> acc + s) 0 t.free_list

@@ -55,4 +55,3 @@ val take_free_run_aligned : t -> size:int -> align:int -> int option
 val insert_free_run : t -> off:int -> size:int -> unit
 (** Return a run to the free list, merging with adjacent runs. *)
 
-val heap_bytes_free : t -> int

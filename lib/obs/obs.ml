@@ -21,8 +21,6 @@ let origin_name = function
   | Heap_copy -> "heap_copy"
   | Bn_temp -> "bn_temp"
 
-let origin_of_name s = List.find_opt (fun o -> origin_name o = s) all_origins
-
 (* BN_CTX temporaries hold reduced CRT intermediates, not key parts: they
    are tracked (the scanner cannot tell the difference) but excluded from
    the breach SLO and the confinement accounting. *)
@@ -151,6 +149,15 @@ type tspan = {
   ts_start_cycles : int;
   mutable ts_end_tick : int;  (* -1 while open *)
   mutable ts_end_cycles : int;
+}
+
+(* the machine's frame classifier plus the change counters that let the
+   exposure ledger memoize its answers (see [Exposure.set_classifier]) *)
+type classifier = {
+  classify : addr:int -> mem_class;
+  gran : int;  (* frame size: classification granularity *)
+  epoch : unit -> int;
+  frame_gen : pfn:int -> int;
 }
 
 (* one frame-bounded slice of a provenance interval, as the exposure
@@ -284,10 +291,7 @@ type ctx = {
   mutable intervals : interval list;
   stashes : (int, (int * int * info) list) Hashtbl.t;
   (* exposure ledger *)
-  mutable classifier : (addr:int -> mem_class) option;
-  mutable class_gran : int;  (* frame size: classification granularity *)
-  mutable class_epoch_fn : (unit -> int) option;
-  mutable frame_gen_fn : (pfn:int -> int) option;
+  mutable classifier : classifier option;
   mutable prov_epoch : int;  (* bumped on any interval/stash change *)
   (* advance memo: the frame-split chunk list of the last advance, valid
      while [prov_epoch] is unchanged; chunk classifications revalidate
@@ -302,8 +306,7 @@ type ctx = {
   mutable last_advance_ : int;
   lifetimes_ : (origin, int list ref) Hashtbl.t;
   mutable breach_age_ : int option;
-  (* cost model & profiler *)
-  mutable cost_model_ : cost_model;
+  (* cost accounting & profiler *)
   mutable cycles_ : int;
   cost_by_op : (cost_op, int ref * int ref) Hashtbl.t;  (* op -> count, cycles *)
   cost_by_sub : (string, int ref) Hashtbl.t;
@@ -324,7 +327,6 @@ type ctx = {
   mutable span_next_ : int;  (* next causal span id; 0 means "no span" *)
   mutable tstack_ : tspan list;  (* open causal spans, innermost first *)
   mutable tspans_ : tspan list;  (* completed causal spans, newest first *)
-  trace_cycles_ : (int, int ref) Hashtbl.t;  (* trace -> cycles charged *)
   trace_leak_ : (int, int ref) Hashtbl.t;
       (* trace -> sensitive byte-ticks outside mlocked-anon (the
          per-request leak budget; key 0 holds untraced exposure) *)
@@ -368,9 +370,6 @@ let make ~enabled ~capacity =
     intervals = [];
     stashes = Hashtbl.create 8;
     classifier = None;
-    class_gran = 4096;
-    class_epoch_fn = None;
-    frame_gen_fn = None;
     prov_epoch = 0;
     memo_chunks = [||];
     memo_stash = [||];
@@ -381,7 +380,6 @@ let make ~enabled ~capacity =
     last_advance_ = 0;
     lifetimes_ = Hashtbl.create 8;
     breach_age_ = None;
-    cost_model_ = default_cost_model;
     cycles_ = 0;
     cost_by_op = Hashtbl.create 16;
     cost_by_sub = Hashtbl.create 8;
@@ -398,7 +396,6 @@ let make ~enabled ~capacity =
     span_next_ = 1;
     tstack_ = [];
     tspans_ = [];
-    trace_cycles_ = Hashtbl.create 16;
     trace_leak_ = Hashtbl.create 16
   }
 
@@ -420,7 +417,6 @@ module Trace = struct
   let current_trace ctx = match ctx.tstack_ with s :: _ -> s.ts_trace | [] -> 0
   let current_span ctx = match ctx.tstack_ with s :: _ -> s.ts_span | [] -> 0
   let active ctx = ctx.tstack_ <> []
-  let trace_count ctx = ctx.trace_next_ - 1
 
   (* Open a causal span.  With no [?trace] and no span already open, a
      fresh trace is minted and this span becomes its root; otherwise the
@@ -527,10 +523,6 @@ module Trace = struct
     List.find_opt (fun s -> s.sp_trace = trace && s.sp_parent = 0) (spans ctx)
 
   let span_of_id ctx id = List.find_opt (fun s -> s.sp_id = id) (spans ctx)
-
-  let trace_cycles ctx =
-    Hashtbl.fold (fun t r acc -> (t, !r) :: acc) ctx.trace_cycles_ []
-    |> List.sort compare
 
   (* per-request leak budget: sensitive byte-ticks outside mlocked-anon,
      attributed to the trace whose span registered the copy.  Summing the
@@ -979,12 +971,9 @@ module Exposure = struct
     | Free_ram
     | Swapped
 
-  let set_classifier ctx ~page_size ?epoch ?frame_gen f =
+  let set_classifier ctx ~page_size ~epoch ~frame_gen f =
     if ctx.enabled_ then begin
-      ctx.classifier <- Some f;
-      ctx.class_gran <- page_size;
-      ctx.class_epoch_fn <- epoch;
-      ctx.frame_gen_fn <- frame_gen;
+      ctx.classifier <- Some { classify = f; gran = page_size; epoch; frame_gen };
       ctx.memo_prov_epoch <- -1
     end
 
@@ -1019,7 +1008,7 @@ module Exposure = struct
      The frame-split chunk list is memoized across ticks: it only changes
      when the provenance map changes ([prov_epoch]), and a chunk's cached
      classification only goes stale when its frame's descriptor changes
-     ([frame_gen_fn], wired to [Phys_mem.class_generation] by the kernel).
+     ([frame_gen], wired to [Phys_mem.class_generation] by the kernel).
      On a quiet tick — no provenance churn, no class transitions — advance
      is a single epoch comparison plus a re-accumulation pass, with zero
      sorting and zero classifier calls.  Chunks are rebuilt in the same
@@ -1029,7 +1018,7 @@ module Exposure = struct
   let advance ctx t =
     match ctx.classifier with
     | None -> ()
-    | Some classify ->
+    | Some { classify; gran; epoch; frame_gen } ->
       if ctx.enabled_ && t > ctx.last_advance_ then begin
         let dt = t - ctx.last_advance_ in
         let add origin cls bytes =
@@ -1059,10 +1048,6 @@ module Exposure = struct
                    { origin = info.origin; cls; pid = info.pid; addr; len; age })
           | _ -> ()
         in
-        let gran = ctx.class_gran in
-        let frame_gen pfn =
-          match ctx.frame_gen_fn with Some f -> f ~pfn | None -> -1
-        in
         if ctx.memo_prov_epoch <> ctx.prov_epoch then begin
           (* provenance changed: rebuild the chunk list from scratch *)
           let chunks = ref [] in
@@ -1078,7 +1063,7 @@ module Exposure = struct
                     clen = next - !pos;
                     cinfo = iv.info;
                     ccls = classify ~addr:!pos;
-                    cgen = frame_gen (!pos / gran);
+                    cgen = frame_gen ~pfn:(!pos / gran);
                   }
                   :: !chunks;
                 pos := next
@@ -1092,30 +1077,22 @@ module Exposure = struct
             (Provenance.stashed ctx);
           ctx.memo_stash <- Array.of_list (List.rev !st);
           ctx.memo_prov_epoch <- ctx.prov_epoch;
-          ctx.memo_class_epoch <-
-            (match ctx.class_epoch_fn with Some ep -> ep () | None -> 0)
+          ctx.memo_class_epoch <- epoch ()
         end else begin
           (* provenance unchanged: revalidate cached classifications *)
-          match (ctx.class_epoch_fn, ctx.frame_gen_fn) with
-          | Some ep, Some _ ->
-            let now = ep () in
-            if now <> ctx.memo_class_epoch then begin
-              (* some frame changed class: re-classify only moved frames *)
-              Array.iter
-                (fun c ->
-                  let g = frame_gen (c.caddr / gran) in
-                  if g <> c.cgen then begin
-                    c.ccls <- classify ~addr:c.caddr;
-                    c.cgen <- g
-                  end)
-                ctx.memo_chunks;
-              ctx.memo_class_epoch <- now
-            end
-          | _ ->
-            (* no change counters wired: classifications may go stale
-               invisibly, so re-classify every chunk (still skips the
-               per-tick sort and rebuild) *)
-            Array.iter (fun c -> c.ccls <- classify ~addr:c.caddr) ctx.memo_chunks
+          let now = epoch () in
+          if now <> ctx.memo_class_epoch then begin
+            (* some frame changed class: re-classify only moved frames *)
+            Array.iter
+              (fun c ->
+                let g = frame_gen ~pfn:(c.caddr / gran) in
+                if g <> c.cgen then begin
+                  c.ccls <- classify ~addr:c.caddr;
+                  c.cgen <- g
+                end)
+              ctx.memo_chunks;
+            ctx.memo_class_epoch <- now
+          end
         end;
         Array.iter
           (fun c ->
@@ -1201,16 +1178,13 @@ module Cost = struct
     | Ct_limb_op -> m.ct_limb_op
     | Scan_byte -> m.scan_byte
 
-  let model ctx = ctx.cost_model_
-  let set_model ctx m = if ctx.enabled_ then ctx.cost_model_ <- m
-
   (* Charging only mutates observer-side state (the ctx and the span
      tree), never the simulated machine, so cost accounting cannot
      perturb RAM or frame descriptors: profiler-on runs stay
      byte-identical to profiler-off runs. *)
   let charge ctx ~sub ?origin op n =
     if ctx.enabled_ && n > 0 then begin
-      let c = n * cost ctx.cost_model_ op in
+      let c = n * cost default_model op in
       ctx.cycles_ <- ctx.cycles_ + c;
       (match Hashtbl.find_opt ctx.cost_by_op op with
        | Some (cnt, cyc) ->
@@ -1231,15 +1205,7 @@ module Cost = struct
         | { node_; _ } :: _ -> node_
         | [] -> ctx.prof_root_
       in
-      node.self_cycles <- node.self_cycles + c;
-      (* causal attribution: cycles land on the request trace whose span
-         is active, so per-request cost rides along with the leak budget *)
-      match ctx.tstack_ with
-      | s :: _ -> (
-        match Hashtbl.find_opt ctx.trace_cycles_ s.ts_trace with
-        | Some r -> r := !r + c
-        | None -> Hashtbl.replace ctx.trace_cycles_ s.ts_trace (ref c))
-      | [] -> ()
+      node.self_cycles <- node.self_cycles + c
     end
 
   let total_cycles ctx = ctx.cycles_

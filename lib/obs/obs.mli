@@ -35,8 +35,6 @@ type origin =
 val origin_name : origin -> string
 (** Lower-snake-case tag used in exports ([Pem_buffer] -> ["pem_buffer"]). *)
 
-val origin_of_name : string -> origin option
-
 val all_origins : origin list
 
 val origin_sensitive : origin -> bool
@@ -182,9 +180,6 @@ module Trace : sig
   val active : ctx -> bool
   (** Is any causal span open? *)
 
-  val trace_count : ctx -> int
-  (** Traces minted so far. *)
-
   type span_info = {
     sp_trace : int;
     sp_id : int;
@@ -205,10 +200,6 @@ module Trace : sig
   (** The root span of a trace — the originating request. *)
 
   val span_of_id : ctx -> int -> span_info option
-
-  val trace_cycles : ctx -> (int * int) list
-  (** Simulated cycles charged while each trace was active, trace-id
-      sorted — per-request cost attribution. *)
 
   val leak_budget : ctx -> (int * int) list
   (** Per-trace leak budget: sensitive byte·ticks outside mlocked-anon
@@ -376,8 +367,9 @@ end
     [len * dt] byte·ticks for every live provenance interval — classified
     at advance time, split on frame boundaries — plus every stashed
     swap-slot image (class {!Swapped}).  Class transitions (COW break,
-    swap-out, eviction, free-without-zero) re-bucket intervals simply
-    because the classifier is consulted anew at every advance.  The ledger
+    swap-out, eviction, free-without-zero) re-bucket intervals because
+    each advance re-classifies the chunks whose frame's class generation
+    moved.  The ledger
     only reads simulated state; a ledger-on run stays byte-identical to an
     obs-off run. *)
 module Exposure : sig
@@ -392,8 +384,8 @@ module Exposure : sig
   val set_classifier :
     ctx ->
     page_size:int ->
-    ?epoch:(unit -> int) ->
-    ?frame_gen:(pfn:int -> int) ->
+    epoch:(unit -> int) ->
+    frame_gen:(pfn:int -> int) ->
     (addr:int -> mem_class) ->
     unit
   (** Install the frame classifier (called by [Kernel.create]; last caller
@@ -405,9 +397,8 @@ module Exposure : sig
       ([Phys_mem.class_epoch] / [Phys_mem.class_generation]) so that
       {!advance} can memoize per-chunk classifications: on a tick where
       [epoch ()] is unchanged nothing is re-classified, and when it has
-      moved only chunks whose frame's [frame_gen] counter moved are.  When
-      omitted, every chunk is re-classified on every advance (correct but
-      slower — classifications could otherwise go stale invisibly). *)
+      moved only chunks whose frame's [frame_gen] counter moved are.  Both
+      must move whenever [f]'s answer for a frame does. *)
 
   val set_breach_age : ctx -> int option -> unit
   (** Age limit (in ticks) after which a {e sensitive} interval outside
@@ -442,9 +433,9 @@ end
     performance evaluation of zero-on-free, [O_NOCACHE] re-reads and COW
     fault handling.
 
-    A single {!Cost.model} record prices every primitive operation the
-    simulation performs (a byte copied, a byte zeroed, a page fault, a
-    swap round-trip, a Montgomery word-multiply, ...).  Instrumentation
+    One constant record, {!Cost.default_model}, prices every primitive
+    operation the simulation performs (a byte copied, a byte zeroed, a
+    page fault, a swap round-trip, a Montgomery word-multiply, ...).  Instrumentation
     sites in [Kernel]/[Buddy]/[Swap]/[Page_cache]/[Bn.Mont]/[Scanner]
     call {!Cost.charge}; charges accumulate into a global cycle clock,
     per-op / per-subsystem / per-origin breakdowns, and the innermost
@@ -499,14 +490,8 @@ module Cost : sig
 
   val cost : model -> op -> int
 
-  val model : ctx -> model
-
-  val set_model : ctx -> model -> unit
-  (** Replace the model for subsequent charges (no-op when disabled).
-      Already-accumulated cycles are not rescaled. *)
-
   val charge : ctx -> sub:string -> ?origin:origin -> op -> int -> unit
-  (** [charge ctx ~sub op n] adds [n * cost model op] simulated cycles,
+  (** [charge ctx ~sub op n] adds [n * cost default_model op] simulated cycles,
       attributed to subsystem [sub] (e.g. ["kernel"], ["swap"],
       ["bignum"]), optionally to a key-copy [origin], and to the
       innermost open profiler span.  No-op when disabled or [n <= 0]. *)

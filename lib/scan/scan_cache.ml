@@ -56,13 +56,6 @@ let stats (t : t) =
     total_clean_pages = t.total_clean
   }
 
-let reset_stats (t : t) =
-  t.scans <- 0;
-  t.last_scanned <- 0;
-  t.total_scanned <- 0;
-  t.last_clean <- 0;
-  t.total_clean <- 0
-
 let refresh t =
   let mem = Kernel.mem t.kernel in
   let raw = Phys_mem.raw mem in

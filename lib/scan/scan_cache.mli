@@ -36,7 +36,7 @@ val total_pages_scanned : t -> int
     is [total_clean_pages / (total_clean_pages + total_pages_scanned)]. *)
 
 type stats = {
-  scans : int;  (** number of {!scan} calls since creation / {!reset_stats} *)
+  scans : int;  (** number of {!scan} calls since creation *)
   last_pages_scanned : int;  (** pages swept by the most recent scan (misses) *)
   total_pages_scanned : int;  (** cumulative pages swept *)
   last_clean_pages : int;  (** pages skipped by the most recent scan (hits) *)
@@ -45,6 +45,3 @@ type stats = {
 
 val stats : t -> stats
 
-val reset_stats : t -> unit
-(** Zero every counter in {!stats}.  The cached per-page hit lists and
-    generations are untouched — subsequent scans stay incremental. *)

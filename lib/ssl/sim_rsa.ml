@@ -112,8 +112,6 @@ let private_op k proc t c =
   Sim_bn.free_insecure k proc t1;
   result
 
-let public_op t m = Rsa.encrypt_raw t.pub m
-
 let all_parts t = [ t.d; t.p; t.q; t.dp; t.dq; t.qinv ]
 
 let memory_align k proc t =

@@ -42,8 +42,6 @@ val private_op : Kernel.t -> Proc.t -> t -> Bn.t -> Bn.t
     Populates the calling process's Montgomery cache if
     [flag_cache_private] is set. *)
 
-val public_op : t -> Bn.t -> Bn.t
-
 val memory_align : Kernel.t -> Proc.t -> t -> unit
 (** [RSA_memory_align()] — see module header.  Idempotent. *)
 

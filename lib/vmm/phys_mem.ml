@@ -76,8 +76,6 @@ let write t ~addr s =
   Bytes.blit_string s 0 t.data addr (String.length s);
   touch_range t ~addr ~len:(String.length s)
 
-let get_byte t addr = Bytes.get t.data addr
-
 let set_byte t addr c =
   Bytes.set t.data addr c;
   t.generations.(addr / t.page_size) <- t.generations.(addr / t.page_size) + 1

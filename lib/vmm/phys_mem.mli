@@ -25,7 +25,6 @@ val pfn_of_addr : t -> int -> int
 
 val read : t -> addr:int -> len:int -> string
 val write : t -> addr:int -> string -> unit
-val get_byte : t -> int -> char
 val set_byte : t -> int -> char -> unit
 
 val blit_frame : t -> src_pfn:int -> dst_pfn:int -> unit

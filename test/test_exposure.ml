@@ -34,10 +34,16 @@ let test_metrics_p99 () =
 
 (* ---- ledger arithmetic on a hand-built machine ---- *)
 
+(* a pure classifier never moves a frame between classes, so its
+   class-generation counters stand still *)
+let set_fixed_classifier obs f =
+  Obs.Exposure.set_classifier obs ~page_size:4096 ~epoch:(fun () -> 0)
+    ~frame_gen:(fun ~pfn:_ -> 0) f
+
 let test_exposure_advance_splits_on_frames () =
   let obs = Obs.create () in
   (* two 4 KiB frames: the low one unlocked, the high one locked *)
-  Obs.Exposure.set_classifier obs ~page_size:4096 (fun ~addr ->
+  set_fixed_classifier obs (fun ~addr ->
       if addr < 4096 then Obs.Plain_anon else Obs.Mlocked_anon);
   Obs.set_tick obs 0;
   Obs.Provenance.register obs ~origin:Obs.Bn_limbs ~pid:1 ~addr:4000 ~len:200;
@@ -62,7 +68,7 @@ let test_exposure_advance_splits_on_frames () =
 
 let test_breach_slo_fires_once () =
   let obs = Obs.create () in
-  Obs.Exposure.set_classifier obs ~page_size:4096 (fun ~addr:_ -> Obs.Plain_anon);
+  set_fixed_classifier obs (fun ~addr:_ -> Obs.Plain_anon);
   Obs.Exposure.set_breach_age obs (Some 2);
   Obs.set_tick obs 0;
   Obs.Provenance.register obs ~origin:Obs.Pem_buffer ~pid:1 ~addr:0 ~len:64;
@@ -88,7 +94,7 @@ let test_breach_slo_fires_once () =
 
 let test_breach_spares_mlocked () =
   let obs = Obs.create () in
-  Obs.Exposure.set_classifier obs ~page_size:4096 (fun ~addr:_ -> Obs.Mlocked_anon);
+  set_fixed_classifier obs (fun ~addr:_ -> Obs.Mlocked_anon);
   Obs.Exposure.set_breach_age obs (Some 1);
   Obs.set_tick obs 0;
   Obs.Provenance.register obs ~origin:Obs.Bn_limbs ~pid:1 ~addr:0 ~len:64;
@@ -263,6 +269,12 @@ let test_dashboard_exports () =
     [ "level"; "server"; "scan_mode"; "seed"; "num_pages"; "breach_age"; "ticks";
       "sensitive_unsafe_byte_ticks"; "hit_series"; "exposure_series"; "exposure_totals";
       "exposure_by_class"; "lifetime_percentiles"; "breaches"; "counters" ];
+  (* the flight-archive reader parses the whole document before it looks
+     for its own schema, so reaching the schema check means well-formed *)
+  Alcotest.(check bool) "json is well-formed" true
+    (match Obs.Snapshot.of_json json with
+     | Error "flight archive: missing flight_version" -> true
+     | _ -> false);
   let html = Dashboard.to_html d in
   Alcotest.(check bool) "html document" true (contains ~needle:"<!DOCTYPE html>" html);
   Alcotest.(check bool) "inline svg charts" true (contains ~needle:"<svg" html);

@@ -139,13 +139,36 @@ let test_dashboard_and_renderers () =
          if k = "sshd.connections" || k = "apache.connections" then acc + v else acc)
        0 dash.Dashboard.counters);
   Alcotest.(check int) "dashboard cycles" report.Fleet.total_cycles dash.Dashboard.cycles;
+  (* like one machine's dashboard, the merge keeps only origins with a
+     destroyed copy: an empty list would render as nan percentiles *)
+  Alcotest.(check bool) "every merged lifetime list is non-empty" true
+    (List.for_all (fun (_, ls) -> ls <> []) dash.Dashboard.lifetimes);
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
+  let json = Fleet.to_json report in
+  Alcotest.(check bool) "json is well-formed" true
+    (match Memguard_obs.Obs.Snapshot.of_json json with
+     | Error "flight archive: missing flight_version" -> true
+     | _ -> false);
+  let count needle =
+    let nn = String.length needle in
+    let rec go i acc =
+      if i + nn > String.length json then acc
+      else go (i + 1) (if String.sub json i nn = needle then acc + 1 else acc)
+    in
+    go 0 0
+  in
+  Alcotest.(check int) "json lists every shard" 3 (count "\"shard_id\": ");
+  Alcotest.(check bool) "json carries the connection total" true
+    (count (Printf.sprintf "\"total_connections\": %d," report.Fleet.total_connections) = 1);
+  Alcotest.(check bool) "json carries the cycle total" true
+    (count (Printf.sprintf "\"total_cycles\": %d," report.Fleet.total_cycles) = 1);
   let html = Fleet.to_html report in
   Alcotest.(check bool) "html has fleet banner" true (contains html "shard");
+  Alcotest.(check bool) "html has no nan" false (contains html "nan");
   Format.asprintf "%a" Fleet.pp_summary report |> fun s ->
   Alcotest.(check bool) "summary mentions shards" true (String.length s > 0)
 

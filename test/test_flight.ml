@@ -267,6 +267,30 @@ let prop_recorder_is_observer_only =
       let f_recorded = Fleet.fingerprint (Fleet.run ~recorder:(fun _ -> incr hits) cfg) in
       !hits = 2 && series plain = series recorded && f_plain = f_recorded)
 
+(* ---- CLI file paths: a bad path is a one-line error and exit 2 ---- *)
+
+let test_cli_path_errors () =
+  let cli args =
+    let err = Filename.temp_file "memguard-cli" ".err" in
+    let code =
+      Sys.command (Printf.sprintf "../bin/memguard_cli.exe %s >/dev/null 2>%s" args err)
+    in
+    let stderr = In_channel.with_open_bin err In_channel.input_all in
+    Sys.remove err;
+    (code, stderr)
+  in
+  let check what (code, stderr) =
+    Alcotest.(check int) (what ^ ": exit 2") 2 code;
+    Alcotest.(check bool) (what ^ ": names the path") true
+      (contains ~needle:"no-such-dir" stderr);
+    Alcotest.(check bool) (what ^ ": no exception") false (contains ~needle:"exception" stderr);
+    Alcotest.(check int) (what ^ ": one line") 1
+      (List.length (String.split_on_char '\n' (String.trim stderr)))
+  in
+  check "diff of a missing path" (cli "diff no-such-dir");
+  check "observe into a missing directory"
+    (cli "observe --pages 256 --json no-such-dir/x.json")
+
 let suite =
   [ ( "flight",
       [ Alcotest.test_case "float_json goldens" `Quick test_float_json_goldens;
@@ -286,6 +310,7 @@ let suite =
           test_overhead_recorder_matches_gate_keys;
         Alcotest.test_case "fleet snapshot domain-invariant" `Quick
           test_fleet_snapshot_domain_invariant;
-        QCheck_alcotest.to_alcotest prop_recorder_is_observer_only
+        QCheck_alcotest.to_alcotest prop_recorder_is_observer_only;
+        Alcotest.test_case "CLI path errors exit 2" `Quick test_cli_path_errors
       ] )
   ]

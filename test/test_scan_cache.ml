@@ -195,7 +195,11 @@ let test_system_scan_matches_cold () =
 
 let test_timeline_incremental_equals_full () =
   let run scan_mode =
-    Memguard.Experiment.timeline ~num_pages:256 ~seed:3 ~scan_mode Memguard.Experiment.Ssh
+    let sys =
+      Memguard.System.create ~num_pages:256 ~seed:3 ~scan_mode
+        ~level:Memguard.Protection.Unprotected ()
+    in
+    Memguard.Timeline.run sys Memguard.Timeline.Ssh
     |> List.map (fun s -> (s.Report.time, s.Report.allocated, s.Report.unallocated, s.Report.total))
   in
   let incr = run Memguard.System.Incremental in
