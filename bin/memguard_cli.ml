@@ -1059,9 +1059,10 @@ let diff_cmd =
     Arg.(value
          & opt (enum [ ("none", `None); ("regression", `Regression); ("any", `Any) ]) `None
          & info [ "fail-on" ] ~docv:"WHAT"
-             ~doc:"Exit 1 on $(b,regression) (any hard regression — deterministic or \
-                   exposure family) or on $(b,any) non-neutral delta.  Default $(b,none): \
-                   always exit 0 on a successful comparison.")
+             ~doc:"Exit 1 on $(b,regression) (any hard delta — a changed deterministic \
+                   value, grown exposure, or a vanished simulated key) or on $(b,any) \
+                   non-neutral delta.  Default $(b,none): always exit 0 on a successful \
+                   comparison.")
   in
   let wall_tol =
     Arg.(value & opt float 10.

@@ -565,10 +565,12 @@ let page_style =
    .meta td{text-align:left}</style>"
 
 let verdict_class (d : Obs.Diff.delta) =
-  match d.Obs.Diff.d_verdict with
-  | Obs.Diff.Improvement -> "ok"
-  | Obs.Diff.Regression -> if d.Obs.Diff.d_hard then "bad" else "warn"
-  | Obs.Diff.Neutral -> "dim"
+  if d.Obs.Diff.d_hard then "bad"
+  else
+    match d.Obs.Diff.d_verdict with
+    | Obs.Diff.Improvement -> "ok"
+    | Obs.Diff.Regression -> "warn"
+    | Obs.Diff.Neutral -> "dim"
 
 (* Side-by-side diff page: verdict summary, meta changes, the full delta
    table with improvement/regression coloring, and paired base/current
@@ -589,7 +591,7 @@ let diff_html ~base_name ~cur_name (base : Obs.Snapshot.t) (cur : Obs.Snapshot.t
     (html_escape cur.Obs.Snapshot.ar_kind);
   let hard = Obs.Diff.hard_regressions d in
   add "<p>%d observables compared: <span class=\"ok\">%d improvement(s)</span>, \
-       <span class=\"%s\">%d regression(s) (%d hard)</span>, %d new key(s).</p>\n"
+       <span class=\"%s\">%d regression(s), %d hard</span>, %d new key(s).</p>\n"
     d.Obs.Diff.compared (Obs.Diff.improvements d)
     (if hard > 0 then "bad" else "warn")
     (Obs.Diff.regressions d) hard (Obs.Diff.added d);

@@ -2175,23 +2175,19 @@ module Diff = struct
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
     m = 0 || go 0
 
-  (* Seconds suffixes and rate-like names are host-dependent wall-clock
-     measurements (warn only); everything else the simulation computes
-     is deterministic.  "rate" must match as the token "_rate", not a
-     substring — bare substring matching would classify every
-     *_integrated key as wall-clock (integ-RATE-d), silently downgrading
-     that level's cycle totals to warn-only. *)
+  (* Wall-clock measurements are named by their unit suffix: seconds,
+     a percent of a timed run, or a per-second throughput (warn only).
+     Only the suffix counts: "hist:scan.wall_s/count" and
+     "series:scan.cache_hit_rate/max" are simulated values and gate. *)
   let wallclockish key =
-    (String.length key > 2 && String.sub key (String.length key - 2) 2 = "_s")
-    || List.exists (has_sub key) [ "per_sec"; "_pct"; "speedup"; "_rate"; "ratio"; "wall" ]
-    || (String.length key >= 5 && String.sub key 0 5 = "rate_")
+    List.exists (fun suffix -> String.ends_with ~suffix key) [ "_s"; "_pct"; "_per_sec" ]
 
   let family_of_key key =
-    if
+    if wallclockish key then Wallclock
+    else if
       List.exists (has_sub key) [ "exposure"; "sensitive_unsafe"; "byte_ticks" ]
-      || (String.length key >= 7 && String.sub key 0 7 = "budget:")
+      || String.starts_with ~prefix:"budget:" key
     then Exposure
-    else if wallclockish key then Wallclock
     else Deterministic
 
   (* NaN came from a null in the archive: two nulls agree *)
@@ -2230,7 +2226,13 @@ module Diff = struct
                 d_base = Some b;
                 d_cur = Some c;
                 d_verdict = verdict;
-                d_hard = verdict = Regression && fam <> Wallclock;
+                (* a deterministic value must not move either way; an
+                   exposure value gates only when it grows *)
+                d_hard =
+                  (match fam with
+                   | Deterministic -> true
+                   | Exposure -> verdict = Regression
+                   | Wallclock -> false);
                 d_pct = pct
               }
               :: !deltas
@@ -2314,7 +2316,7 @@ module Diff = struct
              else if d.d_verdict = Regression then " [warn]"
              else ""))
         t.deltas;
-      Format.fprintf fmt "%d compared: %d improvement(s), %d regression(s) (%d hard), %d new key(s)@."
+      Format.fprintf fmt "%d compared: %d improvement(s), %d regression(s), %d hard, %d new key(s)@."
         t.compared (improvements t) (regressions t) (hard_regressions t) (added t)
     end
 

@@ -626,7 +626,8 @@ module Timeseries : sig
   (** Newest offered sample, independent of retention. *)
 
   val sample_count : ctx -> string -> int
-  (** Total samples offered (deterministic — BENCH_scan.json pins it). *)
+  (** Total samples offered (deterministic — [bench/flight_baseline.json]
+      pins it). *)
 
   val retained : ctx -> string -> int
   (** Points currently held (<= capacity). *)
@@ -836,10 +837,11 @@ end
     Archives are flattened ({!Snapshot.scalars}) and aligned by key;
     every differing key becomes a {!Diff.delta} classified by metric
     family: deterministic simulation outputs (exact by default, any
-    regression is {e hard}), wall-clock measurements (tolerant and
-    warn-only — host noise must never gate), and exposure byte-ticks
-    (exact and hard — the security result itself).  Two archives from
-    the same seed and config diff to zero deltas. *)
+    change in either direction is {e hard}), wall-clock measurements
+    (tolerant and warn-only — host noise must never gate), and exposure
+    byte-ticks (exact, and any growth is hard — the security result
+    itself).  Two archives from the same seed and config diff to zero
+    deltas. *)
 module Diff : sig
   type family = Deterministic | Wallclock | Exposure
 
@@ -851,7 +853,9 @@ module Diff : sig
     d_base : float option;  (** [None] = key absent in the base archive *)
     d_cur : float option;  (** [None] = key vanished from the current archive *)
     d_verdict : verdict;
-    d_hard : bool;  (** regression in a non-wall-clock family *)
+    d_hard : bool;
+        (** fails the gate: any deterministic change, exposure growth, or
+            a vanished non-wall-clock key *)
     d_pct : float;  (** signed percent change ([0.] when a side is absent) *)
   }
 
@@ -869,12 +873,11 @@ module Diff : sig
   (** ["improvement"] / ["regression"] / ["neutral"]. *)
 
   val family_of_key : string -> family
-  (** Classify a flattened key: exposure if it mentions ["exposure"],
+  (** Classify a flattened key: wall-clock if it ends in [_s], [_pct] or
+      [_per_sec] (suffix only — ["hist:scan.wall_s/count"] is a simulated
+      count); else exposure if it mentions ["exposure"],
       ["sensitive_unsafe"] or ["byte_ticks"] or is a ["budget:"] entry;
-      else wall-clock by name ([_s] suffix, ["per_sec"], ["_pct"], ["speedup"], ["_rate"] as a
-      token, ["ratio"], ["wall"]); else deterministic.  The ["rate"]
-      match is deliberately a token, not a substring — a substring match
-      classified every [*_integrated] key as wall-clock. *)
+      else deterministic. *)
 
   val diff :
     ?det_tol_pct:float ->
@@ -887,16 +890,19 @@ module Diff : sig
       changed beyond its family tolerance (percent of [max 1 |base|];
       defaults [0] / [10] / [0]) is a {!Regression} when it grew and an
       {!Improvement} when it shrank — every recorded magnitude (cycles,
-      byte-ticks, seconds, firings) reads "less is better".  A key
-      vanished from [current] is a (hard, unless wall-clock) regression;
-      a new key is a {!Neutral} note.  Equal or within-tolerance keys
-      produce no delta. *)
+      byte-ticks, seconds, firings) reads "less is better".  A
+      deterministic delta is hard in either direction (the baseline must
+      be re-recorded); an exposure delta is hard only as a regression; a
+      wall-clock delta is never hard.  A key vanished from [current] is a
+      (hard, unless wall-clock) regression; a new key is a {!Neutral}
+      note.  Equal or within-tolerance keys produce no delta. *)
 
   val improvements : t -> int
   val regressions : t -> int
 
   val hard_regressions : t -> int
-  (** Regressions outside the wall-clock family — the gate signal. *)
+  (** Deltas with [d_hard] set — the gate signal.  Counts a shrunken
+      deterministic value too, whose verdict reads {!Improvement}. *)
 
   val added : t -> int
   (** Keys present only in the current archive (neutral notes). *)

@@ -144,17 +144,28 @@ let test_family_classification () =
   check "counter:sshd.connections" Obs.Diff.Deterministic;
   check "fleet_timeline_domains_4_s" Obs.Diff.Wallclock;
   check "fleet_connections_per_sec" Obs.Diff.Wallclock;
-  check "scan_cache_hit_rate" Obs.Diff.Wallclock;
-  check "fleet_speedup_domains_4" Obs.Diff.Wallclock;
+  check "timeseries_overhead_pct" Obs.Diff.Wallclock;
+  (* wall-clock is a unit suffix, not a substring: these are simulated *)
+  check "scan_cache_hit_rate" Obs.Diff.Deterministic;
+  check "hist:scan.wall_s/count" Obs.Diff.Deterministic;
+  check "hist:scan.wall_s.incremental/count" Obs.Diff.Deterministic;
+  check "series:scan.cache_hit_rate/max" Obs.Diff.Deterministic;
+  check "series:scan.cache_hit_rate/samples" Obs.Diff.Deterministic;
   check "exposure:heap/plain_anon" Obs.Diff.Exposure;
   check "series:exposure.sensitive_unsafe/max" Obs.Diff.Exposure;
   check "budget:t7" Obs.Diff.Exposure;
   check "fleet_gate_sensitive_unsafe" Obs.Diff.Exposure
 
 let test_verdicts_and_tolerances () =
-  let base = Obs.Snapshot.of_scalars [ ("cycles", 100.); ("gone", 5.); ("wall_s", 1.0) ] in
+  let base =
+    Obs.Snapshot.of_scalars
+      [ ("cycles", 100.); ("pages", 200.); ("exposure_bt", 40.); ("gone", 5.);
+        ("wall_s", 1.0) ]
+  in
   let cur =
-    Obs.Snapshot.of_scalars [ ("cycles", 120.); ("fresh", 1.); ("wall_s", 1.05) ]
+    Obs.Snapshot.of_scalars
+      [ ("cycles", 120.); ("pages", 100.); ("exposure_bt", 20.); ("fresh", 1.);
+        ("wall_s", 1.05) ]
   in
   let d = Obs.Diff.diff base cur in
   let find k =
@@ -164,6 +175,12 @@ let test_verdicts_and_tolerances () =
   Alcotest.(check bool) "deterministic growth is a hard regression" true
     (grew.Obs.Diff.d_verdict = Obs.Diff.Regression && grew.Obs.Diff.d_hard);
   Alcotest.(check (float 0.01)) "pct computed" 20.0 grew.Obs.Diff.d_pct;
+  let fell = find "pages" in
+  Alcotest.(check bool) "deterministic fall is a hard improvement" true
+    (fell.Obs.Diff.d_verdict = Obs.Diff.Improvement && fell.Obs.Diff.d_hard);
+  let safer = find "exposure_bt" in
+  Alcotest.(check bool) "exposure fall is a soft improvement" true
+    (safer.Obs.Diff.d_verdict = Obs.Diff.Improvement && not safer.Obs.Diff.d_hard);
   let vanished = find "gone" in
   Alcotest.(check bool) "vanished key is a hard regression" true
     (vanished.Obs.Diff.d_cur = None

@@ -18,8 +18,12 @@ let recorded run =
   Option.get !captured
 
 (* paths are relative to the test's run directory; test/dune declares
-   the archives as deps so they are copied there *)
+   the archives as deps so they are copied there.  The fresh archive is
+   diffed as [--flight] writes it: the JSON rounds floats to six
+   significant digits, so an unrounded ratio differs from its baseline in
+   the last place, and a deterministic key gates in either direction. *)
 let check_against path current =
+  let current = Result.get_ok (Obs.Snapshot.of_json (Obs.Snapshot.to_json current)) in
   match Obs.Snapshot.read path with
   | Error e -> Alcotest.failf "%s: %s" path e
   | Ok base ->
