@@ -18,6 +18,14 @@ let write_file path content =
     Format.eprintf "memguard: cannot write %s@." msg;
     Stdlib.exit 2
 
+(* ... and so is an output directory that cannot be made *)
+let make_dir path =
+  if not (Sys.file_exists path) then
+    try Sys.mkdir path 0o755
+    with Sys_error msg ->
+      Format.eprintf "memguard: cannot create %s@." msg;
+      Stdlib.exit 2
+
 let level_conv =
   let parse s =
     match Protection.of_name s with
@@ -293,7 +301,7 @@ let dat_cmd =
       write_file path content;
       Format.printf "wrote %s@." path
     in
-    (try Unix.mkdir out 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    make_dir out;
     (match what with
      | `Timeline ->
        let snaps = Experiment.timeline ~level ~seed server in
@@ -440,158 +448,20 @@ let chaos_cmd =
           $ swap_arg $ scan_every_arg $ log_arg)
 
 let observe_cmd =
-  let run level server seed pages churn breach_age html json =
-    let d = Dashboard.run ~level ~num_pages:pages ~seed ~churn ?breach_age ~server () in
+  let module Obs = Memguard_obs.Obs in
+  let run level server seed pages churn breach_age html json prom =
+    let obs = Obs.create () in
+    let d = Dashboard.run ~obs ~level ~num_pages:pages ~seed ~churn ?breach_age ~server () in
     Format.printf "%a" Dashboard.pp_summary d;
+    Format.printf "%a" Dashboard.pp_telemetry d;
     (match html with
      | Some path ->
        write_file path (Dashboard.to_html d);
        Format.printf "wrote %s@." path
      | None -> ());
-    match json with
-    | Some path ->
-      write_file path (Dashboard.to_json d);
-      Format.printf "wrote %s@." path
-    | None -> ()
-  in
-  let html =
-    Arg.(value & opt (some string) None
-         & info [ "html" ] ~docv:"FILE"
-             ~doc:"Write the self-contained HTML dashboard (inline SVG, no scripts) to $(docv).")
-  in
-  let json =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write the machine-readable JSON twin to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "observe"
-       ~doc:
-         "Exposure observatory: run the fig-5 timeline with the exposure ledger on and \
-          render the byte-tick dashboard (HTML and/or JSON)")
-    Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ churn_arg
-          $ breach_age_arg $ html $ json)
-
-let watch_cmd =
-  let module Obs = Memguard_obs.Obs in
-  let alerts_json_of obs ~level ~server ~seed =
-    let buf = Buffer.create 1024 in
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    let comma_sep f xs = List.iteri (fun i x -> if i > 0 then add ","; f x) xs in
-    add "{\n";
-    add "  \"level\": \"%s\",\n" (Obs.json_escape (Protection.name level));
-    add "  \"server\": \"%s\",\n"
-      (Timeline.server_name server);
-    add "  \"seed\": %d,\n" seed;
-    add "  \"series_sampled\": %d,\n" (List.length (Obs.Timeseries.names obs));
-    add "  \"rules\": [";
-    comma_sep
-      (fun (name, series, cond) ->
-        add "{\"name\":\"%s\",\"series\":\"%s\",\"condition\":\"%s\",\"fired\":%d}"
-          (Obs.json_escape name) (Obs.json_escape series)
-          (Obs.json_escape (Obs.Alert.describe_condition cond))
-          (Obs.Alert.fired obs name))
-      (Obs.Alert.rules obs);
-    add "],\n";
-    add "  \"alerts\": [";
-    comma_sep
-      (fun (tick, rule, series, value) ->
-        add "{\"tick\":%d,\"rule\":\"%s\",\"series\":\"%s\",\"value\":%s}" tick
-          (Obs.json_escape rule) (Obs.json_escape series) (Obs.float_json value))
-      (Obs.Alert.firings obs);
-    add "]\n}\n";
-    Buffer.contents buf
-  in
-  let watch_html_of (d : Dashboard.t) =
-    let buf = Buffer.create 8192 in
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    let esc = Dashboard.html_escape in
-    add "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n";
-    add "<title>memguard watch — %s/%s</title>\n"
-      (esc (Protection.name d.Dashboard.level))
-      (Timeline.server_name d.Dashboard.server);
-    add
-      "<style>body{font:14px/1.5 system-ui,sans-serif;margin:24px auto;max-width:960px;color:#111}\n\
-       h1{font-size:20px}table{border-collapse:collapse;margin:8px 0}\n\
-       td,th{border:1px solid #cbd5e1;padding:3px \
-       10px;text-align:right}th{background:#f1f5f9}td:first-child,th:first-child{text-align:left}\n\
-       .spark{width:160px;height:28px;background:#fff;border:1px solid \
-       #e2e8f0;vertical-align:middle}\n\
-       .ok{color:#16a34a;font-weight:600}.bad{color:#dc2626;font-weight:600}</style></head><body>\n";
-    add "<h1>memguard watch</h1>\n";
-    add "<table><tr><th>series</th><th>kind</th><th>last</th><th>samples</th><th>trend</th></tr>";
-    List.iter
-      (fun (m : Dashboard.metric_series) ->
-        let last = match List.rev m.Dashboard.ms_points with (_, v) :: _ -> v | [] -> 0. in
-        add "<tr><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%s</td></tr>"
-          (esc m.Dashboard.ms_name) (esc m.Dashboard.ms_kind) (Obs.float_json last)
-          m.Dashboard.ms_samples
-          (Dashboard.svg_sparkline m.Dashboard.ms_points))
-      d.Dashboard.metrics;
-    add "</table>\n";
-    add "<h1>alerts</h1>\n";
-    (match d.Dashboard.alerts with
-     | [] -> add "<p class=\"ok\">no alerts fired</p>\n"
-     | fs ->
-       add "<table><tr><th>tick</th><th>rule</th><th>series</th><th>value</th></tr>";
-       List.iter
-         (fun (a : Dashboard.alert_firing) ->
-           add "<tr><td>%d</td><td class=\"bad\">%s</td><td>%s</td><td>%s</td></tr>"
-             a.Dashboard.fired_tick (esc a.Dashboard.rule) (esc a.Dashboard.rule_series)
-             (Obs.float_json a.Dashboard.value))
-         fs;
-       add "</table>\n");
-    add "</body></html>\n";
-    Buffer.contents buf
-  in
-  let run level server seed pages churn breach_age html alerts_json prom =
-    let obs = Obs.create () in
-    let d = Dashboard.run ~obs ~level ~num_pages:pages ~seed ~churn ?breach_age ~server () in
-    Format.printf "# watch: server=%s level=%s (%d series, %d rules)@."
-      (Timeline.server_name server)
-      (Protection.name level)
-      (List.length (Obs.Timeseries.names obs))
-      (List.length (Obs.Alert.rules obs));
-    (* per-tick table over the headline series *)
-    let headline =
-      [ ("free", "kernel.free_pages"); ("swap", "kernel.swap_slots_used");
-        ("cache", "kernel.page_cache_frames"); ("locked", "kernel.locked_frames");
-        ("unsafe", "exposure.sensitive_unsafe"); ("sweep", "scan.sweep_cycles");
-        ("hits", "scan.hits"); ("cyc/t", "cost.cycles_per_tick") ]
-    in
-    let cols = List.map (fun (h, s) -> (h, Obs.Timeseries.points obs s)) headline in
-    let ticks =
-      List.sort_uniq compare (List.concat_map (fun (_, pts) -> List.map fst pts) cols)
-    in
-    Format.printf "%6s" "tick";
-    List.iter (fun (h, _) -> Format.printf " %10s" h) cols;
-    Format.printf "@.";
-    List.iter
-      (fun tick ->
-        Format.printf "%6d" tick;
-        List.iter
-          (fun (_, pts) ->
-            match List.assoc_opt tick pts with
-            | Some v -> Format.printf " %10s" (Obs.float_json v)
-            | None -> Format.printf " %10s" "-")
-          cols;
-        Format.printf "@.")
-      ticks;
-    (match Obs.Alert.firings obs with
-     | [] -> Format.printf "no alerts fired@."
-     | fs ->
-       List.iter
-         (fun (tick, rule, series, value) ->
-           Format.printf "ALERT tick=%d rule=%s series=%s value=%s@." tick rule series
-             (Obs.float_json value))
-         fs);
-    (match html with
+    (match json with
      | Some path ->
-       write_file path (watch_html_of d);
-       Format.printf "wrote %s@." path
-     | None -> ());
-    (match alerts_json with
-     | Some path ->
-       write_file path (alerts_json_of obs ~level ~server ~seed);
+       write_file path (Dashboard.to_json d);
        Format.printf "wrote %s@." path
      | None -> ());
     match prom with
@@ -605,12 +475,11 @@ let watch_cmd =
   let html =
     Arg.(value & opt (some string) None
          & info [ "html" ] ~docv:"FILE"
-             ~doc:"Write a telemetry panel (sparkline per series + alert table) to $(docv).")
+             ~doc:"Write the self-contained HTML dashboard (inline SVG, no scripts) to $(docv).")
   in
-  let alerts_json =
+  let json =
     Arg.(value & opt (some string) None
-         & info [ "alerts-json" ] ~docv:"FILE"
-             ~doc:"Write the installed rules and chronological firings as JSON to $(docv).")
+         & info [ "json" ] ~docv:"FILE" ~doc:"Write the machine-readable JSON twin to $(docv).")
   in
   let prom =
     Arg.(value & opt (some string) None
@@ -619,13 +488,15 @@ let watch_cmd =
                    exposition to $(docv).")
   in
   Cmd.v
-    (Cmd.info "watch"
+    (Cmd.info "observe"
        ~doc:
-         "Telemetry watch: run the fig-5 timeline with the default alert pack armed \
-          (exposure SLO, swap pressure, constant-time leakage sentinel) and print the \
-          per-tick series table plus any alert firings")
+         "Exposure observatory: run the fig-5 timeline with the exposure ledger on and \
+          the default alert pack armed (exposure SLO, swap pressure, constant-time \
+          leakage sentinels), print the exposure summary, the per-tick series table and \
+          any alert firings, and render the byte-tick dashboard (HTML, JSON and/or \
+          Prometheus)")
     Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ churn_arg
-          $ breach_age_arg $ html $ alerts_json $ prom)
+          $ breach_age_arg $ html $ json $ prom)
 
 let overhead_cmd =
   let module Obs = Memguard_obs.Obs in
@@ -659,7 +530,7 @@ let overhead_cmd =
      | None -> ());
     match trace with
     | Some path ->
-      write_file path (Obs.Profiler.to_chrome (profiled ()));
+      write_file path (Obs.Trace.spans_to_chrome (profiled ()));
       Format.printf "@.wrote %s (chrome trace, %s level)@." path
         (Protection.name flame_level)
     | None -> ()
@@ -677,8 +548,8 @@ let overhead_cmd =
   let trace =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write profiler spans as Chrome trace_event JSON (cycle clock, per-pid \
-                   rows) for the $(b,--flame-level) run to $(docv).")
+             ~doc:"Write the causal spans as Chrome trace_event JSON (cycle clock, one \
+                   row per request trace) for the $(b,--flame-level) run to $(docv).")
   in
   let flame_level =
     Arg.(value & opt level_conv Protection.Integrated
@@ -709,8 +580,7 @@ let inspect_cmd =
   let run level server seed pages tick breach_age =
     let obs = Obs.create ~ring_capacity:(1 lsl 20) () in
     (match breach_age with Some a -> Obs.Exposure.set_breach_age obs (Some a) | None -> ());
-    let sys = System.create ~num_pages:pages ~seed ~obs ~level () in
-    ignore (Timeline.run ~stop_at:tick sys server);
+    let sys, _ = Experiment.machine ~level ~num_pages:pages ~seed ~stop_at:tick ~obs server in
     Format.printf "# inspect: server=%s level=%s tick=%d@."
       (Timeline.server_name server)
       (Protection.name level)
@@ -737,8 +607,7 @@ let forensics_cmd =
   let run level server seed pages churn breach_age tick hit json html spans chrome =
     let obs = Obs.create ~ring_capacity:(1 lsl 20) () in
     (match breach_age with Some a -> Obs.Exposure.set_breach_age obs (Some a) | None -> ());
-    let sys = System.create ~num_pages:pages ~seed ~obs ~level () in
-    let snapshots = Timeline.run ~churn sys server in
+    let _, snapshots = Experiment.machine ~level ~num_pages:pages ~seed ~churn ~obs server in
     (match spans with
      | Some path ->
        write_file path (Obs.Trace.spans_to_json obs);
@@ -1088,7 +957,7 @@ let main =
          "Reproduction of Harrison & Xu, 'Protecting Cryptographic Keys from Memory \
           Disclosure Attacks' (DSN'07)")
     [ timeline_cmd; ext2_cmd; tty_cmd; before_after_cmd; perf_cmd; ablations_cmd; dat_cmd;
-      levels_cmd; chaos_cmd; observe_cmd; watch_cmd; overhead_cmd; inspect_cmd;
+      levels_cmd; chaos_cmd; observe_cmd; overhead_cmd; inspect_cmd;
       forensics_cmd; fleet_cmd; diff_cmd ]
 
 let () = Stdlib.exit (Cmd.eval main)

@@ -87,7 +87,7 @@ let open_connection t rng =
     let c_span = Obs.Trace.begin_span ~pid:w.proc.Proc.pid obs "apache.connection" in
     let c_trace = Obs.Trace.current_trace obs in
     Fun.protect ~finally:(fun () -> Obs.Trace.end_span obs c_span) @@ fun () ->
-    Obs.Profiler.span ~pid:w.proc.Proc.pid obs "apache.connection"
+    Obs.Profiler.span obs "apache.connection"
     @@ fun () ->
     Obs.Metrics.incr (Kernel.obs t.kernel) "apache.connections";
     Obs.Metrics.incr (Kernel.obs t.kernel) "apache.requests";
@@ -105,7 +105,7 @@ let serve t conn rng ~kib =
   Obs.Trace.with_span ~pid:w.proc.Proc.pid ~trace:conn.c_trace ~parent:conn.c_span
     (Kernel.obs t.kernel) "apache.serve"
   @@ fun () ->
-  Obs.Profiler.span ~pid:w.proc.Proc.pid (Kernel.obs t.kernel) "apache.serve"
+  Obs.Profiler.span (Kernel.obs t.kernel) "apache.serve"
   @@ fun () ->
   for _ = 1 to max 1 kib do
     (* one TLS record per KiB of response body *)
@@ -133,7 +133,7 @@ let close_connection t conn =
     Obs.Trace.with_span ~pid:w.proc.Proc.pid ~trace:conn.c_trace ~parent:conn.c_span
       (Kernel.obs t.kernel) "apache.close"
     @@ fun () ->
-    Obs.Profiler.span ~pid:w.proc.Proc.pid (Kernel.obs t.kernel) "apache.close"
+    Obs.Profiler.span (Kernel.obs t.kernel) "apache.close"
     @@ fun () ->
     begin
       Tls_rsa.close t.kernel w.proc conn.session;

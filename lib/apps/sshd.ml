@@ -53,7 +53,7 @@ let open_connection t rng =
   let c_trace = Obs.Trace.current_trace obs in
   Fun.protect ~finally:(fun () -> Obs.Trace.end_span obs c_span) @@ fun () ->
   let child = Kernel.fork t.kernel t.listener_proc in
-  Obs.Profiler.span ~pid:child.Proc.pid obs "sshd.connection"
+  Obs.Profiler.span obs "sshd.connection"
   @@ fun () ->
   Obs.Metrics.incr (Kernel.obs t.kernel) "sshd.connections";
   let child_key =
@@ -82,7 +82,7 @@ let transfer t conn rng ~kib =
   Obs.Trace.with_span ~pid:conn.child.Proc.pid ~trace:conn.c_trace ~parent:conn.c_span
     (Kernel.obs t.kernel) "sshd.transfer"
   @@ fun () ->
-  Obs.Profiler.span ~pid:conn.child.Proc.pid (Kernel.obs t.kernel) "sshd.transfer"
+  Obs.Profiler.span (Kernel.obs t.kernel) "sshd.transfer"
   @@ fun () ->
   for _ = 1 to max 1 kib do
     let buf = Kernel.malloc t.kernel conn.child 1024 in
@@ -96,7 +96,7 @@ let close_connection t conn =
     Obs.Trace.with_span ~pid:conn.child.Proc.pid ~trace:conn.c_trace ~parent:conn.c_span
       (Kernel.obs t.kernel) "sshd.close"
     @@ fun () ->
-    Obs.Profiler.span ~pid:conn.child.Proc.pid (Kernel.obs t.kernel) "sshd.close"
+    Obs.Profiler.span (Kernel.obs t.kernel) "sshd.close"
       (fun () -> Kernel.exit t.kernel conn.child)
   end
 

@@ -552,6 +552,47 @@ let pp_summary fmt t =
     (String.concat ", "
        (List.map (fun (s, v) -> Printf.sprintf "%s %d" s v) t.cycles_by_subsystem))
 
+(* per-tick table over the headline series, then every alert firing *)
+let pp_telemetry fmt t =
+  Format.fprintf fmt "# telemetry: %d series, %d rules@." (List.length t.metrics)
+    (List.length t.alert_rules);
+  let headline =
+    [ ("free", "kernel.free_pages"); ("swap", "kernel.swap_slots_used");
+      ("cache", "kernel.page_cache_frames"); ("locked", "kernel.locked_frames");
+      ("unsafe", "exposure.sensitive_unsafe"); ("sweep", "scan.sweep_cycles");
+      ("hits", "scan.hits"); ("cyc/t", "cost.cycles_per_tick") ]
+  in
+  let cols =
+    List.map
+      (fun (h, name) ->
+        match List.find_opt (fun m -> m.ms_name = name) t.metrics with
+        | Some m -> (h, m.ms_points)
+        | None -> (h, []))
+      headline
+  in
+  let ticks = List.sort_uniq compare (List.concat_map (fun (_, pts) -> List.map fst pts) cols) in
+  Format.fprintf fmt "%6s" "tick";
+  List.iter (fun (h, _) -> Format.fprintf fmt " %10s" h) cols;
+  Format.fprintf fmt "@.";
+  List.iter
+    (fun tick ->
+      Format.fprintf fmt "%6d" tick;
+      List.iter
+        (fun (_, pts) ->
+          Format.fprintf fmt " %10s"
+            (match List.assoc_opt tick pts with Some v -> Obs.float_json v | None -> "-"))
+        cols;
+      Format.fprintf fmt "@.")
+    ticks;
+  match t.alerts with
+  | [] -> Format.fprintf fmt "no alerts fired@."
+  | als ->
+    List.iter
+      (fun a ->
+        Format.fprintf fmt "ALERT tick=%d rule=%s series=%s value=%s@." a.fired_tick a.rule
+          a.rule_series (Obs.float_json a.value))
+      als
+
 (* ---- differential run observatory (memguard_cli diff --html) ---- *)
 
 let page_style =

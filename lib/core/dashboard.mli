@@ -74,7 +74,7 @@ val install_default_alerts : Obs.ctx -> unit
     ever charged a different word-mul count, and [ct-leakage-limbs], the
     same rule over [rsa.private_op.limb_traffic] guarding the branchless
     [Bn.Ct] sweeps one layer below the ladder.  {!run} installs it, so every
-    fleet shard and every [memguard_cli observe] / [watch] run has it
+    fleet shard and every [memguard_cli observe] run has it
     armed. *)
 
 val run :
@@ -98,7 +98,7 @@ val run :
     and its plateau sizes).  [obs] (default: a fresh enabled context) is
     the context the run records into; pass one to keep reading it after
     the run — the fleet takes its event stream from it, [memguard_cli
-    watch] its series and alert state. *)
+    observe --prom] its series and span histograms. *)
 
 val sensitive_unsafe_total : t -> int
 (** Byte·ticks accumulated by {e sensitive} origins in any class other
@@ -107,10 +107,6 @@ val sensitive_unsafe_total : t -> int
 
 val class_total : t -> Obs.mem_class -> int
 (** Total byte·ticks accumulated in one memory class (all origins). *)
-
-val origin_series : t -> Obs.origin -> (int * int) list
-(** Cumulative byte·ticks of one origin (all classes) per tick, starting
-    at [(0, 0)]. *)
 
 val class_series : t -> Obs.mem_class -> (int * int) list
 (** Cumulative byte·ticks of sensitive origins in one class per tick. *)
@@ -125,7 +121,7 @@ val to_html : t -> string
 
 val svg_sparkline : (int * float) list -> string
 (** Inline 160x28 SVG sparkline of one series, auto-scaled to its own
-    min/max envelope.  Shared with the fleet and watch HTML reports. *)
+    min/max envelope.  Shared by the dashboard and diff HTML reports. *)
 
 val html_escape : string -> string
 (** Escape [<], [>] and [&] for interpolation into HTML/SVG text
@@ -133,6 +129,12 @@ val html_escape : string -> string
 
 val pp_summary : Format.formatter -> t -> unit
 (** Terminal summary: headline exposure + totals + breach count. *)
+
+val pp_telemetry : Format.formatter -> t -> unit
+(** Terminal telemetry view: one row per sampled tick over the headline
+    series (free, swap, page-cache and locked frames, sensitive-unsafe
+    bytes, sweep cycles, scan hits, cycles per tick), then one [ALERT]
+    line per firing, or ["no alerts fired"]. *)
 
 val diff_html :
   base_name:string ->

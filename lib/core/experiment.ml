@@ -105,8 +105,8 @@ let tty_sweep ?(level = Protection.Unprotected) ?(trials = 5) ?(num_pages = 4096
       })
     connections
 
-let timeline ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?rng
-    ?key_bits ?(churn = 3) ?low ?high ?obs ?recorder server =
+let machine ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?rng
+    ?key_bits ?(churn = 3) ?low ?high ?stop_at ?sshd_opts ?obs ?recorder server =
   (* the recorder needs an observability context to read from; runs that
      did not pass one get a private context — still observer-only, so the
      simulated machine is byte-identical either way *)
@@ -116,7 +116,7 @@ let timeline ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?
     | _ -> obs
   in
   let sys = System.create ?key_bits ~num_pages ~level ~seed ?rng ?obs () in
-  let snaps = Timeline.run ~churn ?low ?high sys server in
+  let snaps = Timeline.run ~churn ?low ?high ?stop_at ?sshd_opts sys server in
   (match recorder with
    | None -> ()
    | Some f ->
@@ -140,7 +140,12 @@ let timeline ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?
        ]
      in
      f (Memguard_obs.Obs.Snapshot.record ~kind:"timeline" ~meta ~scalars (System.obs sys)));
-  snaps
+  (sys, snaps)
+
+let timeline ?level ?num_pages ?seed ?rng ?key_bits ?churn ?low ?high ?obs ?recorder server =
+  snd
+    (machine ?level ?num_pages ?seed ?rng ?key_bits ?churn ?low ?high ?obs ?recorder
+       server)
 
 let before_after_tty ?(trials = 10) ?(num_pages = 4096) ?(seed = 1)
     ?(connections = [ 0; 20; 60; 120 ]) server =

@@ -46,6 +46,29 @@ val tty_sweep :
 
 (** {1 Section 3 / 5.3 / 6.3 — key behaviour over time} *)
 
+val machine :
+  ?level:Protection.level ->
+  ?num_pages:int ->
+  ?seed:int ->
+  ?rng:Memguard_util.Prng.t ->
+  ?key_bits:int ->
+  ?churn:int ->
+  ?low:int ->
+  ?high:int ->
+  ?stop_at:int ->
+  ?sshd_opts:Memguard_apps.Sshd.options ->
+  ?obs:Memguard_obs.Obs.ctx ->
+  ?recorder:(Memguard_obs.Obs.Snapshot.t -> unit) ->
+  server ->
+  System.t * Memguard_scan.Report.snapshot list
+(** The one builder of a fig-5 machine: {!System.create} followed by
+    {!Timeline.run}, returning the live machine with its per-tick
+    snapshots.  Arguments are those of {!timeline}, plus [stop_at] and
+    [sshd_opts], passed on to {!Timeline.run} unchanged: [stop_at] leaves
+    the machine live at that tick for introspection ([memguard_cli
+    inspect], [Fleet.inspect_shard]); [sshd_opts] overrides the
+    level-derived sshd options (the overhead report forces re-exec). *)
+
 val timeline :
   ?level:Protection.level ->
   ?num_pages:int ->
@@ -71,7 +94,8 @@ val timeline :
     tick, with a flight archive ({!Memguard_obs.Obs.Snapshot.record},
     kind ["timeline"]) of everything the context observed — when no
     [obs] was passed a private context is created for it.  Recording is
-    observer-only: the run is byte-identical with or without it. *)
+    observer-only: the run is byte-identical with or without it.  The
+    snapshots of {!machine} with the same arguments. *)
 
 (** {1 Section 5.2 / 6.2 — attacks before vs after} *)
 

@@ -210,12 +210,13 @@ let of_addr obs ~tick ~label ~addr =
     f_leak_budget = budget
   }
 
-let of_hit obs ~tick (hit : Scanner.hit) =
-  of_addr obs ~tick ~label:hit.Scanner.label ~addr:hit.Scanner.addr
-
 let of_snapshot obs (snap : Report.snapshot) ~hit =
   if hit < 0 then None
-  else Option.map (of_hit obs ~tick:snap.Report.time) (List.nth_opt snap.Report.hits hit)
+  else
+    Option.map
+      (fun (h : Scanner.hit) ->
+        of_addr obs ~tick:snap.Report.time ~label:h.Scanner.label ~addr:h.Scanner.addr)
+      (List.nth_opt snap.Report.hits hit)
 
 (* Exposure breaches recorded in the ring, oldest first *)
 let breaches obs =

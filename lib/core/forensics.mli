@@ -6,7 +6,6 @@
     ledger); building a report never perturbs the simulation. *)
 
 module Obs = Memguard_obs.Obs
-module Scanner = Memguard_scan.Scanner
 module Report = Memguard_scan.Report
 
 type verdict =
@@ -61,17 +60,13 @@ type t = {
   f_leak_budget : int;  (** byte·ticks attributed to the trace *)
 }
 
-val of_addr : Obs.ctx -> tick:int -> label:string -> addr:int -> t
-(** Core constructor: resolve the copy that covered [addr] {e at} [tick]
-    (latest [Copy_created] event at or before [tick] in the ring, falling
-    back to the provenance registry for intervals older than the ring),
-    walk its birth span to the trace root, and collect the trace's
-    fan-out and live intervals. *)
-
-val of_hit : Obs.ctx -> tick:int -> Scanner.hit -> t
-
 val of_snapshot : Obs.ctx -> Report.snapshot -> hit:int -> t option
-(** Forensics for the [hit]-th hit of a snapshot; [None] out of range. *)
+(** Forensics for the [hit]-th hit of a snapshot; [None] out of range.
+    Resolves the copy that covered the hit's address {e at} the
+    snapshot's tick (latest [Copy_created] event at or before it in the
+    ring, falling back to the provenance registry for intervals older
+    than the ring), walks its birth span to the trace root, and collects
+    the trace's fan-out and live intervals. *)
 
 val breaches : Obs.ctx -> Obs.record list
 (** The [Exposure_breach] records retained in the ring, oldest first. *)

@@ -31,8 +31,9 @@ let sshd_opts_for level =
 
 let run_level ?(num_pages = 4096) ?(seed = 1) ?(key_bits = 256) level =
   let obs = Obs.create () in
-  let sys = System.create ~num_pages ~seed ~key_bits ~obs ~level () in
-  ignore (Timeline.run ~sshd_opts:(sshd_opts_for level) sys Timeline.Ssh);
+  ignore
+    (Experiment.machine ~level ~num_pages ~seed ~key_bits ~sshd_opts:(sshd_opts_for level)
+       ~obs Timeline.Ssh);
   { level;
     cycles = Obs.Cost.total_cycles obs;
     requests = Obs.Metrics.counter obs "sshd.connections";
@@ -77,9 +78,6 @@ let run ?(levels = default_levels) ?num_pages ?seed ?key_bits ?recorder () =
      f (Obs.Snapshot.of_scalars ~kind:"overhead" ~meta scalars));
   rows
 
-let subsystems rows =
-  List.sort_uniq compare (List.concat_map (fun r -> List.map fst r.by_subsystem) rows)
-
 let per_request r =
   if r.requests = 0 then 0. else float_of_int r.cycles /. float_of_int r.requests
 
@@ -87,7 +85,9 @@ let per_signature r =
   if r.signatures = 0 then 0. else float_of_int r.cycles /. float_of_int r.signatures
 
 let pp fmt rows =
-  let subs = subsystems rows in
+  let subs =
+    List.sort_uniq compare (List.concat_map (fun r -> List.map fst r.by_subsystem) rows)
+  in
   Format.fprintf fmt
     "Countermeasure overhead, fig-5 sshd timeline (simulated cycles)@.";
   Format.fprintf fmt

@@ -59,13 +59,6 @@ val run :
     [bench/flight_overhead.json] is the committed one that
     [memguard_cli diff] gates against. *)
 
-val subsystems : row list -> string list
-(** Union of subsystem tags across rows, sorted. *)
-
-val per_request : row -> float
-
-val per_signature : row -> float
-
 val pp : Format.formatter -> row list -> unit
 (** The paper-style table: totals, per-connection and per-signature
     cycles, slowdown, then the per-subsystem breakdown. *)

@@ -349,14 +349,11 @@ let dashboard r =
 
 let inspect_shard cfg ~shard ~tick =
   if shard < 0 || shard >= cfg.shards then invalid_arg "Fleet.inspect_shard: bad shard id";
-  let obs = Obs.create () in
-  let rng = derive_rng cfg shard in
-  let sys =
-    System.create ~num_pages:cfg.num_pages ~level:cfg.level ~rng ~obs ()
+  let sys, _ =
+    Experiment.machine ~level:cfg.level ~num_pages:cfg.num_pages ~rng:(derive_rng cfg shard)
+      ~churn:cfg.churn ~low:cfg.conns_low ~high:cfg.conns_high ~stop_at:tick
+      ~obs:(Obs.create ()) (server_of cfg shard)
   in
-  ignore
-    (Timeline.run ~churn:cfg.churn ~low:cfg.conns_low ~high:cfg.conns_high
-       ~stop_at:tick sys (server_of cfg shard));
   Introspect.render (System.kernel sys)
 
 (* ---- rendering ---- *)

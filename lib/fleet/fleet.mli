@@ -19,7 +19,6 @@
 
 module Obs := Memguard_obs.Obs
 module Report := Memguard_scan.Report
-module Prng := Memguard_util.Prng
 
 (** Which server each shard runs.  [Mixed] alternates by shard parity
     (even shards sshd, odd apache) — the fleet-wide workload mix. *)
@@ -99,7 +98,8 @@ type report = {
 
 val run_shard : config -> int -> shard_result
 (** Run shard [i] to completion on the calling domain — one
-    {!Memguard.Dashboard.run} on the stream {!derive_rng} gives it.  Pure
+    {!Memguard.Dashboard.run} on its own PRNG stream, [Prng.derive]d
+    from the master seed with tag [i].  Pure
     in [(config, i)]: same inputs, byte-identical result. *)
 
 val run : ?recorder:(Memguard_obs.Obs.Snapshot.t -> unit) -> config -> report
@@ -108,10 +108,6 @@ val run : ?recorder:(Memguard_obs.Obs.Snapshot.t -> unit) -> config -> report
     when only one shard exists, everything runs sequentially on the
     calling domain.  The report is identical either way.  [recorder]
     receives {!snapshot} of the finished report. *)
-
-val derive_rng : config -> int -> Prng.t
-(** The PRNG stream shard [i] will use ([Prng.derive] from the master
-    seed) — exposed so tests can replay a shard by hand. *)
 
 val dashboard : report -> Memguard.Dashboard.t
 (** The merged fleet as a [Dashboard.t]: per-tick snapshots, exposure

@@ -113,13 +113,6 @@ let json_lines opn cls entries =
 let json_array = json_lines "[" "]"
 let json_object kvs = json_lines "{" "}" (List.map (fun (k, v) -> json_str k ^ ": " ^ v) kvs)
 
-(* Chrome trace_event complete event ("ph":"X"); [args] is the rendered
-   body of its args object. *)
-let chrome_complete ~name ~ts ~dur ~pid ~tid args =
-  Printf.sprintf
-    "{\"name\":%s,\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":%d,\"args\":{%s}}"
-    (json_str name) ts dur pid tid args
-
 (* [birth_trace]/[birth_span] name the request-scoped causal span that
    created the copy; clones made by blit/stash/restore inherit them, so
    the whole fan-out of a key attributes to the originating request *)
@@ -260,22 +253,7 @@ type span_node = {
   children_ : (string, span_node) Hashtbl.t;
 }
 
-type span_frame = {
-  node_ : span_node;
-  fpid : int;
-  start_cycles : int;
-  fdepth : int;
-  fseq : int;
-}
-
-type span = {
-  sname : string;
-  spid : int;
-  sstart : int;  (* cycle clock at enter *)
-  send : int;  (* cycle clock at exit *)
-  sdepth : int;
-  sseq : int;
-}
+type span_frame = { node_ : span_node; start_cycles : int }
 
 let make_span_root () =
   { span_name = "machine"; calls = 0; self_cycles = 0; children_ = Hashtbl.create 8 }
@@ -313,8 +291,6 @@ type ctx = {
   cost_by_origin : (origin, int ref) Hashtbl.t;
   prof_root_ : span_node;
   mutable prof_stack_ : span_frame list;  (* innermost first *)
-  mutable spans_ : span list;  (* completed, newest first *)
-  mutable span_seq_ : int;
   (* time series & alerts *)
   series_ : (string, series) Hashtbl.t;
   mutable derived_ : (string * string) list;  (* (source, derived name) *)
@@ -386,8 +362,6 @@ let make ~enabled ~capacity =
     cost_by_origin = Hashtbl.create 8;
     prof_root_ = make_span_root ();
     prof_stack_ = [];
-    spans_ = [];
-    span_seq_ = 0;
     series_ = Hashtbl.create 32;
     derived_ = [];
     rules_ = [];
@@ -659,11 +633,12 @@ module Trace = struct
          ss
       @ List.map
           (fun s ->
-            chrome_complete ~name:s.sp_name ~ts:s.sp_start_cycles
-              ~dur:(max 1 (s.sp_end_cycles - s.sp_start_cycles))
-              ~pid:s.sp_trace ~tid:0
-              (Printf.sprintf "\"span\":%d,\"parent\":%d,\"sim_pid\":%d,\"start_tick\":%d"
-                 s.sp_id s.sp_parent s.sp_pid s.sp_start_tick))
+            (* a complete event ("ph":"X") *)
+            Printf.sprintf
+              "{\"name\":%s,\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":0,\"args\":{\"span\":%d,\"parent\":%d,\"sim_pid\":%d,\"start_tick\":%d}}"
+              (json_str s.sp_name) s.sp_start_cycles
+              (max 1 (s.sp_end_cycles - s.sp_start_cycles))
+              s.sp_trace s.sp_id s.sp_parent s.sp_pid s.sp_start_tick)
           ss)
     ^ "\n"
 end
@@ -744,13 +719,9 @@ module Metrics = struct
     Hashtbl.reset ctx.counters;
     Hashtbl.reset ctx.histograms
 
-  (* empty histograms have no percentiles: print "-" / emit null rather
-     than NaN (which is invalid JSON) *)
+  (* empty histograms have no percentiles: print "-" rather than NaN *)
   let pct_text vs p =
     match vs with [] -> "-" | _ -> Printf.sprintf "%.6f" (percentile vs p)
-
-  let pct_json vs p =
-    match vs with [] -> "null" | _ -> Printf.sprintf "%.6f" (percentile vs p)
 
   let dump fmt ctx =
     Format.fprintf fmt "%-36s %12s@." "counter" "value";
@@ -766,32 +737,6 @@ module Metrics = struct
           Format.fprintf fmt "%-36s %8d %12s %12s %12s %12s@." name (List.length vs)
             (pct_text vs 50.) (pct_text vs 90.) (pct_text vs 99.) (pct_text vs 100.))
         hs
-
-  (* bumped to 2 when [schema_version] itself was introduced *)
-  let schema_version = 2
-
-  let to_json ctx =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf (Printf.sprintf "{\n  \"schema_version\": %d," schema_version);
-    Buffer.add_string buf "\n  \"counters\": {";
-    List.iteri
-      (fun i (k, v) ->
-        Buffer.add_string buf (if i > 0 then ",\n    " else "\n    ");
-        Buffer.add_string buf (Printf.sprintf "%s: %d" (json_str k) v))
-      (counters ctx);
-    Buffer.add_string buf "\n  },\n  \"histograms\": {";
-    List.iteri
-      (fun i name ->
-        let vs = samples ctx name in
-        Buffer.add_string buf (if i > 0 then ",\n    " else "\n    ");
-        Buffer.add_string buf
-          (Printf.sprintf
-             "%s: {\"count\": %d, \"p50\": %s, \"p90\": %s, \"p99\": %s, \"max\": %s}"
-             (json_str name) (List.length vs) (pct_json vs 50.) (pct_json vs 90.)
-             (pct_json vs 99.) (pct_json vs 100.)))
-      (histograms ctx);
-    Buffer.add_string buf "\n  }\n}\n";
-    Buffer.contents buf
 
   (* Fixed decade bucket ladder for the _bucket exposition below: span
      durations are simulated cycles, which range from a few hundred (a
@@ -1252,7 +1197,7 @@ module Profiler = struct
   let root ctx = ctx.prof_root_
   let depth ctx = List.length ctx.prof_stack_
 
-  let enter ?(pid = 0) ctx name =
+  let enter ctx name =
     if ctx.enabled_ then begin
       let parent =
         match ctx.prof_stack_ with
@@ -1270,16 +1215,7 @@ module Profiler = struct
           n
       in
       node.calls <- node.calls + 1;
-      let frame =
-        { node_ = node;
-          fpid = pid;
-          start_cycles = ctx.cycles_;
-          fdepth = List.length ctx.prof_stack_;
-          fseq = ctx.span_seq_
-        }
-      in
-      ctx.span_seq_ <- ctx.span_seq_ + 1;
-      ctx.prof_stack_ <- frame :: ctx.prof_stack_
+      ctx.prof_stack_ <- { node_ = node; start_cycles = ctx.cycles_ } :: ctx.prof_stack_
     end
 
   let exit ctx =
@@ -1292,22 +1228,13 @@ module Profiler = struct
            to Prometheus as _bucket summary lines by [Metrics] *)
         Metrics.observe ctx
           ("span." ^ f.node_.span_name ^ ".cycles")
-          (float_of_int (ctx.cycles_ - f.start_cycles));
-        ctx.spans_ <-
-          { sname = f.node_.span_name;
-            spid = f.fpid;
-            sstart = f.start_cycles;
-            send = ctx.cycles_;
-            sdepth = f.fdepth;
-            sseq = f.fseq
-          }
-          :: ctx.spans_
+          (float_of_int (ctx.cycles_ - f.start_cycles))
 
   (* campaign ops can raise (Out_of_memory and friends): always pop *)
-  let span ?pid ctx name f =
+  let span ctx name f =
     if not ctx.enabled_ then f ()
     else begin
-      enter ?pid ctx name;
+      enter ctx name;
       Fun.protect ~finally:(fun () -> exit ctx) f
     end
 
@@ -1325,23 +1252,6 @@ module Profiler = struct
     in
     walk "" ctx.prof_root_;
     String.concat "\n" (List.sort compare !lines) ^ "\n"
-
-  (* Chrome-trace complete events on the simulated-cycle clock: ts is the
-     cycle count at enter, dur the cycles spent inside.  pid/tid carry the
-     simulated process id so spans nest under their process row in
-     chrome://tracing. *)
-  let to_chrome ctx =
-    let ss =
-      List.sort (fun a b -> compare (a.sstart, a.sseq) (b.sstart, b.sseq)) ctx.spans_
-    in
-    json_array
-      (List.map
-         (fun s ->
-           chrome_complete ~name:s.sname ~ts:s.sstart ~dur:(s.send - s.sstart) ~pid:s.spid
-             ~tid:s.spid
-             (Printf.sprintf "\"depth\":%d" s.sdepth))
-         ss)
-    ^ "\n"
 end
 
 (* ---- per-tick metric time series ---- *)
@@ -1648,13 +1558,10 @@ module Alert = struct
     | Some r -> r.a_fired
     | None -> 0
 
-  (* one firing as a JSON object — also the archive's alert entry *)
+  (* one firing as a JSON object: the archive's alert entry *)
   let firing_json (tick, rule, series, value) =
     Printf.sprintf "{\"tick\":%d,\"rule\":%s,\"series\":%s,\"value\":%s}" tick
       (json_str rule) (json_str series) (float_json value)
-
-  (* Canonical JSON: the firing log, chronological. *)
-  let to_json ctx = json_array (List.map firing_json (firings ctx))
 end
 
 (* ---- flight-recorder archives & structural run diffing ---- *)
@@ -2182,6 +2089,10 @@ module Diff = struct
   let wallclockish key =
     List.exists (fun suffix -> String.ends_with ~suffix key) [ "_s"; "_pct"; "_per_sec" ]
 
+  (* a throughput grows when things get faster; every other magnitude
+     (cycles, seconds, bytes, byte·ticks) is better smaller *)
+  let higher_is_better key = String.ends_with ~suffix:"_per_sec" key
+
   let family_of_key key =
     if wallclockish key then Wallclock
     else if
@@ -2219,7 +2130,9 @@ module Diff = struct
           let pct = 100. *. (c -. b) /. Float.max 1. (Float.abs b) in
           if Float.abs pct <= tol then ()
           else begin
-            let verdict = if pct > 0. then Regression else Improvement in
+            let verdict =
+              if pct > 0. <> higher_is_better key then Regression else Improvement
+            in
             deltas :=
               { d_key = key;
                 d_family = fam;

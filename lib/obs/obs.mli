@@ -175,8 +175,6 @@ module Trace : sig
   val current_trace : ctx -> int
   (** Trace id of the innermost open span, [0] when untraced. *)
 
-  val current_span : ctx -> int
-
   val active : ctx -> bool
   (** Is any causal span open? *)
 
@@ -214,7 +212,9 @@ module Trace : sig
       JSON — safe to fingerprint. *)
 
   val spans_to_chrome : ctx -> string
-  (** Chrome-trace view of the causal spans on the simulated-cycle clock.
+  (** Chrome-trace view of the causal spans on the simulated-cycle clock
+      — the repo's one Chrome-trace writer ([forensics --chrome],
+      [overhead --trace]).
       Each trace renders as its own process row (pid = trace id) with a
       [process_name] metadata record naming the originating request, so
       kernel spans nest under the request that caused them. *)
@@ -269,25 +269,12 @@ module Metrics : sig
   (** Human-readable table: counters, then histograms as
       [count / p50 / p90 / p99 / max] ([-] for empty histograms). *)
 
-  val schema_version : int
-  (** Version of the {!to_json} schema, emitted as the
-      ["schema_version"] field.  Currently [2]. *)
-
-  val to_json : ctx -> string
-  (** Percentiles of an empty histogram are emitted as [null] (never
-      [NaN], which is invalid JSON).  Carries {!schema_version}. *)
-
-  val bucket_bounds : float list
-  (** The fixed decade ladder ([1e2 .. 1e8]) used by {!to_prometheus}
-      bucket lines — one shared, deterministic ladder for every
-      histogram (span durations in simulated cycles span this range). *)
-
   val to_prometheus : ?labels:(string * string) list -> ctx -> string
   (** Prometheus text exposition of every histogram as the standard
-      triple: cumulative [_bucket{le="..."}] lines over
-      {!bucket_bounds} (plus [le="+Inf"]), then [_sum] and [_count],
+      triple: cumulative [_bucket{le="..."}] lines over one shared
+      decade ladder, [1e2 .. 1e8] (plus [le="+Inf"]), then [_sum] and [_count],
       timestamped with the simulation tick.  Span-duration histograms
-      (fed per span name by [Profiler.exit] as
+      (fed per span name by {!Profiler.span} as
       [span.<name>.cycles]) export here.  [labels] (default none)
       prepends extra label pairs to every sample line — e.g.
       [("level", "integrated")] so multi-level scrapes don't collide. *)
@@ -474,11 +461,6 @@ module Cost : sig
   }
   (** Cost of each {!op} in simulated cycles. *)
 
-  val all_ops : op list
-
-  val op_name : op -> string
-  (** Lower-snake-case tag ([Byte_copied] -> ["byte_copied"]). *)
-
   val default_model : model
   (** One cycle per RAM byte; faults and device ops carry large fixed
       costs; disk bytes are ~16x RAM bytes; a Montgomery word-multiply
@@ -500,7 +482,7 @@ module Cost : sig
   (** The global simulated-cycle clock. *)
 
   val by_op : ctx -> (op * int * int) list
-  (** [(op, count, cycles)] per charged op, in {!all_ops} order. *)
+  (** [(op, count, cycles)] per charged op, in {!op} declaration order. *)
 
   val by_subsystem : ctx -> (string * int) list
   (** Cycles per subsystem tag, name-sorted.  Sums exactly to
@@ -517,11 +499,12 @@ end
 
 (** Hierarchical span profiler over the simulated-cycle clock.
 
-    [enter]/[exit] (or the bracketing {!Profiler.span}) maintain a stack
-    of open spans; {!Cost.charge} lands in the innermost one.  Spans
-    aggregate into a call tree rooted at ["machine"] — nodes are keyed by
-    name per parent, so repeated calls accumulate — and each completed
-    span is also kept individually for Chrome-trace export. *)
+    {!Profiler.span} maintains a stack of open spans; {!Cost.charge}
+    lands in the innermost one.  Spans aggregate into a call tree rooted
+    at ["machine"] — nodes are keyed by name per parent, so repeated
+    calls accumulate — and each closed span feeds its duration to the
+    [span.<name>.cycles] histogram.  The per-request timeline view is
+    the causal spans' ({!Trace.spans_to_chrome}). *)
 module Profiler : sig
   type node
   (** A call-tree node: a span name in one calling context. *)
@@ -548,30 +531,16 @@ module Profiler : sig
   val depth : ctx -> int
   (** Currently open spans. *)
 
-  val enter : ?pid:int -> ctx -> string -> unit
-  (** Open a span as a child of the innermost open span (or the root).
-      [pid] (default [0]) is the simulated process id stamped on the
-      Chrome-trace event. *)
-
-  val exit : ctx -> unit
-  (** Close the innermost span (no-op on an empty stack). *)
-
-  val span : ?pid:int -> ctx -> string -> (unit -> 'a) -> 'a
-  (** [span ctx name f] brackets [f] with {!enter}/{!exit}; the span is
-      closed even if [f] raises.  Calls [f] directly when disabled. *)
+  val span : ctx -> string -> (unit -> 'a) -> 'a
+  (** [span ctx name f] runs [f] inside a span opened as a child of the
+      innermost open span (or the root); the span is closed even if [f]
+      raises.  Calls [f] directly when disabled. *)
 
   val to_collapsed : ctx -> string
   (** Collapsed-stack (flamegraph) text: one
       ["machine;parent;child <self_cycles>"] line per node with nonzero
       self cycles (leaves always emitted), sorted — feed to
       [flamegraph.pl] or speedscope. *)
-
-  val to_chrome : ctx -> string
-  (** Chrome-trace JSON of every completed span as a [ph:"X"] complete
-      event on the simulated-cycle clock: [ts] = cycle count at enter,
-      [dur] = cycles spent inside, [pid] and [tid] = the simulated
-      process id (so spans nest under their process row), [args.depth] =
-      stack depth at enter. *)
 end
 
 (** Per-tick metric time series: how exposure, memory pressure, scan
@@ -594,9 +563,6 @@ module Timeseries : sig
       an instantaneous level.  The kind only affects labeling (and the
       Prometheus [# TYPE] line) — storage is identical. *)
   type kind = Gauge | Counter
-
-  val default_capacity : int
-  (** Retained points per series before downsampling kicks in ([512]). *)
 
   val kind_name : kind -> string
   (** ["gauge"] / ["counter"]. *)
@@ -693,9 +659,6 @@ module Alert : sig
             With [min_spread = 1.] on a cycle-count series this is the
             constant-time leakage sentinel: any variance fires. *)
 
-  val cmp_name : cmp -> string
-  (** [">"], [">="], ["<"], ["<="]. *)
-
   val install : ctx -> name:string -> series:string -> condition -> unit
   (** Add a rule (idempotent per [name]; no-op when disabled).  No rules
       are installed by default — an unconfigured run never fires. *)
@@ -715,10 +678,6 @@ module Alert : sig
 
   val fired : ctx -> string -> int
   (** Times the named rule has fired ([0] if unknown). *)
-
-  val to_json : ctx -> string
-  (** Canonical JSON array of
-      [{"tick", "rule", "series", "value"}], chronological. *)
 end
 
 (** Flight-recorder archive: the full observable state of one run —
@@ -890,7 +849,8 @@ module Diff : sig
       changed beyond its family tolerance (percent of [max 1 |base|];
       defaults [0] / [10] / [0]) is a {!Regression} when it grew and an
       {!Improvement} when it shrank — every recorded magnitude (cycles,
-      byte-ticks, seconds, firings) reads "less is better".  A
+      byte-ticks, seconds, firings) reads "less is better", except a
+      [_per_sec] throughput, which reads "more is better".  A
       deterministic delta is hard in either direction (the baseline must
       be re-recorded); an exposure delta is hard only as a regression; a
       wall-clock delta is never hard.  A key vanished from [current] is a

@@ -71,7 +71,7 @@ let private_op k proc t c =
     invalid_arg "Sim_rsa.private_op: input out of range";
   let obs = Kernel.obs k in
   Obs.Trace.with_span ~pid:proc.Proc.pid obs "rsa.private_op" @@ fun () ->
-  Obs.Profiler.span ~pid:proc.Proc.pid obs "rsa.private_op" @@ fun () ->
+  Obs.Profiler.span obs "rsa.private_op" @@ fun () ->
   if t.flag_cache_private then populate_mont_cache k proc t;
   let p = Sim_bn.value k proc t.p in
   let q = Sim_bn.value k proc t.q in

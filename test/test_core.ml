@@ -68,6 +68,24 @@ let test_system_boot_noise_disabled () =
 
 (* ---- timeline ---- *)
 
+(* [Experiment.machine ~stop_at:t] runs the same script and stops after
+   tick t's snapshot: its snapshots are the first t+1 of the full run, a
+   tick past the end clamps to the full run, and the machine it returns
+   is live at that tick (a rescan finds what the last snapshot found) *)
+let test_machine_stop_at_is_prefix () =
+  let full = Experiment.timeline ~num_pages:1024 ~seed:3 Experiment.Ssh in
+  List.iter
+    (fun t ->
+      let sys, part = Experiment.machine ~num_pages:1024 ~seed:3 ~stop_at:t Experiment.Ssh in
+      let n = min (t + 1) (List.length full) in
+      Alcotest.(check int) (Printf.sprintf "stop_at %d: snapshot count" t) n (List.length part);
+      Alcotest.(check bool) (Printf.sprintf "stop_at %d: prefix of the full run" t) true
+        (part = List.filteri (fun i _ -> i < n) full);
+      let last = List.nth part (n - 1) in
+      Alcotest.(check int) (Printf.sprintf "stop_at %d: machine live at the stop" t)
+        last.Report.total (System.scan sys ~time:last.Report.time).Report.total)
+    [ 0; 5; 11; 29; 40 ]
+
 let test_timeline_concurrency_schedule () =
   let s = Timeline.default_schedule in
   let c = Timeline.concurrency_at s ~low:8 ~high:16 in
@@ -281,7 +299,8 @@ let suite =
         Alcotest.test_case "integrated shape" `Slow test_timeline_integrated_shape;
         Alcotest.test_case "kernel shape" `Slow test_timeline_kernel_level_shape;
         Alcotest.test_case "application shape" `Slow test_timeline_application_shape;
-        Alcotest.test_case "http runs" `Slow test_timeline_http_runs
+        Alcotest.test_case "http runs" `Slow test_timeline_http_runs;
+        Alcotest.test_case "machine stop_at is a prefix" `Quick test_machine_stop_at_is_prefix
       ] );
     ( "experiment",
       [ Alcotest.test_case "ext2 monotone" `Slow test_ext2_sweep_monotone_in_dirs;

@@ -1,9 +1,9 @@
 (* The deterministic cost model and span profiler: charge arithmetic,
    attribution tables, span-tree bookkeeping, the collapsed-stack and
-   chrome-trace golden exports, the paper-style overhead report's
-   four-level ordering, and the two determinism anchors — profiler-on
-   runs byte-identical to profiler-off, and random campaigns repeating
-   to the exact same cycle totals. *)
+   causal chrome-trace golden exports, the paper-style overhead report's
+   four-level ordering and its exports, and the two determinism anchors —
+   profiler-on runs byte-identical to profiler-off, and random campaigns
+   repeating to the exact same cycle totals. *)
 
 open Memguard
 module Kernel = Memguard_kernel.Kernel
@@ -109,13 +109,13 @@ let test_span_unwinds_on_raise () =
 
 (* ---- golden exports ---- *)
 
-(* one deterministic hand-built profile feeds both goldens:
-   root charge 5, span a {charge 10, span b(pid 3) {2 page faults}} *)
+(* a deterministic hand-built profile:
+   root charge 5, span a {charge 10, span b {2 page faults}} *)
 let golden_profile () =
   let obs = Obs.create () in
   Obs.Profiler.span obs "a" (fun () ->
       Obs.Cost.charge obs ~sub:"s1" Obs.Cost.Byte_copied 10;
-      Obs.Profiler.span ~pid:3 obs "b" (fun () ->
+      Obs.Profiler.span obs "b" (fun () ->
           Obs.Cost.charge obs ~sub:"s2" Obs.Cost.Page_fault 2));
   Obs.Cost.charge obs ~sub:"s1" Obs.Cost.Byte_zeroed 5;
   obs
@@ -126,16 +126,25 @@ let test_collapsed_golden () =
     "machine 5\nmachine;a 10\nmachine;a;b 1000\n"
     (Obs.Profiler.to_collapsed obs)
 
-let test_chrome_golden () =
-  let obs = golden_profile () in
-  Alcotest.(check string) "chrome trace: nested X events on the cycle clock"
+(* one traced request: root span req (sim pid 3) charges 10 bytes, then
+   a causal kernel span under it charges 2 page faults; an untraced
+   causal span records nothing *)
+let test_causal_chrome_golden () =
+  let obs = Obs.create () in
+  Obs.Trace.causal obs "untraced" (fun () -> ());
+  Obs.Trace.with_span ~pid:3 obs "req" (fun () ->
+      Obs.Cost.charge obs ~sub:"s1" Obs.Cost.Byte_copied 10;
+      Obs.Trace.causal ~pid:3 obs "fault" (fun () ->
+          Obs.Cost.charge obs ~sub:"s2" Obs.Cost.Page_fault 2));
+  Alcotest.(check string) "chrome trace: one process row per trace, cycle clock"
     "[\n\
-    \ {\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"dur\":1010,\"pid\":0,\"tid\":0,\"args\":{\"depth\":0}},\n\
-    \ {\"name\":\"b\",\"ph\":\"X\",\"ts\":10,\"dur\":1000,\"pid\":3,\"tid\":3,\"args\":{\"depth\":1}}\n\
+    \ {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"trace 1: req\"}},\n\
+    \ {\"name\":\"req\",\"ph\":\"X\",\"ts\":0,\"dur\":1010,\"pid\":1,\"tid\":0,\"args\":{\"span\":1,\"parent\":0,\"sim_pid\":3,\"start_tick\":0}},\n\
+    \ {\"name\":\"fault\",\"ph\":\"X\",\"ts\":10,\"dur\":1000,\"pid\":1,\"tid\":0,\"args\":{\"span\":2,\"parent\":1,\"sim_pid\":3,\"start_tick\":0}}\n\
      ]\n"
-    (Obs.Profiler.to_chrome obs)
+    (Obs.Trace.spans_to_chrome obs)
 
-(* ---- Metrics hardening: nearest-rank percentiles, schema version ---- *)
+(* ---- Metrics hardening: nearest-rank percentiles ---- *)
 
 let test_percentile_edges () =
   let p = Obs.Metrics.percentile in
@@ -158,20 +167,13 @@ let test_percentile_edges () =
     [ 0.; 33.; 66.; 100. ];
   Alcotest.(check bool) "empty sample list yields nan" true (Float.is_nan (p [] 50.))
 
-let test_metrics_schema_version () =
-  let obs = Obs.create () in
-  Obs.Metrics.incr obs "x";
-  let json = Obs.Metrics.to_json obs in
-  Alcotest.(check int) "schema version constant" 2 Obs.Metrics.schema_version;
-  Alcotest.(check bool) "to_json declares its schema version" true
-    (Memguard_util.Bytes_util.count ~needle:"\"schema_version\": 2"
-       (Bytes.of_string json)
-    >= 1)
-
 (* ---- the paper-style overhead report ---- *)
 
+(* the overhead report at 1024 pages, shared by the two tests below *)
+let overhead_rows = lazy (Overhead.run ~num_pages:1024 ())
+
 let test_overhead_ordering_and_sums () =
-  let rows = Overhead.run ~num_pages:1024 () in
+  let rows = Lazy.force overhead_rows in
   Alcotest.(check (list string)) "four columns in protection order"
     [ "unprotected"; "library"; "kernel"; "integrated" ]
     (List.map (fun r -> Protection.name r.Overhead.level) rows);
@@ -213,6 +215,47 @@ let test_overhead_ordering_and_sums () =
   Alcotest.(check (float 1e-9)) "slowdown normalised to the first row" 1.0
     (List.hd rows).Overhead.slowdown
 
+(* What [memguard_cli overhead --pages 1024 --json --flamegraph --trace]
+   writes: the table, and the integrated run's (the default
+   --flame-level) collapsed stacks and causal Chrome trace. *)
+let test_overhead_exports () =
+  let rows = Lazy.force overhead_rows in
+  let contains needle hay = Memguard_util.Bytes_util.count ~needle (Bytes.of_string hay) >= 1 in
+  (* the flight-archive reader parses the whole document before it looks
+     for its own schema, so reaching the schema check means well-formed *)
+  let well_formed json =
+    match Obs.Snapshot.of_json json with
+    | Error "flight archive: missing flight_version" -> true
+    | _ -> false
+  in
+  let json = Overhead.to_json rows in
+  Alcotest.(check bool) "table json is well-formed" true (well_formed json);
+  List.iter
+    (fun r ->
+      let level = Protection.name r.Overhead.level in
+      Alcotest.(check bool) ("table json has " ^ level) true
+        (contains (Printf.sprintf "{\"level\": \"%s\", \"cycles\": %d," level r.Overhead.cycles)
+           json))
+    rows;
+  let integrated =
+    (List.find (fun r -> r.Overhead.level = Protection.Integrated) rows).Overhead.obs
+  in
+  let trace = Obs.Trace.spans_to_chrome integrated in
+  Alcotest.(check bool) "trace is well-formed" true (well_formed trace);
+  let events =
+    List.filter (String.starts_with ~prefix:" {") (String.split_on_char '\n' trace)
+  in
+  Alcotest.(check bool) "trace holds span events" true (events <> []);
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) ("pid and tid: " ^ e) true
+        (contains "\"pid\":" e && contains "\"tid\":" e))
+    events;
+  Alcotest.(check bool) "flamegraph has machine; stacks" true
+    (List.exists
+       (String.starts_with ~prefix:"machine;")
+       (String.split_on_char '\n' (Obs.Profiler.to_collapsed integrated)))
+
 (* ---- determinism anchors ---- *)
 
 let machine_fingerprint sys =
@@ -243,7 +286,7 @@ let test_profiler_on_run_is_byte_identical () =
     (Obs.Cost.total_cycles obs > 0);
   Alcotest.(check bool) "the profiled run recorded spans" true
     (Obs.Profiler.node_children (Obs.Profiler.root obs) <> []);
-  (* Cost.charge / Profiler.enter mutate observer state only — RAM and
+  (* Cost.charge / Profiler.span mutate observer state only — RAM and
      every frame descriptor must come out bit-for-bit identical *)
   Alcotest.(check bool) "profiler-on RAM + frame state = profiler-off" true
     (String.equal (machine_fingerprint sys_off) (machine_fingerprint sys_on))
@@ -283,11 +326,11 @@ let suite =
         Alcotest.test_case "span tree bookkeeping" `Quick test_span_tree;
         Alcotest.test_case "span unwinds on raise" `Quick test_span_unwinds_on_raise;
         Alcotest.test_case "collapsed-stack golden" `Quick test_collapsed_golden;
-        Alcotest.test_case "chrome-trace golden (pid/tid)" `Quick test_chrome_golden;
+        Alcotest.test_case "causal chrome-trace golden" `Quick test_causal_chrome_golden;
         Alcotest.test_case "percentile edge cases" `Quick test_percentile_edges;
-        Alcotest.test_case "metrics schema version" `Quick test_metrics_schema_version;
         Alcotest.test_case "overhead: ordering & exact sums" `Slow
           test_overhead_ordering_and_sums;
+        Alcotest.test_case "overhead exports" `Slow test_overhead_exports;
         Alcotest.test_case "profiler-on run is byte-identical" `Slow
           test_profiler_on_run_is_byte_identical;
         QCheck_alcotest.to_alcotest prop_campaign_cycles_deterministic

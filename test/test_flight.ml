@@ -46,10 +46,10 @@ let test_nan_sample_round_trips () =
 
 (* ---- archive round-trips ---- *)
 
-let timeline_snapshot ?(level = Protection.Unprotected) ?(seed = 7) () =
+let timeline_snapshot ?(level = Protection.Unprotected) ?(seed = 7) ?(num_pages = 1024) () =
   let captured = ref None in
   ignore
-    (Experiment.timeline ~level ~seed ~num_pages:1024
+    (Experiment.timeline ~level ~seed ~num_pages
        ~recorder:(fun s -> captured := Some s)
        Experiment.Ssh);
   Option.get !captured
@@ -97,10 +97,11 @@ let test_same_config_diff_is_empty () =
 
 (* The paper's headline ordering, read off a diff: going from Integrated
    to Unprotected every sensitive_unsafe observable grows, and each is a
-   hard exposure-family regression. *)
-let test_exposure_ordering () =
-  let integ = timeline_snapshot ~level:Protection.Integrated () in
-  let unprot = timeline_snapshot ~level:Protection.Unprotected () in
+   hard exposure-family regression — at 1024 pages (seed 7) and at CI's
+   diff-smoke configuration (2048 pages, seed 1). *)
+let exposure_ordering ~num_pages ~seed =
+  let integ = timeline_snapshot ~level:Protection.Integrated ~num_pages ~seed () in
+  let unprot = timeline_snapshot ~level:Protection.Unprotected ~num_pages ~seed () in
   let d = Obs.Diff.diff integ unprot in
   let unsafe =
     List.filter
@@ -134,6 +135,11 @@ let test_exposure_ordering () =
           (b.Obs.Diff.d_verdict = Obs.Diff.Improvement)
       | None -> Alcotest.failf "%s vanished from the reverse diff" dl.Obs.Diff.d_key)
     unsafe
+
+let test_exposure_ordering () =
+  List.iter
+    (fun (num_pages, seed) -> exposure_ordering ~num_pages ~seed)
+    [ (1024, 7); (2048, 1) ]
 
 let test_family_classification () =
   let check key fam =
@@ -200,12 +206,31 @@ let test_verdicts_and_tolerances () =
       (Obs.Snapshot.of_scalars [ ("wall_s", 1.0) ])
       (Obs.Snapshot.of_scalars [ ("wall_s", 1.5) ])
   in
-  match d2.Obs.Diff.deltas with
-  | [ dl ] ->
-    Alcotest.(check bool) "wall-clock regression is never hard" true
-      (dl.Obs.Diff.d_verdict = Obs.Diff.Regression && not dl.Obs.Diff.d_hard);
-    Alcotest.(check int) "and never gates" 0 (Obs.Diff.hard_regressions d2)
-  | l -> Alcotest.failf "expected one delta, got %d" (List.length l)
+  (match d2.Obs.Diff.deltas with
+   | [ dl ] ->
+     Alcotest.(check bool) "wall-clock regression is never hard" true
+       (dl.Obs.Diff.d_verdict = Obs.Diff.Regression && not dl.Obs.Diff.d_hard);
+     Alcotest.(check int) "and never gates" 0 (Obs.Diff.hard_regressions d2)
+   | l -> Alcotest.failf "expected one delta, got %d" (List.length l));
+  (* a throughput reads the other way round: more operations per second
+     is the improvement, and it still only warns *)
+  let throughput a b =
+    match
+      (Obs.Diff.diff
+         (Obs.Snapshot.of_scalars [ ("chaos_integrated_ops_per_sec", a) ])
+         (Obs.Snapshot.of_scalars [ ("chaos_integrated_ops_per_sec", b) ]))
+        .Obs.Diff.deltas
+    with
+    | [ dl ] -> dl
+    | l -> Alcotest.failf "expected one delta, got %d" (List.length l)
+  in
+  let rising = throughput 100. 200. and falling = throughput 200. 100. in
+  Alcotest.(check string) "rising _per_sec is an improvement" "improvement"
+    (Obs.Diff.verdict_name rising.Obs.Diff.d_verdict);
+  Alcotest.(check string) "falling _per_sec is a regression" "regression"
+    (Obs.Diff.verdict_name falling.Obs.Diff.d_verdict);
+  Alcotest.(check bool) "neither gates" false
+    (rising.Obs.Diff.d_hard || falling.Obs.Diff.d_hard)
 
 let test_meta_diff () =
   let a = timeline_snapshot ~level:Protection.Unprotected () in
@@ -306,7 +331,8 @@ let test_cli_path_errors () =
   in
   check "diff of a missing path" (cli "diff no-such-dir");
   check "observe into a missing directory"
-    (cli "observe --pages 256 --json no-such-dir/x.json")
+    (cli "observe --pages 256 --json no-such-dir/x.json");
+  check "dat under a missing directory" (cli "dat --what tty --out no-such-dir/data")
 
 let suite =
   [ ( "flight",

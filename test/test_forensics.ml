@@ -12,7 +12,9 @@
      (which now embeds the merged budget table) stays invariant across
      worker-domain counts;
    - the span-duration histograms export the Prometheus
-     _bucket/_sum/_count triple with the pinned decade ladder. *)
+     _bucket/_sum/_count triple with the pinned decade ladder;
+   - at CI's forensics-smoke configuration, the report, the span export
+     and the Chrome trace agree on every span id. *)
 
 open Memguard
 module Obs = Memguard_obs.Obs
@@ -23,6 +25,9 @@ module Sshd = Memguard_apps.Sshd
 module Fleet = Memguard_fleet.Fleet
 module Ext2_leak = Memguard_attack.Ext2_leak
 module Tty_dump = Memguard_attack.Tty_dump
+
+let contains ~needle hay =
+  Memguard_util.Bytes_util.count ~needle (Bytes.of_string hay) >= 1
 
 (* ---- forensics golden: pinned sshd + ext2/tty attack scenario ---- *)
 
@@ -121,6 +126,77 @@ let test_budgets_sum_to_ledger () =
     (Dashboard.sensitive_unsafe_total di);
   Alcotest.(check int) "integrated confines: no budget rows" 0
     (List.length di.Dashboard.budgets)
+
+(* ---- the CI forensics-smoke configuration ---- *)
+
+(* [memguard_cli forensics --level unprotected --pages 4096 --json --spans
+   --chrome]: hit 0 of the first tick with hits, checked against the span
+   export, and its budget table against [observe] at the same pages *)
+let test_forensics_smoke_schema () =
+  let obs = Obs.create ~ring_capacity:(1 lsl 20) () in
+  let _, snaps = Experiment.machine ~num_pages:4096 ~obs Experiment.Ssh in
+  let f =
+    match List.find_opt (fun (s : Report.snapshot) -> s.Report.total > 0) snaps with
+    | None -> Alcotest.fail "no scanner hits in the run"
+    | Some snap -> (
+      match Forensics.of_snapshot obs snap ~hit:0 with
+      | Some f -> f
+      | None -> Alcotest.fail "hit 0 did not reconstruct")
+  in
+  let json = Forensics.to_json f in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) ("json has " ^ key) true (contains ~needle:("\"" ^ key ^ "\":") json))
+    [ "tick"; "label"; "addr"; "origin"; "birth_tick"; "trace"; "request"; "request_pid";
+      "chain"; "fanout"; "live"; "leak_budget_byte_ticks" ];
+  Alcotest.(check bool) "hit resolves to a trace" true (f.Forensics.f_trace > 0);
+  Alcotest.(check bool) "hit names its request" false
+    (List.mem f.Forensics.f_request [ ""; "untraced" ]);
+  (match f.Forensics.f_chain with
+   | [] -> Alcotest.fail "causal chain is empty"
+   | root :: _ ->
+     Alcotest.(check string) "chain starts at the request root" f.Forensics.f_request
+       root.Forensics.lk_name);
+  let created =
+    List.filter (fun n -> n.Forensics.fn_kind = "copy_created") f.Forensics.f_fanout
+  in
+  Alcotest.(check bool) "fan-out has copy_created events" true (created <> []);
+  Alcotest.(check bool) "every copy has a verdict" true
+    (List.for_all (fun n -> n.Forensics.fn_verdict <> None) created);
+  let spans = Obs.Trace.spans obs in
+  let known id = List.exists (fun s -> s.Obs.Trace.sp_id = id) spans in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "fan-out span %d exported" n.Forensics.fn_span)
+        true (known n.Forensics.fn_span))
+    f.Forensics.f_fanout;
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) (Printf.sprintf "chain span %d exported" l.Forensics.lk_span)
+        true (known l.Forensics.lk_span))
+    f.Forensics.f_chain;
+  Alcotest.(check (list string)) "the trace has one root, the request"
+    [ f.Forensics.f_request ]
+    (List.filter_map
+       (fun s ->
+         if s.Obs.Trace.sp_trace = f.Forensics.f_trace && s.Obs.Trace.sp_parent = 0 then
+           Some s.Obs.Trace.sp_name
+         else None)
+       spans);
+  let events =
+    List.filter
+      (String.starts_with ~prefix:" {")
+      (String.split_on_char '\n' (Obs.Trace.spans_to_chrome obs))
+  in
+  Alcotest.(check bool) "chrome trace has events" true (events <> []);
+  Alcotest.(check bool) "every chrome event has a phase" true
+    (List.for_all (contains ~needle:"\"ph\":") events);
+  let rows = Forensics.budget_table obs in
+  Alcotest.(check int) "budgets sum to observe's sensitive total"
+    (Dashboard.sensitive_unsafe_total (Dashboard.run ~num_pages:4096 ()))
+    (budget_sum rows);
+  Alcotest.(check bool) "per-connection budgets present" true
+    (List.exists (fun (r : Forensics.budget_row) -> r.Forensics.br_request = "sshd.connection") rows)
 
 (* ---- determinism: tracing on/off leaves RAM and hits byte-identical ---- *)
 
@@ -263,6 +339,7 @@ let suite =
       [ Alcotest.test_case "hit forensics golden (ext2/tty)" `Slow test_hit_forensics_golden;
         Alcotest.test_case "breach forensics" `Slow test_breach_forensics;
         Alcotest.test_case "budgets sum to ledger" `Slow test_budgets_sum_to_ledger;
+        Alcotest.test_case "forensics smoke schema" `Slow test_forensics_smoke_schema;
         QCheck_alcotest.to_alcotest prop_tracing_ram_invariant;
         Alcotest.test_case "fleet budget merge" `Slow test_fleet_budget_merge;
         Alcotest.test_case "fleet fingerprint with tracing" `Slow

@@ -68,8 +68,16 @@ let test_metrics_counters () =
   Alcotest.(check int) "absent is 0" 0 (Obs.Metrics.counter obs "zzz");
   Alcotest.(check (list (pair string int))) "name-sorted" [ ("a", 42); ("b", 1) ]
     (Obs.Metrics.counters obs);
+  Obs.Metrics.observe obs "scan.wall_s" 0.5;
+  Obs.Metrics.observe obs "scan.wall_s" 0.25;
+  Alcotest.(check (list (float 0.))) "samples in insertion order" [ 0.5; 0.25 ]
+    (Obs.Metrics.samples obs "scan.wall_s");
+  Alcotest.(check (list string)) "histogram names" [ "scan.wall_s" ]
+    (Obs.Metrics.histograms obs);
   Obs.Metrics.reset obs;
-  Alcotest.(check int) "reset" 0 (Obs.Metrics.counter obs "a")
+  Alcotest.(check int) "reset" 0 (Obs.Metrics.counter obs "a");
+  Alcotest.(check (list (float 0.))) "reset clears samples" []
+    (Obs.Metrics.samples obs "scan.wall_s")
 
 let test_metrics_percentile () =
   let samples = [ 30.; 10.; 40.; 20. ] in
@@ -77,15 +85,6 @@ let test_metrics_percentile () =
   Alcotest.(check (float 1e-9)) "p100 = max" 40. (Obs.Metrics.percentile samples 100.);
   Alcotest.(check (float 1e-9)) "p1 = min" 10. (Obs.Metrics.percentile samples 1.);
   Alcotest.(check bool) "empty is nan" true (Float.is_nan (Obs.Metrics.percentile [] 50.))
-
-let test_metrics_json () =
-  let obs = Obs.create () in
-  Obs.Metrics.incr ~by:7 obs "scan.runs";
-  Obs.Metrics.observe obs "scan.wall_s" 0.5;
-  let json = Obs.Metrics.to_json obs in
-  let has needle = Memguard_util.Bytes_util.count ~needle (Bytes.of_string json) >= 1 in
-  Alcotest.(check bool) "counter present" true (has "\"scan.runs\": 7");
-  Alcotest.(check bool) "histogram present" true (has "\"scan.wall_s\"")
 
 (* ---- provenance registry ---- *)
 
@@ -261,11 +260,11 @@ let test_exports_escape_as_json () =
       Alcotest.(check bool) (what ^ ": \\u0001") true (contains ~needle:"\\u0001" json);
       Alcotest.(check bool) (what ^ ": no decimal escape") false (has_decimal_escape json);
       Alcotest.(check bool) (what ^ ": UTF-8 kept") true (contains ~needle:"\xc3\xa9" json))
-    [ ("Metrics.to_json", Obs.Metrics.to_json obs);
-      ("Trace.to_jsonl", Obs.Trace.to_jsonl obs);
+    [ ("Trace.to_jsonl", Obs.Trace.to_jsonl obs);
       ("Trace.spans_to_json", Obs.Trace.spans_to_json obs);
+      ("Trace.spans_to_chrome", Obs.Trace.spans_to_chrome obs);
       ("Timeseries.to_json", Obs.Timeseries.to_json obs);
-      ("Alert.to_json", Obs.Alert.to_json obs)
+      ("Snapshot.to_json", Obs.Snapshot.to_json (Obs.Snapshot.record ~kind:"test" obs))
     ];
   let snap = Obs.Snapshot.of_scalars ~meta:[ ("name", awkward) ] [ ("x", 1.) ] in
   match Obs.Snapshot.of_json (Obs.Snapshot.to_json snap) with
@@ -281,7 +280,6 @@ let suite =
         Alcotest.test_case "jsonl shape" `Quick test_jsonl_shape;
         Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
         Alcotest.test_case "metrics percentile" `Quick test_metrics_percentile;
-        Alcotest.test_case "metrics json" `Quick test_metrics_json;
         Alcotest.test_case "exports escape strings as JSON" `Quick test_exports_escape_as_json;
         Alcotest.test_case "provenance register/lookup/clear" `Quick
           test_provenance_register_lookup_clear;

@@ -1,8 +1,9 @@
 (* The telemetry layer: time-series registry (downsampling, counters,
    derived rates, Prometheus/JSON exports), the declarative alert engine
    (edge triggering, thresholds, rates, window spreads), the constant-time
-   leakage sentinel over the Montgomery word-mul cost, the watch/observe
-   integration, the fleet-level series merge, and the pinned /proc-style
+   leakage sentinel over the Montgomery word-mul cost, the observe
+   integration (with the CI alert-smoke checks on its JSON twin and
+   Prometheus page), the fleet-level series merge, and the pinned /proc-style
    introspection goldens. *)
 
 open Memguard
@@ -171,7 +172,7 @@ let test_exports () =
   Obs.Timeseries.record Obs.null "x" 1.;
   Alcotest.(check (list string)) "null records nothing" [] (Obs.Timeseries.names Obs.null)
 
-(* Extra labels (watch --prom tags every series with the protection
+(* Extra labels (observe --prom tags every series with the protection
    level) render ahead of the series label on every sample line, on both
    the series and the metrics/histogram exporters. *)
 let test_prometheus_extra_labels () =
@@ -391,6 +392,147 @@ let test_html_escaping () =
   Alcotest.(check bool) "sparkline is svg" true (contains ~needle:"<svg" spark);
   Alcotest.(check bool) "sparkline has a polyline" true (contains ~needle:"<polyline" spark)
 
+(* ---- observe at the CI alert-smoke configuration ---- *)
+
+(* [memguard_cli observe --pages 4096 --breach-age 3] at both ends of the
+   protection spectrum, keeping each run's context: observe --prom
+   renders its page from it *)
+let observed =
+  let run level =
+    let obs = Obs.create () in
+    (obs, Dashboard.run ~obs ~level ~num_pages:4096 ~breach_age:3 ())
+  in
+  lazy (run Protection.Unprotected, run Protection.Integrated)
+
+let test_observe_alert_smoke () =
+  let (uobs, unprot), (iobs, integ) = Lazy.force observed in
+  let fired (d : Dashboard.t) rule =
+    List.length (List.filter (fun a -> a.Dashboard.rule = rule) d.Dashboard.alerts)
+  in
+  List.iter
+    (fun (name, obs, (d : Dashboard.t)) ->
+      Alcotest.(check bool) (name ^ ": series sampled") true (d.Dashboard.metrics <> []);
+      Alcotest.(check int) (name ^ ": four rules") 4 (List.length d.Dashboard.alert_rules);
+      let json = Dashboard.to_json d in
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) (name ^ ": json has " ^ key) true
+            (contains ~needle:("\"" ^ key ^ "\": ") json))
+        [ "level"; "server"; "seed"; "timeseries"; "alert_rules"; "alerts" ];
+      List.iter
+        (fun (rule, series, cond) ->
+          Alcotest.(check int) (name ^ ": " ^ rule ^ " fired = its firings")
+            (Obs.Alert.fired obs rule) (fired d rule);
+          Alcotest.(check bool) (name ^ ": json rule " ^ rule) true
+            (contains json
+               ~needle:
+                 (Printf.sprintf "{\"name\":\"%s\",\"series\":\"%s\",\"condition\":\"%s\"}"
+                    rule series (Obs.Alert.describe_condition cond))))
+        d.Dashboard.alert_rules;
+      List.iter
+        (fun a ->
+          Alcotest.(check bool) (name ^ ": json alert " ^ a.Dashboard.rule) true
+            (contains json
+               ~needle:
+                 (Printf.sprintf "{\"tick\":%d,\"rule\":\"%s\",\"series\":\"%s\",\"value\":%s}"
+                    a.Dashboard.fired_tick a.Dashboard.rule a.Dashboard.rule_series
+                    (Obs.float_json a.Dashboard.value))))
+        d.Dashboard.alerts;
+      List.iter
+        (fun rule ->
+          Alcotest.(check int) (name ^ ": " ^ rule ^ " sentinel silent") 0 (fired d rule))
+        [ "ct-leakage"; "ct-leakage-limbs" ])
+    [ ("unprotected", uobs, unprot); ("integrated", iobs, integ) ];
+  Alcotest.(check bool) "exposure SLO fires unprotected" true (fired unprot "exposure-slo" > 0);
+  Alcotest.(check (list string)) "integrated stays silent" []
+    (List.map (fun a -> a.Dashboard.rule) integ.Dashboard.alerts);
+  (* observe's stdout: the per-tick table, then one line per firing *)
+  let text d = Format.asprintf "%a" Dashboard.pp_telemetry d in
+  Alcotest.(check bool) "table has a row per tick" true
+    (contains ~needle:"\n    29 " (text unprot));
+  Alcotest.(check bool) "unprotected prints its SLO firing" true
+    (contains ~needle:"ALERT tick=" (text unprot)
+     && contains ~needle:"rule=exposure-slo series=exposure.sensitive_unsafe" (text unprot));
+  Alcotest.(check bool) "integrated prints no firing" true
+    (contains ~needle:"no alerts fired" (text integ)
+     && not (contains ~needle:"ALERT" (text integ)))
+
+(* One exposition sample line:
+   memguard_NAME{level="unprotected",series="V"[,le="V"]} VALUE TICK
+   where a label value escapes only backslash, double quote and newline. *)
+let prom_sample_ok line =
+  let n = String.length line and pos = ref 0 in
+  let eat s =
+    let m = String.length s in
+    !pos + m <= n && String.sub line !pos m = s && (pos := !pos + m; true)
+  in
+  let rec name_chars k =
+    match if !pos < n then line.[!pos] else ' ' with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> incr pos; name_chars (k + 1)
+    | _ -> k > 0
+  in
+  let rec value () =
+    !pos < n
+    &&
+    match line.[!pos] with
+    | '"' -> incr pos; true
+    | '\\' ->
+      !pos + 1 < n
+      && List.mem line.[!pos + 1] [ '\\'; '"'; 'n' ]
+      && (pos := !pos + 2; value ())
+    | _ -> incr pos; value ()
+  in
+  eat "memguard_" && name_chars 0
+  && eat "{level=\"unprotected\",series=\"" && value ()
+  && ((not (eat ",le=\"")) || value ())
+  && eat "} "
+  &&
+  match String.split_on_char ' ' (String.sub line !pos (n - !pos)) with
+  | [ v; tick ] -> v <> "" && int_of_string_opt tick <> None
+  | _ -> false
+
+let test_observe_prometheus_page () =
+  let (obs, _), _ = Lazy.force observed in
+  let labels = [ ("level", "unprotected") ] in
+  let page =
+    Obs.Timeseries.to_prometheus ~labels obs ^ Obs.Metrics.to_prometheus ~labels obs
+  in
+  let all = String.split_on_char '\n' page in
+  let lines = List.filter (fun l -> l <> "" && l.[0] <> '#') all in
+  Alcotest.(check bool) "page has samples" true (lines <> []);
+  List.iter (fun l -> Alcotest.(check bool) ("well-formed: " ^ l) true (prom_sample_ok l)) lines;
+  let types =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "#"; "TYPE"; name; kind ] -> Some (name, kind)
+        | _ -> None)
+      all
+  in
+  List.iter
+    (fun (name, kind) ->
+      if kind = "counter" then
+        Alcotest.(check bool) (name ^ " ends in _total") true
+          (String.ends_with ~suffix:"_total" name))
+    types;
+  Alcotest.(check bool) "counters exported" true (List.exists (fun (_, k) -> k = "counter") types);
+  let hists = List.filter_map (fun (n, k) -> if k = "histogram" then Some n else None) types in
+  Alcotest.(check bool) "span histograms exported" true
+    (List.exists (fun n -> contains ~needle:"span_" n) hists);
+  List.iter
+    (fun n ->
+      let lines_of suffix = List.filter (String.starts_with ~prefix:(n ^ suffix)) lines in
+      let value l = List.nth (String.split_on_char ' ' l) 1 in
+      match
+        ( List.filter (contains ~needle:"le=\"+Inf\"") (lines_of "_bucket{"),
+          lines_of "_sum{",
+          lines_of "_count{" )
+      with
+      | inf :: _, _ :: _, count :: _ ->
+        Alcotest.(check string) (n ^ ": +Inf bucket = _count") (value count) (value inf)
+      | _ -> Alcotest.failf "%s: missing _bucket/_sum/_count" n)
+    hists
+
 (* ---- fleet merge ---- *)
 
 let test_fleet_telemetry () =
@@ -541,6 +683,8 @@ let suite =
           test_dashboard_telemetry_unprotected;
         Alcotest.test_case "dashboard telemetry integrated" `Quick
           test_dashboard_telemetry_integrated;
+        Alcotest.test_case "observe alert smoke" `Quick test_observe_alert_smoke;
+        Alcotest.test_case "observe prometheus page" `Quick test_observe_prometheus_page;
         Alcotest.test_case "html escaping" `Quick test_html_escaping;
         Alcotest.test_case "fleet telemetry merge" `Quick test_fleet_telemetry;
         Alcotest.test_case "introspect goldens" `Quick test_introspect_goldens
