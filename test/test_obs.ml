@@ -86,6 +86,17 @@ let test_metrics_percentile () =
   Alcotest.(check (float 1e-9)) "p1 = min" 10. (Obs.Metrics.percentile samples 1.);
   Alcotest.(check bool) "empty is nan" true (Float.is_nan (Obs.Metrics.percentile [] 50.))
 
+(* metrics reach JSON through the flight archive: counters verbatim,
+   histograms as their sample counts *)
+let test_metrics_json () =
+  let obs = Obs.create () in
+  Obs.Metrics.incr ~by:7 obs "scan.runs";
+  Obs.Metrics.observe obs "scan.wall_s" 0.5;
+  let json = Obs.Snapshot.to_json (Obs.Snapshot.record ~kind:"test" obs) in
+  let has needle = Memguard_util.Bytes_util.count ~needle (Bytes.of_string json) >= 1 in
+  Alcotest.(check bool) "counter present" true (has "\"scan.runs\": 7");
+  Alcotest.(check bool) "histogram present" true (has "\"hist:scan.wall_s/count\": 1")
+
 (* ---- provenance registry ---- *)
 
 let test_provenance_register_lookup_clear () =
@@ -280,6 +291,7 @@ let suite =
         Alcotest.test_case "jsonl shape" `Quick test_jsonl_shape;
         Alcotest.test_case "metrics counters" `Quick test_metrics_counters;
         Alcotest.test_case "metrics percentile" `Quick test_metrics_percentile;
+        Alcotest.test_case "metrics json" `Quick test_metrics_json;
         Alcotest.test_case "exports escape strings as JSON" `Quick test_exports_escape_as_json;
         Alcotest.test_case "provenance register/lookup/clear" `Quick
           test_provenance_register_lookup_clear;
