@@ -1,5 +1,4 @@
 open Memguard_kernel
-module Bytes_util = Memguard_util.Bytes_util
 
 type t = { pid : int; data : bytes }
 
@@ -11,7 +10,6 @@ let dump k (p : Proc.t) =
     (Proc.mapped_vpns p);
   { pid = p.Proc.pid; data = Buffer.to_bytes buf }
 
-let count_copies t ~patterns =
-  List.fold_left (fun acc (_, needle) -> acc + Bytes_util.count ~needle t.data) 0 patterns
+let count_copies t ~patterns = Offline_search.count_copies ~patterns t.data
 
 let found_any t ~patterns = count_copies t ~patterns > 0

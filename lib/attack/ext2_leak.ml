@@ -1,5 +1,4 @@
 open Memguard_kernel
-module Bytes_util = Memguard_util.Bytes_util
 
 type t = { device : Buffer.t; mutable directories : int }
 
@@ -20,10 +19,6 @@ let device_bytes t = Buffer.to_bytes t.device
 
 let bytes_disclosed t = Buffer.length t.device
 
-let count_copies t ~patterns =
-  let dev = device_bytes t in
-  List.fold_left
-    (fun acc (_, needle) -> acc + Bytes_util.count ~needle dev)
-    0 patterns
+let count_copies t ~patterns = Offline_search.count_copies ~patterns (device_bytes t)
 
 let found_any t ~patterns = count_copies t ~patterns > 0

@@ -23,7 +23,9 @@ val run :
     window wraps around the end of physical memory, so every physical
     address is disclosed with probability equal to the disclosed
     fraction — matching the paper's observation that the post-hardening
-    success rate equals the fraction of memory disclosed. *)
+    success rate equals the fraction of memory disclosed.  Raises
+    [Invalid_argument] unless [jitter >= 0], [mean_fraction > 0] and the
+    window [mean_fraction ± jitter] lies within [\[0, 1\]]. *)
 
 val count_copies : dump -> patterns:(string * string) list -> int
 

@@ -100,3 +100,8 @@ let find_all ?from ?until t haystack =
   let acc = ref [] in
   iter ?from ?until t haystack ~f:(fun ~pos ~pat -> acc := (pos, pat) :: !acc);
   List.rev !acc
+
+let count t haystack =
+  let n = ref 0 in
+  iter t haystack ~f:(fun ~pos:_ ~pat:_ -> incr n);
+  !n

@@ -40,3 +40,7 @@ val iter :
 
 val find_all : ?from:int -> ?until:int -> t -> bytes -> (int * int) list
 (** The matches of {!iter} as an [(pos, pat)] list. *)
+
+val count : t -> bytes -> int
+(** The number of matches {!iter} reports: the (possibly overlapping)
+    occurrences of every pattern, summed, from one sweep. *)

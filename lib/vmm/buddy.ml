@@ -1,27 +1,78 @@
-module Iset = Set.Make (Int)
 module Obs = Memguard_obs.Obs
 
 let max_order = 10
 
+(* The free set of order [o] is a bitmap over block numbers [pfn lsr o],
+   [word_bits] to an int, with a count and a lower bound on the first
+   non-zero word: membership is one bit test and the lowest free block is
+   found by skipping zero words from that bound.  Nothing allocates per
+   operation. *)
+let word_bits = 32
+let word_shift = 5
+
 type t = {
   mem : Phys_mem.t;
-  free_lists : Iset.t array;  (* indexed by order; elements are base pfns *)
-  allocated : (int, int) Hashtbl.t;  (* base pfn -> order *)
-  mutable hot : int list;  (* LIFO of recently freed single pages *)
-  mutable hot_members : Iset.t;  (* same contents, for membership tests *)
+  free_bits : int array array;  (* indexed by order, then word *)
+  free_blocks : int array;  (* indexed by order: blocks in the set *)
+  low_word : int array;  (* indexed by order: every word below is zero *)
+  alloc_order : Bytes.t;  (* per pfn: 1 + order if an allocated block's base, else 0 *)
+  hot : int array;  (* LIFO of recently freed single pages, [hot_top] deep *)
+  mutable hot_top : int;
+  on_hot : Bytes.t;  (* per pfn: 1 while on the hot list *)
   mutable zero_on_free : bool;
   mutable free_count : int;
   obs : Obs.ctx;
 }
 
+let in_set t order pfn =
+  let b = pfn lsr order in
+  t.free_bits.(order).(b lsr word_shift) land (1 lsl (b land (word_bits - 1))) <> 0
+
+let add t order pfn =
+  let b = pfn lsr order in
+  let w = b lsr word_shift in
+  let bits = t.free_bits.(order) in
+  bits.(w) <- bits.(w) lor (1 lsl (b land (word_bits - 1)));
+  t.free_blocks.(order) <- t.free_blocks.(order) + 1;
+  if w < t.low_word.(order) then t.low_word.(order) <- w
+
+let remove t order pfn =
+  let b = pfn lsr order in
+  let w = b lsr word_shift in
+  let bits = t.free_bits.(order) in
+  bits.(w) <- bits.(w) land lnot (1 lsl (b land (word_bits - 1)));
+  t.free_blocks.(order) <- t.free_blocks.(order) - 1
+
+(* index of the lowest set bit of a non-zero [word_bits]-bit word *)
+let lowest_bit w =
+  let n = ref 0 and w = ref w in
+  if !w land 0xFFFF = 0 then (n := 16; w := !w lsr 16);
+  if !w land 0xFF = 0 then (n := !n + 8; w := !w lsr 8);
+  if !w land 0xF = 0 then (n := !n + 4; w := !w lsr 4);
+  if !w land 0x3 = 0 then (n := !n + 2; w := !w lsr 2);
+  if !w land 0x1 = 0 then incr n;
+  !n
+
+(* base pfn of the lowest block in a non-empty set *)
+let min_elt t order =
+  let bits = t.free_bits.(order) in
+  let w = ref t.low_word.(order) in
+  while bits.(!w) = 0 do incr w done;
+  t.low_word.(order) <- !w;
+  ((!w lsl word_shift) + lowest_bit bits.(!w)) lsl order
+
 let create ?(zero_on_free = false) ?(obs = Obs.null) mem =
   let n = Phys_mem.num_pages mem in
   let t =
     { mem;
-      free_lists = Array.make (max_order + 1) Iset.empty;
-      allocated = Hashtbl.create 64;
-      hot = [];
-      hot_members = Iset.empty;
+      free_bits =
+        Array.init (max_order + 1) (fun order -> Array.make (((n lsr order) lsr word_shift) + 1) 0);
+      free_blocks = Array.make (max_order + 1) 0;
+      low_word = Array.make (max_order + 1) 0;
+      alloc_order = Bytes.make n '\000';
+      hot = Array.make n 0;
+      hot_top = 0;
+      on_hot = Bytes.make n '\000';
       zero_on_free;
       free_count = n;
       obs
@@ -33,7 +84,7 @@ let create ?(zero_on_free = false) ?(obs = Obs.null) mem =
     else begin
       let size = 1 lsl order in
       if size <= remaining && pfn land (size - 1) = 0 then begin
-        t.free_lists.(order) <- Iset.add pfn t.free_lists.(order);
+        add t order pfn;
         seed (pfn + size) (remaining - size) order
       end
       else seed pfn remaining (order - 1)
@@ -47,7 +98,7 @@ let set_zero_on_free t v = t.zero_on_free <- v
 
 let mark_allocated t pfn order =
   Obs.Metrics.incr ~by:(1 lsl order) t.obs "buddy.alloc_pages";
-  Hashtbl.replace t.allocated pfn order;
+  Bytes.set t.alloc_order pfn (Char.chr (order + 1));
   for i = pfn to pfn + (1 lsl order) - 1 do
     let p = Phys_mem.page t.mem i in
     p.Page.owner <- Page.Kernel;
@@ -58,37 +109,40 @@ let mark_allocated t pfn order =
 
 (* insert a block into the per-order sets, coalescing with buddies *)
 let rec insert_coalescing t pfn order =
-  if order >= max_order then t.free_lists.(order) <- Iset.add pfn t.free_lists.(order)
+  if order >= max_order then add t order pfn
   else begin
     let buddy = pfn lxor (1 lsl order) in
-    if Iset.mem buddy t.free_lists.(order) then begin
-      t.free_lists.(order) <- Iset.remove buddy t.free_lists.(order);
+    if in_set t order buddy then begin
+      remove t order buddy;
       insert_coalescing t (min pfn buddy) (order + 1)
     end
-    else t.free_lists.(order) <- Iset.add pfn t.free_lists.(order)
+    else add t order pfn
   end
 
 let drain_hot t =
-  List.iter (fun pfn -> insert_coalescing t pfn 0) t.hot;
-  t.hot <- [];
-  t.hot_members <- Iset.empty
+  for i = t.hot_top - 1 downto 0 do
+    let pfn = t.hot.(i) in
+    Bytes.set t.on_hot pfn '\000';
+    insert_coalescing t pfn 0
+  done;
+  t.hot_top <- 0
 
 let alloc_from_sets t ~order =
   let rec find j =
     if j > max_order then None
-    else if Iset.is_empty t.free_lists.(j) then find (j + 1)
+    else if t.free_blocks.(j) = 0 then find (j + 1)
     else Some j
   in
   match find order with
   | None -> None
   | Some j ->
-    let pfn = Iset.min_elt t.free_lists.(j) in
-    t.free_lists.(j) <- Iset.remove pfn t.free_lists.(j);
+    let pfn = min_elt t j in
+    remove t j pfn;
     (* split down to the requested order, parking the upper halves *)
     let rec split cur =
       if cur > order then begin
         let half = cur - 1 in
-        t.free_lists.(half) <- Iset.add (pfn + (1 lsl half)) t.free_lists.(half);
+        add t half (pfn + (1 lsl half));
         split half
       end
     in
@@ -99,18 +153,19 @@ let alloc t ~order =
   if order < 0 || order > max_order then invalid_arg "Buddy.alloc: bad order";
   let block =
     if order = 0 then begin
-      match t.hot with
-      | pfn :: rest ->
-        t.hot <- rest;
-        t.hot_members <- Iset.remove pfn t.hot_members;
+      if t.hot_top > 0 then begin
+        t.hot_top <- t.hot_top - 1;
+        let pfn = t.hot.(t.hot_top) in
+        Bytes.set t.on_hot pfn '\000';
         Some pfn
-      | [] -> alloc_from_sets t ~order:0
+      end
+      else alloc_from_sets t ~order:0
     end
     else begin
       match alloc_from_sets t ~order with
       | Some pfn -> Some pfn
       | None ->
-        if t.hot <> [] then begin
+        if t.hot_top > 0 then begin
           drain_hot t;
           alloc_from_sets t ~order
         end
@@ -123,11 +178,13 @@ let alloc t ~order =
 let alloc_page t = alloc t ~order:0
 
 let free t ~pfn ~order =
-  (match Hashtbl.find_opt t.allocated pfn with
-   | None -> invalid_arg "Buddy.free: block is not allocated (double free?)"
-   | Some o when o <> order -> invalid_arg "Buddy.free: order mismatch"
-   | Some _ -> ());
-  Hashtbl.remove t.allocated pfn;
+  let allocated =
+    if pfn < 0 || pfn >= Phys_mem.num_pages t.mem then 0
+    else Char.code (Bytes.get t.alloc_order pfn)
+  in
+  if allocated = 0 then invalid_arg "Buddy.free: block is not allocated (double free?)";
+  if allocated - 1 <> order then invalid_arg "Buddy.free: order mismatch";
+  Bytes.set t.alloc_order pfn '\000';
   Obs.Metrics.incr ~by:(1 lsl order) t.obs "buddy.free_pages";
   for i = pfn to pfn + (1 lsl order) - 1 do
     let p = Phys_mem.page t.mem i in
@@ -147,8 +204,9 @@ let free t ~pfn ~order =
   done;
   t.free_count <- t.free_count + (1 lsl order);
   if order = 0 then begin
-    t.hot <- pfn :: t.hot;
-    t.hot_members <- Iset.add pfn t.hot_members
+    t.hot.(t.hot_top) <- pfn;
+    t.hot_top <- t.hot_top + 1;
+    Bytes.set t.on_hot pfn '\001'
   end
   else insert_coalescing t pfn order
 
@@ -157,22 +215,22 @@ let free_page t pfn = free t ~pfn ~order:0
 let free_pages t = t.free_count
 let allocated_pages t = Phys_mem.num_pages t.mem - t.free_count
 
-let free_blocks_by_order t =
-  Array.to_list (Array.mapi (fun order set -> (order, Iset.cardinal set)) t.free_lists)
+let free_blocks_by_order t = List.init (max_order + 1) (fun order -> (order, t.free_blocks.(order)))
 
-let hot_list_size t = List.length t.hot
+let hot_list_size t = t.hot_top
 
 let is_free_block t ~pfn =
   (* membership, not base identity: a pfn in the interior of a coalesced
      order>0 block is just as free as its base *)
-  Iset.mem pfn t.hot_members
-  ||
-  let rec covered order =
-    order <= max_order
-    && (Iset.mem (pfn land lnot ((1 lsl order) - 1)) t.free_lists.(order)
-        || covered (order + 1))
-  in
-  covered 0
+  pfn >= 0
+  && pfn < Phys_mem.num_pages t.mem
+  && (Bytes.get t.on_hot pfn <> '\000'
+      ||
+      let rec covered order =
+        order <= max_order
+        && (in_set t order (pfn land lnot ((1 lsl order) - 1)) || covered (order + 1))
+      in
+      covered 0)
 
 let check_invariants t =
   let n = Phys_mem.num_pages t.mem in
@@ -191,25 +249,42 @@ let check_invariants t =
           (Format.asprintf "%a" Page.pp_owner (Phys_mem.page t.mem i).Page.owner)
     done
   in
-  Array.iteri (fun order set -> Iset.iter (fun pfn -> cover_free pfn order) set) t.free_lists;
-  List.iter (fun pfn -> cover_free pfn 0) t.hot;
-  if List.length t.hot <> Iset.cardinal t.hot_members then
-    fail "hot list and membership set disagree";
-  Hashtbl.iter
-    (fun pfn order ->
-      let size = 1 lsl order in
-      for i = pfn to min (pfn + size - 1) (n - 1) do
-        if covered.(i) then fail "page %d both free and allocated" i;
-        covered.(i) <- true
-      done)
-    t.allocated;
+  let free_sum = ref 0 in
+  Array.iteri
+    (fun order bits ->
+      let blocks = ref 0 in
+      Array.iteri
+        (fun w word ->
+          if word <> 0 && w < t.low_word.(order) then
+            fail "order %d has a free block below its lower bound" order;
+          for b = 0 to word_bits - 1 do
+            if word land (1 lsl b) <> 0 then begin
+              incr blocks;
+              cover_free (((w lsl word_shift) + b) lsl order) order
+            end
+          done)
+        bits;
+      if !blocks <> t.free_blocks.(order) then
+        fail "order %d counts %d blocks but holds %d" order t.free_blocks.(order) !blocks;
+      free_sum := !free_sum + (!blocks lsl order))
+    t.free_bits;
+  for i = 0 to t.hot_top - 1 do
+    cover_free t.hot.(i) 0;
+    if Bytes.get t.on_hot t.hot.(i) = '\000' then fail "hot list and membership set disagree"
+  done;
+  let flagged = ref 0 in
+  Bytes.iter (fun c -> if c <> '\000' then incr flagged) t.on_hot;
+  if !flagged <> t.hot_top then fail "hot list and membership set disagree";
+  Bytes.iteri
+    (fun pfn c ->
+      if c <> '\000' then
+        for i = pfn to min (pfn + (1 lsl (Char.code c - 1)) - 1) (n - 1) do
+          if covered.(i) then fail "page %d both free and allocated" i;
+          covered.(i) <- true
+        done)
+    t.alloc_order;
   let covered_count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 covered in
   if covered_count <> n then fail "%d pages unaccounted for" (n - covered_count);
-  let free_sum =
-    Array.to_list t.free_lists
-    |> List.mapi (fun order set -> Iset.cardinal set * (1 lsl order))
-    |> List.fold_left ( + ) 0
-  in
-  if free_sum + List.length t.hot <> t.free_count then
-    fail "free_count %d but lists hold %d" t.free_count (free_sum + List.length t.hot);
+  if !free_sum + t.hot_top <> t.free_count then
+    fail "free_count %d but lists hold %d" t.free_count (!free_sum + t.hot_top);
   match !error with None -> Ok () | Some e -> Error e

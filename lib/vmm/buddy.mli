@@ -7,7 +7,10 @@
     the whole physical range, exactly the property that makes the paper's
     disclosure attacks sample "random" stale pages.  Multi-page blocks use
     the classic per-order free sets with buddy coalescing; when they run
-    dry the hot list is drained (coalescing as it goes).
+    dry the hot list is drained (coalescing as it goes).  The sets are
+    bitmaps over block numbers, the hot list is an array stack and
+    allocated blocks are a byte per frame, so no operation allocates and
+    the lowest free block of an order is found by a word scan.
 
     [zero_on_free] is the paper's kernel-level countermeasure: the patch to
     [free_hot_cold_page]/[__free_pages_ok] that runs [clear_highpage] on

@@ -99,7 +99,87 @@ let test_tty_partial_window_probabilistic () =
 let test_tty_bad_fraction () =
   let k = Kernel.create ~config () in
   Alcotest.check_raises "bad fraction" (Invalid_argument "Tty_dump.run: bad fraction")
-    (fun () -> ignore (Tty_dump.run (Prng.of_int 1) k ~mean_fraction:0.95 ~jitter:0.1 ()))
+    (fun () -> ignore (Tty_dump.run (Prng.of_int 1) k ~mean_fraction:0.95 ~jitter:0.1 ()));
+  (* a window whose low end is negative *)
+  Alcotest.check_raises "negative window" (Invalid_argument "Tty_dump.run: bad fraction")
+    (fun () -> ignore (Tty_dump.run (Prng.of_int 1) k ~mean_fraction:0.05 ~jitter:0.1 ()))
+
+(* ---- the one offline counter ---- *)
+
+(* the reference: one Bytes_util.count pass per needle, summed *)
+let reference_count ~patterns data =
+  List.fold_left (fun acc (_, needle) -> acc + Bytes_util.count ~needle data) 0 patterns
+
+(* property: over a random low-entropy buffer with planted copies, the
+   one-sweep count equals the per-needle sum.  The needles include a
+   periodic one (its planted copies overlap), a prefix of it, an exact
+   duplicate, and a copy is planted so that it ends at the last byte. *)
+let prop_count_matches_reference =
+  QCheck.Test.make ~name:"one-sweep count = sum of per-needle counts" ~count:400
+    QCheck.(triple (int_range 0 1000000) (int_range 1 6) (int_range 16 600))
+    (fun (seed, len, hlen) ->
+      let rng = Prng.of_int seed in
+      let gen_char () = Char.chr (Char.code 'a' + Prng.int rng 3) in
+      let random n = String.init n (fun _ -> gen_char ()) in
+      let unit = random (1 + Prng.int rng 2) in
+      let periodic = String.concat "" (List.init (len + 2) (fun _ -> unit)) in
+      let other = random (1 + Prng.int rng 8) in
+      let needles =
+        [ periodic;
+          String.sub periodic 0 (1 + Prng.int rng (String.length periodic));
+          periodic;
+          other
+        ]
+      in
+      let data = Bytes.of_string (random hlen) in
+      let plant s pos =
+        if pos >= 0 && pos + String.length s <= hlen then
+          Bytes.blit_string s 0 data pos (String.length s)
+      in
+      for _ = 1 to 1 + Prng.int rng 4 do
+        let pos = Prng.int rng hlen in
+        (* two copies one period apart overlap *)
+        plant periodic pos;
+        plant periodic (pos + String.length unit)
+      done;
+      plant (List.nth needles (Prng.int rng 4)) (hlen - String.length other);
+      plant other (hlen - String.length other);
+      let patterns = List.map (fun n -> ("k", n)) needles in
+      Offline_search.count_copies ~patterns data = reference_count ~patterns data)
+
+(* a dump that wraps past the end of RAM is the two pieces of memory, in
+   order, and a copy split across the wrap point is counted in it *)
+let test_tty_wrapping_dump () =
+  let k = Kernel.create ~config () in
+  let mem = Kernel.mem k in
+  let size = Memguard_vmm.Phys_mem.size_bytes mem in
+  let needle = "WRAPPED-KEY-COPY" in
+  let half = String.length needle / 2 in
+  Memguard_vmm.Phys_mem.write mem ~addr:(size - half) (String.sub needle 0 half);
+  Memguard_vmm.Phys_mem.write mem ~addr:0 (String.sub needle half (String.length needle - half));
+  Memguard_vmm.Phys_mem.write mem ~addr:(size - 4096) needle;
+  Memguard_vmm.Phys_mem.write mem ~addr:64 (needle ^ needle);
+  let rec wrapping seed =
+    let d = Tty_dump.run (Prng.of_int seed) k () in
+    if d.Tty_dump.start + Bytes.length d.Tty_dump.data > size
+       && d.Tty_dump.start < size - 4096
+    then d
+    else wrapping (seed + 1)
+  in
+  let d = wrapping 1 in
+  let len = Bytes.length d.Tty_dump.data and start = d.Tty_dump.start in
+  let expected =
+    Memguard_vmm.Phys_mem.read mem ~addr:start ~len:(size - start)
+    ^ Memguard_vmm.Phys_mem.read mem ~addr:0 ~len:(len - (size - start))
+  in
+  Alcotest.(check bool) "dump = tail of RAM, then its head" true
+    (Bytes.to_string d.Tty_dump.data = expected);
+  let patterns = [ ("k", needle); ("p", String.sub needle 0 7); ("k2", needle) ] in
+  let copies = Tty_dump.count_copies d ~patterns in
+  Alcotest.(check int) "count = reference" (reference_count ~patterns d.Tty_dump.data) copies;
+  (* four copies of [needle] (one across the wrap, two back to back), each
+     counted twice, and its 7-byte prefix at each *)
+  Alcotest.(check int) "copies across the wrap" 12 copies
 
 (* ---- stats ---- *)
 
@@ -132,8 +212,10 @@ let suite =
       [ Alcotest.test_case "window shape" `Quick test_tty_window_shape;
         Alcotest.test_case "sees allocated and free" `Quick test_tty_sees_allocated_and_free;
         Alcotest.test_case "~50% catch rate" `Quick test_tty_partial_window_probabilistic;
-        Alcotest.test_case "bad fraction" `Quick test_tty_bad_fraction
+        Alcotest.test_case "bad fraction" `Quick test_tty_bad_fraction;
+        Alcotest.test_case "wrapping dump" `Quick test_tty_wrapping_dump
       ] );
+    ("offline_count", [ QCheck_alcotest.to_alcotest prop_count_matches_reference ]);
     ( "attack_stats",
       [ Alcotest.test_case "summarize" `Quick test_stats_summarize;
         Alcotest.test_case "empty" `Quick test_stats_empty;

@@ -255,4 +255,116 @@ let free_block_suite =
   ( "buddy_is_free_block",
     [ Alcotest.test_case "interior pages" `Quick test_is_free_block_interior_pages ] )
 
-let suite = suite @ [ free_block_suite ]
+(* ---- equivalence with the Set-based reference model (test/buddy_ref.ml) ---- *)
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+(* One random run of [ops] operations driven identically into [Buddy] and
+   [Buddy_ref]: every return value, every [Invalid_argument] and every
+   observable must agree after every operation. *)
+let buddy_equivalence ~pages ~seed ~ops =
+  let b = Buddy.create (Phys_mem.create ~num_pages:pages ()) in
+  let r = Buddy_ref.create (Phys_mem.create ~num_pages:pages ()) in
+  let st = Random.State.make [| seed |] in
+  (* live blocks as (pfn, order), swap-removed *)
+  let live = Array.make pages (0, 0) and nlive = ref 0 in
+  let is_live pfn =
+    let rec go i = i < !nlive && (fst live.(i) = pfn || go (i + 1)) in
+    go 0
+  in
+  let op = ref 0 in
+  let fail fmt = Printf.ksprintf (fun s -> Alcotest.failf "%d pages, op %d: %s" pages !op s) fmt in
+  let same what show x y = if x <> y then fail "%s: %s, reference %s" what (show x) (show y) in
+  let show_res show = function Ok v -> show v | Error m -> "Invalid_argument " ^ m in
+  let show_opt = function None -> "None" | Some p -> string_of_int p in
+  let show_unit () = "()" in
+  let both what show f g = same what (show_res show) (outcome f) (outcome g) in
+  let sweep () =
+    for pfn = -1 to pages do
+      same (Printf.sprintf "is_free_block %d" pfn) string_of_bool
+        (Buddy.is_free_block b ~pfn) (Buddy_ref.is_free_block r ~pfn)
+    done
+  in
+  let free_live i ~order ~page =
+    let pfn, o = live.(i) in
+    let order = Option.value order ~default:o in
+    both "free" show_unit
+      (fun () -> if page then Buddy.free_page b pfn else Buddy.free b ~pfn ~order)
+      (fun () -> if page then Buddy_ref.free_page r pfn else Buddy_ref.free r ~pfn ~order);
+    if order = o then begin
+      decr nlive;
+      live.(i) <- live.(!nlive)
+    end
+  in
+  while !op < ops do
+    incr op;
+    (* alternate alloc-heavy and free-heavy phases so memory runs out and refills *)
+    let p_alloc = if !op / 1000 mod 2 = 0 then 0.7 else 0.3 in
+    let u = Random.State.float st 1.0 in
+    if u < 0.9 then begin
+      if Random.State.float st 1.0 < p_alloc || !nlive = 0 then begin
+        let order = [| 0; 0; 0; 0; 1; 1; 2; 3 |].(Random.State.int st 8) in
+        let x = Buddy.alloc b ~order and y = Buddy_ref.alloc r ~order in
+        same (Printf.sprintf "alloc ~order:%d" order) show_opt x y;
+        Option.iter
+          (fun pfn ->
+            live.(!nlive) <- (pfn, order);
+            incr nlive)
+          x
+      end
+      else begin
+        let i = Random.State.int st !nlive in
+        free_live i ~order:None ~page:(snd live.(i) = 0 && Random.State.bool st)
+      end
+    end
+    else if u < 0.93 then begin
+      Buddy.drain_hot b;
+      Buddy_ref.drain_hot r
+    end
+    else if u < 0.95 then begin
+      let v = Random.State.bool st in
+      Buddy.set_zero_on_free b v;
+      Buddy_ref.set_zero_on_free r v
+    end
+    else if u < 0.97 then begin
+      (* double free, or a pfn that was never a block base (out of range too) *)
+      let pfn = Random.State.int st (pages + 2) - 1 in
+      if not (is_live pfn) then
+        both "free of a free pfn" show_unit
+          (fun () -> Buddy.free_page b pfn)
+          (fun () -> Buddy_ref.free_page r pfn)
+    end
+    else if u < 0.99 then begin
+      if !nlive > 0 then begin
+        let i = Random.State.int st !nlive in
+        let o = snd live.(i) in
+        free_live i ~order:(Some (if Random.State.bool st then o + 1 else o - 1)) ~page:false
+      end
+    end
+    else begin
+      let order = if Random.State.bool st then -1 else Buddy.max_order + 1 in
+      both "alloc of a bad order" show_opt
+        (fun () -> Buddy.alloc b ~order)
+        (fun () -> Buddy_ref.alloc r ~order)
+    end;
+    same "free_pages" string_of_int (Buddy.free_pages b) (Buddy_ref.free_pages r);
+    same "hot_list_size" string_of_int (Buddy.hot_list_size b) (Buddy_ref.hot_list_size r);
+    let show_orders l = String.concat " " (List.map (fun (o, n) -> Printf.sprintf "%d:%d" o n) l) in
+    same "free_blocks_by_order" show_orders (Buddy.free_blocks_by_order b)
+      (Buddy_ref.free_blocks_by_order r);
+    if pages <= 256 || !op mod 50 = 0 then sweep ();
+    if !op mod 500 = 0 then check_inv b
+  done;
+  sweep ();
+  check_inv b
+
+let test_buddy_equivalence () =
+  List.iteri
+    (fun i pages -> buddy_equivalence ~pages ~seed:(17 + i) ~ops:10_000)
+    [ 64; 256; 1024; 4096 ]
+
+let equivalence_suite =
+  ( "buddy_equivalence",
+    [ Alcotest.test_case "matches the Set-based model" `Quick test_buddy_equivalence ] )
+
+let suite = suite @ [ free_block_suite; equivalence_suite ]
