@@ -55,11 +55,6 @@ let server_arg =
   Arg.(value & opt server_conv Experiment.Ssh
        & info [ "s"; "server" ] ~docv:"SERVER" ~doc:"Target server: ssh or http.")
 
-let trials_arg default =
-  Arg.(value & opt int default & info [ "trials" ] ~docv:"N" ~doc:"Trials per parameter point.")
-
-let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-
 (* an int option whose values outside [valid] are usage errors (exit 124)
    rather than exceptions deep inside the simulator *)
 let checked_int valid expected =
@@ -69,6 +64,15 @@ let checked_int valid expected =
     | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected %s" s expected))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = checked_int (fun n -> n >= 1) "a positive integer"
+let non_negative_int = checked_int (fun n -> n >= 0) "a non-negative integer"
+
+let trials_arg default =
+  Arg.(value & opt positive_int default
+       & info [ "trials" ] ~docv:"N" ~doc:"Trials per parameter point.")
+
+let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 let pages_arg default =
   Arg.(value
@@ -81,18 +85,21 @@ let key_bits_arg =
        & info [ "key-bits" ] ~docv:"N" ~doc:"RSA modulus size (the paper used 1024).")
 
 let churn_arg =
-  Arg.(value & opt int 3 & info [ "churn" ] ~docv:"N" ~doc:"Reconnect cycles per slot per tick.")
+  Arg.(value & opt non_negative_int 3
+       & info [ "churn" ] ~docv:"N" ~doc:"Reconnect cycles per slot per tick.")
 
 let breach_age_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some non_negative_int) None
        & info [ "breach-age" ] ~docv:"TICKS"
            ~doc:"Arm the exposure SLO: emit a breach event when sensitive key bytes \
                  outside mlocked-anon memory grow older than $(docv).")
 
 let int_list_conv =
   let parse s =
-    try Ok (List.map int_of_string (String.split_on_char ',' s))
-    with Failure _ -> Error (`Msg "expected a comma-separated list of integers")
+    match List.map int_of_string_opt (String.split_on_char ',' s) with
+    | l when List.for_all (function Some n -> n >= 0 | None -> false) l ->
+      Ok (List.map Option.get l)
+    | _ -> Error (`Msg "expected a comma-separated list of non-negative integers")
   in
   Arg.conv
     (parse, fun fmt l -> Format.pp_print_string fmt (String.concat "," (List.map string_of_int l)))
@@ -247,10 +254,12 @@ let perf_cmd =
       [ Protection.Unprotected; Protection.Integrated ]
   in
   let transactions =
-    Arg.(value & opt int 400 & info [ "transactions" ] ~docv:"N" ~doc:"Total transactions.")
+    Arg.(value & opt positive_int 400
+         & info [ "transactions" ] ~docv:"N" ~doc:"Total transactions.")
   in
   let concurrent =
-    Arg.(value & opt int 20 & info [ "concurrent" ] ~docv:"N" ~doc:"Concurrent connections.")
+    Arg.(value & opt positive_int 20
+         & info [ "concurrent" ] ~docv:"N" ~doc:"Concurrent connections.")
   in
   Cmd.v
     (Cmd.info "perf" ~doc:"Figures 8/19/20: performance before vs after protection")
@@ -406,7 +415,7 @@ let chaos_cmd =
     if !failures > 0 then Stdlib.exit 1
   in
   let seeds_arg =
-    Arg.(value & opt int 25
+    Arg.(value & opt positive_int 25
          & info [ "seeds" ] ~docv:"N"
              ~doc:"Sweep seeds 0..N-1 across the unprotected, secure-dealloc, kernel \
                    and integrated levels.")
@@ -417,15 +426,15 @@ let chaos_cmd =
              ~doc:"Replay a single campaign with this seed at --level (overrides --seeds).")
   in
   let ops_arg =
-    Arg.(value & opt int Campaign.default_config.Campaign.ops
+    Arg.(value & opt positive_int Campaign.default_config.Campaign.ops
          & info [ "ops" ] ~docv:"N" ~doc:"Operations per campaign.")
   in
   let swap_arg =
-    Arg.(value & opt int Campaign.default_config.Campaign.swap_slots
+    Arg.(value & opt non_negative_int Campaign.default_config.Campaign.swap_slots
          & info [ "swap" ] ~docv:"N" ~doc:"Swap device size in pages.")
   in
   let scan_every_arg =
-    Arg.(value & opt int Campaign.default_config.Campaign.scan_every
+    Arg.(value & opt positive_int Campaign.default_config.Campaign.scan_every
          & info [ "scan-every" ] ~docv:"N"
              ~doc:"Confinement-oracle cadence (scan after every N-th op).")
   in
@@ -588,7 +597,7 @@ let inspect_cmd =
     print_string (Introspect.render (System.kernel sys))
   in
   let tick =
-    Arg.(value & opt int 11
+    Arg.(value & opt non_negative_int 11
          & info [ "t"; "tick" ] ~docv:"TICK"
              ~doc:"Run the fig-5 timeline up to $(docv) (clamped to 29), then dump the \
                    machine state.  Default 11: just after peak traffic.")
@@ -660,13 +669,13 @@ let forensics_cmd =
           | None -> ()))
   in
   let tick =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some non_negative_int) None
          & info [ "t"; "tick" ] ~docv:"TICK"
              ~doc:"Investigate the scan snapshot taken at $(docv).  Default: the first \
                    tick with any hits.")
   in
   let hit =
-    Arg.(value & opt int 0
+    Arg.(value & opt non_negative_int 0
          & info [ "hit" ] ~docv:"N" ~doc:"Which hit of the snapshot to reconstruct (0-based).")
   in
   let json =
@@ -763,11 +772,11 @@ let fleet_cmd =
              ~doc:"Workload mix: ssh, http, or mixed (even shards sshd, odd apache).")
   in
   let shards =
-    Arg.(value & opt (checked_int (fun n -> n >= 1) "a positive integer") 4
+    Arg.(value & opt positive_int 4
          & info [ "shards" ] ~docv:"N" ~doc:"Number of independent simulated machines.")
   in
   let domains =
-    Arg.(value & opt int (Domain.recommended_domain_count ())
+    Arg.(value & opt positive_int (Domain.recommended_domain_count ())
          & info [ "domains" ] ~docv:"D"
              ~doc:"Worker domains (default: recommended for this host; 1 = sequential). \
                    The merged report is byte-identical for every value.")
@@ -778,7 +787,7 @@ let fleet_cmd =
              ~doc:"Master seed; shard $(i,i) derives its own stream with tag $(i,i).")
   in
   let conns =
-    Arg.(value & opt int 16
+    Arg.(value & opt positive_int 16
          & info [ "conns-per-shard" ] ~docv:"K"
              ~doc:"Low-plateau concurrency per shard (peak is 2K); with the default churn \
                    each shard opens roughly 48K connections over the timeline.")
@@ -806,7 +815,7 @@ let fleet_cmd =
                    --tick and print its /proc-style introspection dump.")
   in
   let tick =
-    Arg.(value & opt int 11
+    Arg.(value & opt non_negative_int 11
          & info [ "t"; "tick" ] ~docv:"TICK"
              ~doc:"Tick at which --inspect-shard freezes the shard (clamped to 29).")
   in
@@ -866,7 +875,7 @@ let diff_cmd =
     | None ->
       Format.printf "(pass --html FILE for the sparkline-over-runs view)@."
   in
-  let run a b json html fail_on wall_tol =
+  let run a b json html fail_on =
     match b with
     | None -> (
       match Sys.is_directory a with
@@ -881,7 +890,7 @@ let diff_cmd =
         Stdlib.exit 2)
     | Some b ->
       let base = read_archive a and cur = read_archive b in
-      let d = Obs.Diff.diff ~wall_tol_pct:wall_tol base cur in
+      let d = Obs.Diff.diff base cur in
       Obs.Diff.pp Format.std_formatter d;
       (match json with
        | Some path ->
@@ -933,22 +942,16 @@ let diff_cmd =
                    non-neutral delta.  Default $(b,none): always exit 0 on a successful \
                    comparison.")
   in
-  let wall_tol =
-    Arg.(value & opt float 10.
-         & info [ "tolerance" ] ~docv:"PCT"
-             ~doc:"Wall-clock family tolerance in percent (default 10).  Deterministic \
-                   and exposure families stay exact.")
-  in
   Cmd.v
     (Cmd.info "diff"
        ~doc:
          "Differential run observatory: align two flight archives (recorded with \
           --flight) by observable, classify every delta as \
           improvement/regression/neutral per metric family (deterministic exact, \
-          wall-clock tolerant and warn-only, exposure byte-ticks hard), and render \
+          wall-clock 10% tolerant and warn-only, exposure byte-ticks hard), and render \
           text/JSON/HTML reports — or, given a directory, the trajectory of every \
           observable across its archives")
-    Term.(const run $ a $ b $ json $ html $ fail_on $ wall_tol)
+    Term.(const run $ a $ b $ json $ html $ fail_on)
 
 let main =
   Cmd.group

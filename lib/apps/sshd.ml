@@ -44,7 +44,7 @@ let public t = t.listener_key.Sim_rsa.pub
 (* the SSHv2 exchange: DH agreement, host-key signature over the exchange
    hash, session keys derived into the child's memory *)
 let handshake t (proc : Proc.t) (rsa : Sim_rsa.t) rng =
-  Ssh_kex.server_handshake rng t.kernel proc ~host_key:rsa ()
+  Ssh_kex.server_handshake rng t.kernel proc ~host_key:rsa
 
 let open_connection t rng =
   if not t.running then invalid_arg "Sshd.open_connection: server stopped";

@@ -10,6 +10,6 @@ let dump k (p : Proc.t) =
     (Proc.mapped_vpns p);
   { pid = p.Proc.pid; data = Buffer.to_bytes buf }
 
-let count_copies t ~patterns = Offline_search.count_copies ~patterns t.data
+let count_copies t ~patterns = Memguard_scan.Scanner.count_copies ~patterns t.data
 
 let found_any t ~patterns = count_copies t ~patterns > 0

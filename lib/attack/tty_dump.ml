@@ -24,6 +24,6 @@ let run rng k ?(mean_fraction = 0.5) ?(jitter = 0.1) () =
   Bytes.blit raw 0 data head (len - head);
   { start; data }
 
-let count_copies d ~patterns = Offline_search.count_copies ~patterns d.data
+let count_copies d ~patterns = Memguard_scan.Scanner.count_copies ~patterns d.data
 
 let found_any d ~patterns = count_copies d ~patterns > 0

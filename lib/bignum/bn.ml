@@ -358,8 +358,9 @@ let rem_int t d =
    keep — so the big-number operation sequence, and thus the charged
    cost, is a function of [bit_length exp] alone, never of its bits.
    The select itself is a host-level branch on the bit: no secret in the
-   simulated stack ever reaches this path (RSA/DSA moduli are odd
-   primes, so secret exponentiations all ride [Mont.pow] / [Ct.crt_exp]);
+   simulated stack ever reaches this path (the RSA primes and the DH
+   modulus are odd, so secret exponentiations all ride [Mont.pow] /
+   [Ct.crt_exp]);
    the "mod_pow even modulus" tests pin both the correctness of this
    fallback and that odd multi-limb moduli keep routing to Montgomery. *)
 let mod_pow_const_shape ~base:b ~exp ~modulus =
@@ -1309,7 +1310,10 @@ let miller_rabin_witness n d s a =
     go 0 x
   end
 
-let is_probable_prime ?(rounds = 20) rng n =
+(* Miller–Rabin witnesses tried before a number is called prime *)
+let mr_rounds = 20
+
+let is_probable_prime rng n =
   if n.sign <= 0 then false
   else
     match to_int n with
@@ -1326,7 +1330,7 @@ let is_probable_prime ?(rounds = 20) rng n =
           let rec split d s = if is_even d then split (shift_right d 1) (s + 1) else (d, s) in
           let d, s = split n1 0 in
           let rec trial i =
-            if i >= rounds then true
+            if i >= mr_rounds then true
             else begin
               let a = add (random_below rng (sub n (of_int 3))) two in
               if miller_rabin_witness n d s a then false else trial (i + 1)
@@ -1342,7 +1346,7 @@ let is_probable_prime ?(rounds = 20) rng n =
         chk 3
       end
 
-let gen_prime ?(rounds = 20) rng ~bits =
+let gen_prime rng ~bits =
   if bits < 8 then invalid_arg "Bn.gen_prime: need at least 8 bits";
   let rec go () =
     let candidate = random_bits rng bits in
@@ -1353,6 +1357,6 @@ let gen_prime ?(rounds = 20) rng ~bits =
       let c = add masked top in
       if is_even c then add c one else c
     in
-    if is_probable_prime ~rounds rng candidate then candidate else go ()
+    if is_probable_prime rng candidate then candidate else go ()
   in
   go ()

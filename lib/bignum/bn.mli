@@ -92,8 +92,8 @@ val mod_pow : base:t -> exp:t -> modulus:t -> t
     Montgomery's gcd(m, R) = 1 domain — take a constant-shape
     square-and-always-multiply ladder whose operation sequence depends
     only on [bit_length exp], never on its bits.  No secret in the
-    simulated stack reaches the fallback (RSA/DSA moduli are odd
-    primes); the even-modulus tests pin both the routing and the
+    simulated stack reaches the fallback (the RSA primes and the DH
+    modulus are odd); the even-modulus tests pin both the routing and the
     fallback's correctness. *)
 
 val mod_pow_fixed_base : base:t -> exp:t -> modulus:t -> t
@@ -226,10 +226,10 @@ val random_bits : Memguard_util.Prng.t -> int -> t
 val random_below : Memguard_util.Prng.t -> t -> t
 (** Uniform in [\[0, bound)]; requires [bound > 0]. *)
 
-val is_probable_prime : ?rounds:int -> Memguard_util.Prng.t -> t -> bool
-(** Trial division by small primes then Miller–Rabin ([rounds] defaults to 20). *)
+val is_probable_prime : Memguard_util.Prng.t -> t -> bool
+(** Trial division by small primes then 20 rounds of Miller–Rabin. *)
 
-val gen_prime : ?rounds:int -> Memguard_util.Prng.t -> bits:int -> t
+val gen_prime : Memguard_util.Prng.t -> bits:int -> t
 (** Random probable prime with exactly [bits] bits (top two bits set so that
     products of two such primes have full size).  Requires [bits >= 8]. *)
 

@@ -180,8 +180,11 @@ let pp_perf fmt p =
 
 let now_s () = Unix.gettimeofday ()
 
+(* every scp transfer and Siege request moves 100 KiB *)
+let kib_per_transaction = 100
+
 let perf_run ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1)
-    ?(transactions = 400) ?(concurrent = 20) ?(kib_per_transaction = 100) server =
+    ?(transactions = 400) ?(concurrent = 20) server =
   let sys = System.create ~num_pages ~level ~seed () in
   let rng = System.rng sys in
   let t0 = now_s () in

@@ -137,11 +137,11 @@ val perf_run :
   ?seed:int ->
   ?transactions:int ->
   ?concurrent:int ->
-  ?kib_per_transaction:int ->
   server ->
   perf
 (** Figure 8 (scp stress: 20 concurrent, 4000 transfers) and Figures 19/20
-    (Siege: 20 concurrent, 4000 transactions), on the simulated substrate.
+    (Siege: 20 concurrent, 4000 transactions), on the simulated substrate;
+    each transaction moves 100 KiB.
     The paper's claim is a *relative* one — protection imposes no
     penalty — so compare [Unprotected] vs [Integrated] outputs. *)
 

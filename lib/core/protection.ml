@@ -65,11 +65,11 @@ let sshd_options level =
   let mode = ssl_mode_patched_app level in
   { Sshd.no_reexec = (mode = Ssl.Hardened); ssl_mode = mode; nocache = nocache level }
 
-let apache_options ?(workers = 8) ?(max_requests_per_child = 100) level =
+let apache_options ?(workers = 8) level =
   { Apache.workers;
     max_clients = 150;
     max_spare_servers = 10;
     ssl_mode = ssl_mode_patched_app level;
     nocache = nocache level;
-    max_requests_per_child
+    max_requests_per_child = 100
   }

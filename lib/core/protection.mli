@@ -49,4 +49,4 @@ val nocache : level -> bool
 
 val sshd_options : level -> Memguard_apps.Sshd.options
 
-val apache_options : ?workers:int -> ?max_requests_per_child:int -> level -> Memguard_apps.Apache.options
+val apache_options : ?workers:int -> level -> Memguard_apps.Apache.options

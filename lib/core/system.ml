@@ -6,7 +6,6 @@ module Scanner = Memguard_scan.Scanner
 module Report = Memguard_scan.Report
 module Sshd = Memguard_apps.Sshd
 module Apache = Memguard_apps.Apache
-module Plain_app = Memguard_apps.Plain_app
 module Ext2_leak = Memguard_attack.Ext2_leak
 module Tty_dump = Memguard_attack.Tty_dump
 
@@ -51,7 +50,7 @@ let boot_noise kernel rng =
   done
 
 let create ?(num_pages = 8192) ?(key_bits = 256) ?(seed = 1) ?rng ?(noise = true)
-    ?(scan_mode = Incremental) ?(obs = Obs.null) ?(swap_slots = 0) ?(swap_encrypt = false)
+    ?(scan_mode = Incremental) ?(obs = Obs.null) ?(swap_slots = 0)
     ~level () =
   let rng_ = match rng with Some r -> r | None -> Prng.of_int seed in
   let config =
@@ -59,8 +58,7 @@ let create ?(num_pages = 8192) ?(key_bits = 256) ?(seed = 1) ?rng ?(noise = true
       num_pages;
       zero_on_free = Protection.kernel_zero_on_free level;
       secure_dealloc = Protection.kernel_secure_dealloc level;
-      swap_slots;
-      swap_encrypt
+      swap_slots
     }
   in
   let kernel_ = Kernel.create ~config ~obs () in
@@ -92,10 +90,6 @@ let start_sshd ?opts t =
 
 let start_apache ?workers t =
   Apache.start t.kernel_ ~key_path (Protection.apache_options ?workers t.level_)
-
-let start_plain_app t =
-  Plain_app.start t.kernel_ ~key_path ~nocache:(Protection.nocache t.level_)
-    (Protection.ssl_mode_plain_app t.level_)
 
 let subsystem_cycles obs sub =
   match List.assoc_opt sub (Obs.Cost.by_subsystem obs) with Some c -> c | None -> 0

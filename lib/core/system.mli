@@ -27,7 +27,6 @@ val create :
   ?scan_mode:scan_mode ->
   ?obs:Memguard_obs.Obs.ctx ->
   ?swap_slots:int ->
-  ?swap_encrypt:bool ->
   level:Protection.level ->
   unit ->
   t
@@ -49,7 +48,7 @@ val create :
     library, scanner — collecting the key-copy lifecycle trace, subsystem
     metrics, and per-hit provenance; with the default disabled context the
     simulation is byte-identical to an uninstrumented run.  [swap_slots]
-    (default [0] = no swap device) and [swap_encrypt] configure a swap
+    (default [0] = no swap device) configures an unencrypted swap
     device so memory pressure swaps rather than OOMs — used by the
     fault-injection campaigns to reach swap-out edge paths. *)
 
@@ -69,9 +68,6 @@ val start_sshd : ?opts:Memguard_apps.Sshd.options -> t -> Memguard_apps.Sshd.t
     behaviour uniformly across levels so their costs stay comparable. *)
 
 val start_apache : ?workers:int -> t -> Memguard_apps.Apache.t
-
-val start_plain_app : t -> Memguard_apps.Plain_app.t
-(** Start the unpatched third-party key-using application. *)
 
 val scan : t -> time:int -> Memguard_scan.Report.snapshot
 (** Run the scanner over physical memory right now.  Incremental by

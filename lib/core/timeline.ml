@@ -124,8 +124,8 @@ let http_driver ~high sys =
         Apache.stop srv)
   }
 
-let run ?(schedule = default_schedule) ?(low = 8) ?(high = 16) ?traffic ?(churn = 3)
-    ?stop_at ?sshd_opts sys server =
+let run ?(low = 8) ?(high = 16) ?traffic ?(churn = 3) ?stop_at ?sshd_opts sys server =
+  let schedule = default_schedule in
   let traffic = Option.value traffic ~default:(paper_traffic ~low ~high schedule) in
   let traffic_rng = Memguard_util.Prng.split (System.rng sys) in
   let last = min schedule.finish (Option.value stop_at ~default:schedule.finish) in

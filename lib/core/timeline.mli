@@ -32,7 +32,6 @@ val paper_traffic : ?low:int -> ?high:int -> schedule -> Memguard_apps.Workload.
     pattern (defaults: [low] 8, [high] 16). *)
 
 val run :
-  ?schedule:schedule ->
   ?low:int ->
   ?high:int ->
   ?traffic:Memguard_apps.Workload.pattern ->
@@ -42,12 +41,12 @@ val run :
   System.t ->
   server ->
   Memguard_scan.Report.snapshot list
-(** Run the full script and return one scanner snapshot per tick
-    ([finish + 1] snapshots).  [traffic] defaults to
-    [paper_traffic ~low ~high schedule] ([low]/[high] default to 8/16
+(** Run the {!default_schedule} script and return one scanner snapshot per
+    tick ([finish + 1] snapshots).  [traffic] defaults to
+    [paper_traffic ~low ~high default_schedule] ([low]/[high] default to 8/16
     concurrent connections); [churn] is the number of reconnect cycles per
     slot per tick (default 3).  [stop_at] truncates the run after that
-    tick's snapshot (clamped to [schedule.finish]) — the machine is left
+    tick's snapshot (clamped to [finish]) — the machine is left
     live for introspection ([memguard_cli inspect]).  [sshd_opts]
     overrides the level-derived sshd options (see {!System.start_sshd});
     only meaningful with [Ssh]. *)

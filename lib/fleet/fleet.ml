@@ -251,35 +251,27 @@ let run_sharded cfg =
      it is reported alongside — never inside — the canonical JSON. *)
   let ran = Array.make workers [] in
   let walls = Array.make workers 0. in
-  if workers <= 1 then begin
+  (* work-stealing over shard ids: assignment of shard to domain is
+     scheduling-dependent, but each cell is written exactly once with a
+     value that depends only on (cfg, i), so the merged result is not *)
+  let next = Atomic.make 0 in
+  let worker w () =
     let t0 = Unix.gettimeofday () in
-    for i = 0 to n - 1 do
-      results.(i) <- Some (run_shard cfg i);
-      ran.(0) <- i :: ran.(0)
-    done;
-    walls.(0) <- Unix.gettimeofday () -. t0
-  end
-  else begin
-    (* work-stealing over shard ids: assignment of shard to domain is
-       scheduling-dependent, but each cell is written exactly once with a
-       value that depends only on (cfg, i), so the merged result is not *)
-    let next = Atomic.make 0 in
-    let worker w () =
-      let t0 = Unix.gettimeofday () in
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- Some (run_shard cfg i);
-          ran.(w) <- i :: ran.(w);
-          loop ()
-        end
-      in
-      loop ();
-      walls.(w) <- Unix.gettimeofday () -. t0
+    let rec loop () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <- Some (run_shard cfg i);
+        ran.(w) <- i :: ran.(w);
+        loop ()
+      end
     in
-    let domains = List.init workers (fun w -> Domain.spawn (worker w)) in
-    List.iter Domain.join domains
-  end;
+    loop ();
+    walls.(w) <- Unix.gettimeofday () -. t0
+  in
+  (* worker 0 is the calling domain; with one worker nothing is spawned *)
+  let domains = List.init (workers - 1) (fun w -> Domain.spawn (worker (w + 1))) in
+  worker 0 ();
+  List.iter Domain.join domains;
   let shard_results =
     Array.to_list results
     |> List.map (function Some r -> r | None -> assert false)

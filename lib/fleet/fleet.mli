@@ -103,11 +103,12 @@ val run_shard : config -> int -> shard_result
     in [(config, i)]: same inputs, byte-identical result. *)
 
 val run : ?recorder:(Memguard_obs.Obs.Snapshot.t -> unit) -> config -> report
-(** Run the whole fleet.  With [config.domains > 1] shards execute on
-    that many OCaml domains (work-stealing over shard ids); with [1], or
-    when only one shard exists, everything runs sequentially on the
-    calling domain.  The report is identical either way.  [recorder]
-    receives {!snapshot} of the finished report. *)
+(** Run the whole fleet.  Shards execute on [min domains shards] workers
+    (at least one) by work-stealing over shard ids: worker 0 is the
+    calling domain and the others are spawned, so with one worker
+    everything runs sequentially on the calling domain.  The report is
+    identical either way.  [recorder] receives {!snapshot} of the
+    finished report. *)
 
 val dashboard : report -> Memguard.Dashboard.t
 (** The merged fleet as a [Dashboard.t]: per-tick snapshots, exposure

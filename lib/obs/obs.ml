@@ -2104,7 +2104,11 @@ module Diff = struct
   (* NaN came from a null in the archive: two nulls agree *)
   let eq_float a b = (Float.is_nan a && Float.is_nan b) || a = b
 
-  let diff ?(det_tol_pct = 0.) ?(wall_tol_pct = 10.) ?(exp_tol_pct = 0.) base cur =
+  (* percent of [max 1 |base|] a wall-clock key may move without a delta;
+     deterministic and exposure keys are exact *)
+  let wall_tol_pct = 10.
+
+  let diff base cur =
     let bt = Hashtbl.create 64 and ct = Hashtbl.create 64 in
     List.iter (fun (k, v) -> Hashtbl.replace bt k v) (Snapshot.scalars base);
     List.iter (fun (k, v) -> Hashtbl.replace ct k v) (Snapshot.scalars cur);
@@ -2118,12 +2122,7 @@ module Diff = struct
       (fun key ->
         incr compared;
         let fam = family_of_key key in
-        let tol =
-          match fam with
-          | Deterministic -> det_tol_pct
-          | Wallclock -> wall_tol_pct
-          | Exposure -> exp_tol_pct
-        in
+        let tol = match fam with Wallclock -> wall_tol_pct | Deterministic | Exposure -> 0. in
         match (Hashtbl.find_opt bt key, Hashtbl.find_opt ct key) with
         | Some b, Some c when eq_float b c -> ()
         | Some b, Some c ->

@@ -838,17 +838,11 @@ module Diff : sig
       ["sensitive_unsafe"] or ["byte_ticks"] or is a ["budget:"] entry;
       else deterministic. *)
 
-  val diff :
-    ?det_tol_pct:float ->
-    ?wall_tol_pct:float ->
-    ?exp_tol_pct:float ->
-    Snapshot.t ->
-    Snapshot.t ->
-    t
-  (** [diff base current] aligns and classifies.  A value
-      changed beyond its family tolerance (percent of [max 1 |base|];
-      defaults [0] / [10] / [0]) is a {!Regression} when it grew and an
-      {!Improvement} when it shrank — every recorded magnitude (cycles,
+  val diff : Snapshot.t -> Snapshot.t -> t
+  (** [diff base current] aligns and classifies.  A value changed
+      beyond its family tolerance (percent of [max 1 |base|]: [0]
+      deterministic, [10] wall-clock, [0] exposure) is a {!Regression}
+      when it grew and an {!Improvement} when it shrank — every recorded magnitude (cycles,
       byte-ticks, seconds, firings) reads "less is better", except a
       [_per_sec] throughput, which reads "more is better".  A
       deterministic delta is hard in either direction (the baseline must

@@ -17,7 +17,8 @@ let derive_keys ~shared ~session_id =
   String.sub (Sha1.digest (k ^ "A" ^ session_id)) 0 16
   ^ String.sub (Sha1.digest (k ^ "B" ^ session_id)) 0 16
 
-let server_handshake rng k proc ~host_key ?(group = Dh.group_small) () =
+let server_handshake rng k proc ~host_key =
+  let group = Dh.group_small in
   (* client side (remote machine, plain OCaml values) *)
   let client = Dh.generate_keypair rng group in
   (* server side: the ephemeral secret transits server memory *)

@@ -27,12 +27,11 @@ val server_handshake :
   Kernel.t ->
   Proc.t ->
   host_key:Memguard_ssl.Sim_rsa.t ->
-  ?group:Memguard_crypto.Dh.params ->
-  unit ->
   session
-(** Run the whole exchange (both ends; the client end verifies the host
-    signature and asserts both sides derived identical keys).  Raises on a
-    host key that fails to sign correctly. *)
+(** Run the whole exchange over {!Memguard_crypto.Dh.group_small} (both
+    ends; the client end verifies the host signature and asserts both
+    sides derived identical keys).  Raises on a host key that fails to
+    sign correctly. *)
 
 val close : Kernel.t -> Proc.t -> session -> unit
 (** Connection teardown: the session-key buffer is freed — uncleared, as in

@@ -31,6 +31,12 @@ let compile_patterns ~who patterns =
     needles;
   (labels, Multi_search.compile needles)
 
+(* kept out of line: inlined, it grows each caller's code, and that moves
+   perfbench's calibration kernel, whose speed depends on its placement
+   mod 64 (see the ROADMAP calibration item) *)
+let[@inline never] count_copies ~patterns data =
+  Multi_search.count (snd (compile_patterns ~who:"Scanner.count_copies" patterns)) data
+
 let sort_hits hits =
   List.sort (fun a b -> compare (a.addr, a.label) (b.addr, b.label)) hits
 

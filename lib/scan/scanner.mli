@@ -36,6 +36,13 @@ val scan_swap : Memguard_kernel.Kernel.t -> patterns:(string * string) list -> (
 (** Sweep the swap device (if any): [(label, byte offset)] of each match —
     the swap-disclosure ablation. *)
 
+val count_copies : patterns:(string * string) list -> bytes -> int
+(** The attacker's offline search, the last step of every disclosure
+    attack (the ext2 device, the n_tty dump, a core file): the (possibly
+    overlapping) occurrences of each [(label, needle)] pattern in [data],
+    summed, from the same one-sweep matcher as {!scan}.  Needles must be
+    non-empty. *)
+
 val confined : Memguard_kernel.Kernel.t -> hit -> bool
 (** Confinement oracle for the Integrated solution: [true] iff the hit's
     frame is anonymous user memory, [mlock]ed, and mapped by at least one

@@ -1,6 +1,5 @@
 open Memguard_kernel
 module Rsa = Memguard_crypto.Rsa
-module Dsa = Memguard_crypto.Dsa
 module Pem = Memguard_crypto.Pem
 module Obs = Memguard_obs.Obs
 
@@ -81,42 +80,3 @@ let load_private_key k proc ~path ?(nocache = false) ?passphrase mode =
       | None -> ());
      Sim_rsa.memory_align k proc rsa);
   rsa
-
-let write_dsa_key_file k ~path priv = Kernel.write_file k ~path (Dsa.pem_of_priv priv)
-
-let load_dsa_private_key k proc ~path ?(nocache = false) mode =
-  Obs.Trace.with_span ~pid:proc.Proc.pid (Kernel.obs k) "ssl.dsa_key_load" @@ fun () ->
-  let pem_buf, pem_len = Kernel.read_file k proc ~path ~nocache in
-  Kernel.note_copy k proc ~origin:Obs.Pem_buffer ~addr:pem_buf ~len:pem_len;
-  let pem_text = Kernel.read_mem k proc ~addr:pem_buf ~len:pem_len in
-  let der =
-    match Pem.decode ~label:Dsa.pem_label pem_text with
-    | Ok der -> der
-    | Error e -> invalid_arg ("Ssl.load_dsa_private_key: " ^ e)
-  in
-  let der_buf = Kernel.malloc k proc (String.length der) in
-  Kernel.write_mem k proc ~addr:der_buf der;
-  Kernel.note_copy k proc ~origin:Obs.Der_temp ~addr:der_buf ~len:(String.length der);
-  let priv =
-    match Dsa.priv_of_der der with
-    | Ok priv -> priv
-    | Error e -> invalid_arg ("Ssl.load_dsa_private_key: " ^ e)
-  in
-  let dsa = Sim_dsa.of_priv k proc priv in
-  (match mode with
-   | Vanilla ->
-     Kernel.note_freed_dirty k proc ~origin:Obs.Pem_buffer ~addr:pem_buf ~len:pem_len;
-     Kernel.free k proc pem_buf;
-     Kernel.note_freed_dirty k proc ~origin:Obs.Der_temp ~addr:der_buf
-       ~len:(String.length der);
-     Kernel.free k proc der_buf
-   | Hardened ->
-     Kernel.zero_mem k proc ~addr:pem_buf ~len:pem_len;
-     Kernel.note_zeroed k proc ~origin:Obs.Pem_buffer ~addr:pem_buf ~len:pem_len;
-     Kernel.free k proc pem_buf;
-     Kernel.zero_mem k proc ~addr:der_buf ~len:(String.length der);
-     Kernel.note_zeroed k proc ~origin:Obs.Der_temp ~addr:der_buf
-       ~len:(String.length der);
-     Kernel.free k proc der_buf;
-     Sim_dsa.memory_align k proc dsa);
-  dsa

@@ -38,12 +38,3 @@ val load_private_key :
 
 val write_key_file : Kernel.t -> path:string -> Memguard_crypto.Rsa.priv -> int
 (** PEM-encode a key onto the simulated disk; returns the inode. *)
-
-val load_dsa_private_key :
-  Kernel.t -> Proc.t -> path:string -> ?nocache:bool -> mode -> Sim_dsa.t
-(** The same load path for a DSA host key file ([-----BEGIN DSA PRIVATE
-    KEY-----]) — the paper's solutions are key-type agnostic, and so is the
-    patched [d2i]: in [Hardened] mode the secret exponent is aligned and
-    mlocked exactly like the RSA parts. *)
-
-val write_dsa_key_file : Kernel.t -> path:string -> Memguard_crypto.Dsa.priv -> int

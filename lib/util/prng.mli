@@ -32,9 +32,6 @@ val copy : t -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val bits30 : t -> int
-(** 30 uniformly random bits as a non-negative [int]. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 

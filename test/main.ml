@@ -6,7 +6,6 @@ let () =
          Test_bn.suite;
          Test_crypto.suite;
          Test_cipher.suite;
-         Test_dsa.suite;
          Test_vmm.suite;
          Test_kernel.suite;
          Test_ssl.suite;

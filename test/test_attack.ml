@@ -145,7 +145,7 @@ let prop_count_matches_reference =
       plant (List.nth needles (Prng.int rng 4)) (hlen - String.length other);
       plant other (hlen - String.length other);
       let patterns = List.map (fun n -> ("k", n)) needles in
-      Offline_search.count_copies ~patterns data = reference_count ~patterns data)
+      Memguard_scan.Scanner.count_copies ~patterns data = reference_count ~patterns data)
 
 (* a dump that wraps past the end of RAM is the two pieces of memory, in
    order, and a copy split across the wrap point is counted in it *)

@@ -309,18 +309,17 @@ let prop_recorder_is_observer_only =
       let f_recorded = Fleet.fingerprint (Fleet.run ~recorder:(fun _ -> incr hits) cfg) in
       !hits = 2 && series plain = series recorded && f_plain = f_recorded)
 
+(* run the CLI; its exit code and stderr *)
+let cli args =
+  let err = Filename.temp_file "memguard-cli" ".err" in
+  let code = Sys.command (Printf.sprintf "../bin/memguard_cli.exe %s >/dev/null 2>%s" args err) in
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (code, stderr)
+
 (* ---- CLI file paths: a bad path is a one-line error and exit 2 ---- *)
 
 let test_cli_path_errors () =
-  let cli args =
-    let err = Filename.temp_file "memguard-cli" ".err" in
-    let code =
-      Sys.command (Printf.sprintf "../bin/memguard_cli.exe %s >/dev/null 2>%s" args err)
-    in
-    let stderr = In_channel.with_open_bin err In_channel.input_all in
-    Sys.remove err;
-    (code, stderr)
-  in
   let check what (code, stderr) =
     Alcotest.(check int) (what ^ ": exit 2") 2 code;
     Alcotest.(check bool) (what ^ ": names the path") true
@@ -333,6 +332,29 @@ let test_cli_path_errors () =
   check "observe into a missing directory"
     (cli "observe --pages 256 --json no-such-dir/x.json");
   check "dat under a missing directory" (cli "dat --what tty --out no-such-dir/data")
+
+(* ---- CLI counts: a count out of range is a usage error, exit 124 ---- *)
+
+let test_cli_bad_counts () =
+  List.iter
+    (fun args ->
+      let code, stderr = cli args in
+      Alcotest.(check int) (args ^ ": exit 124") 124 code;
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) (args ^ ": no " ^ needle) false (contains ~needle stderr))
+        [ "exception"; "Invalid_argument" ])
+    [ "fleet --conns-per-shard 0";
+      "fleet --domains=0";
+      "chaos --ops 0";
+      "chaos --scan-every 0";
+      "chaos --seeds=-1";
+      "perf --concurrent 0";
+      "perf --transactions=-1";
+      "tty --trials=-1";
+      "before-after --trials=-1";
+      "ext2 --connections=-1"
+    ]
 
 let suite =
   [ ( "flight",
@@ -354,6 +376,7 @@ let suite =
         Alcotest.test_case "fleet snapshot domain-invariant" `Quick
           test_fleet_snapshot_domain_invariant;
         QCheck_alcotest.to_alcotest prop_recorder_is_observer_only;
-        Alcotest.test_case "CLI path errors exit 2" `Quick test_cli_path_errors
+        Alcotest.test_case "CLI path errors exit 2" `Quick test_cli_path_errors;
+        Alcotest.test_case "CLI bad counts exit 124" `Quick test_cli_bad_counts
       ] )
   ]

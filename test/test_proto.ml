@@ -66,7 +66,7 @@ let in_ram k needle =
 let test_ssh_kex_handshake () =
   let k, p, rsa = setup () in
   let rng = Prng.of_int 50 in
-  let session = Ssh_kex.server_handshake rng k p ~host_key:rsa () in
+  let session = Ssh_kex.server_handshake rng k p ~host_key:rsa in
   Alcotest.(check int) "session id is a sha1" 20 (String.length session.Ssh_kex.session_id);
   Alcotest.(check int) "two key directions" 32 session.Ssh_kex.keys_len;
   let keys = Ssh_kex.key_material k p session in
@@ -75,7 +75,7 @@ let test_ssh_kex_handshake () =
 let test_ssh_kex_keys_resident_in_server_memory () =
   let k, p, rsa = setup () in
   let rng = Prng.of_int 51 in
-  let session = Ssh_kex.server_handshake rng k p ~host_key:rsa () in
+  let session = Ssh_kex.server_handshake rng k p ~host_key:rsa in
   let keys = Ssh_kex.key_material k p session in
   Alcotest.(check bool) "session keys scannable in RAM" true (in_ram k keys)
 
@@ -88,15 +88,15 @@ let test_ssh_kex_dh_secret_scrubbed () =
   let rng_probe = Prng.copy rng in
   let _client = Dh.generate_keypair rng_probe Dh.group_small in
   let server = Dh.generate_keypair rng_probe Dh.group_small in
-  ignore (Ssh_kex.server_handshake rng k p ~host_key:rsa ());
+  ignore (Ssh_kex.server_handshake rng k p ~host_key:rsa);
   Alcotest.(check bool) "DH secret zeroized" false
     (in_ram k (Bn.to_bytes_be server.Dh.secret))
 
 let test_ssh_kex_sessions_differ () =
   let k, p, rsa = setup () in
   let rng = Prng.of_int 53 in
-  let s1 = Ssh_kex.server_handshake rng k p ~host_key:rsa () in
-  let s2 = Ssh_kex.server_handshake rng k p ~host_key:rsa () in
+  let s1 = Ssh_kex.server_handshake rng k p ~host_key:rsa in
+  let s2 = Ssh_kex.server_handshake rng k p ~host_key:rsa in
   Alcotest.(check bool) "distinct session ids" true
     (s1.Ssh_kex.session_id <> s2.Ssh_kex.session_id);
   Alcotest.(check bool) "distinct keys" true
@@ -105,7 +105,7 @@ let test_ssh_kex_sessions_differ () =
 let test_ssh_kex_close_leaves_stale_keys () =
   let k, p, rsa = setup () in
   let rng = Prng.of_int 54 in
-  let session = Ssh_kex.server_handshake rng k p ~host_key:rsa () in
+  let session = Ssh_kex.server_handshake rng k p ~host_key:rsa in
   let keys = Ssh_kex.key_material k p session in
   Ssh_kex.close k p session;
   (* era-typical: the freed buffer still holds the keys *)

@@ -83,7 +83,9 @@ let test_scan_multiple_patterns_sorted () =
 let test_scan_empty_pattern_rejected () =
   let k = Kernel.create ~config () in
   Alcotest.check_raises "empty pattern" (Invalid_argument "Scanner.scan: empty pattern")
-    (fun () -> ignore (Scanner.scan k ~patterns:[ ("x", "") ]))
+    (fun () -> ignore (Scanner.scan k ~patterns:[ ("x", "") ]));
+  Alcotest.check_raises "offline count" (Invalid_argument "Scanner.count_copies: empty pattern")
+    (fun () -> ignore (Scanner.count_copies ~patterns:[ ("x", "") ] (Bytes.of_string "abc")))
 
 let test_key_patterns () =
   let priv = Rsa.generate (Prng.of_int 77) ~bits:128 in

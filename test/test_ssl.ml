@@ -210,7 +210,13 @@ let test_corrupt_key_file () =
   let p = Kernel.spawn k ~name:"srv" in
   (match Ssl.load_private_key k p ~path:"/bad.pem" Ssl.Vanilla with
    | _ -> Alcotest.fail "expected failure"
-   | exception Invalid_argument _ -> ())
+   | exception Invalid_argument _ -> ());
+  (* well-formed armour under another key type's label *)
+  let dsa_pem = Memguard_crypto.Pem.encode ~label:"DSA PRIVATE KEY" "der" in
+  ignore (Kernel.write_file k ~path:"/dsa.pem" dsa_pem);
+  match Ssl.load_private_key k p ~path:"/dsa.pem" Ssl.Vanilla with
+  | _ -> Alcotest.fail "expected label mismatch"
+  | exception Invalid_argument _ -> ()
 
 let suite =
   [ ( "sim_bn",
