@@ -16,10 +16,6 @@ type options = {
   max_requests_per_child : int;
 }
 
-let vanilla =
-  { workers = 8; max_clients = 150; max_spare_servers = 10; ssl_mode = Ssl.Vanilla;
-    nocache = false; max_requests_per_child = 100 }
-
 type worker = { mutable proc : Proc.t; mutable handled : int; mutable busy : bool }
 
 type conn = {
@@ -50,8 +46,6 @@ let start k ~key_path opts =
   in
   { kernel = k; opts; parent_proc; server_key; pool; running = true }
 
-let parent t = t.parent_proc
-let key t = t.server_key
 let public t = t.server_key.Sim_rsa.pub
 let worker_pids t = List.map (fun w -> w.proc.Proc.pid) t.pool
 
@@ -144,18 +138,7 @@ let close_connection t conn =
       cull_idle t
     end
 
-let session conn = conn.session
-
 let connection_count t = List.length (List.filter (fun w -> w.busy) t.pool)
-
-let handle_sequential t rng ~n =
-  for _ = 1 to n do
-    match open_connection t rng with
-    | Some conn ->
-      serve t conn rng ~kib:8;
-      close_connection t conn
-    | None -> ()
-  done
 
 let stop t =
   if t.running then begin
@@ -166,5 +149,3 @@ let stop t =
     Kernel.exit t.kernel t.parent_proc;
     t.running <- false
   end
-
-let is_running t = t.running

@@ -17,23 +17,16 @@ type options = {
   max_requests_per_child : int;  (** 0 = never recycle *)
 }
 
-val vanilla : options
-(** 8 workers, MaxClients 150, [Vanilla] SSL, no [O_NOCACHE], recycle after
-    100 requests — the 2.0.55 defaults, scaled. *)
-
 type conn
 
 type t
 
 val start : Kernel.t -> key_path:string -> options -> t
 
-val parent : t -> Proc.t
-
-val key : t -> Memguard_ssl.Sim_rsa.t
-
 val public : t -> Memguard_crypto.Rsa.public
 
 val worker_pids : t -> int list
+(** Test oracle: the pids of the worker pool, live and idle. *)
 
 val open_connection : t -> Memguard_util.Prng.t -> conn option
 (** Assign a free worker (pre-forking another if all are busy and the pool
@@ -44,8 +37,6 @@ val serve : t -> conn -> Memguard_util.Prng.t -> kib:int -> unit
 (** Stream a response body through the worker, one AES-protected TLS
     record per KiB. *)
 
-val session : conn -> Memguard_proto.Tls_rsa.session
-
 val close_connection : t -> conn -> unit
 (** Release the worker, recycling it if it exceeded
     [max_requests_per_child] and reaping idle workers above
@@ -53,10 +44,6 @@ val close_connection : t -> conn -> unit
     unallocated memory. *)
 
 val connection_count : t -> int
-
-val handle_sequential : t -> Memguard_util.Prng.t -> n:int -> unit
-(** [n] complete request/response cycles back-to-back. *)
+(** Test oracle: the number of busy workers. *)
 
 val stop : t -> unit
-
-val is_running : t -> bool

@@ -9,8 +9,6 @@ module Ssh_kex = Memguard_proto.Ssh_kex
 
 type options = { no_reexec : bool; ssl_mode : Ssl.mode; nocache : bool }
 
-let vanilla = { no_reexec = false; ssl_mode = Ssl.Vanilla; nocache = false }
-
 type conn = {
   child : Proc.t;
   child_key : Sim_rsa.t option;  (** a private copy when the child re-execed *)
@@ -38,8 +36,6 @@ let start k ~key_path opts =
   { kernel = k; key_path; opts; listener_proc; listener_key; conns = []; running = true }
 
 let listener t = t.listener_proc
-let key t = t.listener_key
-let public t = t.listener_key.Sim_rsa.pub
 
 (* the SSHv2 exchange: DH agreement, host-key signature over the exchange
    hash, session keys derived into the child's memory *)
@@ -105,14 +101,6 @@ let session conn = conn.session
 let child conn = conn.child
 
 let connection_count t = List.length t.conns
-let connections t = t.conns
-
-let handle_sequential t rng ~n =
-  for _ = 1 to n do
-    let conn = open_connection t rng in
-    transfer t conn rng ~kib:4;
-    close_connection t conn
-  done
 
 let stop t =
   if t.running then begin
@@ -126,13 +114,3 @@ let stop t =
     Kernel.exit t.kernel t.listener_proc;
     t.running <- false
   end
-
-let crash t =
-  if t.running then begin
-    List.iter (fun c -> Kernel.exit t.kernel c.child) t.conns;
-    t.conns <- [];
-    Kernel.exit t.kernel t.listener_proc;
-    t.running <- false
-  end
-
-let is_running t = t.running

@@ -15,9 +15,6 @@ type options = {
   nocache : bool;  (** open the key file [O_NOCACHE] *)
 }
 
-val vanilla : options
-(** [{ no_reexec = false; ssl_mode = Vanilla; nocache = false }]. *)
-
 type conn
 
 type t
@@ -26,11 +23,6 @@ val start : Kernel.t -> key_path:string -> options -> t
 (** Spawn the listener and load the host key.  The key file must exist. *)
 
 val listener : t -> Proc.t
-
-val key : t -> Memguard_ssl.Sim_rsa.t
-(** The listener's key structure. *)
-
-val public : t -> Memguard_crypto.Rsa.public
 
 val open_connection : t -> Memguard_util.Prng.t -> conn
 (** Accept a connection: fork a child, (re-exec and re-load the key unless
@@ -53,21 +45,9 @@ val close_connection : t -> conn -> unit
 (** The child exits; its pages return to the kernel. *)
 
 val connection_count : t -> int
-
-val connections : t -> conn list
-
-val handle_sequential : t -> Memguard_util.Prng.t -> n:int -> unit
-(** [n] short-lived connections one after another (the attack-priming
-    workload of Section 2). *)
+(** Test oracle: the number of open connections. *)
 
 val stop : t -> unit
 (** Close remaining connections and terminate the listener
     ([/etc/init.d/sshd stop]).  A patched ([Hardened]) server scrubs the
     aligned key region on the way out — the "special care" of Section 4. *)
-
-val crash : t -> unit
-(** SIGKILL / power event: the server dies with NO chance to scrub.
-    Whatever the key region held lands in the free lists as-is — which is
-    why the kernel-level clearing matters even for a patched server. *)
-
-val is_running : t -> bool

@@ -36,7 +36,3 @@ let summarize trials =
   end
 
 let run_trials ~n f = summarize (List.init n f)
-
-let pp fmt s =
-  Format.fprintf fmt "%d trials: %.2f copies/run (min %d, max %d, sd %.1f), success %.0f%%"
-    s.trials s.mean_copies s.min_copies s.max_copies s.stddev_copies (100. *. s.success_rate)

@@ -13,9 +13,5 @@ type summary = {
   stddev_copies : float;
 }
 
-val summarize : trial list -> summary
-
 val run_trials : n:int -> (int -> trial) -> summary
 (** [run_trials ~n f] evaluates [f 0 .. f (n-1)] and summarizes. *)
-
-val pp : Format.formatter -> summary -> unit

@@ -11,5 +11,3 @@ let dump k (p : Proc.t) =
   { pid = p.Proc.pid; data = Buffer.to_bytes buf }
 
 let count_copies t ~patterns = Memguard_scan.Scanner.count_copies ~patterns t.data
-
-let found_any t ~patterns = count_copies t ~patterns > 0

@@ -18,5 +18,3 @@ val dump : Memguard_kernel.Kernel.t -> Memguard_kernel.Proc.t -> t
     writer emits).  Swapped-out pages are pulled back in first. *)
 
 val count_copies : t -> patterns:(string * string) list -> int
-
-val found_any : t -> patterns:(string * string) list -> bool

@@ -20,5 +20,3 @@ let device_bytes t = Buffer.to_bytes t.device
 let bytes_disclosed t = Buffer.length t.device
 
 let count_copies t ~patterns = Memguard_scan.Scanner.count_copies ~patterns (device_bytes t)
-
-let found_any t ~patterns = count_copies t ~patterns > 0

@@ -22,5 +22,3 @@ val bytes_disclosed : t -> int
 
 val count_copies : t -> patterns:(string * string) list -> int
 (** Search the device for key material, as the attacker's final grep. *)
-
-val found_any : t -> patterns:(string * string) list -> bool

@@ -511,8 +511,6 @@ module Mont = struct
 
   let word_muls () = !(word_muls_ ())
 
-  let modulus ctx = ctx.m
-
   (* inverse of an odd limb modulo 2^limb_bits by Newton–Hensel lifting *)
   let inv_limb m0 =
     let x = ref m0 in

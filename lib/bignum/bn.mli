@@ -17,17 +17,20 @@ val two : t
 
 val of_int : int -> t
 val to_int : t -> int
-(** Raises [Failure] if the value does not fit in an OCaml [int]. *)
+(** Test oracle: raises [Failure] if the value does not fit in an OCaml
+    [int]. *)
 
 val of_dec : string -> t
-(** Parse a decimal string, with optional leading ['-']. *)
+(** Test oracle: parse a decimal string, with optional leading ['-']. *)
 
 val to_dec : t -> string
+(** Test oracle: decimal, leading ['-'] when negative. *)
 
 val of_hex : string -> t
 (** Parse a hex string (no [0x] prefix), optional leading ['-']. *)
 
 val to_hex : t -> string
+(** Test oracle: lowercase hex, leading ['-'] when negative. *)
 
 val of_bytes_be : string -> t
 (** Big-endian unsigned magnitude; [""] is zero. *)
@@ -46,18 +49,21 @@ val sign : t -> int
 
 val is_zero : t -> bool
 val is_one : t -> bool
-val is_even : t -> bool
+(** Test oracle: [equal t one]. *)
+
 val is_odd : t -> bool
+(** Test oracle: the magnitude's low bit. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val bit_length : t -> int
 (** Bits in the magnitude; [bit_length zero = 0]. *)
 
 val test_bit : t -> int -> bool
-(** Bit [i] of the magnitude (bit 0 = least significant). *)
+(** Test oracle: bit [i] of the magnitude (bit 0 = least significant). *)
 
 val num_limbs : t -> int
-(** Number of 24-bit limbs in the magnitude (0 for zero). *)
+(** Test oracle: number of 24-bit limbs in the magnitude (0 for zero). *)
 
 (** {1 Arithmetic} *)
 
@@ -66,22 +72,18 @@ val abs : t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val sqr : t -> t
-
-val divmod : t -> t -> t * t
-(** [divmod a b] is [(q, r)] with [a = q*b + r] and [0 <= r < |b|] (Euclidean
-    remainder: [r] is always non-negative).  Raises [Division_by_zero]. *)
 
 val div : t -> t -> t
 val rem : t -> t -> t
+(** [div a b] and [rem a b] are [q] and [r] with [a = q*b + r] and
+    [0 <= r < |b|] (Euclidean remainder: [r] is always non-negative).
+    Both raise [Division_by_zero]. *)
 
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 
-val add_int : t -> int -> t
-val mul_int : t -> int -> t
 val rem_int : t -> int -> int
-(** Remainder by a positive [int] modulus (non-negative result). *)
+(** Test oracle: remainder by a positive [int] modulus (non-negative result). *)
 
 (** {1 Modular arithmetic} *)
 
@@ -108,40 +110,39 @@ val mod_pow_fixed_base : base:t -> exp:t -> modulus:t -> t
     Exponents wider than the modulus and moduli outside Montgomery's
     domain take [mod_pow]. *)
 
-(** Montgomery arithmetic (REDC), exposed for callers that reuse a context
-    across many exponentiations — the real-world behaviour behind the
-    [RSA_FLAG_CACHE_PRIVATE] copies the paper tracks. *)
+(** Montgomery arithmetic (REDC).  The library reaches it through
+    [mod_pow], [mod_pow_fixed_base] and [Ct.crt_exp]; the context functions
+    are exported so the tests can check the kernels directly. *)
 module Mont : sig
   type ctx
 
   val create : t -> ctx option
-  (** [create m] precomputes a context for an odd modulus [m > 1];
+  (** Test oracle: [create m] precomputes a context for an odd modulus [m > 1];
       [None] otherwise. *)
 
   val create_width : ?width:int -> t -> ctx option
-  (** [create_width ~width m] works at [max width (num_limbs m)] limbs,
-      so moduli of different sizes can share one fixed operand width.
-      [None] for the moduli [create] rejects and for working widths above
-      8191 limbs: the product-scanning kernels sum each output column —
-      up to 2k limb products of at most (2^24-1)^2 plus a carry — in one
-      native int, and the guard keeps 2k * 2^48 within 2^62. *)
-
-  val modulus : ctx -> t
+  (** Test oracle: [create_width ~width m] works at [max width (num_limbs m)]
+      limbs, so moduli of different sizes can share one fixed operand width.
+      [None] for the moduli [create] rejects and for working widths above 8191
+      limbs: the product-scanning kernels sum each output column — up to 2k limb
+      products of at most (2^24-1)^2 plus a carry — in one native int, and the
+      guard keeps 2k * 2^48 within 2^62. *)
 
   val to_mont : ctx -> t -> t
-  (** Map [x] (with [0 <= x < m]) into the Montgomery domain. *)
+  (** Test oracle: map [x] (with [0 <= x < m]) into the Montgomery domain. *)
 
   val from_mont : ctx -> t -> t
+  (** Test oracle: the inverse of [to_mont]. *)
 
   val mul : ctx -> t -> t -> t
-  (** Montgomery product of two domain values: [a * b * R^-1 mod m] with
-      [R = 2^(24k)].  The kernels scan by product (column-wise, one
-      carry per output column) with the reduction interleaved, over
-      fixed-width limb vectors and branch-free. *)
+  (** Test oracle: Montgomery product of two domain values: [a * b * R^-1 mod m]
+      with [R = 2^(24k)].  The kernels scan by product (column-wise, one carry
+      per output column) with the reduction interleaved, over fixed-width limb
+      vectors and branch-free. *)
 
   val pow : ctx -> base:t -> exp:t -> t
-  (** [pow ctx ~base ~exp] = [base^exp mod m] for plain (non-domain)
-      [base] with [0 <= base < m], [exp >= 0]. *)
+  (** Test oracle: [pow ctx ~base ~exp] = [base^exp mod m] for plain
+      (non-domain) [base] with [0 <= base < m], [exp >= 0]. *)
 
   val word_muls : unit -> int
   (** Monotone count of limb multiply-accumulates performed by the
@@ -151,10 +152,9 @@ module Mont : sig
       context caches. *)
 
   val inject_test_leak : bool -> unit
-  (** Test-only hook: when armed, [pow] and [mod_pow_fixed_base] add the
-      exponent's popcount to both [word_muls] and [Ct.limb_traffic] — a
-      deliberate secret-dependent cost that the ct-leakage sentinels must
-      catch.
+  (** Test oracle: a test-only hook.  When armed, [pow] and [mod_pow_fixed_base]
+      add the exponent's popcount to both [word_muls] and [Ct.limb_traffic] — a
+      deliberate secret-dependent cost that the ct-leakage sentinels must catch.
       Never enable outside tests/CI smoke runs. *)
 end
 
@@ -171,29 +171,30 @@ module Ct : sig
       bookkeeping like [Mont.word_muls]). *)
 
   val select : width:int -> bit:int -> t -> t -> t
-  (** [select ~width ~bit a b] is [a] when [bit land 1 = 1] else [b],
-      via a masked sweep over [width] limbs.  Operands must be
-      non-negative and fit in [width] limbs. *)
+  (** Test oracle: [select ~width ~bit a b] is [a] when [bit land 1 = 1] else
+      [b], via a masked sweep over [width] limbs.  Operands must be non-negative
+      and fit in [width] limbs. *)
 
   val add : width:int -> t -> t -> t * int
-  (** Fixed-width sum and carry-out bit. *)
+  (** Test oracle: fixed-width sum and carry-out bit. *)
 
   val sub : width:int -> t -> t -> t * int
-  (** Fixed-width difference modulo [base^width] and borrow-out bit. *)
+  (** Test oracle: fixed-width difference modulo [base^width] and borrow-out
+      bit. *)
 
   val ge : width:int -> t -> t -> bool
-  (** [a >= b] via a full-width borrow chain (no early exit). *)
+  (** Test oracle: [a >= b] via a full-width borrow chain (no early exit). *)
 
   val mul : width:int -> t -> t -> t
-  (** Fixed schoolbook product over [width * width] limb pairs, no
+  (** Test oracle: fixed schoolbook product over [width * width] limb pairs, no
       zero-limb skipping. *)
 
   val mod_add : m:t -> t -> t -> t
-  (** [(a + b) mod m] for [0 <= a, b < m] via add + always-subtract +
-      masked select.  Raises [Invalid_argument] out of range. *)
+  (** Test oracle: [(a + b) mod m] for [0 <= a, b < m] via add + always-subtract
+      + masked select.  Raises [Invalid_argument] out of range. *)
 
   val mod_sub : m:t -> t -> t -> t
-  (** [(a - b) mod m] for [0 <= a, b < m] via sub + always-add +
+  (** Test oracle: [(a - b) mod m] for [0 <= a, b < m] via sub + always-add +
       masked select.  Raises [Invalid_argument] out of range. *)
 
   val crt_exp : p:t -> q:t -> dp:t -> dq:t -> qinv:t -> t -> t * t * t * t
@@ -212,7 +213,7 @@ end
 val gcd : t -> t -> t
 
 val egcd : t -> t -> t * t * t
-(** [egcd a b = (g, x, y)] with [g = gcd a b = a*x + b*y]. *)
+(** Test oracle: [egcd a b = (g, x, y)] with [g = gcd a b = a*x + b*y]. *)
 
 val mod_inverse : t -> t -> t option
 (** [mod_inverse a m] is [Some x] with [a*x = 1 (mod m)], or [None] if
@@ -221,16 +222,18 @@ val mod_inverse : t -> t -> t option
 (** {1 Randomness and primality} *)
 
 val random_bits : Memguard_util.Prng.t -> int -> t
-(** Uniform in [\[0, 2^bits)]. *)
+(** Test oracle: uniform in [\[0, 2^bits)]. *)
 
 val random_below : Memguard_util.Prng.t -> t -> t
 (** Uniform in [\[0, bound)]; requires [bound > 0]. *)
 
 val is_probable_prime : Memguard_util.Prng.t -> t -> bool
-(** Trial division by small primes then 20 rounds of Miller–Rabin. *)
+(** Test oracle: trial division by small primes then 20 rounds of
+    Miller–Rabin. *)
 
 val gen_prime : Memguard_util.Prng.t -> bits:int -> t
 (** Random probable prime with exactly [bits] bits (top two bits set so that
     products of two such primes have full size).  Requires [bits >= 8]. *)
 
 val pp : Format.formatter -> t -> unit
+(** Test oracle: prints [to_dec]. *)

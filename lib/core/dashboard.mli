@@ -106,10 +106,12 @@ val sensitive_unsafe_total : t -> int
     confinement result), growing monotonically at Unprotected. *)
 
 val class_total : t -> Obs.mem_class -> int
-(** Total byte·ticks accumulated in one memory class (all origins). *)
+(** Test oracle: total byte·ticks accumulated in one memory class (all
+    origins). *)
 
 val class_series : t -> Obs.mem_class -> (int * int) list
-(** Cumulative byte·ticks of sensitive origins in one class per tick. *)
+(** Test oracle: cumulative byte·ticks of sensitive origins in one class per
+    tick. *)
 
 val to_json : t -> string
 
@@ -120,8 +122,8 @@ val to_html : t -> string
     alert table.  All interpolated names are HTML-escaped. *)
 
 val svg_sparkline : (int * float) list -> string
-(** Inline 160x28 SVG sparkline of one series, auto-scaled to its own
-    min/max envelope.  Shared by the dashboard and diff HTML reports. *)
+(** Test oracle: inline 160x28 SVG sparkline of one series, auto-scaled to its
+    own min/max envelope.  Shared by the dashboard and diff HTML reports. *)
 
 val html_escape : string -> string
 (** Escape [<], [>] and [&] for interpolation into HTML/SVG text

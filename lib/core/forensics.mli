@@ -15,8 +15,6 @@ type verdict =
       (** freed or overwritten without a deliberate zero — the paper's
           "copies are not erased before entering unallocated memory" *)
 
-val verdict_name : verdict -> string
-
 (** One step of the causal chain (a span on the path from the request
     root down to the span that registered the copy). *)
 type link = {
@@ -69,10 +67,11 @@ val of_snapshot : Obs.ctx -> Report.snapshot -> hit:int -> t option
     the trace's fan-out and live intervals. *)
 
 val breaches : Obs.ctx -> Obs.record list
-(** The [Exposure_breach] records retained in the ring, oldest first. *)
+(** Test oracle: the [Exposure_breach] records retained in the ring, oldest
+    first. *)
 
 val of_breach : Obs.ctx -> Obs.record -> t option
-(** Forensics for a breach record ([None] for any other event). *)
+(** Test oracle: forensics for a breach record ([None] for any other event). *)
 
 (** {2 Per-request leak budgets} *)
 
@@ -92,7 +91,6 @@ val budget_table : Obs.ctx -> budget_row list
 
 (** {2 Rendering} *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val to_json : t -> string

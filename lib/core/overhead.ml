@@ -29,6 +29,8 @@ let sshd_opts_for level =
     nocache = Protection.nocache level
   }
 
+(* one fig-5 timeline at one level; [slowdown] stays 1.0 until [run] sets
+   it relative to its first level *)
 let run_level ?(num_pages = 4096) ?(seed = 1) ?(key_bits = 256) level =
   let obs = Obs.create () in
   ignore

@@ -33,16 +33,6 @@ val default_levels : Protection.level list
 val sshd_opts_for : Protection.level -> Memguard_apps.Sshd.options
 (** The forced-re-exec options the report runs each level with. *)
 
-val run_level :
-  ?num_pages:int ->
-  ?seed:int ->
-  ?key_bits:int ->
-  Protection.level ->
-  row
-(** One fig-5 timeline at one level (defaults: 4096 pages, seed 1,
-    256-bit key, incremental scan).  [slowdown] is 1.0 — {!run} fills it
-    in relative to its first level. *)
-
 val run :
   ?levels:Protection.level list ->
   ?num_pages:int ->

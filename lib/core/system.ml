@@ -76,9 +76,7 @@ let create ?(num_pages = 8192) ?(key_bits = 256) ?(seed = 1) ?rng ?(noise = true
   }
 
 let kernel t = t.kernel_
-let level t = t.level_
 let priv t = t.priv_
-let pem t = t.pem_
 let rng t = t.rng_
 let obs t = t.obs_
 

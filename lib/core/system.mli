@@ -53,9 +53,7 @@ val create :
     fault-injection campaigns to reach swap-out edge paths. *)
 
 val kernel : t -> Kernel.t
-val level : t -> Protection.level
 val priv : t -> Memguard_crypto.Rsa.priv
-val pem : t -> string
 val rng : t -> Memguard_util.Prng.t
 val obs : t -> Memguard_obs.Obs.ctx
 

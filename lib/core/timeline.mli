@@ -25,7 +25,7 @@ type schedule = {
 val default_schedule : schedule
 
 val concurrency_at : schedule -> low:int -> high:int -> int -> int
-(** Target concurrent connections at a tick. *)
+(** Test oracle: target concurrent connections at a tick. *)
 
 val paper_traffic : ?low:int -> ?high:int -> schedule -> Memguard_apps.Workload.pattern
 (** The Section 3.2 traffic script as a {!Memguard_apps.Workload.Steps}

@@ -13,6 +13,8 @@ val encrypt_block : key -> string -> string
 (** One 16-byte block. *)
 
 val decrypt_block : key -> string -> string
+(** Test oracle: the inverse of [encrypt_block] (FIPS-197), under
+    [cbc_decrypt]. *)
 
 val cbc_encrypt : key:string -> iv:string -> string -> string
 (** PKCS#7-padded CBC over arbitrary-length plaintext.  [iv] is 16 bytes.

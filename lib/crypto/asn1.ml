@@ -106,17 +106,3 @@ let decode s =
   match parse s 0 with
   | v, next -> if next <> String.length s then Error "trailing bytes after DER value" else Ok v
   | exception Parse_error e -> Error e
-
-let decode_exn s =
-  match decode s with
-  | Ok v -> v
-  | Error e -> invalid_arg ("Asn1.decode_exn: " ^ e)
-
-let rec pp fmt v =
-  match v with
-  | Integer i -> Format.fprintf fmt "INTEGER %s" (Bn.to_dec i)
-  | Octet_string s -> Format.fprintf fmt "OCTET STRING (%d bytes)" (String.length s)
-  | Sequence items ->
-    Format.fprintf fmt "SEQUENCE {@[<hv>%a@]}"
-      (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ";@ ") pp)
-      items

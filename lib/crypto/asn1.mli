@@ -11,8 +11,3 @@ val encode : t -> string
 
 val decode : string -> (t, string) result
 (** Parse a complete DER value; trailing bytes are an error. *)
-
-val decode_exn : string -> t
-(** Like {!decode}; raises [Invalid_argument] on error. *)
-
-val pp : Format.formatter -> t -> unit

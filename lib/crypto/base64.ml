@@ -81,8 +81,3 @@ let decode s =
     then Error "bad padding"
     else if !acc land ((1 lsl !nbits) - 1) <> 0 then Error "non-zero trailing bits"
     else Ok (Buffer.contents buf)
-
-let decode_exn s =
-  match decode s with
-  | Ok v -> v
-  | Error e -> invalid_arg ("Base64.decode_exn: " ^ e)

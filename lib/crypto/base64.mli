@@ -1,7 +1,7 @@
 (** RFC 4648 base64, as used by PEM. *)
 
 val encode : string -> string
-(** Standard alphabet, with [=] padding, no line breaks. *)
+(** Test oracle: standard alphabet, with [=] padding, no line breaks. *)
 
 val encode_wrapped : ?width:int -> string -> string
 (** Like {!encode} but broken into lines of [width] (default 64) characters,
@@ -10,6 +10,3 @@ val encode_wrapped : ?width:int -> string -> string
 val decode : string -> (string, string) result
 (** Inverse of {!encode}.  Whitespace (spaces, tabs, newlines) is skipped.
     Returns [Error _] on invalid characters or bad padding. *)
-
-val decode_exn : string -> string
-(** Like {!decode}; raises [Invalid_argument] on error. *)

@@ -1,35 +1,9 @@
 open Memguard_bignum
-module Prng = Memguard_util.Prng
 
 type params = { p : Bn.t; g : Bn.t }
 
-let generate_params rng ~bits =
-  if bits < 16 then invalid_arg "Dh.generate_params: too small";
-  (* safe prime: p = 2q + 1 with q prime *)
-  let rec find () =
-    let q = Bn.gen_prime rng ~bits:(bits - 1) in
-    let p = Bn.add (Bn.shift_left q 1) Bn.one in
-    if Bn.is_probable_prime rng p then p else find ()
-  in
-  let p = find () in
-  let rec find_g () =
-    let h = Bn.add (Bn.random_below rng (Bn.sub p (Bn.of_int 3))) Bn.two in
-    (* g = h^2 generates the order-q subgroup (quadratic residues) *)
-    let g = Bn.mod_pow ~base:h ~exp:Bn.two ~modulus:p in
-    if Bn.is_one g then find_g () else g
-  in
-  { p; g = find_g () }
-
-let validate_params { p; g } =
-  let ( let* ) r f = Result.bind r f in
-  let check cond msg = if cond then Ok () else Error msg in
-  let q = Bn.shift_right (Bn.sub p Bn.one) 1 in
-  let* () = check (Bn.is_odd p) "p is even" in
-  let* () = check (Bn.compare g Bn.one > 0 && Bn.compare g (Bn.sub p Bn.one) < 0) "g out of range" in
-  let* () = check (Bn.is_one (Bn.mod_pow ~base:g ~exp:q ~modulus:p)) "g not in the q-subgroup" in
-  Ok ()
-
-(* pre-generated safe-prime groups (see generate_params); fast for tests *)
+(* pre-generated safe primes p = 2q + 1 with g = h^2 mod p, a generator
+   of the order-q subgroup; fast for tests *)
 let group_small =
   { p = Bn.of_hex "c07fb2aa9db9c27fedbb1822dff7c873";
     g = Bn.of_hex "1246792399b379a8b459bd68aacc1e76"

@@ -73,8 +73,6 @@ let digest msg =
     [ !a0; !b0; !c0; !d0 ];
   Bytes.unsafe_to_string out
 
-let hex_digest msg = Memguard_util.Bytes_util.hex_of_string (digest msg)
-
 let bytes_to_key ~passphrase ~salt ~length =
   let buf = Buffer.create length in
   let d = ref "" in

@@ -5,9 +5,6 @@
 val digest : string -> string
 (** 16-byte raw digest. *)
 
-val hex_digest : string -> string
-(** Lowercase hex, 32 characters. *)
-
 val bytes_to_key : passphrase:string -> salt:string -> length:int -> string
 (** OpenSSL [EVP_BytesToKey] with MD5, count=1: concatenated
     [D_1 = MD5(pass||salt)], [D_i = MD5(D_{i-1}||pass||salt)] truncated to

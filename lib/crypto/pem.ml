@@ -98,8 +98,3 @@ let decode_encrypted ?label ~passphrase text =
             let key = derive_key ~passphrase ~iv in
             Aes.cbc_decrypt ~key ~iv b.payload)
         | _ -> Error "unsupported DEK-Info cipher"))
-
-let decode_exn ?label text =
-  match decode ?label text with
-  | Ok v -> v
-  | Error e -> invalid_arg ("Pem.decode_exn: " ^ e)

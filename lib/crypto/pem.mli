@@ -25,6 +25,3 @@ val decode : ?label:string -> string -> (string, string) result
 val decode_encrypted : ?label:string -> passphrase:string -> string -> (string, string) result
 (** Decrypt an encrypted block.  A wrong passphrase surfaces as a padding
     (or downstream parse) error, exactly as in OpenSSL. *)
-
-val decode_exn : ?label:string -> string -> string
-(** Like {!decode}; raises [Invalid_argument] on error. *)

@@ -47,20 +47,6 @@ let generate ?(e = 65537) rng ~bits =
   in
   attempt ()
 
-let validate k =
-  let check cond msg = if cond then Ok () else Error msg in
-  let ( let* ) r f = Result.bind r f in
-  let p1 = Bn.sub k.p Bn.one and q1 = Bn.sub k.q Bn.one in
-  let* () = check (Bn.equal k.n (Bn.mul k.p k.q)) "n <> p*q" in
-  let* () = check (Bn.equal k.dp (Bn.rem k.d p1)) "dp <> d mod p-1" in
-  let* () = check (Bn.equal k.dq (Bn.rem k.d q1)) "dq <> d mod q-1" in
-  let* () = check (Bn.is_one (Bn.rem (Bn.mul k.qinv k.q) k.p)) "qinv*q <> 1 mod p" in
-  let* () =
-    check (Bn.is_one (Bn.rem (Bn.mul k.e k.d) (Bn.div (Bn.mul p1 q1) (Bn.gcd p1 q1))))
-      "e*d <> 1 mod lcm(p-1,q-1)"
-  in
-  Ok ()
-
 let encrypt_raw (pub : public) m =
   if Bn.sign m < 0 || Bn.compare m pub.n >= 0 then invalid_arg "Rsa.encrypt_raw: m out of range";
   Bn.mod_pow ~base:m ~exp:pub.e ~modulus:pub.n
@@ -113,23 +99,9 @@ let priv_of_der der =
 
 let pem_of_priv k = Pem.encode ~label:pem_label (der_of_priv k)
 
-let priv_of_pem text =
-  match Pem.decode ~label:pem_label text with
-  | Error e -> Error ("bad PEM: " ^ e)
-  | Ok der -> priv_of_der der
-
 let pem_of_priv_encrypted ~passphrase ~iv k =
   Pem.encode_encrypted ~label:pem_label ~passphrase ~iv (der_of_priv k)
-
-let priv_of_pem_encrypted ~passphrase text =
-  match Pem.decode_encrypted ~label:pem_label ~passphrase text with
-  | Error e -> Error ("bad encrypted PEM: " ^ e)
-  | Ok der -> priv_of_der der
 
 let pattern_d k = Bn.to_bytes_be k.d
 let pattern_p k = Bn.to_bytes_be k.p
 let pattern_q k = Bn.to_bytes_be k.q
-
-let equal_priv a b =
-  Bn.equal a.n b.n && Bn.equal a.e b.e && Bn.equal a.d b.d && Bn.equal a.p b.p
-  && Bn.equal a.q b.q && Bn.equal a.dp b.dp && Bn.equal a.dq b.dq && Bn.equal a.qinv b.qinv

@@ -29,15 +29,12 @@ val generate : ?e:int -> Memguard_util.Prng.t -> bits:int -> priv
 
 val public_of_priv : priv -> public
 
-val validate : priv -> (unit, string) result
-(** Consistency check of all CRT components. *)
-
 val encrypt_raw : public -> Bn.t -> Bn.t
 (** [m^e mod n]; requires [0 <= m < n]. *)
 
 val decrypt_raw : ?crt:bool -> priv -> Bn.t -> Bn.t
-(** [c^d mod n] via CRT by default (as OpenSSL does); [~crt:false] uses the
-    plain exponent. *)
+(** Test oracle: [c^d mod n] via CRT by default (as OpenSSL does); [~crt:false]
+    uses the plain exponent. *)
 
 val sign_raw : ?crt:bool -> priv -> Bn.t -> Bn.t
 (** Same computation as {!decrypt_raw} (raw RSA is symmetric). *)
@@ -45,18 +42,15 @@ val sign_raw : ?crt:bool -> priv -> Bn.t -> Bn.t
 val verify_raw : public -> msg:Bn.t -> signature:Bn.t -> bool
 
 val der_of_priv : priv -> string
-(** PKCS#1 [RSAPrivateKey ::= SEQUENCE { version, n, e, d, p, q, dp, dq, qinv }]. *)
+(** Test oracle: PKCS#1
+    [RSAPrivateKey ::= SEQUENCE { version, n, e, d, p, q, dp, dq, qinv }]. *)
 
 val priv_of_der : string -> (priv, string) result
 
 val pem_of_priv : priv -> string
 
-val priv_of_pem : string -> (priv, string) result
-
 val pem_of_priv_encrypted : passphrase:string -> iv:string -> priv -> string
 (** Traditional OpenSSL encrypted key file (AES-128-CBC, 16-byte [iv]). *)
-
-val priv_of_pem_encrypted : passphrase:string -> string -> (priv, string) result
 
 (** {1 Key-part byte patterns}
 
@@ -68,5 +62,3 @@ val priv_of_pem_encrypted : passphrase:string -> string -> (priv, string) result
 val pattern_d : priv -> string
 val pattern_p : priv -> string
 val pattern_q : priv -> string
-
-val equal_priv : priv -> priv -> bool

@@ -59,5 +59,3 @@ let digest msg =
       done)
     [ !h0; !h1; !h2; !h3; !h4 ];
   Bytes.unsafe_to_string out
-
-let hex_digest msg = Memguard_util.Bytes_util.hex_of_string (digest msg)

@@ -4,6 +4,3 @@
 
 val digest : string -> string
 (** 20-byte raw digest. *)
-
-val hex_digest : string -> string
-(** Lowercase hex, 40 characters. *)

@@ -66,7 +66,8 @@ val passed : result -> bool
 (** No violations. *)
 
 val replay_hint : result -> string
-(** The [memguard_cli chaos] invocation reproducing this exact campaign. *)
+(** Test oracle: the [memguard_cli chaos] invocation reproducing this exact
+    campaign. *)
 
 val pp_summary : Format.formatter -> result -> unit
 (** One line: seed, level, ops, ooms, scans, violation count. *)

@@ -97,10 +97,10 @@ type report = {
 }
 
 val run_shard : config -> int -> shard_result
-(** Run shard [i] to completion on the calling domain — one
-    {!Memguard.Dashboard.run} on its own PRNG stream, [Prng.derive]d
-    from the master seed with tag [i].  Pure
-    in [(config, i)]: same inputs, byte-identical result. *)
+(** Test oracle: run shard [i] to completion on the calling domain — one
+    {!Memguard.Dashboard.run} on its own PRNG stream, [Prng.derive]d from the
+    master seed with tag [i].  Pure in [(config, i)]: same inputs,
+    byte-identical result. *)
 
 val run : ?recorder:(Memguard_obs.Obs.Snapshot.t -> unit) -> config -> report
 (** Run the whole fleet.  Shards execute on [min domains shards] workers
@@ -111,12 +111,12 @@ val run : ?recorder:(Memguard_obs.Obs.Snapshot.t -> unit) -> config -> report
     finished report. *)
 
 val dashboard : report -> Memguard.Dashboard.t
-(** The merged fleet as a [Dashboard.t]: per-tick snapshots, exposure
-    series and totals, lifetimes, breaches, counters and cycles are the
-    shard-wise sums/concatenations, so every dashboard renderer (HTML,
-    JSON, summary) consumes the fleet exactly as it consumes one
-    machine.  The embedded snapshots carry merged hit {e counts} only
-    (no per-hit lists — those stay per shard). *)
+(** Test oracle: the merged fleet as a [Dashboard.t]: per-tick snapshots,
+    exposure series and totals, lifetimes, breaches, counters and cycles are the
+    shard-wise sums/concatenations, so every dashboard renderer (HTML, JSON,
+    summary) consumes the fleet exactly as it consumes one machine.  The
+    embedded snapshots carry merged hit {e counts} only (no per-hit lists —
+    those stay per shard). *)
 
 val inspect_shard : config -> shard:int -> tick:int -> string
 (** Re-run shard [shard] sequentially up to [tick] and render the live
@@ -142,12 +142,12 @@ val fingerprint : report -> string
     depend on [config.domains] or scheduling. *)
 
 val snapshot : report -> Memguard_obs.Obs.Snapshot.t
-(** Flight archive (kind ["fleet"]) of the merged report: merged series
-    (with envelopes over the merged points), exposure totals, counters,
+(** Test oracle: flight archive (kind ["fleet"]) of the merged report: merged
+    series (with envelopes over the merged points), exposure totals, counters,
     subsystem cycles, alert firings, per-request leak budgets keyed
-    ["s<shard>:t<trace>"], one {!Memguard_obs.Obs.Snapshot.shard_env}
-    per shard, and fleet-wide total scalars.  Like {!to_json} it is a
-    pure function of the config — meta excludes the domain count and
-    carries {!fingerprint} — so same-config archives diff to zero. *)
+    ["s<shard>:t<trace>"], one {!Memguard_obs.Obs.Snapshot.shard_env} per shard,
+    and fleet-wide total scalars.  Like {!to_json} it is a pure function of the
+    config — meta excludes the domain count and carries {!fingerprint} — so
+    same-config archives diff to zero. *)
 
 val pp_summary : Format.formatter -> report -> unit

@@ -22,8 +22,6 @@ let ino_of_path t path = Hashtbl.find_opt t.paths path
 
 let content_of_ino t ino = Hashtbl.find_opt t.inodes ino
 
-let read_file t ~path = Option.bind (ino_of_path t path) (content_of_ino t)
-
 let remove t ~path =
   match Hashtbl.find_opt t.paths path with
   | None -> false
@@ -31,7 +29,5 @@ let remove t ~path =
     Hashtbl.remove t.paths path;
     Hashtbl.remove t.inodes ino;
     true
-
-let exists t ~path = Hashtbl.mem t.paths path
 
 let list_paths t = Hashtbl.fold (fun p _ acc -> p :: acc) t.paths [] |> List.sort compare

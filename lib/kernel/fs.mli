@@ -13,14 +13,10 @@ val create : unit -> t
 val write_file : t -> path:string -> string -> int
 (** Create or replace a file; returns its inode number. *)
 
-val read_file : t -> path:string -> string option
-
 val ino_of_path : t -> string -> int option
 
 val content_of_ino : t -> int -> string option
 
 val remove : t -> path:string -> bool
-
-val exists : t -> path:string -> bool
 
 val list_paths : t -> string list

@@ -22,17 +22,13 @@ val buddyinfo : Kernel.t -> string
 (** Free-list occupancy per order plus the hot-list depth — the
     [/proc/buddyinfo] view. *)
 
-val swaps : Kernel.t -> string
-(** Swap-device usage: totals, then one line per in-use slot with its
-    owning [(pid, vpn)] and any stashed key bytes. *)
-
-val pagecache : Kernel.t -> string
-(** Cached file pages as [(ino, path, index, pfn)] with key annotations. *)
-
 val meminfo : Kernel.t -> string
 (** Headline counts (free / allocated / cached / procs / swap) plus, on an
     enabled context, live key-copy intervals and the exposure ledger
     totals. *)
 
 val render : Kernel.t -> string
-(** All sections: meminfo, maps, buddyinfo, pagecache, swaps. *)
+(** All sections: meminfo, maps, buddyinfo, then the page cache as
+    [(ino, path, index, pfn)] with key annotations, then swap-device usage
+    (totals, then one line per in-use slot with its owning [(pid, vpn)]
+    and any stashed key bytes). *)

@@ -74,7 +74,6 @@ let create ?(config = default_config) ?(obs = Obs.null) () =
     obs
   }
 
-let config t = t.cfg
 let mem t = t.mem
 let buddy t = t.buddy
 let fs t = t.fs
@@ -83,13 +82,9 @@ let swap t = t.swap
 let page_size t = t.cfg.page_size
 let obs t = t.obs
 
-let set_zero_on_free t v = Buddy.set_zero_on_free t.buddy v
-
 let live_procs t =
   Hashtbl.fold (fun _ p acc -> p :: acc) t.procs []
   |> List.sort (fun a b -> compare a.Proc.pid b.Proc.pid)
-
-let proc t pid = Hashtbl.find_opt t.procs pid
 
 (* ---- frame allocation with reclaim (page-cache eviction, then swap) ---- *)
 

@@ -45,7 +45,6 @@ val create : ?config:config -> ?obs:Memguard_obs.Obs.ctx -> unit -> t
 
 (** {1 Accessors} *)
 
-val config : t -> config
 val mem : t -> Memguard_vmm.Phys_mem.t
 val buddy : t -> Memguard_vmm.Buddy.t
 val fs : t -> Fs.t
@@ -53,8 +52,6 @@ val page_cache : t -> Page_cache.t
 val swap : t -> Swap.t option
 val page_size : t -> int
 val obs : t -> Memguard_obs.Obs.ctx
-
-val set_zero_on_free : t -> bool -> unit
 
 (** {1 Processes} *)
 
@@ -71,7 +68,6 @@ val exit : t -> Proc.t -> unit
 (** Terminate: every exclusively-held frame returns to the buddy allocator
     (uncleared unless [zero_on_free]); shared frames drop a reference. *)
 
-val proc : t -> int -> Proc.t option
 val live_procs : t -> Proc.t list
 (** Sorted by pid. *)
 
@@ -130,8 +126,8 @@ val note_freed_dirty :
     unallocated memory attributes back to this origin. *)
 
 val pfn_of_vaddr : t -> Proc.t -> int -> int option
-(** Physical frame backing a virtual address ([None] if unmapped or
-    swapped out). *)
+(** Test oracle: the physical frame backing a virtual address ([None] if
+    unmapped or swapped out). *)
 
 (** {1 Files} *)
 

@@ -14,7 +14,6 @@ let create ?(slots = 1024) ~page_size () =
     used_count = 0
   }
 
-let page_size t = t.page_size
 let total_slots t = t.slots
 let used_slots t = t.used_count
 let free_slots t = t.slots - t.used_count

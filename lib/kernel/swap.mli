@@ -10,7 +10,6 @@ type t
 val create : ?slots:int -> page_size:int -> unit -> t
 (** [slots] defaults to 1024. *)
 
-val page_size : t -> int
 val total_slots : t -> int
 val used_slots : t -> int
 val free_slots : t -> int
@@ -24,8 +23,8 @@ val used_slot_list : t -> int list
     page-table cross-check walks both sides of the mapping.) *)
 
 val store : t -> string -> int option
-(** Write one page of data to a free slot; [None] when swap is full.
-    The string must be exactly [page_size] bytes. *)
+(** Test oracle: write one page of data to a free slot; [None] when swap is
+    full.  The string must be exactly [page_size] bytes. *)
 
 val reserve : t -> int option
 (** Claim a free slot without writing (lets the caller encrypt with a

@@ -390,7 +390,6 @@ module Trace = struct
 
   let current_trace ctx = match ctx.tstack_ with s :: _ -> s.ts_trace | [] -> 0
   let current_span ctx = match ctx.tstack_ with s :: _ -> s.ts_span | [] -> 0
-  let active ctx = ctx.tstack_ <> []
 
   (* Open a causal span.  With no [?trace] and no span already open, a
      fresh trace is minted and this span becomes its root; otherwise the
@@ -924,8 +923,6 @@ module Exposure = struct
 
   let set_breach_age ctx age =
     if ctx.enabled_ then ctx.breach_age_ <- age
-
-  let breach_age ctx = ctx.breach_age_
 
   let total ctx ~origin ~cls =
     match Hashtbl.find_opt ctx.exposure (origin, cls) with Some r -> !r | None -> 0
@@ -1669,8 +1666,10 @@ module Json = struct
         incr pos
       done;
       if !pos = start then fail "expected value";
-      match float_of_string_opt (String.sub src start (!pos - start)) with
-      | Some f -> f
+      let lit = String.sub src start (!pos - start) in
+      match float_of_string_opt lit with
+      | Some f when Float.is_finite f -> f
+      | Some _ -> fail ("number out of range " ^ lit)
       | None -> fail "bad number"
     in
     let rec parse_value () =
@@ -1917,7 +1916,7 @@ module Snapshot = struct
       let jarr = function Some (Arr l) -> l | _ -> [] in
       let jobj = function Some (Obj l) -> l | _ -> [] in
       (match mem "flight_version" root with
-       | Some (Num v) when int_of_float v = version ->
+       | Some (Num v) when v = float_of_int version ->
          let g j k = Option.value ~default:Null (mem k j) in
          let series =
            List.map
@@ -1977,8 +1976,8 @@ module Snapshot = struct
               ~shards ())
        | Some (Num v) ->
          Error
-           (Printf.sprintf "flight archive: unsupported version %d (this build reads %d)"
-              (int_of_float v) version)
+           (Printf.sprintf "flight archive: unsupported version %.15g (this build reads %d)"
+              v version)
        | _ -> Error "flight archive: missing flight_version")
 
   let write path t =

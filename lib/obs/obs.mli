@@ -175,9 +175,6 @@ module Trace : sig
   val current_trace : ctx -> int
   (** Trace id of the innermost open span, [0] when untraced. *)
 
-  val active : ctx -> bool
-  (** Is any causal span open? *)
-
   type span_info = {
     sp_trace : int;
     sp_id : int;
@@ -256,14 +253,15 @@ module Metrics : sig
   (** Histogram samples in insertion order ([[]] if absent). *)
 
   val histograms : ctx -> string list
-  (** Histogram names, sorted. *)
+  (** Test oracle: histogram names, sorted. *)
 
   val percentile : float list -> float -> float
   (** [percentile samples p] — nearest-rank percentile, [p] in [0..100].
       [nan] on an empty list. *)
 
   val reset : ctx -> unit
-  (** Zero every counter and histogram (the trace ring is untouched). *)
+  (** Test oracle: zero every counter and histogram (the trace ring is
+      untouched). *)
 
   val dump : Format.formatter -> ctx -> unit
   (** Human-readable table: counters, then histograms as
@@ -392,8 +390,6 @@ module Exposure : sig
       {!Mlocked_anon} raises [Exposure_breach].  [None] (default)
       disables the SLO. *)
 
-  val breach_age : ctx -> int option
-
   val advance : ctx -> int -> unit
   (** Integrate exposure up to tick [t].  No-op when [t <= last_advance],
       when no classifier is installed, or on a disabled context. *)
@@ -401,7 +397,7 @@ module Exposure : sig
   val last_advance : ctx -> int
 
   val total : ctx -> origin:origin -> cls:mem_class -> int
-  (** Accumulated byte·ticks in one bucket. *)
+  (** Test oracle: accumulated byte·ticks in one bucket. *)
 
   val totals : ctx -> ((origin * mem_class) * int) list
   (** Every non-zero bucket, sorted. *)
@@ -462,15 +458,15 @@ module Cost : sig
   (** Cost of each {!op} in simulated cycles. *)
 
   val default_model : model
-  (** One cycle per RAM byte; faults and device ops carry large fixed
-      costs; disk bytes are ~16x RAM bytes; a Montgomery word-multiply
-      is 4 cycles.  [Ct_limb_op] is priced 0 — it is a leakage witness
-      (counts land in {!by_op} and the telemetry series) covering the
-      same limbs the word-mul price already pays for.  Ratios matter
-      more than absolutes — the model is deterministic, so totals are
-      exact across runs. *)
+  (** Test oracle: one cycle per RAM byte; faults and device ops carry large
+      fixed costs; disk bytes are ~16x RAM bytes; a Montgomery word-multiply is
+      4 cycles.  [Ct_limb_op] is priced 0 — it is a leakage witness (counts land
+      in {!by_op} and the telemetry series) covering the same limbs the word-mul
+      price already pays for.  Ratios matter more than absolutes — the model is
+      deterministic, so totals are exact across runs. *)
 
   val cost : model -> op -> int
+  (** Test oracle: the cycles one [op] costs under a model. *)
 
   val charge : ctx -> sub:string -> ?origin:origin -> op -> int -> unit
   (** [charge ctx ~sub op n] adds [n * cost default_model op] simulated cycles,
@@ -489,11 +485,11 @@ module Cost : sig
       {!total_cycles}. *)
 
   val by_origin : ctx -> (origin * int) list
-  (** Cycles attributed to key-copy origins (charges that passed
+  (** Test oracle: cycles attributed to key-copy origins (charges that passed
       [?origin]), sorted.  A partial view: most charges carry none. *)
 
   val reset : ctx -> unit
-  (** Zero the clock and every breakdown (the profiler tree is
+  (** Test oracle: zero the clock and every breakdown (the profiler tree is
       untouched). *)
 end
 
@@ -515,7 +511,7 @@ module Profiler : sig
   (** Times a span of this name was entered in this context. *)
 
   val node_self_cycles : node -> int
-  (** Cycles charged while this node was innermost. *)
+  (** Test oracle: cycles charged while this node was innermost. *)
 
   val node_children : node -> node list
   (** Name-sorted. *)
@@ -529,7 +525,7 @@ module Profiler : sig
       self cycles. *)
 
   val depth : ctx -> int
-  (** Currently open spans. *)
+  (** Test oracle: currently open spans. *)
 
   val span : ctx -> string -> (unit -> 'a) -> 'a
   (** [span ctx name f] runs [f] inside a span opened as a child of the
@@ -589,21 +585,21 @@ module Timeseries : sig
   (** Retained points, oldest first ([[]] if unknown). *)
 
   val last : ctx -> string -> (int * float) option
-  (** Newest offered sample, independent of retention. *)
+  (** Test oracle: newest offered sample, independent of retention. *)
 
   val sample_count : ctx -> string -> int
   (** Total samples offered (deterministic — [bench/flight_baseline.json]
       pins it). *)
 
   val retained : ctx -> string -> int
-  (** Points currently held (<= capacity). *)
+  (** Test oracle: points currently held (<= capacity). *)
 
   val stride : ctx -> string -> int
   (** Current acceptance stride (doubles at each downsampling). *)
 
   val spread : ctx -> string -> float
-  (** All-time [max - min] over offered samples ([0.] with <= 1 sample).
-      The leakage sentinel's "zero variance" is [spread = 0]. *)
+  (** Test oracle: all-time [max - min] over offered samples ([0.] with <= 1
+      sample).  The leakage sentinel's "zero variance" is [spread = 0]. *)
 
   val kind : ctx -> string -> kind option
 
@@ -613,11 +609,11 @@ module Timeseries : sig
       exports tag such series with kind ["rate"]. *)
 
   val envelope : ctx -> string -> ((int * float) * (int * float) * float * float) option
-  (** [((last_tick, last), (prev_tick, prev), min, max)] over {e all}
-      offered samples — exact regardless of how far the ring has
-      downsampled, because these fields update on every offer.  [None]
-      for an unknown or never-sampled series.  After exactly one sample,
-      [prev = last]. *)
+  (** Test oracle: [((last_tick, last), (prev_tick, prev), min, max)]
+      over {e all} offered samples — exact regardless of how far the ring
+      has downsampled, because these fields update on every offer.
+      [None] for an unknown or never-sampled series.  After exactly one
+      sample, [prev = last]. *)
 
   val to_prometheus : ?labels:(string * string) list -> ctx -> string
   (** Prometheus text exposition: a [# TYPE] line plus
@@ -677,7 +673,7 @@ module Alert : sig
   (** The firing log, chronological, as [(tick, rule, series, value)]. *)
 
   val fired : ctx -> string -> int
-  (** Times the named rule has fired ([0] if unknown). *)
+  (** Test oracle: times the named rule has fired ([0] if unknown). *)
 end
 
 (** Flight-recorder archive: the full observable state of one run —
@@ -689,7 +685,8 @@ end
     byte-identical to a recorder-off run. *)
 module Snapshot : sig
   val version : int
-  (** Archive format version ([1]); {!of_json} rejects any other. *)
+  (** Test oracle: archive format version ([1]); {!of_json} rejects any
+      other. *)
 
   (** Per-series envelope: the exact all-time last / min / max (updated
       on every offer, independent of downsampling) plus the retained,
@@ -770,9 +767,9 @@ module Snapshot : sig
   (** Canonical versioned JSON — byte-stable for equal archives. *)
 
   val of_json : string -> (t, string) result
-  (** Parse an archive; [Error] on malformed JSON or a version this
-      build does not read.  [null] numerics become NaN.  Unknown fields
-      are ignored, missing components default empty. *)
+  (** Test oracle: parse an archive; [Error] on malformed JSON or a version this
+      build does not read.  [null] numerics become NaN.  Unknown fields are
+      ignored, missing components default empty. *)
 
   val write : string -> t -> unit
   (** [write path t] writes {!to_json} to [path]. *)
@@ -832,11 +829,11 @@ module Diff : sig
   (** ["improvement"] / ["regression"] / ["neutral"]. *)
 
   val family_of_key : string -> family
-  (** Classify a flattened key: wall-clock if it ends in [_s], [_pct] or
-      [_per_sec] (suffix only — ["hist:scan.wall_s/count"] is a simulated
-      count); else exposure if it mentions ["exposure"],
-      ["sensitive_unsafe"] or ["byte_ticks"] or is a ["budget:"] entry;
-      else deterministic. *)
+  (** Test oracle: classify a flattened key: wall-clock if it ends in [_s],
+      [_pct] or [_per_sec] (suffix only — ["hist:scan.wall_s/count"] is a
+      simulated count); else exposure if it mentions ["exposure"],
+      ["sensitive_unsafe"] or ["byte_ticks"] or is a ["budget:"] entry; else
+      deterministic. *)
 
   val diff : Snapshot.t -> Snapshot.t -> t
   (** [diff base current] aligns and classifies.  A value changed

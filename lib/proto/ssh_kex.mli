@@ -28,11 +28,7 @@ val server_handshake :
   Proc.t ->
   host_key:Memguard_ssl.Sim_rsa.t ->
   session
-(** Run the whole exchange over {!Memguard_crypto.Dh.group_small} (both
-    ends; the client end verifies the host signature and asserts both
-    sides derived identical keys).  Raises on a host key that fails to
-    sign correctly. *)
-
-val close : Kernel.t -> Proc.t -> session -> unit
-(** Connection teardown: the session-key buffer is freed — uncleared, as in
-    the era's code. *)
+(** Run the exchange over {!Memguard_crypto.Dh.group_small}.  The client
+    (remote, not simulated) only draws its DH keypair and verifies the host
+    signature; its own derivation of the same keys is checked in the
+    tests, not here.  Raises on a host key that fails to sign correctly. *)

@@ -24,15 +24,17 @@ val server_handshake :
   Proc.t ->
   cert_key:Memguard_ssl.Sim_rsa.t ->
   session
-(** Full exchange; the client end checks that both sides derived the same
-    key block. *)
+(** Full exchange.  The client (remote, not simulated) only draws the
+    randoms and the premaster and encrypts it; the server checks that
+    [private_op] decrypts the premaster it was sent.  The client's own
+    derivation of the same keys is checked in the tests, not here. *)
 
 val seal : Kernel.t -> Proc.t -> session -> string -> string
 (** Encrypt one application record with the session's server-write key
     (read out of simulated memory, as the real cipher would). *)
 
 val open_record : Kernel.t -> Proc.t -> session -> seq:int -> string -> (string, string) result
-(** Decrypt a record sealed at sequence number [seq]. *)
+(** Test oracle: decrypt a record sealed at sequence number [seq]. *)
 
 val close : Kernel.t -> Proc.t -> session -> unit
 (** Free the session secrets (uncleared, as the era's teardown did). *)

@@ -16,6 +16,7 @@ val create : Memguard_kernel.Kernel.t -> patterns:(string * string) list -> t
     memory.  Nothing is scanned until the first {!scan}. *)
 
 val patterns : t -> (string * string) list
+(** Test oracle: the cache's patterns, in the order given to [create]. *)
 
 val scan : t -> Scanner.hit list
 (** Equivalent to [Scanner.scan k ~patterns] — byte-for-byte the same hit

@@ -132,23 +132,3 @@ let scan_detailed k ~patterns ?(min_bytes = 20) () =
       end);
   List.sort (fun a b -> compare (a.base.addr, a.base.label) (b.base.addr, b.base.label))
     (List.rev !acc)
-
-let render_proc_output k ~patterns =
-  let hits = scan_detailed k ~patterns () in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "Request recieved\n" (* sic — faithful to the LKM *);
-  List.iter
-    (fun h ->
-      let kind = if h.full then "Full" else "Partial" in
-      let procs =
-        match h.base.location with
-        | Allocated_anon [] -> " 0"
-        | Allocated_anon pids -> String.concat "" (List.map (Printf.sprintf " %u") pids)
-        | Allocated_page_cache _ | Allocated_kernel -> " 0"
-        | Unallocated -> " none"
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%s match found for %s of size %u bytes at: %09u, in page: %06u, processes:%s\n"
-           kind h.base.label h.matched_bytes h.base.addr h.base.pfn procs))
-    hits;
-  Buffer.contents buf

@@ -58,7 +58,7 @@ val key_patterns :
 
 val pp_hit : Format.formatter -> hit -> unit
 
-(** {1 Partial matches and the LKM's /proc output}
+(** {1 Partial matches}
 
     The paper's module anchors on the first 32-bit word of each pattern and
     extends as far as memory keeps matching, reporting a partial match from
@@ -77,11 +77,6 @@ val scan_detailed :
   ?min_bytes:int ->
   unit ->
   detailed_hit list
-(** Like {!scan} but also reports partial matches of at least [min_bytes]
-    (default 20, the LKM's [MIN * 4]).  A full match is never double
+(** Test oracle: like {!scan} but also reports partial matches of at least
+    [min_bytes] (default 20, the LKM's [MIN * 4]).  A full match is never double
     reported as its own prefix. *)
-
-val render_proc_output :
-  Memguard_kernel.Kernel.t -> patterns:(string * string) list -> string
-(** The exact report format of the paper's LKM, one line per hit:
-    ["Full match found for d of size 32 bytes at: 000507392, in page: 000123, processes: 5 7"]. *)

@@ -39,7 +39,7 @@ val value : Kernel.t -> Proc.t -> t -> Memguard_bignum.Bn.t
 (** Read the magnitude back out of simulated memory. *)
 
 val store : Kernel.t -> Proc.t -> t -> Memguard_bignum.Bn.t -> unit
-(** Overwrite in place.  The new magnitude must fit in [size] bytes
+(** Test oracle: overwrite in place.  The new magnitude must fit in [size] bytes
     (it is left-padded with zeros). *)
 
 val clear_free : Kernel.t -> Proc.t -> t -> unit
@@ -50,4 +50,5 @@ val free_insecure : Kernel.t -> Proc.t -> t -> unit
     the copy-leaking path. *)
 
 val pattern : Kernel.t -> Proc.t -> t -> string
-(** The byte pattern currently stored (what a memory scan would match). *)
+(** Test oracle: the byte pattern currently stored (what a memory scan would
+    match). *)

@@ -46,14 +46,17 @@ val memory_align : Kernel.t -> Proc.t -> t -> unit
 (** [RSA_memory_align()] — see module header.  Idempotent. *)
 
 val mont_cache_size : t -> int
-(** Number of processes currently holding Montgomery copies of p and q. *)
+(** Test oracle: number of processes currently holding Montgomery copies of p
+    and q. *)
 
 val clear_free : Kernel.t -> Proc.t -> t -> unit
 (** Zeroize and free every private buffer, the calling process's Montgomery
     cache, and the aligned region if present. *)
 
 val free_insecure : Kernel.t -> Proc.t -> t -> unit
-(** Free private buffers without zeroing (how careless teardown leaks). *)
+(** Test oracle: free private buffers without zeroing (how careless teardown
+    leaks). *)
 
 val recover_priv : Kernel.t -> Proc.t -> t -> Memguard_crypto.Rsa.priv
-(** Reassemble the full private key from simulated memory (for tests). *)
+(** Test oracle: reassemble the full private key from simulated memory (for
+    tests). *)

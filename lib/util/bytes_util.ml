@@ -96,8 +96,6 @@ let find_first ?(from = 0) ?until ~needle haystack =
 let count ?(from = 0) ?until ~needle haystack =
   List.length (find_all ~from ?until ~needle haystack)
 
-let zeroize b ~pos ~len = Bytes.fill b pos len '\000'
-
 (* Word-wise: this backs [Phys_mem.frame_is_zero], which the zero-on-free
    audit calls on every frame, so it runs over whole memories. *)
 let is_zero b ~pos ~len =
@@ -113,16 +111,6 @@ let is_zero b ~pos ~len =
     if Bytes.unsafe_get b !i <> '\000' then ok := false else incr i
   done;
   !ok
-
-let ct_equal a b =
-  if String.length a <> String.length b then false
-  else begin
-    let acc = ref 0 in
-    for i = 0 to String.length a - 1 do
-      acc := !acc lor (Char.code a.[i] lxor Char.code b.[i])
-    done;
-    !acc = 0
-  end
 
 let hex_digit = "0123456789abcdef"
 
@@ -147,30 +135,6 @@ let string_of_hex h =
     | _ -> invalid_arg "Bytes_util.string_of_hex: bad digit"
   in
   String.init (n / 2) (fun i -> Char.chr ((digit h.[2 * i] lsl 4) lor digit h.[(2 * i) + 1]))
-
-let hexdump ?(cols = 16) b ~pos ~len =
-  let buf = Buffer.create (len * 4) in
-  let line_start = ref pos in
-  while !line_start < pos + len do
-    let line_len = min cols (pos + len - !line_start) in
-    Buffer.add_string buf (Printf.sprintf "%08x  " !line_start);
-    for i = 0 to cols - 1 do
-      if i < line_len then begin
-        let c = Char.code (Bytes.get b (!line_start + i)) in
-        Buffer.add_string buf (Printf.sprintf "%02x " c)
-      end
-      else Buffer.add_string buf "   ";
-      if i = 7 then Buffer.add_char buf ' '
-    done;
-    Buffer.add_char buf ' ';
-    for i = 0 to line_len - 1 do
-      let c = Bytes.get b (!line_start + i) in
-      Buffer.add_char buf (if c >= ' ' && c <= '~' then c else '.')
-    done;
-    Buffer.add_char buf '\n';
-    line_start := !line_start + line_len
-  done;
-  Buffer.contents buf
 
 let human_size n =
   let f = float_of_int n in

@@ -20,9 +20,6 @@ type t = {
   hash : int list array; (* block value -> patterns whose m-prefix ends in it *)
 }
 
-let num_patterns t = Array.length t.patterns
-let pattern t i = t.patterns.(i)
-let min_len t = t.min_len
 let max_len t = t.max_len
 
 let compile patterns =

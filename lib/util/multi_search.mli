@@ -18,13 +18,6 @@ val compile : string array -> t
     never matches.  Pattern indices in match callbacks refer to positions
     in this array. *)
 
-val num_patterns : t -> int
-
-val pattern : t -> int -> string
-
-val min_len : t -> int
-(** Length of the shortest pattern ([0] when there are none). *)
-
 val max_len : t -> int
 (** Length of the longest pattern ([0] when there are none) — callers
     re-scanning a sub-range must extend it by [max_len t - 1] bytes to
@@ -39,7 +32,7 @@ val iter :
     Raises [Invalid_argument] on a bad range. *)
 
 val find_all : ?from:int -> ?until:int -> t -> bytes -> (int * int) list
-(** The matches of {!iter} as an [(pos, pat)] list. *)
+(** Test oracle: the matches of {!iter} as an [(pos, pat)] list. *)
 
 val count : t -> bytes -> int
 (** The number of matches {!iter} reports: the (possibly overlapping)

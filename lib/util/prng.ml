@@ -60,8 +60,6 @@ let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   r /. 9007199254740992.0 *. bound
 
-let byte t = Char.chr (bits30 t land 0xff)
-
 let fill_bytes t b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Prng.fill_bytes: bad range";

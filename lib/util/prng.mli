@@ -8,7 +8,7 @@
 type t
 
 val create : seed:int64 -> t
-(** [create ~seed] returns a fresh generator. *)
+(** Test oracle: [create ~seed] returns a fresh generator. *)
 
 val of_int : int -> t
 (** [of_int seed] is [create ~seed:(Int64.of_int seed)]. *)
@@ -27,34 +27,33 @@ val derive : t -> tag:int -> t
     Raises [Invalid_argument] on a negative tag. *)
 
 val copy : t -> t
-(** [copy t] duplicates the current state (the two then evolve identically). *)
+(** Test oracle: [copy t] duplicates the current state (the two then evolve
+    identically). *)
 
 val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
+(** Test oracle: next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
 val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]]. Requires [lo <= hi]. *)
+(** Test oracle: [int_in t lo hi] is uniform in [\[lo, hi\]].
+    Requires [lo <= hi]. *)
 
 val bool : t -> bool
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val byte : t -> char
-
 val bytes : t -> int -> bytes
 (** [bytes t n] is [n] uniformly random bytes. *)
 
 val fill_bytes : t -> bytes -> pos:int -> len:int -> unit
-(** Fill [len] bytes at [pos] with uniform random bytes, eight per
-    generator step (not the same stream as repeated {!byte} calls).
-    Raises [Invalid_argument] on a bad range. *)
+(** Test oracle: fill [len] bytes at [pos] with uniform random bytes, eight per
+    generator step.  Raises [Invalid_argument] on a bad range. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
 val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
+(** Test oracle: uniform element of a non-empty array. *)

@@ -20,7 +20,8 @@
 type t
 
 val max_order : int
-(** Largest block order (10, as in Linux: 4 MiB blocks with 4 KiB pages). *)
+(** Test oracle: largest block order (10, as in Linux: 4 MiB blocks with 4 KiB
+    pages). *)
 
 val create : ?zero_on_free:bool -> ?obs:Memguard_obs.Obs.ctx -> Phys_mem.t -> t
 (** All of [mem] starts free.  [zero_on_free] defaults to [false] (the
@@ -30,29 +31,32 @@ val create : ?zero_on_free:bool -> ?obs:Memguard_obs.Obs.ctx -> Phys_mem.t -> t
     cleared frames. *)
 
 val zero_on_free : t -> bool
+(** Test oracle: whether frees clear frames. *)
+
 val set_zero_on_free : t -> bool -> unit
+(** Test oracle: flip [zero_on_free] on a live allocator. *)
 
 val alloc : t -> order:int -> int option
-(** [alloc t ~order] returns the base pfn of a naturally-aligned block of
-    [2^order] pages, or [None] when memory is exhausted.  Frames are NOT
-    cleared on allocation (as in Linux unless __GFP_ZERO — disclosure via
-    reuse is the point).  Order-0 requests are served from the hot list
-    first (most recently freed page wins). *)
+(** Test oracle: [alloc t ~order] returns the base pfn of a naturally-aligned
+    block of [2^order] pages, or [None] when memory is exhausted.  Frames are
+    NOT cleared on allocation (as in Linux unless __GFP_ZERO — disclosure via
+    reuse is the point).  Order-0 requests are served from the hot list first
+    (most recently freed page wins). *)
 
 val alloc_page : t -> int option
 (** [alloc t ~order:0]. *)
 
 val free : t -> pfn:int -> order:int -> unit
-(** Return a block.  Order-0 frees are pushed on the hot list; larger
-    blocks coalesce into the per-order sets.  When [zero_on_free] is set
-    the frames are cleared first.  Raises [Invalid_argument] on double-free
-    or mismatched order. *)
+(** Test oracle: return a block.  Order-0 frees are pushed on the hot list;
+    larger blocks coalesce into the per-order sets.  When [zero_on_free] is set
+    the frames are cleared first.  Raises [Invalid_argument] on double-free or
+    mismatched order. *)
 
 val free_page : t -> int -> unit
 
 val drain_hot : t -> unit
-(** Flush the hot list into the per-order sets, coalescing (what Linux does
-    when a CPU's pagevec is flushed). *)
+(** Test oracle: flush the hot list into the per-order sets, coalescing (what
+    Linux does when a CPU's pagevec is flushed). *)
 
 val free_pages : t -> int
 (** Number of free pages (hot list included). *)

@@ -76,10 +76,6 @@ let write t ~addr s =
   Bytes.blit_string s 0 t.data addr (String.length s);
   touch_range t ~addr ~len:(String.length s)
 
-let set_byte t addr c =
-  Bytes.set t.data addr c;
-  t.generations.(addr / t.page_size) <- t.generations.(addr / t.page_size) + 1
-
 let blit_frame t ~src_pfn ~dst_pfn =
   Bytes.blit t.data (addr_of_pfn t src_pfn) t.data (addr_of_pfn t dst_pfn) t.page_size;
   touch t dst_pfn

@@ -25,7 +25,6 @@ val pfn_of_addr : t -> int -> int
 
 val read : t -> addr:int -> len:int -> string
 val write : t -> addr:int -> string -> unit
-val set_byte : t -> int -> char -> unit
 
 val blit_frame : t -> src_pfn:int -> dst_pfn:int -> unit
 (** Copy a whole frame (the COW copy). *)
@@ -34,6 +33,7 @@ val clear_frame : t -> int -> unit
 (** Zero a whole frame (the paper's [clear_highpage]). *)
 
 val frame_is_zero : t -> int -> bool
+(** Test oracle: [true] iff the whole frame is zero bytes. *)
 
 (** {1 Frame generations}
 
@@ -47,8 +47,8 @@ val generation : t -> int -> int
     [Invalid_argument] when out of range. *)
 
 val touch : t -> int -> unit
-(** Manually bump a frame's generation.  Only needed by code that mutates
-    memory through {!raw} instead of the write API. *)
+(** Test oracle: manually bump a frame's generation.  Only needed by code that
+    mutates memory through {!raw} instead of the write API. *)
 
 (** {1 Frame class generations}
 

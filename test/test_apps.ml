@@ -9,8 +9,8 @@ let key = lazy (Rsa.generate (Prng.of_int 31337) ~bits:256)
 
 let config = { Kernel.default_config with num_pages = 2048 }
 
-let setup () =
-  let k = Kernel.create ~config () in
+let setup ?(zero_on_free = false) () =
+  let k = Kernel.create ~config:{ config with zero_on_free } () in
   let priv = Lazy.force key in
   ignore (Ssl.write_key_file k ~path:"/etc/ssh/host_key.pem" priv);
   (k, priv)
@@ -28,19 +28,20 @@ let protected_opts =
 let test_sshd_starts_and_answers () =
   let k, _ = setup () in
   let rng = Prng.of_int 1 in
-  let sshd = Sshd.start k ~key_path:"/etc/ssh/host_key.pem" Sshd.vanilla in
+  let sshd = Sshd.start k ~key_path:"/etc/ssh/host_key.pem" Helpers.sshd_vanilla in
   let conn = Sshd.open_connection sshd rng in
   Sshd.transfer sshd conn rng ~kib:8;
   Alcotest.(check int) "one connection" 1 (Sshd.connection_count sshd);
   Sshd.close_connection sshd conn;
   Alcotest.(check int) "closed" 0 (Sshd.connection_count sshd);
   Sshd.stop sshd;
-  Alcotest.(check bool) "stopped" false (Sshd.is_running sshd)
+  Alcotest.check_raises "stopped" (Invalid_argument "Sshd.open_connection: server stopped")
+    (fun () -> ignore (Sshd.open_connection sshd rng))
 
 let test_sshd_vanilla_copies_grow_with_connections () =
   let k, priv = setup () in
   let rng = Prng.of_int 2 in
-  let sshd = Sshd.start k ~key_path:"/etc/ssh/host_key.pem" Sshd.vanilla in
+  let sshd = Sshd.start k ~key_path:"/etc/ssh/host_key.pem" Helpers.sshd_vanilla in
   let base = (count k priv).Report.total in
   let conns = List.init 6 (fun _ -> Sshd.open_connection sshd rng) in
   let with_conns = (count k priv).Report.total in
@@ -56,7 +57,7 @@ let test_sshd_vanilla_copies_grow_with_connections () =
 let test_sshd_vanilla_reexec_reloads_key () =
   let k, priv = setup () in
   let rng = Prng.of_int 3 in
-  let sshd = Sshd.start k ~key_path:"/etc/ssh/host_key.pem" Sshd.vanilla in
+  let sshd = Sshd.start k ~key_path:"/etc/ssh/host_key.pem" Helpers.sshd_vanilla in
   let d_before = List.assoc_opt "d" (Report.by_label (count k priv)) in
   let conn = Sshd.open_connection sshd rng in
   let d_after = List.assoc_opt "d" (Report.by_label (count k priv)) in
@@ -65,8 +66,7 @@ let test_sshd_vanilla_reexec_reloads_key () =
   Sshd.close_connection sshd conn
 
 let test_sshd_protected_single_copy_invariant () =
-  let k, priv = setup () in
-  Kernel.set_zero_on_free k true;
+  let k, priv = setup ~zero_on_free:true () in
   let rng = Prng.of_int 4 in
   let sshd = Sshd.start k ~key_path:"/etc/ssh/host_key.pem" protected_opts in
   let check_one label =
@@ -94,8 +94,8 @@ let test_sshd_protected_single_copy_invariant () =
 let test_sshd_sequential_burst () =
   let k, priv = setup () in
   let rng = Prng.of_int 5 in
-  let sshd = Sshd.start k ~key_path:"/etc/ssh/host_key.pem" Sshd.vanilla in
-  Sshd.handle_sequential sshd rng ~n:10;
+  let sshd = Sshd.start k ~key_path:"/etc/ssh/host_key.pem" Helpers.sshd_vanilla in
+  Helpers.sshd_sequential sshd rng ~n:10;
   Alcotest.(check int) "no connections left" 0 (Sshd.connection_count sshd);
   (* dead children leave copies in unallocated memory *)
   let snap = count k priv in
@@ -107,7 +107,7 @@ let test_sshd_sequential_burst () =
 let test_apache_starts_and_serves () =
   let k, _ = setup () in
   let rng = Prng.of_int 6 in
-  let ap = Apache.start k ~key_path:"/etc/ssh/host_key.pem" Apache.vanilla in
+  let ap = Apache.start k ~key_path:"/etc/ssh/host_key.pem" Helpers.apache_vanilla in
   Alcotest.(check int) "8 workers" 8 (List.length (Apache.worker_pids ap));
   (match Apache.open_connection ap rng with
    | Some conn ->
@@ -116,14 +116,15 @@ let test_apache_starts_and_serves () =
      Apache.close_connection ap conn
    | None -> Alcotest.fail "expected a free worker");
   Apache.stop ap;
-  Alcotest.(check bool) "stopped" false (Apache.is_running ap)
+  Alcotest.check_raises "stopped" (Invalid_argument "Apache.open_connection: server stopped")
+    (fun () -> ignore (Apache.open_connection ap rng))
 
 let test_apache_backlog_when_all_busy () =
   let k, _ = setup () in
   let rng = Prng.of_int 7 in
   let ap =
     Apache.start k ~key_path:"/etc/ssh/host_key.pem"
-      { Apache.vanilla with workers = 2; max_clients = 3 }
+      { Helpers.apache_vanilla with workers = 2; max_clients = 3 }
   in
   let c1 = Option.get (Apache.open_connection ap rng) in
   let _c2 = Option.get (Apache.open_connection ap rng) in
@@ -139,7 +140,7 @@ let test_apache_backlog_when_all_busy () =
 let test_apache_vanilla_worker_copies () =
   let k, priv = setup () in
   let rng = Prng.of_int 8 in
-  let ap = Apache.start k ~key_path:"/etc/ssh/host_key.pem" Apache.vanilla in
+  let ap = Apache.start k ~key_path:"/etc/ssh/host_key.pem" Helpers.apache_vanilla in
   let before = (count k priv).Report.total in
   (* run a connection on every worker: each builds its own mont cache *)
   let conns = List.filter_map (fun _ -> Apache.open_connection ap rng) (List.init 8 Fun.id) in
@@ -156,9 +157,9 @@ let test_apache_worker_recycling_leaks () =
   let rng = Prng.of_int 9 in
   let ap =
     Apache.start k ~key_path:"/etc/ssh/host_key.pem"
-      { Apache.vanilla with workers = 2; max_requests_per_child = 2 }
+      { Helpers.apache_vanilla with workers = 2; max_requests_per_child = 2 }
   in
-  Apache.handle_sequential ap rng ~n:8;
+  Helpers.apache_sequential ap rng ~n:8;
   (* recycled workers died with key copies in their heaps *)
   let snap = count k priv in
   Alcotest.(check bool) "unallocated copies from recycled workers" true
@@ -166,14 +167,13 @@ let test_apache_worker_recycling_leaks () =
   Apache.stop ap
 
 let test_apache_protected_single_copy_invariant () =
-  let k, priv = setup () in
-  Kernel.set_zero_on_free k true;
+  let k, priv = setup ~zero_on_free:true () in
   let rng = Prng.of_int 10 in
   let ap =
     Apache.start k ~key_path:"/etc/ssh/host_key.pem"
-      { Apache.vanilla with ssl_mode = Ssl.Hardened; nocache = true }
+      { Helpers.apache_vanilla with ssl_mode = Ssl.Hardened; nocache = true }
   in
-  Apache.handle_sequential ap rng ~n:20;
+  Helpers.apache_sequential ap rng ~n:20;
   let conns = List.filter_map (fun _ -> Apache.open_connection ap rng) (List.init 8 Fun.id) in
   let snap = count k priv in
   List.iter

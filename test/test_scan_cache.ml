@@ -62,7 +62,7 @@ let test_straddle_vanishes_on_head_write () =
   let cache = Scan_cache.create k ~patterns:[ ("x", "CROSS-PAGE-PATTERN") ] in
   Phys_mem.write (Kernel.mem k) ~addr:straddle_addr "CROSS-PAGE-PATTERN";
   Alcotest.(check int) "planted" 1 (List.length (Scan_cache.scan cache));
-  Phys_mem.set_byte (Kernel.mem k) straddle_addr 'Z' (* dirties page 2 only *);
+  Phys_mem.write (Kernel.mem k) ~addr:straddle_addr "Z" (* dirties page 2 only *);
   Alcotest.(check int) "gone after head overwrite" 0 (List.length (Scan_cache.scan cache));
   check_matches_cold "head overwrite" k cache
 

@@ -141,7 +141,7 @@ let test_align_key_still_works () =
   let p = Kernel.spawn k ~name:"srv" in
   let rsa = Ssl.load_private_key k p ~path:"/etc/key.pem" Ssl.Hardened in
   Alcotest.(check bool) "recovered key equals original" true
-    (Rsa.equal_priv priv (Sim_rsa.recover_priv k p rsa));
+    (Helpers.equal_priv priv (Sim_rsa.recover_priv k p rsa));
   let pub = rsa.Sim_rsa.pub in
   for i = 1 to 3 do
     let m = Bn.of_int (i * 1000) in
@@ -256,7 +256,7 @@ let test_encrypted_load_works () =
   let p = Kernel.spawn k ~name:"srv" in
   let rsa = Ssl.load_private_key k p ~path:"/etc/key_enc.pem" ~passphrase:"hunter2" Ssl.Vanilla in
   Alcotest.(check bool) "key recovered" true
-    (Rsa.equal_priv priv (Sim_rsa.recover_priv k p rsa))
+    (Helpers.equal_priv priv (Sim_rsa.recover_priv k p rsa))
 
 let test_encrypted_load_requires_passphrase () =
   let k, priv = setup () in

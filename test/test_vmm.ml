@@ -56,8 +56,8 @@ let test_mem_generations () =
   Alcotest.(check int) "page 0 bumped" 1 (Phys_mem.generation m 0);
   Alcotest.(check int) "page 1 bumped" 1 (Phys_mem.generation m 1);
   Alcotest.(check int) "page 2 untouched" 0 (Phys_mem.generation m 2);
-  Phys_mem.set_byte m 5000 'x';
-  Alcotest.(check int) "set_byte bumps" 2 (Phys_mem.generation m 1);
+  Phys_mem.write m ~addr:5000 "x";
+  Alcotest.(check int) "one-byte write bumps" 2 (Phys_mem.generation m 1);
   Phys_mem.blit_frame m ~src_pfn:1 ~dst_pfn:3;
   Alcotest.(check int) "blit bumps destination" 1 (Phys_mem.generation m 3);
   Alcotest.(check int) "blit leaves source" 2 (Phys_mem.generation m 1);
