@@ -51,10 +51,8 @@ let classify_phys_mem mem ~addr =
 let create ?(config = default_config) ?(obs = Obs.null) () =
   let mem = Phys_mem.create ~page_size:config.page_size ~num_pages:config.num_pages () in
   let buddy = Buddy.create ~zero_on_free:config.zero_on_free ~obs mem in
-  Obs.Exposure.set_classifier obs ~page_size:config.page_size
-    ~epoch:(fun () -> Phys_mem.class_epoch mem)
-    ~frame_gen:(fun ~pfn -> Phys_mem.class_generation mem pfn)
-    (fun ~addr -> classify_phys_mem mem ~addr);
+  Obs.Exposure.set_classifier obs ~page_size:config.page_size (fun ~addr ->
+      classify_phys_mem mem ~addr);
   { cfg = config;
     mem;
     buddy;
@@ -186,7 +184,6 @@ let map_anon_page t (p : Proc.t) ~vpn =
   let page = Phys_mem.page t.mem pfn in
   page.Page.owner <- Page.Anon;
   page.Page.refcount <- 1;
-  Phys_mem.touch_class t.mem pfn;
   Hashtbl.replace p.Proc.page_table vpn (Proc.Present { pfn; cow = false; locked = false })
 
 let swap_in t (p : Proc.t) ~vpn ~slot =
@@ -207,7 +204,6 @@ let swap_in t (p : Proc.t) ~vpn ~slot =
   let page = Phys_mem.page t.mem pfn in
   page.Page.owner <- Page.Anon;
   page.Page.refcount <- 1;
-  Phys_mem.touch_class t.mem pfn;
   let pr = { Proc.pfn; cow = false; locked = false } in
   Hashtbl.replace p.Proc.page_table vpn (Proc.Present pr);
   pr
@@ -252,16 +248,11 @@ let cow_break t ~pid (pr : Proc.present) =
     np.Page.owner <- Page.Anon;
     np.Page.refcount <- 1;
     np.Page.locked <- pr.Proc.locked;
-    Phys_mem.touch_class t.mem new_pfn;
     pr.Proc.pfn <- new_pfn;
     (* the departing writer may have been the only locked mapping of the
        source frame: recompute so an unrelated owner's frame is not left
        pinned forever *)
-    if pr.Proc.locked then begin
-      let was = page.Page.locked in
-      page.Page.locked <- frame_has_locked_pte t src_pfn;
-      if page.Page.locked <> was then Phys_mem.touch_class t.mem src_pfn
-    end
+    if pr.Proc.locked then page.Page.locked <- frame_has_locked_pte t src_pfn
   end;
   pr.Proc.cow <- false
 
@@ -436,11 +427,7 @@ let mlock t (p : Proc.t) ~addr ~len =
   for vpn = first to last do
     let pr = resolve_for_read t p ~vpn in
     pr.Proc.locked <- true;
-    let page = Phys_mem.page t.mem pr.Proc.pfn in
-    if not page.Page.locked then begin
-      page.Page.locked <- true;
-      Phys_mem.touch_class t.mem pr.Proc.pfn
-    end
+    (Phys_mem.page t.mem pr.Proc.pfn).Page.locked <- true
   done
 
 (* ---- processes ---- *)
@@ -512,13 +499,10 @@ let exit t (p : Proc.t) =
         if page.Page.refcount = 0 then
           (* frame content survives into the free lists unless zero_on_free *)
           Buddy.free_page t.buddy pr.Proc.pfn
-        else if pr.Proc.locked then begin
+        else if pr.Proc.locked then
           (* the exiting process may have held the only lock on a frame it
              shared: recompute instead of leaving the frame pinned *)
-          let was = page.Page.locked in
-          page.Page.locked <- frame_has_locked_pte t pr.Proc.pfn;
-          if page.Page.locked <> was then Phys_mem.touch_class t.mem pr.Proc.pfn
-        end
+          page.Page.locked <- frame_has_locked_pte t pr.Proc.pfn
       | Some (Proc.Swapped slot) ->
         (* slot released; its content persists on the swap device *)
         (match t.swap with Some sw -> Swap.release sw slot | None -> ())
@@ -572,7 +556,6 @@ let ext2_mkdir_leak t =
   let page = Phys_mem.page t.mem pfn in
   page.Page.owner <- Page.Kernel;
   page.Page.refcount <- 1;
-  Phys_mem.touch_class t.mem pfn;
   let addr = Phys_mem.addr_of_pfn t.mem pfn in
   (* ext2 make_empty initialises only the "." and ".." dirents (24 bytes) *)
   let dirents =

@@ -64,7 +64,6 @@ let insert t ~ino ~index content =
     let p = Phys_mem.page t.mem pfn in
     p.Page.owner <- Page.Page_cache { ino; index };
     p.Page.refcount <- 1;
-    Phys_mem.touch_class t.mem pfn;
     Obs.Trace.emit t.obs (Obs.Page_cache_insert { ino; index; pfn });
     Obs.Trace.emit t.obs
       (Obs.Copy_created

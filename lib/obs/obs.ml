@@ -144,24 +144,10 @@ type tspan = {
   mutable ts_end_cycles : int;
 }
 
-(* the machine's frame classifier plus the change counters that let the
-   exposure ledger memoize its answers (see [Exposure.set_classifier]) *)
+(* the machine's frame classifier (see [Exposure.set_classifier]) *)
 type classifier = {
   classify : addr:int -> mem_class;
   gran : int;  (* frame size: classification granularity *)
-  epoch : unit -> int;
-  frame_gen : pfn:int -> int;
-}
-
-(* one frame-bounded slice of a provenance interval, as the exposure
-   ledger integrates it; [ccls]/[cgen] cache the classification and the
-   frame's class generation at the time it was computed *)
-type exp_chunk = {
-  caddr : int;
-  clen : int;
-  cinfo : info;
-  mutable ccls : mem_class;
-  mutable cgen : int;
 }
 
 (* ---- simulated-cycle cost model (see Cost below) ---- *)
@@ -268,16 +254,22 @@ type ctx = {
   histograms : (string, float list ref) Hashtbl.t;
   mutable intervals : interval list;
   stashes : (int, (int * int * info) list) Hashtbl.t;
+  (* causal tracing: ids come from per-ctx counters (never the wall clock
+     or any RNG), so trace exports and fleet fingerprints stay
+     byte-identical across runs and domain counts.  These fields sit
+     ahead of the exposure block to keep [cycles_] at byte offset 160:
+     perfbench inlines reads of it, and a displacement under 128 bytes
+     shortens that code and shifts its calibration kernel's alignment
+     (ROADMAP item 9). *)
+  mutable trace_next_ : int;  (* next trace id; 0 means "untraced" *)
+  mutable span_next_ : int;  (* next causal span id; 0 means "no span" *)
+  mutable tstack_ : tspan list;  (* open causal spans, innermost first *)
+  mutable tspans_ : tspan list;  (* completed causal spans, newest first *)
+  trace_leak_ : (int, int ref) Hashtbl.t;
+      (* trace -> sensitive byte-ticks outside mlocked-anon (the
+         per-request leak budget; key 0 holds untraced exposure) *)
   (* exposure ledger *)
   mutable classifier : classifier option;
-  mutable prov_epoch : int;  (* bumped on any interval/stash change *)
-  (* advance memo: the frame-split chunk list of the last advance, valid
-     while [prov_epoch] is unchanged; chunk classifications revalidate
-     against the machine's class-generation counters *)
-  mutable memo_chunks : exp_chunk array;
-  mutable memo_stash : (int * int * int * info) array;  (* slot, off, len *)
-  mutable memo_prov_epoch : int;  (* -1 = memo invalid *)
-  mutable memo_class_epoch : int;
   exposure : (origin * mem_class, int ref) Hashtbl.t;
   mutable exposure_series : (int * ((origin * mem_class) * int) list) list;
       (* newest first *)
@@ -296,16 +288,6 @@ type ctx = {
   mutable derived_ : (string * string) list;  (* (source, derived name) *)
   mutable rules_ : alert_rule list;  (* install order *)
   mutable firings_ : firing list;  (* newest first *)
-  (* causal tracing: ids come from per-ctx counters (never the wall clock
-     or any RNG), so trace exports and fleet fingerprints stay
-     byte-identical across runs and domain counts *)
-  mutable trace_next_ : int;  (* next trace id; 0 means "untraced" *)
-  mutable span_next_ : int;  (* next causal span id; 0 means "no span" *)
-  mutable tstack_ : tspan list;  (* open causal spans, innermost first *)
-  mutable tspans_ : tspan list;  (* completed causal spans, newest first *)
-  trace_leak_ : (int, int ref) Hashtbl.t;
-      (* trace -> sensitive byte-ticks outside mlocked-anon (the
-         per-request leak budget; key 0 holds untraced exposure) *)
 }
 
 (* One simulated cycle is one byte moved by the CPU; everything else is
@@ -345,12 +327,12 @@ let make ~enabled ~capacity =
     histograms = Hashtbl.create 8;
     intervals = [];
     stashes = Hashtbl.create 8;
+    trace_next_ = 1;
+    span_next_ = 1;
+    tstack_ = [];
+    tspans_ = [];
+    trace_leak_ = Hashtbl.create 16;
     classifier = None;
-    prov_epoch = 0;
-    memo_chunks = [||];
-    memo_stash = [||];
-    memo_prov_epoch = -1;
-    memo_class_epoch = 0;
     exposure = Hashtbl.create 32;
     exposure_series = [];
     last_advance_ = 0;
@@ -366,11 +348,6 @@ let make ~enabled ~capacity =
     derived_ = [];
     rules_ = [];
     firings_ = [];
-    trace_next_ = 1;
-    span_next_ = 1;
-    tstack_ = [];
-    tspans_ = [];
-    trace_leak_ = Hashtbl.create 16
   }
 
 let null = make ~enabled:false ~capacity:0
@@ -802,9 +779,9 @@ module Provenance = struct
       let e = addr + len in
       (* fast path: most clears come from [Kernel.write_mem] over ranges
          holding no key material — an allocation-free overlap test skips
-         the full list rebuild (and the memo invalidation) for them *)
+         the full list rebuild for them *)
       if List.exists (fun iv -> iv.start < e && iv.start + iv.ilen > addr) ctx.intervals
-      then begin
+      then
         ctx.intervals <-
           List.concat_map
             (fun iv ->
@@ -815,9 +792,7 @@ module Provenance = struct
                 (if s < addr then [ { iv with ilen = addr - s } ] else [])
                 @ (if ie > e then [ { start = e; ilen = ie - e; info = iv.info } ] else [])
               end)
-            ctx.intervals;
-        ctx.prov_epoch <- ctx.prov_epoch + 1
-      end
+            ctx.intervals
     end
 
   let register ctx ~origin ~pid ~addr ~len =
@@ -834,8 +809,7 @@ module Provenance = struct
               birth_span = Trace.current_span ctx
             }
         }
-        :: ctx.intervals;
-      ctx.prov_epoch <- ctx.prov_epoch + 1
+        :: ctx.intervals
     end
 
   let overlaps ctx ~addr ~len =
@@ -854,17 +828,11 @@ module Provenance = struct
           (overlaps ctx ~addr:src ~len)
       in
       clear ctx ~addr:dst ~len;
-      if clones <> [] then begin
-        ctx.intervals <- clones @ ctx.intervals;
-        ctx.prov_epoch <- ctx.prov_epoch + 1
-      end
+      ctx.intervals <- clones @ ctx.intervals
     end
 
   let stash ctx ~slot ~addr ~len =
-    if ctx.enabled_ then begin
-      Hashtbl.replace ctx.stashes slot (overlaps ctx ~addr ~len);
-      ctx.prov_epoch <- ctx.prov_epoch + 1
-    end
+    if ctx.enabled_ then Hashtbl.replace ctx.stashes slot (overlaps ctx ~addr ~len)
 
   let restore ctx ~slot ~addr ~len =
     if ctx.enabled_ then begin
@@ -875,8 +843,7 @@ module Provenance = struct
            List.map (fun (off, l, info) -> { start = addr + off; ilen = l; info }) entries
            @ ctx.intervals
        | None -> ());
-      Hashtbl.remove ctx.stashes slot;
-      ctx.prov_epoch <- ctx.prov_epoch + 1
+      Hashtbl.remove ctx.stashes slot
     end
 
   let lookup ctx ~addr =
@@ -915,11 +882,8 @@ module Exposure = struct
     | Free_ram
     | Swapped
 
-  let set_classifier ctx ~page_size ~epoch ~frame_gen f =
-    if ctx.enabled_ then begin
-      ctx.classifier <- Some { classify = f; gran = page_size; epoch; frame_gen };
-      ctx.memo_prov_epoch <- -1
-    end
+  let set_classifier ctx ~page_size f =
+    if ctx.enabled_ then ctx.classifier <- Some { classify = f; gran = page_size }
 
   let set_breach_age ctx age =
     if ctx.enabled_ then ctx.breach_age_ <- age
@@ -944,23 +908,15 @@ module Exposure = struct
   (* Sample-and-hold integration: every live interval (and every stashed
      swap-slot image) contributes len * (t - last_advance) byte-ticks to
      its (origin, class) bucket, classified at advance time.  Intervals are
-     split on frame boundaries because classification is per frame.  The
-     ledger only reads simulated state — it never mutates it.
-
-     The frame-split chunk list is memoized across ticks: it only changes
-     when the provenance map changes ([prov_epoch]), and a chunk's cached
-     classification only goes stale when its frame's descriptor changes
-     ([frame_gen], wired to [Phys_mem.class_generation] by the kernel).
-     On a quiet tick — no provenance churn, no class transitions — advance
-     is a single epoch comparison plus a re-accumulation pass, with zero
-     sorting and zero classifier calls.  Chunks are rebuilt in the same
-     sorted order the direct computation used, so totals, series and
-     breach-event emission order are bit-identical to the unmemoized
-     ledger (test_exposure's shadow ledger checks this). *)
+     walked in address order and split on frame boundaries because
+     classification is per frame; every chunk is classified afresh on
+     every advance, so the ledger needs no change notification from the
+     machine.  The ledger only reads simulated state — it never mutates
+     it. *)
   let advance ctx t =
     match ctx.classifier with
     | None -> ()
-    | Some { classify; gran; epoch; frame_gen } ->
+    | Some { classify; gran } ->
       if ctx.enabled_ && t > ctx.last_advance_ then begin
         let dt = t - ctx.last_advance_ in
         let add origin cls bytes =
@@ -990,64 +946,27 @@ module Exposure = struct
                    { origin = info.origin; cls; pid = info.pid; addr; len; age })
           | _ -> ()
         in
-        if ctx.memo_prov_epoch <> ctx.prov_epoch then begin
-          (* provenance changed: rebuild the chunk list from scratch *)
-          let chunks = ref [] in
-          List.iter
-            (fun iv ->
-              let e = iv.start + iv.ilen in
-              let pos = ref iv.start in
-              while !pos < e do
-                let next = min e (((!pos / gran) + 1) * gran) in
-                chunks :=
-                  {
-                    caddr = !pos;
-                    clen = next - !pos;
-                    cinfo = iv.info;
-                    ccls = classify ~addr:!pos;
-                    cgen = frame_gen ~pfn:(!pos / gran);
-                  }
-                  :: !chunks;
-                pos := next
-              done)
-            (List.sort compare ctx.intervals);
-          ctx.memo_chunks <- Array.of_list (List.rev !chunks);
-          let st = ref [] in
-          List.iter
-            (fun (slot, entries) ->
-              List.iter (fun (off, l, info) -> st := (slot, off, l, info) :: !st) entries)
-            (Provenance.stashed ctx);
-          ctx.memo_stash <- Array.of_list (List.rev !st);
-          ctx.memo_prov_epoch <- ctx.prov_epoch;
-          ctx.memo_class_epoch <- epoch ()
-        end else begin
-          (* provenance unchanged: revalidate cached classifications *)
-          let now = epoch () in
-          if now <> ctx.memo_class_epoch then begin
-            (* some frame changed class: re-classify only moved frames *)
-            Array.iter
-              (fun c ->
-                let g = frame_gen ~pfn:(c.caddr / gran) in
-                if g <> c.cgen then begin
-                  c.ccls <- classify ~addr:c.caddr;
-                  c.cgen <- g
-                end)
-              ctx.memo_chunks;
-            ctx.memo_class_epoch <- now
-          end
-        end;
-        Array.iter
-          (fun c ->
-            add c.cinfo.origin c.ccls c.clen;
-            leak c.cinfo c.ccls c.clen;
-            breach c.cinfo c.ccls c.caddr c.clen)
-          ctx.memo_chunks;
-        Array.iter
-          (fun (slot, off, l, info) ->
-            add info.origin Swapped l;
-            leak info Swapped l;
-            breach info Swapped ((slot * gran) + off) l)
-          ctx.memo_stash;
+        let account info cls addr len =
+          add info.origin cls len;
+          leak info cls len;
+          breach info cls addr len
+        in
+        List.iter
+          (fun iv ->
+            let e = iv.start + iv.ilen in
+            let pos = ref iv.start in
+            while !pos < e do
+              let next = min e (((!pos / gran) + 1) * gran) in
+              account iv.info (classify ~addr:!pos) !pos (next - !pos);
+              pos := next
+            done)
+          (List.sort compare ctx.intervals);
+        List.iter
+          (fun (slot, entries) ->
+            List.iter
+              (fun (off, l, info) -> account info Swapped ((slot * gran) + off) l)
+              entries)
+          (Provenance.stashed ctx);
         ctx.last_advance_ <- t;
         ctx.exposure_series <- (t, totals ctx) :: ctx.exposure_series
       end
@@ -1667,10 +1586,37 @@ module Json = struct
       done;
       if !pos = start then fail "expected value";
       let lit = String.sub src start (!pos - start) in
+      (* float_of_string is laxer than JSON ("+1", "01" and "1." all read),
+         so check JSON's grammar first: an optional '-', then 0 or digits
+         not starting with 0, then optional '.' and digits, then optional
+         e/E, sign and digits.  Each step returns the index after what it
+         read, or -1. *)
+      let l = String.length lit in
+      let digit i = i >= 0 && i < l && lit.[i] >= '0' && lit.[i] <= '9' in
+      let rec digits i = if digit i then digits (i + 1) else i in
+      let int_part i =
+        if i < l && lit.[i] = '0' then i + 1 else if digit i then digits i else -1
+      in
+      let frac i =
+        if i >= 0 && i < l && lit.[i] = '.' then if digit (i + 1) then digits (i + 1) else -1
+        else i
+      in
+      let exp i =
+        if i >= 0 && i < l && (lit.[i] = 'e' || lit.[i] = 'E') then begin
+          let sign = i + 1 < l && (lit.[i + 1] = '+' || lit.[i + 1] = '-') in
+          let j = if sign then i + 2 else i + 1 in
+          if digit j then digits j else -1
+        end
+        else i
+      in
+      let reject what =
+        pos := start;
+        fail (what ^ " " ^ lit)
+      in
+      if exp (frac (int_part (if lit.[0] = '-' then 1 else 0))) <> l then reject "bad number";
       match float_of_string_opt lit with
       | Some f when Float.is_finite f -> f
-      | Some _ -> fail ("number out of range " ^ lit)
-      | None -> fail "bad number"
+      | _ -> reject "number out of range"
     in
     let rec parse_value () =
       skip_ws ();

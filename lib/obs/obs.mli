@@ -351,12 +351,12 @@ end
     boot; [System.scan] calls {!advance} once per tick.  Each advance adds
     [len * dt] byte·ticks for every live provenance interval — classified
     at advance time, split on frame boundaries — plus every stashed
-    swap-slot image (class {!Swapped}).  Class transitions (COW break,
-    swap-out, eviction, free-without-zero) re-bucket intervals because
-    each advance re-classifies the chunks whose frame's class generation
-    moved.  The ledger
-    only reads simulated state; a ledger-on run stays byte-identical to an
-    obs-off run. *)
+    swap-slot image (class {!Swapped}).  Every advance walks the intervals
+    in address order and classifies each chunk afresh, so class
+    transitions (COW break, swap-out, eviction, free-without-zero)
+    re-bucket intervals at the next advance with no change notification
+    from the machine.  The ledger only reads simulated state; a
+    ledger-on run stays byte-identical to an obs-off run. *)
 module Exposure : sig
   type nonrec mem_class = mem_class =
     | Mlocked_anon
@@ -366,24 +366,11 @@ module Exposure : sig
     | Free_ram
     | Swapped
 
-  val set_classifier :
-    ctx ->
-    page_size:int ->
-    epoch:(unit -> int) ->
-    frame_gen:(pfn:int -> int) ->
-    (addr:int -> mem_class) ->
-    unit
+  val set_classifier : ctx -> page_size:int -> (addr:int -> mem_class) -> unit
   (** Install the frame classifier (called by [Kernel.create]; last caller
       wins — one machine per context).  [page_size] is the classification
-      granularity: intervals are split on these boundaries.  No-op on a
-      disabled context.
-
-      [epoch] and [frame_gen] wire the machine's class-generation counters
-      ([Phys_mem.class_epoch] / [Phys_mem.class_generation]) so that
-      {!advance} can memoize per-chunk classifications: on a tick where
-      [epoch ()] is unchanged nothing is re-classified, and when it has
-      moved only chunks whose frame's [frame_gen] counter moved are.  Both
-      must move whenever [f]'s answer for a frame does. *)
+      granularity: intervals are split on these boundaries, and {!advance}
+      calls the classifier once per chunk.  No-op on a disabled context. *)
 
   val set_breach_age : ctx -> int option -> unit
   (** Age limit (in ticks) after which a {e sensitive} interval outside

@@ -4,8 +4,6 @@ type t = {
   num_pages : int;
   pages : Page.t array;
   generations : int array; (* per-frame write counter, see Scan_cache *)
-  class_generations : int array; (* per-frame descriptor-change counter *)
-  mutable class_epoch : int; (* total descriptor changes, machine-wide *)
 }
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
@@ -18,9 +16,7 @@ let create ?(page_size = 4096) ~num_pages () =
     page_size;
     num_pages;
     pages = Array.init num_pages (fun _ -> Page.make_free ());
-    generations = Array.make num_pages 0;
-    class_generations = Array.make num_pages 0;
-    class_epoch = 0
+    generations = Array.make num_pages 0
   }
 
 let page_size t = t.page_size
@@ -46,19 +42,6 @@ let generation t pfn =
 let touch t pfn =
   if pfn < 0 || pfn >= t.num_pages then invalid_arg "Phys_mem.touch: pfn out of range";
   t.generations.(pfn) <- t.generations.(pfn) + 1
-
-let class_generation t pfn =
-  if pfn < 0 || pfn >= t.num_pages then
-    invalid_arg "Phys_mem.class_generation: pfn out of range";
-  t.class_generations.(pfn)
-
-let class_epoch t = t.class_epoch
-
-let touch_class t pfn =
-  if pfn < 0 || pfn >= t.num_pages then
-    invalid_arg "Phys_mem.touch_class: pfn out of range";
-  t.class_generations.(pfn) <- t.class_generations.(pfn) + 1;
-  t.class_epoch <- t.class_epoch + 1
 
 let touch_range t ~addr ~len =
   if len > 0 then

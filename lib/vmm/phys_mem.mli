@@ -50,30 +50,6 @@ val touch : t -> int -> unit
 (** Test oracle: manually bump a frame's generation.  Only needed by code that
     mutates memory through {!raw} instead of the write API. *)
 
-(** {1 Frame class generations}
-
-    The exposure ledger classifies a frame from its descriptor (owner +
-    lock flag), not its content, so content generations cannot tell it
-    when a classification became stale: freeing a page without zeroing
-    changes its class ([Plain_anon] → [Free_ram]) while writing not a
-    single byte.  Every descriptor mutation site therefore calls
-    {!touch_class}; the ledger memoizes per-chunk classifications and
-    revalidates them against these counters instead of re-classifying
-    every interval on every tick (see [Obs.Exposure.advance]). *)
-
-val class_generation : t -> int -> int
-(** Descriptor-change counter of frame [pfn] (starts at [0]).  Raises
-    [Invalid_argument] when out of range. *)
-
-val class_epoch : t -> int
-(** Machine-wide sum of descriptor changes — an O(1) "did any frame
-    change class since I last looked" check. *)
-
-val touch_class : t -> int -> unit
-(** Record that frame [pfn]'s descriptor (owner or lock flag) changed.
-    Called by the kernel/buddy/page-cache wherever they mutate a
-    [Page.t]. *)
-
 val raw : t -> bytes
 (** The underlying array.  Used by the scanner ([scanmemory] reads all of
     physical memory) and by the disclosure attacks; regular simulated code

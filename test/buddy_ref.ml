@@ -58,8 +58,7 @@ let mark_allocated t pfn order =
   for i = pfn to pfn + (1 lsl order) - 1 do
     let p = Phys_mem.page t.mem i in
     p.Page.owner <- Page.Kernel;
-    p.Page.refcount <- 1;
-    Phys_mem.touch_class t.mem i
+    p.Page.refcount <- 1
   done;
   t.free_count <- t.free_count - (1 lsl order)
 
@@ -141,7 +140,6 @@ let free t ~pfn ~order =
     p.Page.owner <- Page.Free;
     p.Page.refcount <- 0;
     p.Page.locked <- false;
-    Phys_mem.touch_class t.mem i;
     (* the paper's kernel patch: clear_highpage before entering free lists *)
     if t.zero_on_free then begin
       Obs.Trace.causal t.obs "buddy.zero_on_free" @@ fun () ->

@@ -34,16 +34,10 @@ let test_metrics_p99 () =
 
 (* ---- ledger arithmetic on a hand-built machine ---- *)
 
-(* a pure classifier never moves a frame between classes, so its
-   class-generation counters stand still *)
-let set_fixed_classifier obs f =
-  Obs.Exposure.set_classifier obs ~page_size:4096 ~epoch:(fun () -> 0)
-    ~frame_gen:(fun ~pfn:_ -> 0) f
-
 let test_exposure_advance_splits_on_frames () =
   let obs = Obs.create () in
   (* two 4 KiB frames: the low one unlocked, the high one locked *)
-  set_fixed_classifier obs (fun ~addr ->
+  Obs.Exposure.set_classifier obs ~page_size:4096 (fun ~addr ->
       if addr < 4096 then Obs.Plain_anon else Obs.Mlocked_anon);
   Obs.set_tick obs 0;
   Obs.Provenance.register obs ~origin:Obs.Bn_limbs ~pid:1 ~addr:4000 ~len:200;
@@ -68,7 +62,7 @@ let test_exposure_advance_splits_on_frames () =
 
 let test_breach_slo_fires_once () =
   let obs = Obs.create () in
-  set_fixed_classifier obs (fun ~addr:_ -> Obs.Plain_anon);
+  Obs.Exposure.set_classifier obs ~page_size:4096 (fun ~addr:_ -> Obs.Plain_anon);
   Obs.Exposure.set_breach_age obs (Some 2);
   Obs.set_tick obs 0;
   Obs.Provenance.register obs ~origin:Obs.Pem_buffer ~pid:1 ~addr:0 ~len:64;
@@ -94,7 +88,7 @@ let test_breach_slo_fires_once () =
 
 let test_breach_spares_mlocked () =
   let obs = Obs.create () in
-  set_fixed_classifier obs (fun ~addr:_ -> Obs.Mlocked_anon);
+  Obs.Exposure.set_classifier obs ~page_size:4096 (fun ~addr:_ -> Obs.Mlocked_anon);
   Obs.Exposure.set_breach_age obs (Some 1);
   Obs.set_tick obs 0;
   Obs.Provenance.register obs ~origin:Obs.Bn_limbs ~pid:1 ~addr:0 ~len:64;
@@ -107,19 +101,26 @@ let test_breach_spares_mlocked () =
   in
   Alcotest.(check int) "mlocked-anon never breaches" 0 (List.length breaches)
 
-(* ---- shadow ledger: totals = brute-force recomputation ---- *)
+(* ---- shadow ledger: totals and leak budgets = brute-force recomputation ---- *)
 
 (* Recompute, from raw machine state at every scan, exactly what the
    ledger is supposed to integrate: every live provenance interval split
    on frame boundaries and bucketed by [Kernel.classify_phys], plus every
-   stashed swap image under [Swapped].  If the incremental ledger and this
-   from-scratch recomputation ever diverge, one of them is lying. *)
-let shadow_totals_of_campaign cfg =
+   stashed swap image under [Swapped] — and, from the same chunks, each
+   birth trace's leak budget (sensitive byte·ticks outside
+   [Mlocked_anon]).  If the ledger and this recomputation ever diverge,
+   one of them is lying. *)
+let shadow_of_campaign cfg =
   let shadow : (Obs.origin * Obs.mem_class, int) Hashtbl.t = Hashtbl.create 32 in
+  let shadow_leak : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let last = ref 0 in
-  let add origin cls n =
-    let key = (origin, cls) in
-    Hashtbl.replace shadow key ((try Hashtbl.find shadow key with Not_found -> 0) + n)
+  let bump tbl key n =
+    Hashtbl.replace tbl key ((try Hashtbl.find tbl key with Not_found -> 0) + n)
+  in
+  let add (info : Obs.Provenance.info) cls n =
+    bump shadow (info.Obs.Provenance.origin, cls) n;
+    if Obs.origin_sensitive info.Obs.Provenance.origin && cls <> Obs.Mlocked_anon then
+      bump shadow_leak info.Obs.Provenance.birth_trace n
   in
   let on_scan sys ~tick =
     if tick > !last then begin
@@ -132,7 +133,7 @@ let shadow_totals_of_campaign cfg =
           let rec go a remaining =
             if remaining > 0 then begin
               let chunk = min remaining (ps - (a mod ps)) in
-              add info.Obs.Provenance.origin (Kernel.classify_phys k ~addr:a) (chunk * dt);
+              add info (Kernel.classify_phys k ~addr:a) (chunk * dt);
               go (a + chunk) (remaining - chunk)
             end
           in
@@ -141,35 +142,47 @@ let shadow_totals_of_campaign cfg =
       List.iter
         (fun (_slot, entries) ->
           List.iter
-            (fun (_off, len, (info : Obs.Provenance.info)) ->
-              add info.Obs.Provenance.origin Obs.Swapped (len * dt))
+            (fun (_off, len, info) -> add info Obs.Swapped (len * dt))
             entries)
         (Obs.Provenance.stashed obs);
       last := tick
     end
   in
   let r = Campaign.run ~on_scan cfg in
-  let shadow_list =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) shadow [])
-  in
-  (shadow_list, Obs.Exposure.totals r.Campaign.obs)
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  ( (sorted shadow, Obs.Exposure.totals r.Campaign.obs),
+    (sorted shadow_leak, Obs.Trace.leak_budget r.Campaign.obs) )
 
 let campaign_levels =
   [ Protection.Unprotected; Protection.Secure_dealloc; Protection.Kernel_level;
     Protection.Integrated ]
 
+(* Each trial runs the campaign twice: on the default machine, and on a
+   32-page one where memory pressure swaps key pages out, so stashed
+   images (class [Swapped]) feed the totals and the leak budgets too. *)
 let prop_ledger_matches_shadow =
   QCheck.Test.make ~name:"exposure ledger = shadow recomputation (random campaigns)"
     ~count:12
     QCheck.(pair (int_bound 999) (int_bound 3))
     (fun (seed, li) ->
       let level = List.nth campaign_levels li in
-      let cfg = { Campaign.default_config with Campaign.seed; level; ops = 120 } in
-      let shadow, ledger = shadow_totals_of_campaign cfg in
-      if shadow <> ledger then
-        QCheck.Test.fail_reportf "seed=%d level=%s: shadow %d buckets, ledger %d buckets"
-          seed (Protection.name level) (List.length shadow) (List.length ledger)
-      else true)
+      List.for_all
+        (fun num_pages ->
+          let cfg =
+            { Campaign.default_config with Campaign.seed; level; ops = 120; num_pages }
+          in
+          let (shadow, ledger), (shadow_leak, ledger_leak) = shadow_of_campaign cfg in
+          if shadow <> ledger then
+            QCheck.Test.fail_reportf
+              "seed=%d level=%s pages=%d: shadow %d buckets, ledger %d buckets" seed
+              (Protection.name level) num_pages (List.length shadow) (List.length ledger)
+          else if shadow_leak <> ledger_leak then
+            QCheck.Test.fail_reportf
+              "seed=%d level=%s pages=%d: shadow leak budgets %d traces, ledger %d traces"
+              seed (Protection.name level) num_pages (List.length shadow_leak)
+              (List.length ledger_leak)
+          else true)
+        [ Campaign.default_config.Campaign.num_pages; 32 ])
 
 (* ---- determinism guard: the ledger reads, never writes ---- *)
 

@@ -56,7 +56,16 @@ let timeline_snapshot ?(level = Protection.Unprotected) ?(seed = 7) ?(num_pages 
 
 let test_json_round_trip () =
   let snap = timeline_snapshot () in
+  (* [float_json]'s exponent and negative-zero forms must stay readable *)
+  let snap =
+    { snap with
+      Obs.Snapshot.ar_scalars =
+        List.sort compare
+          (("neg_zero", -0.) :: ("tiny", 1.5e-07) :: snap.Obs.Snapshot.ar_scalars) }
+  in
   let json = Obs.Snapshot.to_json snap in
+  Alcotest.(check bool) "float forms written" true
+    (contains ~needle:"\"neg_zero\": -0," json && contains ~needle:"\"tiny\": 1.5e-07" json);
   match Obs.Snapshot.of_json json with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok back ->
@@ -81,14 +90,14 @@ let test_file_round_trip () =
           (Obs.Snapshot.to_json snap) (Obs.Snapshot.to_json back))
 
 let test_version_rejected () =
-  (* a fractional version must not truncate to 1, and one past float
-     range must not read as 0 *)
+  (* a fractional version must not truncate to 1, one past float range
+     must not read as 0, and numbers JSON forbids must not read at all *)
   List.iter
     (fun v ->
       match Obs.Snapshot.of_json ("{\"flight_version\": " ^ v ^ ", \"kind\": \"x\"}") with
       | Ok _ -> Alcotest.fail ("version " ^ v ^ " must be rejected")
       | Error e -> Alcotest.(check bool) ("error names version " ^ v) true (contains ~needle:v e))
-    [ "99"; "1.5"; "1e400" ]
+    [ "99"; "1.5"; "1e400"; "+1"; "01"; "1." ]
 
 (* ---- the differ ---- *)
 
@@ -103,7 +112,7 @@ let test_same_config_diff_is_empty () =
 (* The paper's headline ordering, read off a diff: going from Integrated
    to Unprotected every sensitive_unsafe observable grows, and each is a
    hard exposure-family regression — at 1024 pages (seed 7) and at CI's
-   diff-smoke configuration (2048 pages, seed 1). *)
+   cli-smoke flight-diff configuration (2048 pages, seed 1). *)
 let exposure_ordering ~num_pages ~seed =
   let integ = timeline_snapshot ~level:Protection.Integrated ~num_pages ~seed () in
   let unprot = timeline_snapshot ~level:Protection.Unprotected ~num_pages ~seed () in

@@ -13,7 +13,7 @@
      worker-domain counts;
    - the span-duration histograms export the Prometheus
      _bucket/_sum/_count triple with the pinned decade ladder;
-   - at CI's forensics-smoke configuration, the report, the span export
+   - at CI's cli-smoke forensics configuration, the report, the span export
      and the Chrome trace agree on every span id. *)
 
 open Memguard
@@ -127,7 +127,7 @@ let test_budgets_sum_to_ledger () =
   Alcotest.(check int) "integrated confines: no budget rows" 0
     (List.length di.Dashboard.budgets)
 
-(* ---- the CI forensics-smoke configuration ---- *)
+(* ---- the CI cli-smoke forensics configuration ---- *)
 
 (* [memguard_cli forensics --level unprotected --pages 4096 --json --spans
    --chrome]: hit 0 of the first tick with hits, checked against the span
