@@ -30,12 +30,3 @@ let concurrency_at pattern rng ~tick =
   | Poisson { mean } ->
     if mean <= 0. then 0
     else min (poisson_draw rng mean) (int_of_float (4. *. mean) + 1)
-
-let pp fmt pattern =
-  match pattern with
-  | Constant n -> Format.fprintf fmt "constant(%d)" n
-  | Steps changes ->
-    Format.fprintf fmt "steps(%s)"
-      (String.concat ";" (List.map (fun (t, c) -> Printf.sprintf "%d->%d" t c) changes))
-  | Sawtooth { low; high; period } -> Format.fprintf fmt "sawtooth(%d..%d/%d)" low high period
-  | Poisson { mean } -> Format.fprintf fmt "poisson(%.1f)" mean

@@ -20,5 +20,3 @@ type pattern =
 val concurrency_at : pattern -> Memguard_util.Prng.t -> tick:int -> int
 (** Target concurrency at [tick] (>= 0).  [Poisson] consumes randomness;
     the other patterns do not. *)
-
-val pp : Format.formatter -> pattern -> unit

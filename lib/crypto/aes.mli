@@ -5,6 +5,8 @@
     must appear in RAM.  See [Ssl.load_private_key ~passphrase]. *)
 
 type key
+(** The expanded key schedule (44 32-bit words).  Every [cbc_*] call expands
+    its key afresh and drops the schedule on return: none is cached. *)
 
 val expand_key : string -> key
 (** 16-byte key.  Raises [Invalid_argument] otherwise. *)

@@ -18,5 +18,7 @@ val ino_of_path : t -> string -> int option
 val content_of_ino : t -> int -> string option
 
 val remove : t -> path:string -> bool
+(** Test oracle: unlink [path], forgetting its inode; [false] if there was
+    no such file. *)
 
 val list_paths : t -> string list

@@ -63,10 +63,6 @@ let by_origin s =
 let locations s =
   List.map (fun h -> (h.Scanner.addr, Scanner.is_allocated h.Scanner.location)) s.hits
 
-let pp fmt s =
-  Format.fprintf fmt "t=%d: %d copies (%d allocated, %d unallocated)" s.time s.total s.allocated
-    s.unallocated
-
 let pp_series fmt series =
   Format.fprintf fmt "%6s %10s %12s %6s@." "time" "allocated" "unallocated" "total";
   List.iter
@@ -106,35 +102,3 @@ let pp_series_origins fmt series =
       Format.fprintf fmt "%6d  %s@." s.time
         (if cells = [] then "-" else String.concat "  " cells))
     series
-
-type delta = {
-  appeared : Scanner.hit list;
-  vanished : Scanner.hit list;
-  migrated : Scanner.hit list;
-}
-
-let diff ~before ~after =
-  let key (h : Scanner.hit) = (h.Scanner.label, h.Scanner.addr) in
-  let index snap =
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun h -> Hashtbl.replace tbl (key h) h) snap.hits;
-    tbl
-  in
-  let b = index before and a = index after in
-  let appeared =
-    List.filter (fun h -> not (Hashtbl.mem b (key h))) after.hits
-  in
-  let vanished =
-    List.filter (fun h -> not (Hashtbl.mem a (key h))) before.hits
-  in
-  let migrated =
-    List.filter
-      (fun h ->
-        match Hashtbl.find_opt b (key h) with
-        | Some old ->
-          Scanner.is_allocated old.Scanner.location
-          <> Scanner.is_allocated h.Scanner.location
-        | None -> false)
-      after.hits
-  in
-  { appeared; vanished; migrated }

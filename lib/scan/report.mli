@@ -42,8 +42,6 @@ val by_origin : snapshot -> (string * int) list
 val locations : snapshot -> (int * bool) list
 (** [(physical address, is_allocated)] pairs — one figure-5(a) column. *)
 
-val pp : Format.formatter -> snapshot -> unit
-
 val pp_series : Format.formatter -> snapshot list -> unit
 (** Render a timeline as the paper's count-vs-time table:
     [time  allocated  unallocated  total]. *)
@@ -53,16 +51,3 @@ val pp_series_origins : Format.formatter -> snapshot list -> unit
     with age ranges — the Section-4 "where did this copy come from"
     narrative.  Only meaningful for snapshots taken with an enabled
     observability context. *)
-
-type delta = {
-  appeared : Scanner.hit list;  (** present now, absent before *)
-  vanished : Scanner.hit list;  (** present before, absent now *)
-  migrated : Scanner.hit list;
-      (** same physical location, allocation state changed — the paper's
-          "copies are not erased before entering unallocated memory" *)
-}
-
-val diff : before:snapshot -> after:snapshot -> delta
-(** Compare two snapshots by (label, address) — how Section 3.2 reads its
-    figures: which copies appeared with the connections, which sank into
-    free memory when they closed. *)

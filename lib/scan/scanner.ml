@@ -91,44 +91,3 @@ let pp_location fmt loc =
 
 let pp_hit fmt h =
   Format.fprintf fmt "%s at %#x (pfn %d) in %a" h.label h.addr h.pfn pp_location h.location
-
-type detailed_hit = { base : hit; matched_bytes : int; full : bool }
-
-let scan_detailed k ~patterns ?(min_bytes = 20) () =
-  let mem = Kernel.mem k in
-  let raw = Phys_mem.raw mem in
-  let size = Bytes.length raw in
-  let ps = Phys_mem.page_size mem in
-  let labels = Array.of_list (List.map fst patterns) in
-  let needles = Array.of_list (List.map snd patterns) in
-  Array.iter
-    (fun n ->
-      if String.length n < 4 then
-        invalid_arg "Scanner.scan_detailed: pattern shorter than the 4-byte anchor")
-    needles;
-  (* one pass over the 4-byte anchors of every pattern, then extend each
-     anchor hit against its own full needle *)
-  let ms = Multi_search.compile (Array.map (fun n -> String.sub n 0 4) needles) in
-  Obs.Cost.charge (Kernel.obs k) ~sub:"scan" Scan_byte size;
-  let acc = ref [] in
-  Multi_search.iter ms raw ~f:(fun ~pos:addr ~pat ->
-      let needle = needles.(pat) in
-      let n = String.length needle in
-      let rec extend i =
-        if i >= n || addr + i >= size then i
-        else if Bytes.get raw (addr + i) = needle.[i] then extend (i + 1)
-        else i
-      in
-      let matched = extend 4 in
-      let full = matched = n in
-      if full || matched >= min_bytes then begin
-        let pfn = addr / ps in
-        acc :=
-          { base = { label = labels.(pat); addr; pfn; location = locate k ~pfn };
-            matched_bytes = matched;
-            full
-          }
-          :: !acc
-      end);
-  List.sort (fun a b -> compare (a.base.addr, a.base.label) (b.base.addr, b.base.label))
-    (List.rev !acc)

@@ -57,26 +57,3 @@ val key_patterns :
     the PEM file text. *)
 
 val pp_hit : Format.formatter -> hit -> unit
-
-(** {1 Partial matches}
-
-    The paper's module anchors on the first 32-bit word of each pattern and
-    extends as far as memory keeps matching, reporting a partial match from
-    [MIN = 5] words (20 bytes) up — fragments of a key are still worth
-    reporting because big-number arithmetic can reconstruct the rest. *)
-
-type detailed_hit = {
-  base : hit;
-  matched_bytes : int;  (** length of the matching run *)
-  full : bool;
-}
-
-val scan_detailed :
-  Memguard_kernel.Kernel.t ->
-  patterns:(string * string) list ->
-  ?min_bytes:int ->
-  unit ->
-  detailed_hit list
-(** Test oracle: like {!scan} but also reports partial matches of at least
-    [min_bytes] (default 20, the LKM's [MIN * 4]).  A full match is never double
-    reported as its own prefix. *)

@@ -98,6 +98,26 @@ let prop_aes_cbc_roundtrip =
       let iv = Bytes.to_string (Prng.bytes rng 16) in
       Aes.cbc_decrypt ~key ~iv (Aes.cbc_encrypt ~key ~iv plain) = Ok plain)
 
+(* Sealed records land in simulated RAM, where the scanner and the attacks
+   read them, so the word-oriented cipher must match the byte-oriented
+   reference byte for byte, [Error]s included: on the real ciphertext, on it
+   under a wrong key, and on random bytes (bad length or bad padding). *)
+let prop_aes_matches_reference =
+  let block = QCheck.(string_of_size (Gen.return 16)) in
+  let body = QCheck.(string_of_size (Gen.int_range 0 200)) in
+  QCheck.Test.make ~name:"matches byte-oriented reference" ~count:500
+    QCheck.(pair (triple block block block) (pair body body))
+    (fun ((key, iv, wrong), (plain, junk)) ->
+      let ct = Aes.cbc_encrypt ~key ~iv plain in
+      let rk = Aes.expand_key key and ref_rk = Aes_ref.expand_key key in
+      let blocks = String.sub junk 0 (String.length junk land lnot 15) in
+      ct = Aes_ref.cbc_encrypt ~key ~iv plain
+      && Aes.encrypt_block rk iv = Aes_ref.encrypt_block ref_rk iv
+      && Aes.decrypt_block rk iv = Aes_ref.decrypt_block ref_rk iv
+      && List.for_all
+           (fun (key, data) -> Aes.cbc_decrypt ~key ~iv data = Aes_ref.cbc_decrypt ~key ~iv data)
+           [ (key, ct); (wrong, ct); (key, junk); (key, blocks) ])
+
 (* ---- encrypted pem ---- *)
 
 let test_pem_encrypted_roundtrip () =
@@ -150,7 +170,8 @@ let suite =
         Alcotest.test_case "cbc wrong key" `Quick test_aes_cbc_wrong_key_fails;
         Alcotest.test_case "cbc tamper" `Quick test_aes_cbc_tamper_detected_or_garbled;
         Alcotest.test_case "cbc iv matters" `Quick test_aes_cbc_iv_matters;
-        QCheck_alcotest.to_alcotest prop_aes_cbc_roundtrip
+        QCheck_alcotest.to_alcotest prop_aes_cbc_roundtrip;
+        QCheck_alcotest.to_alcotest prop_aes_matches_reference
       ] );
     ( "encrypted_pem",
       [ Alcotest.test_case "roundtrip" `Quick test_pem_encrypted_roundtrip;

@@ -30,7 +30,7 @@ let test_protection_describe_all () =
 let test_workload_pp () =
   let open Memguard_apps.Workload in
   List.iter
-    (fun (p, expect) -> Alcotest.(check string) expect expect (Format.asprintf "%a" pp p))
+    (fun (p, expect) -> Alcotest.(check string) expect expect (Format.asprintf "%a" Helpers.pp_workload p))
     [ (Constant 5, "constant(5)");
       (Steps [ (6, 8) ], "steps(6->8)");
       (Sawtooth { low = 1; high = 9; period = 4 }, "sawtooth(1..9/4)");

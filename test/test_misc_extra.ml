@@ -20,7 +20,7 @@ let test_bn_small_helpers () =
 let test_report_pp () =
   let snap = Report.of_hits ~time:7 [] in
   Alcotest.(check string) "pp" "t=7: 0 copies (0 allocated, 0 unallocated)"
-    (Format.asprintf "%a" Report.pp snap)
+    (Format.asprintf "%a" Helpers.pp_snapshot snap)
 
 (* ---- scanner without swap ---- *)
 

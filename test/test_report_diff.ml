@@ -1,4 +1,4 @@
-(* Report.diff on hand-built snapshots, plus the diff symmetry property:
+(* Helpers.diff on hand-built snapshots, plus the diff symmetry property:
    swapping the argument order swaps appeared and vanished. *)
 
 open Memguard_scan
@@ -17,41 +17,41 @@ let keys hits = List.map (fun h -> (h.Scanner.label, h.Scanner.addr)) hits
 let test_appeared () =
   let before = snap ~time:0 [ hit 100 ] in
   let after = snap ~time:1 [ hit 100; hit 5000; hit ~label:"p" 100 ] in
-  let d = Report.diff ~before ~after in
+  let d = Helpers.diff ~before ~after in
   Alcotest.(check (list (pair string int)))
     "new (label, addr) pairs appear"
     [ ("d", 5000); ("p", 100) ]
-    (keys d.Report.appeared);
-  Alcotest.(check int) "nothing vanished" 0 (List.length d.Report.vanished);
-  Alcotest.(check int) "nothing migrated" 0 (List.length d.Report.migrated)
+    (keys d.Helpers.appeared);
+  Alcotest.(check int) "nothing vanished" 0 (List.length d.Helpers.vanished);
+  Alcotest.(check int) "nothing migrated" 0 (List.length d.Helpers.migrated)
 
 let test_vanished () =
   let before = snap ~time:0 [ hit 100; hit 5000; hit ~label:"pem" 9000 ] in
   let after = snap ~time:1 [ hit 5000 ] in
-  let d = Report.diff ~before ~after in
+  let d = Helpers.diff ~before ~after in
   Alcotest.(check (list (pair string int)))
     "dropped hits vanish"
     [ ("d", 100); ("pem", 9000) ]
-    (keys d.Report.vanished);
-  Alcotest.(check int) "nothing appeared" 0 (List.length d.Report.appeared)
+    (keys d.Helpers.vanished);
+  Alcotest.(check int) "nothing appeared" 0 (List.length d.Helpers.appeared)
 
 let test_migrated () =
   (* same (label, addr), allocation state flips: the paper's "copies are
      not erased before entering unallocated memory" *)
   let before = snap ~time:0 [ hit ~allocated:true 100; hit ~allocated:true 5000 ] in
   let after = snap ~time:1 [ hit ~allocated:false 100; hit ~allocated:true 5000 ] in
-  let d = Report.diff ~before ~after in
+  let d = Helpers.diff ~before ~after in
   Alcotest.(check (list (pair string int))) "flipped hit migrates" [ ("d", 100) ]
-    (keys d.Report.migrated);
-  Alcotest.(check int) "migration is not appearance" 0 (List.length d.Report.appeared);
-  Alcotest.(check int) "migration is not vanishing" 0 (List.length d.Report.vanished)
+    (keys d.Helpers.migrated);
+  Alcotest.(check int) "migration is not appearance" 0 (List.length d.Helpers.appeared);
+  Alcotest.(check int) "migration is not vanishing" 0 (List.length d.Helpers.vanished)
 
 let test_identical_snapshots () =
   let s = snap ~time:3 [ hit 100; hit ~label:"q" 200 ] in
-  let d = Report.diff ~before:s ~after:s in
-  Alcotest.(check int) "no appeared" 0 (List.length d.Report.appeared);
-  Alcotest.(check int) "no vanished" 0 (List.length d.Report.vanished);
-  Alcotest.(check int) "no migrated" 0 (List.length d.Report.migrated)
+  let d = Helpers.diff ~before:s ~after:s in
+  Alcotest.(check int) "no appeared" 0 (List.length d.Helpers.appeared);
+  Alcotest.(check int) "no vanished" 0 (List.length d.Helpers.vanished);
+  Alcotest.(check int) "no migrated" 0 (List.length d.Helpers.migrated)
 
 (* ---- property: diff is antisymmetric in appeared/vanished ---- *)
 
@@ -80,12 +80,12 @@ let prop_diff_symmetry =
   QCheck.Test.make ~count:200 ~name:"diff before after mirrors diff after before"
     (QCheck.pair arb_snapshot arb_snapshot) (fun (h1, h2) ->
       let s1 = snap ~time:0 h1 and s2 = snap ~time:1 h2 in
-      let fwd = Report.diff ~before:s1 ~after:s2 in
-      let bwd = Report.diff ~before:s2 ~after:s1 in
+      let fwd = Helpers.diff ~before:s1 ~after:s2 in
+      let bwd = Helpers.diff ~before:s2 ~after:s1 in
       let sorted l = List.sort compare (keys l) in
-      sorted fwd.Report.appeared = sorted bwd.Report.vanished
-      && sorted fwd.Report.vanished = sorted bwd.Report.appeared
-      && sorted fwd.Report.migrated = sorted bwd.Report.migrated)
+      sorted fwd.Helpers.appeared = sorted bwd.Helpers.vanished
+      && sorted fwd.Helpers.vanished = sorted bwd.Helpers.appeared
+      && sorted fwd.Helpers.migrated = sorted bwd.Helpers.migrated)
 
 let suite =
   [ ( "report_diff_cases",

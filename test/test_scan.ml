@@ -167,18 +167,18 @@ let test_report_diff () =
   let snap2 =
     Report.of_hits ~time:1 (Scanner.scan k ~patterns:[ ("x", "DIFF-PATTERN-ONE") ])
   in
-  let d = Report.diff ~before:snap1 ~after:snap2 in
-  Alcotest.(check int) "one appeared" 1 (List.length d.Report.appeared);
-  Alcotest.(check int) "none vanished" 0 (List.length d.Report.vanished);
-  Alcotest.(check int) "none migrated" 0 (List.length d.Report.migrated);
+  let d = Helpers.diff ~before:snap1 ~after:snap2 in
+  Alcotest.(check int) "one appeared" 1 (List.length d.Helpers.appeared);
+  Alcotest.(check int) "none vanished" 0 (List.length d.Helpers.vanished);
+  Alcotest.(check int) "none migrated" 0 (List.length d.Helpers.migrated);
   (* ...then its owner dies: same address, now unallocated = migrated *)
   Kernel.exit k p2;
   let snap3 =
     Report.of_hits ~time:2 (Scanner.scan k ~patterns:[ ("x", "DIFF-PATTERN-ONE") ])
   in
-  let d = Report.diff ~before:snap2 ~after:snap3 in
-  Alcotest.(check int) "copy migrated to unallocated" 1 (List.length d.Report.migrated);
-  Alcotest.(check int) "nothing appeared" 0 (List.length d.Report.appeared)
+  let d = Helpers.diff ~before:snap2 ~after:snap3 in
+  Alcotest.(check int) "copy migrated to unallocated" 1 (List.length d.Helpers.migrated);
+  Alcotest.(check int) "nothing appeared" 0 (List.length d.Helpers.appeared)
 
 let diff_suite = ("report_diff", [ Alcotest.test_case "diff" `Quick test_report_diff ])
 

@@ -17,11 +17,11 @@ let test_partial_match_reported () =
   (* plant only the first 24 bytes — a fragment, as left by a partial
      overwrite of a freed buffer *)
   Kernel.write_mem k p ~addr (String.sub secret 0 24);
-  let hits = Scanner.scan_detailed k ~patterns:[ ("frag", secret) ] () in
+  let hits = Helpers.scan_detailed k ~patterns:[ ("frag", secret) ] () in
   Alcotest.(check int) "one partial hit" 1 (List.length hits);
   let h = List.hd hits in
-  Alcotest.(check bool) "not full" false h.Scanner.full;
-  Alcotest.(check int) "24 bytes matched" 24 h.Scanner.matched_bytes
+  Alcotest.(check bool) "not full" false h.Helpers.full;
+  Alcotest.(check int) "24 bytes matched" 24 h.Helpers.matched_bytes
 
 let test_partial_below_min_suppressed () =
   let k = Kernel.create ~config () in
@@ -31,10 +31,10 @@ let test_partial_below_min_suppressed () =
   Kernel.write_mem k p ~addr (String.sub secret 0 10);
   (* 10 < MIN (20): the LKM would stay silent *)
   Alcotest.(check int) "suppressed" 0
-    (List.length (Scanner.scan_detailed k ~patterns:[ ("frag", secret) ] ()));
+    (List.length (Helpers.scan_detailed k ~patterns:[ ("frag", secret) ] ()));
   (* but a lower threshold reports it *)
   Alcotest.(check int) "reported at min_bytes=8" 1
-    (List.length (Scanner.scan_detailed k ~patterns:[ ("frag", secret) ] ~min_bytes:8 ()))
+    (List.length (Helpers.scan_detailed k ~patterns:[ ("frag", secret) ] ~min_bytes:8 ()))
 
 let test_full_match_detailed () =
   let k = Kernel.create ~config () in
@@ -42,11 +42,11 @@ let test_full_match_detailed () =
   let secret = "FULL-MATCH-PATTERN-HERE!" in
   let addr = Kernel.malloc k p 64 in
   Kernel.write_mem k p ~addr secret;
-  let hits = Scanner.scan_detailed k ~patterns:[ ("s", secret) ] () in
+  let hits = Helpers.scan_detailed k ~patterns:[ ("s", secret) ] () in
   Alcotest.(check int) "one hit" 1 (List.length hits);
   let h = List.hd hits in
-  Alcotest.(check bool) "full" true h.Scanner.full;
-  Alcotest.(check int) "whole length" (String.length secret) h.Scanner.matched_bytes
+  Alcotest.(check bool) "full" true h.Helpers.full;
+  Alcotest.(check int) "whole length" (String.length secret) h.Helpers.matched_bytes
 
 (* ---- core dumps ---- *)
 
