@@ -62,10 +62,9 @@ let install_default_alerts obs =
   Obs.Alert.install obs ~name:"swap-pressure" ~series:"kernel.swap_slots_used"
     (Obs.Alert.Threshold { cmp = Obs.Alert.Gt; value = 0.; for_ticks = 1 });
   Obs.Alert.install obs ~name:"ct-leakage" ~series:"rsa.private_op.word_muls"
-    (Obs.Alert.Window_spread { window = 0; min_spread = 1. });
-  Obs.Alert.install obs ~name:"ct-leakage-limbs"
-    ~series:"rsa.private_op.limb_traffic"
-    (Obs.Alert.Window_spread { window = 0; min_spread = 1. })
+    (Obs.Alert.Spread { min_spread = 1. });
+  Obs.Alert.install obs ~name:"ct-leakage-limbs" ~series:"rsa.private_op.limb_traffic"
+    (Obs.Alert.Spread { min_spread = 1. })
 
 let collect_metrics obs =
   List.map

@@ -1,5 +1,4 @@
 module Sshd = Memguard_apps.Sshd
-module Apache = Memguard_apps.Apache
 module Ext2_leak = Memguard_attack.Ext2_leak
 module Tty_dump = Memguard_attack.Tty_dump
 module Attack_stats = Memguard_attack.Attack_stats
@@ -29,19 +28,14 @@ let pp_sweep fmt points =
    see recycled pages) close them all at once. *)
 let primed_system ?key_bits ~level ~num_pages ~seed ~connections ~keep_open server =
   let sys = System.create ?key_bits ~num_pages ~level ~seed () in
-  let rng = System.rng sys in
-  (match server with
-   | Ssh ->
-     let srv = System.start_sshd sys in
-     let conns = List.init connections (fun _ -> Sshd.open_connection srv rng) in
-     if not keep_open then List.iter (Sshd.close_connection srv) conns
-   | Http ->
-     let srv = System.start_apache sys in
-     if keep_open then
-       ignore
-         (List.filter_map (fun _ -> Apache.open_connection srv rng)
-            (List.init connections Fun.id))
-     else begin
+  let srv = Timeline.start sys server in
+  let open_n n = List.filter_map (fun _ -> srv.Timeline.open_ ()) (List.init n Fun.id) in
+  let close_all = List.iter (fun c -> c.Timeline.close ()) in
+  (if keep_open then ignore (open_n connections)
+   else
+     match server with
+     | Ssh -> close_all (open_n connections)
+     | Http ->
        (* the paper's 500 connections are not simultaneous — MaxClients caps
           the pool — so issue waves; each closed wave lets prefork reap the
           spare workers, and background churn between waves scatters their
@@ -51,13 +45,9 @@ let primed_system ?key_bits ~level ~num_pages ~seed ~connections ~keep_open serv
        while !remaining > 0 do
          let n = min wave !remaining in
          remaining := !remaining - n;
-         let conns =
-           List.filter_map (fun _ -> Apache.open_connection srv rng) (List.init n Fun.id)
-         in
-         List.iter (Apache.close_connection srv) conns;
+         close_all (open_n n);
          System.settle sys
-       done
-     end);
+       done);
   if not keep_open then System.settle sys;
   sys
 
@@ -186,43 +176,18 @@ let kib_per_transaction = 100
 let perf_run ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1)
     ?(transactions = 400) ?(concurrent = 20) server =
   let sys = System.create ~num_pages ~level ~seed () in
-  let rng = System.rng sys in
   let t0 = now_s () in
-  let completed = ref 0 in
-  (match server with
-   | Ssh ->
-     let srv = System.start_sshd sys in
-     (* keep [concurrent] slots cycling until [transactions] complete *)
-     let slots = Array.init concurrent (fun _ -> Sshd.open_connection srv rng) in
-     let i = ref 0 in
-     while !completed < transactions do
-       let slot = !i mod concurrent in
-       Sshd.transfer srv slots.(slot) rng ~kib:kib_per_transaction;
-       Sshd.close_connection srv slots.(slot);
-       slots.(slot) <- Sshd.open_connection srv rng;
-       incr completed;
-       incr i
-     done;
-     Array.iter (Sshd.close_connection srv) slots;
-     Sshd.stop srv
-   | Http ->
-     let srv = System.start_apache ~workers:concurrent sys in
-     let slots =
-       Array.init concurrent (fun _ -> Option.get (Apache.open_connection srv rng))
-     in
-     let i = ref 0 in
-     while !completed < transactions do
-       let slot = !i mod concurrent in
-       Apache.serve srv slots.(slot) rng ~kib:kib_per_transaction;
-       Apache.close_connection srv slots.(slot);
-       (match Apache.open_connection srv rng with
-        | Some c -> slots.(slot) <- c
-        | None -> ());
-       incr completed;
-       incr i
-     done;
-     Array.iter (Apache.close_connection srv) slots;
-     Apache.stop srv);
+  let srv = Timeline.start ~workers:concurrent sys server in
+  (* keep [concurrent] slots cycling until [transactions] complete *)
+  let slots = Array.init concurrent (fun _ -> Option.get (srv.Timeline.open_ ())) in
+  for i = 0 to transactions - 1 do
+    let slot = i mod concurrent in
+    slots.(slot).Timeline.work ~kib:kib_per_transaction;
+    slots.(slot).Timeline.close ();
+    match srv.Timeline.open_ () with Some c -> slots.(slot) <- c | None -> ()
+  done;
+  Array.iter (fun c -> c.Timeline.close ()) slots;
+  srv.Timeline.stop ();
   let elapsed = now_s () -. t0 in
   let payload_mib = float_of_int (transactions * kib_per_transaction) /. 1024. in
   { transactions;
@@ -276,11 +241,10 @@ let ablation_nocache ?(seed = 4) () =
 let ablation_cow ?(seed = 5) ?(workers_list = [ 1; 2; 4; 8; 16 ]) () =
   let copies_with ~level ~workers =
     let sys = System.create ~num_pages:4096 ~seed ~level () in
-    let srv = System.start_apache ~workers sys in
-    let rng = System.rng sys in
+    let srv = Timeline.start ~workers sys Http in
     (* touch every worker once so each populates (or not) its cache *)
-    let conns = List.filter_map (fun _ -> Apache.open_connection srv rng) (List.init workers Fun.id) in
-    List.iter (Apache.close_connection srv) conns;
+    let conns = List.filter_map (fun _ -> srv.Timeline.open_ ()) (List.init workers Fun.id) in
+    List.iter (fun c -> c.Timeline.close ()) conns;
     (System.scan sys ~time:0).Memguard_scan.Report.allocated
   in
   List.map

@@ -18,6 +18,22 @@ val pp_sweep : Format.formatter -> sweep_point list -> unit
 
 (** {1 Section 2 — threat assessment} *)
 
+val primed_system :
+  ?key_bits:int ->
+  level:Protection.level ->
+  num_pages:int ->
+  seed:int ->
+  connections:int ->
+  keep_open:bool ->
+  server ->
+  System.t
+(** Test oracle: the machine both attacks run against.  A fresh
+    {!System.create} starts [server] and opens [connections] connections
+    the way the Section 2 scripts do.  With [keep_open] they stay open (the
+    n_tty attack); otherwise they are closed (Apache in waves of 100, which
+    its MaxClients cap forces) and the machine settles, so their pages are
+    recycled (the ext2 attack). *)
+
 val ext2_sweep :
   ?level:Protection.level ->
   ?trials:int ->

@@ -31,10 +31,30 @@ val paper_traffic : ?low:int -> ?high:int -> schedule -> Memguard_apps.Workload.
 (** The Section 3.2 traffic script as a {!Memguard_apps.Workload.Steps}
     pattern (defaults: [low] 8, [high] 16). *)
 
+type conn = {
+  work : kib:int -> unit;
+      (** move [kib] KiB through the connection (an scp transfer for sshd,
+          a served response for Apache) *)
+  close : unit -> unit;  (** the connection ends; its process's pages are freed *)
+}
+
+type handle = {
+  open_ : unit -> conn option;
+      (** accept a connection; [None] only when Apache's worker pool is full *)
+  stop : unit -> unit;  (** stop the server ([/etc/init.d/... stop]) *)
+}
+
+val start :
+  ?sshd_opts:Memguard_apps.Sshd.options -> ?workers:int -> System.t -> server -> handle
+(** Start [server] on the machine: {!System.start_sshd} with [sshd_opts] or
+    {!System.start_apache} with [workers] (each option is ignored by the
+    other server).  Every connection draws from [System.rng sys].  This is
+    how {!run}, [Experiment.perf_run] and [Experiment.primed_system] drive
+    a server. *)
+
 val run :
   ?low:int ->
   ?high:int ->
-  ?traffic:Memguard_apps.Workload.pattern ->
   ?churn:int ->
   ?stop_at:int ->
   ?sshd_opts:Memguard_apps.Sshd.options ->
@@ -42,11 +62,12 @@ val run :
   server ->
   Memguard_scan.Report.snapshot list
 (** Run the {!default_schedule} script and return one scanner snapshot per
-    tick ([finish + 1] snapshots).  [traffic] defaults to
+    tick ([finish + 1] snapshots).  Clients follow
     [paper_traffic ~low ~high default_schedule] ([low]/[high] default to 8/16
-    concurrent connections); [churn] is the number of reconnect cycles per
-    slot per tick (default 3).  [stop_at] truncates the run after that
-    tick's snapshot (clamped to [finish]) — the machine is left
-    live for introspection ([memguard_cli inspect]).  [sshd_opts]
+    concurrent connections; Apache starts with [high] workers); each open
+    connection moves 4 KiB (sshd) or 8 KiB (Apache).  [churn] is the number
+    of reconnect cycles per slot per tick (default 3).  [stop_at] truncates
+    the run after that tick's snapshot (clamped to [finish]) — the machine
+    is left live for introspection ([memguard_cli inspect]).  [sshd_opts]
     overrides the level-derived sshd options (see {!System.start_sshd});
     only meaningful with [Ssh]. *)

@@ -17,9 +17,9 @@ let pem_label = "RSA PRIVATE KEY"
 
 let public_of_priv (k : priv) : public = { n = k.n; e = k.e }
 
-let generate ?(e = 65537) rng ~bits =
+let generate rng ~bits =
   if bits < 32 || bits mod 2 <> 0 then invalid_arg "Rsa.generate: bits must be even and >= 32";
-  let e_bn = Bn.of_int e in
+  let e_bn = Bn.of_int 65537 in
   let half = bits / 2 in
   let rec attempt () =
     let p = Bn.gen_prime rng ~bits:half in

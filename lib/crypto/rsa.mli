@@ -23,9 +23,9 @@ type priv = {
 val pem_label : string
 (** ["RSA PRIVATE KEY"]. *)
 
-val generate : ?e:int -> Memguard_util.Prng.t -> bits:int -> priv
-(** [generate rng ~bits] makes a fresh key with an exactly-[bits]-bit modulus.
-    [e] defaults to 65537.  Requires [bits >= 32] and even. *)
+val generate : Memguard_util.Prng.t -> bits:int -> priv
+(** [generate rng ~bits] makes a fresh key with an exactly-[bits]-bit modulus
+    and public exponent 65537.  Requires [bits >= 32] and even. *)
 
 val public_of_priv : priv -> public
 

@@ -189,9 +189,9 @@ type series_kind = Gauge | Counter
    [s_ticks]/[s_vals] prefix of length [s_len].  When the buffer fills,
    every other point is dropped and the acceptance stride doubles, so a
    long run ages into a coarser — but still full-span — history.
-   [s_last_*]/[s_prev_*] always track the newest two *offered* samples
-   (independent of retention) and [s_min]/[s_max] the all-time envelope,
-   so rate and spread predicates never lose resolution to downsampling. *)
+   [s_last_*] always tracks the newest *offered* sample (independent of
+   retention) and [s_min]/[s_max] the all-time envelope, so spread
+   predicates never lose resolution to downsampling. *)
 type series = {
   s_name : string;
   s_kind : series_kind;
@@ -204,8 +204,6 @@ type series = {
   mutable s_seen : int;
   mutable s_last_tick : int;
   mutable s_last_val : float;
-  mutable s_prev_tick : int;
-  mutable s_prev_val : float;
   mutable s_min : float;
   mutable s_max : float;
 }
@@ -216,8 +214,7 @@ type alert_cmp = Gt | Ge | Lt | Le
 
 type alert_condition =
   | Threshold of { cmp : alert_cmp; value : float; for_ticks : int }
-  | Rate of { cmp : alert_cmp; per_tick : float }
-  | Window_spread of { window : int; min_spread : float }
+  | Spread of { min_spread : float }
 
 type alert_rule = {
   a_name : string;
@@ -1192,8 +1189,6 @@ module Timeseries = struct
       s_seen = 0;
       s_last_tick = 0;
       s_last_val = 0.;
-      s_prev_tick = 0;
-      s_prev_val = 0.;
       s_min = infinity;
       s_max = neg_infinity
     }
@@ -1226,14 +1221,6 @@ module Timeseries = struct
 
   let offer ctx s v =
     let t = ctx.tick_ in
-    if s.s_seen = 0 then begin
-      s.s_prev_tick <- t;
-      s.s_prev_val <- v
-    end
-    else begin
-      s.s_prev_tick <- s.s_last_tick;
-      s.s_prev_val <- s.s_last_val
-    end;
     if s.s_seen mod s.s_stride = 0 then begin
       if s.s_len = s.s_cap then downsample s;
       s.s_ticks.(s.s_len) <- t;
@@ -1299,13 +1286,12 @@ module Timeseries = struct
   let kind ctx name = Option.map (fun s -> s.s_kind) (find ctx name)
   let source ctx name = Option.bind (find ctx name) (fun s -> s.s_source)
 
-  (* Exact all-time envelope — (last, prev, min, max) — independent of the
+  (* Exact all-time envelope — (last, min, max) — independent of the
      ring's downsampling: these fields are updated on every [offer], so a
      series that has shed most of its points still answers precisely. *)
   let envelope ctx name =
     match find ctx name with
-    | Some s when s.s_seen > 0 ->
-      Some ((s.s_last_tick, s.s_last_val), (s.s_prev_tick, s.s_prev_val), s.s_min, s.s_max)
+    | Some s when s.s_seen > 0 -> Some ((s.s_last_tick, s.s_last_val), s.s_min, s.s_max)
     | _ -> None
 
   (* derived series carry their own export tag: a rate is stored as a
@@ -1362,8 +1348,7 @@ module Alert = struct
 
   type condition = alert_condition =
     | Threshold of { cmp : cmp; value : float; for_ticks : int }
-    | Rate of { cmp : cmp; per_tick : float }
-    | Window_spread of { window : int; min_spread : float }
+    | Spread of { min_spread : float }
 
   let cmp_name = function Gt -> ">" | Ge -> ">=" | Lt -> "<" | Le -> "<="
 
@@ -1389,12 +1374,7 @@ module Alert = struct
     | Threshold { cmp; value; for_ticks } ->
       Printf.sprintf "%s %s for %d tick%s" (cmp_name cmp) (float_json value) for_ticks
         (if for_ticks = 1 then "" else "s")
-    | Rate { cmp; per_tick } ->
-      Printf.sprintf "rate %s %s/tick" (cmp_name cmp) (float_json per_tick)
-    | Window_spread { window; min_spread } ->
-      if window <= 0 then Printf.sprintf "spread >= %s all-time" (float_json min_spread)
-      else
-        Printf.sprintf "spread >= %s over %d ticks" (float_json min_spread) window
+    | Spread { min_spread } -> Printf.sprintf "spread >= %s all-time" (float_json min_spread)
 
   (* Evaluate every rule against its series, once per tick (called by
      [System.scan] after sampling).  Rules are edge-triggered: a rule
@@ -1431,32 +1411,8 @@ module Alert = struct
                  r.a_held <- 0;
                  r.a_active <- false
                end
-             | Rate { cmp; per_tick } ->
-               let dt = s.s_last_tick - s.s_prev_tick in
-               let rate =
-                 if dt > 0 then (s.s_last_val -. s.s_prev_val) /. float_of_int dt else 0.
-               in
-               if holds cmp rate per_tick then begin
-                 if not r.a_active then begin
-                   r.a_active <- true;
-                   fire rate
-                 end
-               end
-               else r.a_active <- false
-             | Window_spread { window; min_spread } ->
-               let lo = ref infinity and hi = ref neg_infinity in
-               if window <= 0 then begin
-                 lo := s.s_min;
-                 hi := s.s_max
-               end
-               else
-                 for j = 0 to s.s_len - 1 do
-                   if s.s_ticks.(j) > tick - window then begin
-                     if s.s_vals.(j) < !lo then lo := s.s_vals.(j);
-                     if s.s_vals.(j) > !hi then hi := s.s_vals.(j)
-                   end
-                 done;
-               let spread = if !hi >= !lo then !hi -. !lo else 0. in
+             | Spread { min_spread } ->
+               let spread = s.s_max -. s.s_min in
                if spread >= min_spread then begin
                  if not r.a_active then begin
                    r.a_active <- true;

@@ -534,13 +534,12 @@ end
     When it fills, every other retained point is dropped and the
     acceptance stride doubles (1, 2, 4, ...), so an arbitrarily long run
     keeps a full-span history at geometrically decaying resolution.  The
-    newest two offered samples and the all-time min/max envelope are
-    tracked at full resolution regardless, so {!Alert} rate and spread
-    predicates never alias.  [System.scan] samples the kernel, the
-    exposure ledger, the scanner and the cost model into well-known
-    series once per tick; any subsystem may {!record} its own.  Recording
-    mutates observer state only — series-on runs stay byte-identical to
-    series-off runs. *)
+    newest offered sample and the all-time min/max envelope are tracked at
+    full resolution regardless, so {!Alert} predicates never alias.
+    [System.scan] samples the kernel, the exposure ledger, the scanner and
+    the cost model into well-known series once per tick; any subsystem
+    may {!record} its own.  Recording mutates observer state only —
+    series-on runs stay byte-identical to series-off runs. *)
 module Timeseries : sig
   (** [Counter] marks cumulative series (monotone, rate-able); [Gauge] is
       an instantaneous level.  The kind only affects labeling (and the
@@ -595,12 +594,11 @@ module Timeseries : sig
       (see {!define_rate}); [None] for directly recorded series.  JSON
       exports tag such series with kind ["rate"]. *)
 
-  val envelope : ctx -> string -> ((int * float) * (int * float) * float * float) option
-  (** Test oracle: [((last_tick, last), (prev_tick, prev), min, max)]
-      over {e all} offered samples — exact regardless of how far the ring
-      has downsampled, because these fields update on every offer.
-      [None] for an unknown or never-sampled series.  After exactly one
-      sample, [prev = last]. *)
+  val envelope : ctx -> string -> ((int * float) * float * float) option
+  (** Test oracle: [((last_tick, last), min, max)] over {e all} offered
+      samples — exact regardless of how far the ring has downsampled,
+      because these fields update on every offer.  [None] for an unknown
+      or never-sampled series. *)
 
   val to_prometheus : ?labels:(string * string) list -> ctx -> string
   (** Prometheus text exposition: a [# TYPE] line plus
@@ -633,14 +631,11 @@ module Alert : sig
     | Threshold of { cmp : cmp; value : float; for_ticks : int }
         (** the last sample compares true against [value] for [for_ticks]
             consecutive evaluations (e.g. [sensitive_unsafe > 0 for 3]) *)
-    | Rate of { cmp : cmp; per_tick : float }
-        (** the per-tick rate between the two newest offered samples
-            compares true against [per_tick] *)
-    | Window_spread of { window : int; min_spread : float }
-        (** [max - min >= min_spread] over the retained points of the
-            last [window] ticks — all-time envelope when [window <= 0].
-            With [min_spread = 1.] on a cycle-count series this is the
-            constant-time leakage sentinel: any variance fires. *)
+    | Spread of { min_spread : float }
+        (** [max - min >= min_spread] over every offered sample (the
+            all-time envelope).  With [min_spread = 1.] on a cycle-count
+            series this is the constant-time leakage sentinel: any
+            variance fires. *)
 
   val install : ctx -> name:string -> series:string -> condition -> unit
   (** Add a rule (idempotent per [name]; no-op when disabled).  No rules

@@ -88,14 +88,9 @@ let pp_snapshot fmt (s : Report.snapshot) =
   Format.fprintf fmt "t=%d: %d copies (%d allocated, %d unallocated)" s.time s.total s.allocated
     s.unallocated
 
-let pp_workload fmt (pattern : Workload.pattern) =
-  match pattern with
-  | Constant n -> Format.fprintf fmt "constant(%d)" n
-  | Steps changes ->
-    Format.fprintf fmt "steps(%s)"
-      (String.concat ";" (List.map (fun (t, c) -> Printf.sprintf "%d->%d" t c) changes))
-  | Sawtooth { low; high; period } -> Format.fprintf fmt "sawtooth(%d..%d/%d)" low high period
-  | Poisson { mean } -> Format.fprintf fmt "poisson(%.1f)" mean
+let pp_workload fmt (Workload.Steps changes) =
+  Format.fprintf fmt "steps(%s)"
+    (String.concat ";" (List.map (fun (t, c) -> Printf.sprintf "%d->%d" t c) changes))
 
 type delta = {
   appeared : Scanner.hit list;  (* present now, absent before *)

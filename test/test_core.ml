@@ -280,6 +280,50 @@ let test_ablation_tty_fraction_monotone () =
       (abs_float (high -. 0.75) <= 0.3)
   | _ -> Alcotest.fail "expected two fractions"
 
+(* ---- machines pinned byte for byte ---- *)
+
+(* A digest of all of physical RAM plus the snapshots a run took: any
+   change in which calls drive a server, their order or their PRNG draws
+   moves it.  The expected values predate [Timeline.start]: a refactor
+   of how runs drive a server must keep them. *)
+let machine_digest sys snaps =
+  let b = Buffer.create 4096 in
+  Buffer.add_bytes b
+    (Memguard_vmm.Phys_mem.raw (Memguard_kernel.Kernel.mem (System.kernel sys)));
+  List.iter
+    (fun (s : Report.snapshot) ->
+      Printf.bprintf b "%d %d %d %d\n" s.time s.total s.allocated s.unallocated;
+      List.iter
+        (fun (h : Scanner.hit) ->
+          Printf.bprintf b " %s %d %d %b\n" h.label h.addr h.pfn (Scanner.is_allocated h.location))
+        s.hits)
+    snaps;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_machines_pinned () =
+  List.iter
+    (fun (name, server, expect) ->
+      let sys, snaps = Experiment.machine ~num_pages:1024 ~seed:3 server in
+      Alcotest.(check string) ("machine " ^ name) expect (machine_digest sys snaps))
+    [ ("ssh", Experiment.Ssh, "c07fb5da8f8e64341c58f299c14d6b10");
+      ("http", Experiment.Http, "6ea2368fef384972cd28f5bd6b4e639e")
+    ];
+  List.iter
+    (fun (name, server, keep_open, expect) ->
+      let sys =
+        Experiment.primed_system ~level:Protection.Unprotected ~num_pages:1024 ~seed:3
+          ~connections:120 ~keep_open server
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "primed %s keep_open=%b" name keep_open)
+        expect
+        (machine_digest sys [ System.scan sys ~time:0 ]))
+    [ ("ssh", Experiment.Ssh, true, "98735dbb62870f6255c7d470cd638c1b");
+      ("ssh", Experiment.Ssh, false, "cad1c764509aab51c60e16c0bf71f557");
+      ("http", Experiment.Http, true, "b7df0b1e31bc4b890fe75b23a68ea906");
+      ("http", Experiment.Http, false, "b965b0b5af73d12c33f379a56fe99503")
+    ]
+
 let suite =
   [ ( "protection",
       [ Alcotest.test_case "names roundtrip" `Quick test_protection_names_roundtrip;
@@ -300,7 +344,8 @@ let suite =
         Alcotest.test_case "kernel shape" `Slow test_timeline_kernel_level_shape;
         Alcotest.test_case "application shape" `Slow test_timeline_application_shape;
         Alcotest.test_case "http runs" `Slow test_timeline_http_runs;
-        Alcotest.test_case "machine stop_at is a prefix" `Quick test_machine_stop_at_is_prefix
+        Alcotest.test_case "machine stop_at is a prefix" `Quick test_machine_stop_at_is_prefix;
+        Alcotest.test_case "machines pinned" `Quick test_machines_pinned
       ] );
     ( "experiment",
       [ Alcotest.test_case "ext2 monotone" `Slow test_ext2_sweep_monotone_in_dirs;

@@ -60,19 +60,6 @@ let test_apache_recycling_replaces_pid () =
   Apache.stop ap;
   Alcotest.(check int) "clean teardown" 0 (Kernel.stats k).Kernel.live_proc_count
 
-(* ---- timeline with poisson traffic ---- *)
-
-let test_timeline_poisson_runs () =
-  let open Memguard in
-  let sys = System.create ~num_pages:2048 ~seed:17 ~level:Protection.Unprotected () in
-  let snaps =
-    Timeline.run ~traffic:(Memguard_apps.Workload.Poisson { mean = 4.0 }) ~churn:1 sys
-      Timeline.Ssh
-  in
-  Alcotest.(check int) "full run" 30 (List.length snaps);
-  let peak = List.fold_left (fun acc s -> max acc s.Report.total) 0 snaps in
-  Alcotest.(check bool) "traffic produced copies" true (peak > 5)
-
 (* ---- sim_rsa insecure teardown ---- *)
 
 let test_sim_rsa_free_insecure_leaves_copies () =
@@ -96,7 +83,6 @@ let suite =
         Alcotest.test_case "scan_swap no device" `Quick test_scan_swap_no_device;
         Alcotest.test_case "ext2 unmount" `Quick test_ext2_unmount_restores_pages;
         Alcotest.test_case "apache recycling pid" `Quick test_apache_recycling_replaces_pid;
-        Alcotest.test_case "timeline poisson" `Slow test_timeline_poisson_runs;
         Alcotest.test_case "free_insecure leaves copies" `Quick test_sim_rsa_free_insecure_leaves_copies
       ] )
   ]

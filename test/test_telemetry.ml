@@ -97,10 +97,8 @@ let test_downsampling_single_point () =
     (Obs.Timeseries.spread obs "solo");
   match Obs.Timeseries.envelope obs "solo" with
   | None -> Alcotest.fail "envelope must exist after one offer"
-  | Some (last, prev, mn, mx) ->
+  | Some (last, mn, mx) ->
     Alcotest.(check (pair int (float 0.0))) "last" (5, 42.) last;
-    (* the first sample seeds prev = last, so rate predicates read 0 *)
-    Alcotest.(check (pair int (float 0.0))) "prev seeded to last" (5, 42.) prev;
     Alcotest.(check (float 0.0)) "min" 42. mn;
     Alcotest.(check (float 0.0)) "max" 42. mx
 
@@ -114,7 +112,7 @@ let test_downsampling_constant_series () =
     (Obs.Timeseries.spread obs "flat");
   match Obs.Timeseries.envelope obs "flat" with
   | None -> Alcotest.fail "envelope must exist"
-  | Some ((lt, lv), _, mn, mx) ->
+  | Some ((lt, lv), mn, mx) ->
     Alcotest.(check (pair int (float 0.0))) "last" (50, 7.) (lt, lv);
     Alcotest.(check (float 0.0)) "min = max" mn mx
 
@@ -139,9 +137,8 @@ let test_stride_doubles_exactly_at_capacity () =
      though points 2/4/6/8 are gone *)
   match Obs.Timeseries.envelope obs "edge" with
   | None -> Alcotest.fail "envelope must exist"
-  | Some (last, prev, mn, mx) ->
+  | Some (last, mn, mx) ->
     Alcotest.(check (pair int (float 0.0))) "last exact" (9, 90.) last;
-    Alcotest.(check (pair int (float 0.0))) "prev exact (a dropped point)" (8, 80.) prev;
     Alcotest.(check (float 0.0)) "min exact" 10. mn;
     Alcotest.(check (float 0.0)) "max exact" 90. mx
 
@@ -233,28 +230,21 @@ let test_threshold_edge_triggering () =
   in
   Alcotest.(check int) "Alert_fired events in the ring" 2 (List.length alert_events)
 
-let test_rate_and_spread_rules () =
+let test_spread_rule () =
   let obs = Obs.create () in
-  Obs.Alert.install obs ~name:"spike" ~series:"s"
-    (Obs.Alert.Rate { cmp = Obs.Alert.Ge; per_tick = 100. });
-  Obs.Alert.install obs ~name:"wobble" ~series:"s"
-    (Obs.Alert.Window_spread { window = 0; min_spread = 1. });
+  Obs.Alert.install obs ~name:"wobble" ~series:"s" (Obs.Alert.Spread { min_spread = 1. });
   let feed tick v =
     record_at obs tick "s" v;
     Obs.Alert.eval obs ~tick
   in
   feed 1 0.;
-  Alcotest.(check int) "single sample: no rate yet" 0 (Obs.Alert.fired obs "spike");
   Alcotest.(check int) "zero spread: sentinel quiet" 0 (Obs.Alert.fired obs "wobble");
   feed 2 10.;
-  Alcotest.(check int) "slow growth: no spike" 0 (Obs.Alert.fired obs "spike");
   Alcotest.(check int) "any variance: sentinel fires" 1 (Obs.Alert.fired obs "wobble");
   feed 3 250.;
-  Alcotest.(check int) "fast growth: spike fires" 1 (Obs.Alert.fired obs "spike");
   Alcotest.(check int) "sentinel is edge-triggered" 1 (Obs.Alert.fired obs "wobble");
   Alcotest.(check string) "conditions self-describe" "spread >= 1 all-time"
-    (Obs.Alert.describe_condition
-       (Obs.Alert.Window_spread { window = 0; min_spread = 1. }))
+    (Obs.Alert.describe_condition (Obs.Alert.Spread { min_spread = 1. }))
 
 (* ---- the constant-time leakage sentinel ---- *)
 
@@ -275,7 +265,7 @@ let test_sentinel_constant_across_keys () =
   Alcotest.(check bool) "keys are distinct" false (Bn.compare k1.Rsa.n k2.Rsa.n = 0);
   let obs = Obs.create () in
   Obs.Alert.install obs ~name:"ct-leakage" ~series:"rsa.private_op.word_muls"
-    (Obs.Alert.Window_spread { window = 0; min_spread = 1. });
+    (Obs.Alert.Spread { min_spread = 1. });
   let tick = ref 0 in
   List.iter
     (fun key ->
@@ -307,7 +297,7 @@ let test_sentinel_fires_on_leaky_cost () =
   let k2 = Rsa.generate (Prng.of_int 42) ~bits:256 in
   let obs = Obs.create () in
   Obs.Alert.install obs ~name:"ct-leakage" ~series:"rsa.private_op.word_muls"
-    (Obs.Alert.Window_spread { window = 0; min_spread = 1. });
+    (Obs.Alert.Spread { min_spread = 1. });
   record_at obs 1 "rsa.private_op.word_muls" (leaky_cost k1.Rsa.dp);
   Obs.Alert.eval obs ~tick:1;
   record_at obs 2 "rsa.private_op.word_muls" (leaky_cost k2.Rsa.dp);
@@ -674,7 +664,7 @@ let suite =
         Alcotest.test_case "prometheus and json exports" `Quick test_exports;
         Alcotest.test_case "prometheus extra labels" `Quick test_prometheus_extra_labels;
         Alcotest.test_case "threshold edge triggering" `Quick test_threshold_edge_triggering;
-        Alcotest.test_case "rate and spread rules" `Quick test_rate_and_spread_rules;
+        Alcotest.test_case "spread rule" `Quick test_spread_rule;
         Alcotest.test_case "sentinel constant across keys" `Quick
           test_sentinel_constant_across_keys;
         Alcotest.test_case "sentinel fires on leaky cost" `Quick

@@ -1,16 +1,8 @@
 open Memguard_apps
 open Memguard_util
 open Memguard
-open Memguard_scan
 
 let rng () = Prng.of_int 77
-
-let test_constant () =
-  let r = rng () in
-  List.iter
-    (fun t -> Alcotest.(check int) "constant" 5 (Workload.concurrency_at (Constant 5) r ~tick:t))
-    [ 0; 1; 10; 100 ];
-  Alcotest.(check int) "negative clipped" 0 (Workload.concurrency_at (Constant (-3)) (rng ()) ~tick:0)
 
 let test_steps () =
   let p = Workload.Steps [ (6, 8); (10, 16); (14, 8); (18, 0) ] in
@@ -19,27 +11,6 @@ let test_steps () =
     (fun (t, expect) ->
       Alcotest.(check int) (Printf.sprintf "t=%d" t) expect (Workload.concurrency_at p r ~tick:t))
     [ (0, 0); (5, 0); (6, 8); (9, 8); (10, 16); (13, 16); (14, 8); (17, 8); (18, 0); (29, 0) ]
-
-let test_sawtooth () =
-  let p = Workload.Sawtooth { low = 2; high = 10; period = 5 } in
-  let r = rng () in
-  Alcotest.(check int) "phase 0" 2 (Workload.concurrency_at p r ~tick:0);
-  Alcotest.(check int) "phase 4 = high" 10 (Workload.concurrency_at p r ~tick:4);
-  Alcotest.(check int) "wraps" 2 (Workload.concurrency_at p r ~tick:5);
-  let mono = List.init 5 (fun t -> Workload.concurrency_at p r ~tick:t) in
-  Alcotest.(check bool) "monotone within a period" true (List.sort compare mono = mono)
-
-let test_poisson_properties () =
-  let p = Workload.Poisson { mean = 6.0 } in
-  let r = rng () in
-  let draws = List.init 500 (fun t -> Workload.concurrency_at p r ~tick:t) in
-  List.iter
-    (fun d -> Alcotest.(check bool) "bounded" true (d >= 0 && d <= 25))
-    draws;
-  let mean = float_of_int (List.fold_left ( + ) 0 draws) /. 500. in
-  Alcotest.(check bool) (Printf.sprintf "mean %.2f near 6" mean) true
-    (mean > 4.5 && mean < 7.5);
-  Alcotest.(check int) "zero mean" 0 (Workload.concurrency_at (Poisson { mean = 0. }) r ~tick:0)
 
 let test_paper_traffic_matches_concurrency_at () =
   let s = Timeline.default_schedule in
@@ -51,23 +22,9 @@ let test_paper_traffic_matches_concurrency_at () =
       (Workload.concurrency_at p r ~tick:t)
   done
 
-let test_timeline_with_custom_traffic () =
-  (* a constant-traffic run still floods and still drains at server stop *)
-  let sys = System.create ~num_pages:2048 ~seed:5 ~level:Protection.Unprotected () in
-  let snaps = Timeline.run ~traffic:(Workload.Constant 6) ~churn:1 sys Timeline.Ssh in
-  let at t = List.nth snaps t in
-  Alcotest.(check bool) "flood under constant load" true ((at 8).Report.total > 10);
-  Alcotest.(check bool) "similar at t=12 (no ramp)" true
-    (abs ((at 12).Report.total - (at 8).Report.total) <= (at 8).Report.total / 2);
-  Alcotest.(check int) "page-cache copy after stop" 1 (at 25).Report.allocated
-
 let suite =
   [ ( "workload",
-      [ Alcotest.test_case "constant" `Quick test_constant;
-        Alcotest.test_case "steps" `Quick test_steps;
-        Alcotest.test_case "sawtooth" `Quick test_sawtooth;
-        Alcotest.test_case "poisson" `Quick test_poisson_properties;
-        Alcotest.test_case "paper traffic" `Quick test_paper_traffic_matches_concurrency_at;
-        Alcotest.test_case "timeline custom traffic" `Slow test_timeline_with_custom_traffic
+      [ Alcotest.test_case "steps" `Quick test_steps;
+        Alcotest.test_case "paper traffic" `Quick test_paper_traffic_matches_concurrency_at
       ] )
   ]
