@@ -217,7 +217,7 @@ let ablation_swap ?(num_pages = 64) ?(seed = 3) () =
        let a = Kernel.malloc k hog ((num_pages + 64) * 4096) in
        Kernel.write_mem k hog ~addr:a (String.make ((num_pages + 64) * 4096) 'x')
      with Kernel.Out_of_memory -> ());
-    List.length (Scanner.scan_swap k ~patterns:(Scanner.key_patterns priv))
+    List.length (Scanner.scan_swap k (Scanner.matcher (Scanner.key_patterns priv)))
   in
   [ ("vanilla (no mlock)", run Memguard_ssl.Ssl.Vanilla);
     ("aligned + mlock", run Memguard_ssl.Ssl.Hardened);

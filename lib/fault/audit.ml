@@ -130,7 +130,7 @@ let run k =
   check_provenance k acc;
   List.rev !acc
 
-let confinement k ~level ~patterns ~hits =
+let confinement k ~level matcher ~hits =
   let acc = ref [] in
   if Protection.kernel_zero_on_free level then
     List.iter
@@ -143,13 +143,14 @@ let confinement k ~level ~patterns ~hits =
       hits;
   (match level with
    | Protection.Integrated ->
+     let owners = Scanner.owners k in
      List.iter
        (fun (h : Scanner.hit) ->
-         if not (Scanner.confined k h) then
+         if not (Scanner.confined owners h) then
            report k acc ~check:"confinement"
              (Format.asprintf "hit outside the mlocked key region: %a" Scanner.pp_hit h))
        hits;
-     (match Scanner.scan_swap k ~patterns with
+     (match Scanner.scan_swap k matcher with
       | [] -> ()
       | leaks ->
         report k acc ~check:"confinement"
@@ -157,4 +158,25 @@ let confinement k ~level ~patterns ~hits =
              (List.length leaks)))
    | Protection.Unprotected | Protection.Secure_dealloc | Protection.Application
    | Protection.Library | Protection.Kernel_level -> ());
+  List.rev !acc
+
+(* [Scanner.sweep], not [Scanner.scan]: the check must not charge the cost
+   model, so campaign totals stay what they are without it *)
+let scan_agreement k matcher ~hits =
+  let acc = ref [] in
+  let cold = Scanner.sweep k matcher in
+  if cold <> hits then begin
+    let rec first_diff = function
+      | a :: ra, b :: rb -> if a = b then first_diff (ra, rb) else Some (a, b)
+      | _ -> None
+    in
+    let where =
+      match first_diff (hits, cold) with
+      | Some (a, b) -> Format.asprintf ": %a, cold scan has %a" Scanner.pp_hit a Scanner.pp_hit b
+      | None -> ""
+    in
+    report k acc ~check:"scan_agreement"
+      (Printf.sprintf "incremental scan has %d hit(s), a cold scan %d%s" (List.length hits)
+         (List.length cold) where)
+  end;
   List.rev !acc

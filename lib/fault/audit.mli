@@ -21,6 +21,10 @@
     bytes may live {e only} in the blessed mlocked region and never on the
     swap device.
 
+    And {!scan_agreement} checks the incremental scanner itself: the hits
+    a [Scan_cache] sweep reported must be exactly those of a cold sweep
+    of RAM.
+
     Every violation is emitted as an
     {!Memguard_obs.Obs.Audit_violation} trace event and counted under the
     [fault.audit.violations] metric, in addition to being returned. *)
@@ -38,11 +42,11 @@ val run : Memguard_kernel.Kernel.t -> violation list
 val confinement :
   Memguard_kernel.Kernel.t ->
   level:Memguard.Protection.level ->
-  patterns:(string * string) list ->
+  Memguard_scan.Scanner.matcher ->
   hits:Memguard_scan.Scanner.hit list ->
   violation list
-(** Judge a scan result ([hits], from any of the scan modes) against the
-    [level]'s guarantees:
+(** Judge a scan result ([hits] for the matcher's patterns, from any of
+    the scan modes) against the [level]'s guarantees:
     - levels that clear pages entering the free lists ([Secure_dealloc],
       [Kernel_level], [Integrated]) must never show a hit in unallocated
       memory;
@@ -52,3 +56,14 @@ val confinement :
 
     Levels promising nothing ([Unprotected], [Application], [Library])
     always pass. *)
+
+val scan_agreement :
+  Memguard_kernel.Kernel.t ->
+  Memguard_scan.Scanner.matcher ->
+  hits:Memguard_scan.Scanner.hit list ->
+  violation list
+(** Compare [hits], an incremental scan's result for the matcher's
+    patterns, with a cold sweep of all of RAM made at the same state: same
+    matches, same order, same locations.  The cold sweep charges no cost
+    and emits no event, so running this check changes no campaign total;
+    only a disagreement reports (check ["scan_agreement"]). *)

@@ -2,6 +2,7 @@ open Memguard_kernel
 module System = Memguard.System
 module Protection = Memguard.Protection
 module Report = Memguard_scan.Report
+module Scanner = Memguard_scan.Scanner
 module Prng = Memguard_util.Prng
 module Sshd = Memguard_apps.Sshd
 module Obs = Memguard_obs.Obs
@@ -44,6 +45,7 @@ type st = {
   on_scan : System.t -> tick:int -> unit;
   sys : System.t;
   k : Kernel.t;
+  matcher : Scanner.matcher; (* the system's patterns, compiled once *)
   rng : Prng.t;
   sshd : Sshd.t;
   files : string array;
@@ -66,6 +68,13 @@ let violate st i (v : Audit.violation) =
   push st (Printf.sprintf "%04d !! %s" i (Audit.to_string v))
 
 let page_size st = Kernel.page_size st.k
+
+(* what a scan must satisfy: the level's confinement promise, and the
+   incremental sweep agreeing with a cold one *)
+let audit_scan st (snap : Report.snapshot) =
+  let hits = snap.Report.hits in
+  Audit.confinement st.k ~level:st.cfg.level st.matcher ~hits
+  @ Audit.scan_agreement st.k st.matcher ~hits
 
 (* ---- random pickers (all randomness flows through st.rng) ---- *)
 
@@ -257,11 +266,7 @@ let ops st =
         st.on_scan st.sys ~tick:st.tick;
         st.tick <- st.tick + 1;
         st.scans <- st.scans + 1;
-        let vs =
-          Audit.confinement st.k ~level:st.cfg.level ~patterns:(System.patterns st.sys)
-            ~hits:snap.Report.hits
-        in
-        List.iter (fun v -> violate st st.ops_run v) vs;
+        List.iter (fun v -> violate st st.ops_run v) (audit_scan st snap);
         Printf.sprintf "scan_attack hits=%d" (List.length snap.Report.hits) )
   ]
 
@@ -327,6 +332,7 @@ let boot ~on_scan cfg =
     on_scan;
     sys;
     k;
+    matcher = Scanner.matcher (System.patterns sys);
     rng;
     sshd;
     files;
@@ -359,11 +365,7 @@ let run ?(on_scan = fun _ ~tick:_ -> ()) cfg =
          st.on_scan st.sys ~tick:st.tick;
          st.tick <- st.tick + 1;
          st.scans <- st.scans + 1;
-         let vs =
-           Audit.confinement st.k ~level:cfg.level ~patterns:(System.patterns st.sys)
-             ~hits:snap.Report.hits
-         in
-         List.iter (fun v -> violate st i v) vs
+         List.iter (fun v -> violate st i v) (audit_scan st snap)
        end;
        st.ops_run <- i + 1;
        if List.length st.violations >= max_violations then begin

@@ -12,8 +12,9 @@
 
     After {e every} operation the layered {!Audit.run} executes, and (at
     levels that promise anything about memory contents) the
-    {!Audit.confinement} oracle judges an incremental scan of all of RAM —
-    so the campaign fails at the exact operation that broke an invariant.
+    {!Audit.confinement} oracle judges an incremental scan of all of RAM,
+    and {!Audit.scan_agreement} checks that scan against a cold one — so
+    the campaign fails at the exact operation that broke an invariant.
 
     Everything is driven by one splitmix64 stream: re-running a seed
     reproduces the identical operation sequence, log and audit outcome,

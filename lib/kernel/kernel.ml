@@ -357,13 +357,23 @@ let pfn_of_vaddr t (p : Proc.t) vaddr =
 
 let heap_base_vpn t = Proc.heap_base / t.cfg.page_size
 
-let ensure_heap_mapped t (p : Proc.t) =
+(* Map the heap up to the break, just moved from [brk].  When that runs out
+   of memory the break and the free list go back to [brk] and [free_list],
+   as a failed brk(2) leaves them: a skipped gap left on the free list past
+   the mapped pages would be handed out by a later malloc and fault on
+   first use. *)
+let ensure_heap_mapped t (p : Proc.t) ~brk ~free_list =
   let ps = t.cfg.page_size in
   let needed = (p.Proc.brk + ps - 1) / ps in
-  while p.Proc.heap_pages < needed do
-    map_anon_page t p ~vpn:(heap_base_vpn t + p.Proc.heap_pages);
-    p.Proc.heap_pages <- p.Proc.heap_pages + 1
-  done
+  try
+    while p.Proc.heap_pages < needed do
+      map_anon_page t p ~vpn:(heap_base_vpn t + p.Proc.heap_pages);
+      p.Proc.heap_pages <- p.Proc.heap_pages + 1
+    done
+  with e ->
+    p.Proc.brk <- brk;
+    p.Proc.free_list <- free_list;
+    raise e
 
 let align16 n = (n + 15) land lnot 15
 
@@ -375,6 +385,7 @@ let malloc t (p : Proc.t) size =
     match Proc.take_free_run p ~size ~page_size:ps with
     | Some off -> off
     | None ->
+      let brk = p.Proc.brk and free_list = p.Proc.free_list in
       let off =
         if Proc.straddles ~page_size:ps ~off:p.Proc.brk ~size then begin
           (* slab behaviour: bump to the next page, recycle the gap *)
@@ -385,7 +396,7 @@ let malloc t (p : Proc.t) size =
         else p.Proc.brk
       in
       p.Proc.brk <- off + size;
-      ensure_heap_mapped t p;
+      ensure_heap_mapped t p ~brk ~free_list;
       off
   in
   Hashtbl.replace p.Proc.allocs off size;
@@ -411,10 +422,11 @@ let memalign t (p : Proc.t) ~bytes =
     match Proc.take_free_run_aligned p ~size ~align:ps with
     | Some off -> off
     | None ->
+      let brk = p.Proc.brk and free_list = p.Proc.free_list in
       let off = (p.Proc.brk + ps - 1) / ps * ps in
       if off > p.Proc.brk then Proc.insert_free_run p ~off:p.Proc.brk ~size:(off - p.Proc.brk);
       p.Proc.brk <- off + size;
-      ensure_heap_mapped t p;
+      ensure_heap_mapped t p ~brk ~free_list;
       off
   in
   Hashtbl.replace p.Proc.allocs off size;
@@ -587,19 +599,22 @@ let ext2_unmount t =
 
 let classify_phys t ~addr = classify_phys_mem t.mem ~addr
 
-let frame_owners t ~pfn =
-  List.filter_map
+let fill_owner_table t tbl =
+  if Array.length tbl <> Phys_mem.num_pages t.mem then
+    invalid_arg "Kernel.fill_owner_table: one entry per frame expected";
+  Array.fill tbl 0 (Array.length tbl) [];
+  (* pids taken in descending order and prepended, so every list comes out
+     ascending; each pid once, as a process maps a frame through at most
+     one PTE (frames come fresh from the buddy or are shared by fork) *)
+  List.iter
     (fun (p : Proc.t) ->
-      let maps =
-        List.exists
-          (fun vpn ->
-            match Proc.find_pte p ~vpn with
-            | Some (Proc.Present pr) -> pr.Proc.pfn = pfn
-            | _ -> false)
-          (Proc.mapped_vpns p)
-      in
-      if maps then Some p.Proc.pid else None)
-    (live_procs t)
+      Hashtbl.iter
+        (fun _ pte ->
+          match pte with
+          | Proc.Present pr -> tbl.(pr.Proc.pfn) <- p.Proc.pid :: tbl.(pr.Proc.pfn)
+          | Proc.Swapped _ -> ())
+        p.Proc.page_table)
+    (List.rev (live_procs t))
 
 type stats = {
   free_pages : int;

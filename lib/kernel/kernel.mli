@@ -161,9 +161,13 @@ val classify_phys : t -> addr:int -> Memguard_obs.Obs.mem_class
     ([Memguard_obs.Obs.Exposure.set_classifier]); exposed so tests and
     introspection can recompute the ledger independently. *)
 
-val frame_owners : t -> pfn:int -> int list
-(** Reverse mapping: pids of live processes mapping this frame (the rmap
-    walk of the paper's LKM). *)
+val fill_owner_table : t -> int list array -> unit
+(** Reverse mapping of every frame at once (the rmap walk of the paper's
+    LKM, one pass over the live processes' page tables instead of one per
+    frame): afterwards [tbl.(pfn)] holds the pids of the live processes
+    with a present PTE for [pfn], ascending, each once, and [[]] for a
+    frame no process maps.  [tbl] is overwritten in place and must have
+    one entry per frame (raises [Invalid_argument] otherwise). *)
 
 type stats = {
   free_pages : int;

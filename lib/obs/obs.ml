@@ -774,9 +774,10 @@ module Provenance = struct
   let clear ctx ~addr ~len =
     if ctx.enabled_ && len > 0 then begin
       let e = addr + len in
-      (* fast path: most clears come from [Kernel.write_mem] over ranges
-         holding no key material — an allocation-free overlap test skips
-         the full list rebuild for them *)
+      (* fast path: most clears cover ranges holding no key material (a
+         freshly faulted page, the target of a copy being registered) —
+         an allocation-free overlap test skips the full list rebuild for
+         them *)
       if List.exists (fun iv -> iv.start < e && iv.start + iv.ilen > addr) ctx.intervals
       then
         ctx.intervals <-

@@ -16,13 +16,19 @@ type session = {
 
 (* the SSL3/TLS1.0-flavoured PRF, MD5 half only (era-appropriate) *)
 let prf ~secret ~label ~seed ~length =
-  let buf = Buffer.create length in
-  let a = ref seed in
-  while Buffer.length buf < length do
-    a := Md5.digest (secret ^ !a);
-    Buffer.add_string buf (Md5.digest (secret ^ !a ^ label ^ seed))
+  (* A(1) = MD5(secret || seed), A(i+1) = MD5(secret || A(i)); output block
+     i is MD5(secret || A(i) || label || seed) *)
+  let out = Bytes.create length in
+  let label_seed = label ^ seed in
+  let a = ref (Md5.digest (secret ^ seed)) in
+  let pos = ref 0 in
+  while !pos < length do
+    let block = Md5.digest (String.concat "" [ secret; !a; label_seed ]) in
+    Bytes.blit_string block 0 out !pos (min 16 (length - !pos));
+    pos := !pos + 16;
+    if !pos < length then a := Md5.digest (secret ^ !a)
   done;
-  String.sub (Buffer.contents buf) 0 length
+  Bytes.unsafe_to_string out
 
 let server_handshake rng k proc ~cert_key =
   let n = cert_key.Sim_rsa.pub.Rsa.n in
@@ -64,7 +70,8 @@ let record_key k proc s =
   let block = Kernel.read_mem k proc ~addr:s.key_block_addr ~len:s.key_block_len in
   String.sub block 0 16
 
-let iv_for s ~seq = Md5.digest (Printf.sprintf "iv-%d-%d" s.key_block_addr seq)
+let iv_for s ~seq =
+  Md5.digest (String.concat "" [ "iv-"; string_of_int s.key_block_addr; "-"; string_of_int seq ])
 
 let seal k proc s payload =
   let key = record_key k proc s in

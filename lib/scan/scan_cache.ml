@@ -7,8 +7,10 @@ type t = {
   patterns : (string * string) list;
   labels : string array;
   ms : Multi_search.t;
+  skip_unwritten : bool; (* no needle is all zero bytes *)
   gens : int array; (* generation each page was last scanned at; -1 = never *)
   page_hits : (int * int) list array; (* per page: (addr, pat), ascending, match *starts* here *)
+  owners : Scanner.owners; (* refilled in place by each scan that needs it *)
   mutable last_scanned : int;
   mutable total_scanned : int;
   mutable scans : int;
@@ -35,8 +37,11 @@ let create kernel ~patterns =
     patterns;
     labels;
     ms = Multi_search.compile needles;
+    skip_unwritten =
+      not (Array.exists (fun n -> String.for_all (fun c -> c = '\000') n) needles);
     gens = Array.make np (-1);
     page_hits = Array.make np [];
+    owners = Scanner.owners kernel;
     last_scanned = 0;
     total_scanned = 0;
     scans = 0;
@@ -56,6 +61,11 @@ let stats (t : t) =
     total_clean_pages = t.total_clean
   }
 
+(* per-page marks of one refresh *)
+let clean = 0
+let unwritten = 1 (* never written since [Phys_mem.create]: all zero, no match starts here *)
+let search = 2
+
 let refresh t =
   let mem = Kernel.mem t.kernel in
   let raw = Phys_mem.raw mem in
@@ -65,24 +75,43 @@ let refresh t =
   (* a write in page p invalidates matches *starting* up to overlap bytes
      before p, i.e. in pages p - back .. p *)
   let back = (overlap + ps - 1) / ps in
-  let stale = Array.make np false in
+  (* A stale page still at generation 0 holds only zero bytes, and so do
+     the pages after it up to [back]: one of them written would be stale
+     too (only the first refresh sees generation-0 pages stale, and it sees
+     every page stale) and would mark this one [search].  So no needle
+     with a non-zero byte can start in it, and it is accounted as swept
+     without being read. *)
+  let marks = Array.make np clean in
   for pfn = 0 to np - 1 do
-    if Phys_mem.generation mem pfn <> t.gens.(pfn) then
-      for q = max 0 (pfn - back) to pfn do
-        stale.(q) <- true
-      done
+    let g = Phys_mem.generation mem pfn in
+    if g <> t.gens.(pfn) then
+      if g = 0 && t.skip_unwritten then begin
+        if marks.(pfn) = clean then marks.(pfn) <- unwritten
+      end
+      else
+        for q = max 0 (pfn - back) to pfn do
+          marks.(q) <- search
+        done
   done;
-  (* sweep each contiguous stale run once, extended forward by [overlap]
+  (* sweep each contiguous [search] run once, extended forward by [overlap]
      bytes so matches straddling the run's trailing page boundary are seen;
-     matches starting past the run belong to clean pages and are dropped *)
+     matches starting past the run belong to clean or unwritten pages and
+     are dropped *)
   let scanned = ref 0 in
   let pfn = ref 0 in
   while !pfn < np do
-    if not stale.(!pfn) then incr pfn
+    let m = marks.(!pfn) in
+    if m = clean then incr pfn
+    else if m = unwritten then begin
+      t.page_hits.(!pfn) <- [];
+      t.gens.(!pfn) <- 0;
+      incr scanned;
+      incr pfn
+    end
     else begin
       let run_start = !pfn in
       let run_end = ref !pfn in
-      while !run_end + 1 < np && stale.(!run_end + 1) do
+      while !run_end + 1 < np && marks.(!run_end + 1) = search do
         incr run_end
       done;
       let run_limit = (!run_end + 1) * ps in
@@ -104,6 +133,8 @@ let refresh t =
       pfn := !run_end + 1
     end
   done;
+  (* unwritten pages are priced as read: the simulated scanner sweeps all
+     of them, only the host skips the bytes it knows are zero *)
   Memguard_obs.Obs.Cost.charge (Kernel.obs t.kernel) ~sub:"scan" Scan_byte (!scanned * ps);
   t.last_scanned <- !scanned;
   t.total_scanned <- t.total_scanned + !scanned;
@@ -119,6 +150,7 @@ let scan t =
   let acc = ref [] in
   (* locations are recomputed every query: page ownership moves without
      any byte changing (alloc / free / exit) *)
+  Scanner.reset_owners t.owners;
   for q = np - 1 downto 0 do
     acc :=
       List.fold_right
@@ -127,7 +159,7 @@ let scan t =
           { Scanner.label = t.labels.(pat);
             addr;
             pfn;
-            location = Scanner.locate t.kernel ~pfn
+            location = Scanner.locate t.owners ~pfn
           }
           :: rest)
         t.page_hits.(q) !acc

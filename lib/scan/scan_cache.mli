@@ -3,7 +3,11 @@
     [Timeline] runs that snapshot memory every tick) re-scan only the pages
     written since the previous sweep, plus a [max_needle_len - 1] byte
     overlap into neighbouring pages so matches straddling a page boundary
-    are never missed.  Results are identical to a cold {!Scanner.scan}:
+    are never missed.  A page still at generation [0] has not been written
+    since boot and holds only zeros: no needle with a non-zero byte can
+    start there, so the first sweep accounts it without reading it (unless
+    some needle is all zero bytes).  Results are identical to a cold
+    {!Scanner.scan}:
     the cache stores raw match offsets only and re-derives each hit's
     {!Scanner.location} (which changes on alloc/free without any byte
     being written) at query time. *)
@@ -24,11 +28,14 @@ val scan : t -> Scanner.hit list
     everything. *)
 
 val last_pages_scanned : t -> int
-(** Number of pages actually swept by the most recent {!scan} (diagnostics
-    and benchmarks; the first scan reports every page). *)
+(** Number of pages the most recent {!scan} swept (diagnostics and
+    benchmarks; the first scan reports every page).  A swept page is one
+    the scanner covers and prices as read, including a never-written page
+    it accounts for without reading its zeros. *)
 
 val total_pages_scanned : t -> int
-(** Cumulative pages swept over the cache's lifetime. *)
+(** Cumulative pages swept over the cache's lifetime, counted the same
+    way. *)
 
 (** {1 Hit/miss statistics}
 

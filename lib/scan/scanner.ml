@@ -15,13 +15,30 @@ type hit = { label : string; addr : int; pfn : int; location : location }
 
 let is_allocated loc = match loc with Unallocated -> false | _ -> true
 
-let locate k ~pfn =
-  let page = Phys_mem.page (Kernel.mem k) pfn in
+(* built on the first anon lookup, then shared by every hit of the scan *)
+type owners = { kernel : Kernel.t; mutable table : int list array; mutable filled : bool }
+
+let owners k = { kernel = k; table = [||]; filled = false }
+let reset_owners o = o.filled <- false
+
+let owner_pids o ~pfn =
+  if not o.filled then begin
+    if Array.length o.table = 0 then
+      o.table <- Array.make (Phys_mem.num_pages (Kernel.mem o.kernel)) [];
+    Kernel.fill_owner_table o.kernel o.table;
+    o.filled <- true
+  end;
+  o.table.(pfn)
+
+let locate o ~pfn =
+  let page = Phys_mem.page (Kernel.mem o.kernel) pfn in
   match page.Page.owner with
   | Page.Free -> Unallocated
-  | Page.Anon -> Allocated_anon (Kernel.frame_owners k ~pfn)
+  | Page.Anon -> Allocated_anon (owner_pids o ~pfn)
   | Page.Page_cache { ino; index } -> Allocated_page_cache { ino; index }
   | Page.Kernel -> Allocated_kernel
+
+type matcher = { labels : string array; ms : Multi_search.t }
 
 let compile_patterns ~who patterns =
   let labels = Array.of_list (List.map fst patterns) in
@@ -29,37 +46,41 @@ let compile_patterns ~who patterns =
   Array.iter
     (fun n -> if n = "" then invalid_arg (who ^ ": empty pattern"))
     needles;
-  (labels, Multi_search.compile needles)
+  { labels; ms = Multi_search.compile needles }
+
+let matcher patterns = compile_patterns ~who:"Scanner.matcher" patterns
 
 (* kept out of line: inlined, it grows each caller's code, and that moves
    perfbench's calibration kernel, whose speed depends on its placement
    mod 64 (see the ROADMAP calibration item) *)
 let[@inline never] count_copies ~patterns data =
-  Multi_search.count (snd (compile_patterns ~who:"Scanner.count_copies" patterns)) data
+  Multi_search.count (compile_patterns ~who:"Scanner.count_copies" patterns).ms data
 
 let sort_hits hits =
   List.sort (fun a b -> compare (a.addr, a.label) (b.addr, b.label)) hits
 
-let scan k ~patterns =
+let sweep k { labels; ms } =
   let mem = Kernel.mem k in
   let raw = Phys_mem.raw mem in
   let ps = Phys_mem.page_size mem in
-  let labels, ms = compile_patterns ~who:"Scanner.scan" patterns in
-  Obs.Cost.charge (Kernel.obs k) ~sub:"scan" Scan_byte (Bytes.length raw);
+  let owners = owners k in
   let acc = ref [] in
   (* one sweep reports every pattern's hits at once *)
   Multi_search.iter ms raw ~f:(fun ~pos ~pat ->
       let pfn = pos / ps in
-      acc := { label = labels.(pat); addr = pos; pfn; location = locate k ~pfn } :: !acc);
+      acc := { label = labels.(pat); addr = pos; pfn; location = locate owners ~pfn } :: !acc);
   sort_hits (List.rev !acc)
 
-let scan_swap k ~patterns =
+let scan k ~patterns =
+  Obs.Cost.charge (Kernel.obs k) ~sub:"scan" Scan_byte (Phys_mem.size_bytes (Kernel.mem k));
+  sweep k (compile_patterns ~who:"Scanner.scan" patterns)
+
+let scan_swap k { labels; ms } =
   match Kernel.swap k with
   | None -> []
   | Some sw ->
     let raw = Swap.raw sw in
     Obs.Cost.charge (Kernel.obs k) ~sub:"scan" Scan_byte (Bytes.length raw);
-    let labels, ms = compile_patterns ~who:"Scanner.scan_swap" patterns in
     let acc = ref [] in
     Multi_search.iter ms raw ~f:(fun ~pos ~pat -> acc := (labels.(pat), pos) :: !acc);
     List.sort compare !acc
@@ -67,11 +88,10 @@ let scan_swap k ~patterns =
 (* The Integrated solution's promise: the only key bytes left in RAM live in
    the server's mlocked, process-mapped anonymous buffer.  A hit anywhere
    else is a confinement violation. *)
-let confined k (h : hit) =
-  let page = Phys_mem.page (Kernel.mem k) h.pfn in
+let confined o (h : hit) =
+  let page = Phys_mem.page (Kernel.mem o.kernel) h.pfn in
   match page.Page.owner with
-  | Page.Anon ->
-    page.Page.locked && Kernel.frame_owners k ~pfn:h.pfn <> []
+  | Page.Anon -> page.Page.locked && owner_pids o ~pfn:h.pfn <> []
   | Page.Free | Page.Page_cache _ | Page.Kernel -> false
 
 let key_patterns ?pem priv =

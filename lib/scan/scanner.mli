@@ -21,7 +21,21 @@ type hit = {
 
 val is_allocated : location -> bool
 
-val locate : Memguard_kernel.Kernel.t -> pfn:int -> location
+type owners
+(** One scan's reverse map: frame -> pids of the live processes mapping
+    it.  Built from the page tables in one pass on the first lookup of an
+    anonymous frame, so a scan with no anon hit never builds it; every
+    later lookup indexes the table.  It describes the page tables as they
+    were at that first lookup: use one per scan, or {!reset_owners} it. *)
+
+val owners : Memguard_kernel.Kernel.t -> owners
+(** An empty table for the kernel's current page tables. *)
+
+val reset_owners : owners -> unit
+(** Make the next lookup rebuild the table (in place: the array is
+    reused).  [Scan_cache] holds one table and resets it every scan. *)
+
+val locate : owners -> pfn:int -> location
 (** Classify a frame the way a hit on it would be classified (frame
     metadata + rmap walk).  Used by [Scan_cache], which caches raw match
     offsets and re-derives locations at query time. *)
@@ -32,7 +46,19 @@ val scan : Memguard_kernel.Kernel.t -> patterns:(string * string) list -> hit li
     [(label, needle)] pairs; needles must be non-empty.  Hits are returned
     sorted by [(addr, label)]. *)
 
-val scan_swap : Memguard_kernel.Kernel.t -> patterns:(string * string) list -> (string * int) list
+type matcher
+(** Compiled [(label, needle)] patterns. *)
+
+val matcher : (string * string) list -> matcher
+(** Compile patterns once for repeated {!sweep}s (compiling costs more
+    than sweeping a small machine).  Raises [Invalid_argument] on an empty
+    needle. *)
+
+val sweep : Memguard_kernel.Kernel.t -> matcher -> hit list
+(** The hits of {!scan} without charging the sweep to the cost model: for
+    checks that must leave a run's totals as they were. *)
+
+val scan_swap : Memguard_kernel.Kernel.t -> matcher -> (string * int) list
 (** Sweep the swap device (if any): [(label, byte offset)] of each match —
     the swap-disclosure ablation. *)
 
@@ -43,7 +69,7 @@ val count_copies : patterns:(string * string) list -> bytes -> int
     summed, from the same one-sweep matcher as {!scan}.  Needles must be
     non-empty. *)
 
-val confined : Memguard_kernel.Kernel.t -> hit -> bool
+val confined : owners -> hit -> bool
 (** Confinement oracle for the Integrated solution: [true] iff the hit's
     frame is anonymous user memory, [mlock]ed, and mapped by at least one
     live process — i.e. the blessed in-use key buffer.  Every other

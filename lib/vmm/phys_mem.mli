@@ -43,8 +43,11 @@ val frame_is_zero : t -> int -> bool
     by these counters and re-scans only frames whose counter moved. *)
 
 val generation : t -> int -> int
-(** Current generation of frame [pfn] (starts at [0]).  Raises
-    [Invalid_argument] when out of range. *)
+(** Current generation of frame [pfn].  Raises [Invalid_argument] when out
+    of range.  It starts at [0] and only grows, so [0] means the frame has
+    not been written since {!create} zeroed it: it holds only zero bytes.
+    [Scan_cache] relies on this to account such frames as swept without
+    reading them. *)
 
 val touch : t -> int -> unit
 (** Test oracle: manually bump a frame's generation.  Only needed by code that
@@ -55,4 +58,6 @@ val raw : t -> bytes
     physical memory) and by the disclosure attacks; regular simulated code
     must go through {!read}/{!write} or the kernel's virtual-memory API.
     Writing through [raw] bypasses the generation counters — call {!touch}
-    on the affected frames, or incremental scans will serve stale hits. *)
+    on the affected frames, or incremental scans will miss the write: a
+    frame still at generation [0] is taken to be all zero, so even the
+    first scan does not read it. *)

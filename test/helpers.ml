@@ -14,6 +14,30 @@ module Rsa = Memguard_crypto.Rsa
 module Scanner = Memguard_scan.Scanner
 module Ssl = Memguard_ssl.Ssl
 
+(* The kernel's reverse map as a fresh table: [(owner_table k).(pfn)] is
+   the pids mapping [pfn]. *)
+let owner_table k =
+  let tbl = Array.make (Phys_mem.num_pages (Kernel.mem k)) [] in
+  Kernel.fill_owner_table k tbl;
+  tbl
+
+(* Reference for [Kernel.fill_owner_table], one frame at a time: the live
+   processes, ascending by pid, whose page table has a present PTE for
+   [pfn]. *)
+let frame_owners k ~pfn =
+  List.filter_map
+    (fun (p : Proc.t) ->
+      let maps =
+        List.exists
+          (fun vpn ->
+            match Proc.find_pte p ~vpn with
+            | Some (Proc.Present pr) -> pr.Proc.pfn = pfn
+            | _ -> false)
+          (Proc.mapped_vpns p)
+      in
+      if maps then Some p.Proc.pid else None)
+    (Kernel.live_procs k)
+
 (* vanilla OpenSSH 4.3p2: re-exec per connection, stock OpenSSL, cached
    key file *)
 let sshd_vanilla = { Sshd.no_reexec = false; ssl_mode = Ssl.Vanilla; nocache = false }
@@ -152,6 +176,7 @@ let scan_detailed k ~patterns ?(min_bytes = 20) () =
      anchor hit against its own full needle *)
   let ms = Multi_search.compile (Array.map (fun n -> String.sub n 0 4) needles) in
   Obs.Cost.charge (Kernel.obs k) ~sub:"scan" Scan_byte size;
+  let owners = Scanner.owners k in
   let acc = ref [] in
   Multi_search.iter ms raw ~f:(fun ~pos:addr ~pat ->
       let needle = needles.(pat) in
@@ -166,7 +191,7 @@ let scan_detailed k ~patterns ?(min_bytes = 20) () =
       if full || matched >= min_bytes then begin
         let pfn = addr / ps in
         acc :=
-          { base = { label = labels.(pat); addr; pfn; location = Scanner.locate k ~pfn };
+          { base = { label = labels.(pat); addr; pfn; location = Scanner.locate owners ~pfn };
             matched_bytes = matched;
             full
           }

@@ -28,6 +28,20 @@ let test_md5_block_boundaries () =
   let unique = List.sort_uniq compare digests in
   Alcotest.(check int) "all distinct" (List.length digests) (List.length unique)
 
+(* Record IVs and PRF output land in simulated RAM, so the unrolled MD5 must
+   match the earlier implementation byte for byte.  Every prefix of each
+   message is checked, so each run crosses the 55/56-byte (one or two
+   padding blocks) and 64-byte (one more whole block) edges. *)
+let prop_md5_matches_reference =
+  QCheck.Test.make ~name:"md5 matches reference" ~count:100
+    QCheck.(string_of_size (Gen.int_range 0 200))
+    (fun msg ->
+      List.for_all
+        (fun n ->
+          let prefix = String.sub msg 0 n in
+          Md5.digest prefix = Md5_ref.digest prefix)
+        (List.init (String.length msg + 1) Fun.id))
+
 let test_bytes_to_key_deterministic () =
   let k1 = Md5.bytes_to_key ~passphrase:"hunter2" ~salt:"12345678" ~length:16 in
   let k2 = Md5.bytes_to_key ~passphrase:"hunter2" ~salt:"12345678" ~length:16 in
@@ -161,6 +175,7 @@ let suite =
   [ ( "md5",
       [ Alcotest.test_case "rfc 1321 vectors" `Quick test_md5_rfc_vectors;
         Alcotest.test_case "block boundaries" `Quick test_md5_block_boundaries;
+        QCheck_alcotest.to_alcotest prop_md5_matches_reference;
         Alcotest.test_case "bytes_to_key" `Quick test_bytes_to_key_deterministic
       ] );
     ( "aes",

@@ -65,10 +65,10 @@ let test_confinement_judges_levels () =
   in
   Alcotest.(check int) "unprotected promises nothing" 0
     (List.length
-       (Audit.confinement k ~level:Protection.Unprotected ~patterns:[] ~hits:[ free_hit ]));
+       (Audit.confinement k ~level:Protection.Unprotected (Scanner.matcher []) ~hits:[ free_hit ]));
   Alcotest.(check bool) "kernel level forbids unallocated hits" true
     (has_check "confinement"
-       (Audit.confinement k ~level:Protection.Kernel_level ~patterns:[] ~hits:[ free_hit ]))
+       (Audit.confinement k ~level:Protection.Kernel_level (Scanner.matcher []) ~hits:[ free_hit ]))
 
 let test_confinement_integrated_oracle () =
   let k = Kernel.create ~config:small_config () in
@@ -87,11 +87,11 @@ let test_confinement_integrated_oracle () =
   in
   Alcotest.(check int) "hit inside the mlocked region passes" 0
     (List.length
-       (Audit.confinement k ~level:Protection.Integrated ~patterns:[]
+       (Audit.confinement k ~level:Protection.Integrated (Scanner.matcher [])
           ~hits:[ hit locked_pfn ]));
   Alcotest.(check bool) "hit outside the mlocked region fails" true
     (has_check "confinement"
-       (Audit.confinement k ~level:Protection.Integrated ~patterns:[]
+       (Audit.confinement k ~level:Protection.Integrated (Scanner.matcher [])
           ~hits:[ hit plain_pfn ]))
 
 (* ---- campaign properties ---- *)

@@ -62,7 +62,7 @@ let test_pagecache_insert_replaces () =
 
 let test_frame_owners_of_free_frame () =
   let k = Kernel.create ~config:{ Kernel.default_config with num_pages = 64 } () in
-  Alcotest.(check (list int)) "no owners" [] (Kernel.frame_owners k ~pfn:3)
+  Alcotest.(check (list int)) "no owners" [] (Helpers.owner_table k).(3)
 
 let test_page_pp_owner () =
   List.iter

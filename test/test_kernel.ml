@@ -209,10 +209,36 @@ let test_fork_chain_refcounts () =
   Alcotest.(check int) "refcount 4" 4 (Phys_mem.page (Kernel.mem k) pfn).Page.refcount;
   Alcotest.(check (list int)) "rmap has all pids"
     [ p.Proc.pid; c1.Proc.pid; c2.Proc.pid; c3.Proc.pid ]
-    (Kernel.frame_owners k ~pfn);
+    (Helpers.owner_table k).(pfn);
   Kernel.exit k c1;
   Kernel.exit k c3;
   Alcotest.(check int) "refcount 2" 2 (Phys_mem.page (Kernel.mem k) pfn).Page.refcount;
+  check_inv k
+
+(* a heap growth that runs out of frames must leave the break and the free
+   list as they were: a gap it had queued past the mapped pages would be
+   handed to a later malloc and fault on first use *)
+let test_heap_growth_rolls_back_on_enomem () =
+  let k = make ~config:{ Kernel.default_config with num_pages = 64 } () in
+  let p = Kernel.spawn k ~name:"app" in
+  ignore (Kernel.malloc k p 100);
+  let hog = Kernel.spawn k ~name:"hog" in
+  (try
+     while true do
+       ignore (Kernel.malloc k hog 4096)
+     done
+   with Kernel.Out_of_memory -> ());
+  let brk = p.Proc.brk and free_list = p.Proc.free_list in
+  List.iter
+    (fun (name, grow) ->
+      Alcotest.check_raises name Kernel.Out_of_memory (fun () -> ignore (grow ()));
+      Alcotest.(check int) (name ^ ": break unchanged") brk p.Proc.brk;
+      Alcotest.(check bool) (name ^ ": free list unchanged") true (p.Proc.free_list = free_list))
+    [ ("straddling malloc", fun () -> Kernel.malloc k p 4000);
+      ("memalign", fun () -> Kernel.memalign k p ~bytes:8192)
+    ];
+  let addr = Kernel.malloc k p 16 in
+  Kernel.write_mem k p ~addr "mapped";
   check_inv k
 
 let test_exit_frees_frames () =
@@ -508,6 +534,8 @@ let suite =
         Alcotest.test_case "secure dealloc zeroes" `Quick test_secure_dealloc_zeroes;
         Alcotest.test_case "double free" `Quick test_double_free_rejected;
         Alcotest.test_case "memalign" `Quick test_memalign_page_aligned;
+        Alcotest.test_case "heap growth rolls back on ENOMEM" `Quick
+          test_heap_growth_rolls_back_on_enomem;
         Alcotest.test_case "segfault" `Quick test_segfault
       ] );
     ( "kernel_fork",

@@ -26,7 +26,7 @@ let test_report_pp () =
 
 let test_scan_swap_no_device () =
   let k = Kernel.create ~config:{ Kernel.default_config with num_pages = 64 } () in
-  Alcotest.(check int) "empty" 0 (List.length (Scanner.scan_swap k ~patterns:[ ("x", "YY") ]))
+  Alcotest.(check int) "empty" 0 (List.length (Scanner.scan_swap k (Scanner.matcher [ ("x", "YY") ])))
 
 (* ---- ext2 unmount ---- *)
 

@@ -151,6 +151,22 @@ let test_tls_records_use_fresh_ivs () =
   Alcotest.(check bool) "seq binds the record" true
     (Tls_rsa.open_record k p session ~seq:1 r1 <> Ok "same plaintext")
 
+(* each record is sealed under the key block's first 16 bytes with IV
+   MD5("iv-<key block vaddr>-<seq>"), the derivation fixed by the reference
+   cipher and digest *)
+let test_tls_record_iv_derivation () =
+  let k, p, rsa = setup () in
+  let rng = Prng.of_int 65 in
+  let session = Tls_rsa.server_handshake rng k p ~cert_key:rsa in
+  let key = Kernel.read_mem k p ~addr:session.Tls_rsa.key_block_addr ~len:16 in
+  List.iter
+    (fun seq ->
+      let payload = Printf.sprintf "record %d" seq in
+      let iv = Md5_ref.digest (Printf.sprintf "iv-%d-%d" session.Tls_rsa.key_block_addr seq) in
+      Alcotest.(check string) payload (Aes_ref.cbc_encrypt ~key ~iv payload)
+        (Tls_rsa.seal k p session payload))
+    [ 0; 1; 2 ]
+
 let test_tls_master_secret_resident () =
   let k, p, rsa = setup () in
   let rng = Prng.of_int 62 in
@@ -184,8 +200,8 @@ let test_tls_client_view_agrees () =
     let rec go a acc =
       if String.length acc >= length then String.sub acc 0 length
       else
-        let a = Md5.digest (secret ^ a) in
-        go a (acc ^ Md5.digest (secret ^ a ^ label ^ seed))
+        let a = Md5_ref.digest (secret ^ a) in
+        go a (acc ^ Md5_ref.digest (secret ^ a ^ label ^ seed))
     in
     go seed ""
   in
@@ -236,6 +252,7 @@ let suite =
     ( "tls_rsa",
       [ Alcotest.test_case "handshake + records" `Quick test_tls_handshake_and_records;
         Alcotest.test_case "fresh IVs" `Quick test_tls_records_use_fresh_ivs;
+        Alcotest.test_case "record IV derivation" `Quick test_tls_record_iv_derivation;
         Alcotest.test_case "master resident" `Quick test_tls_master_secret_resident;
         Alcotest.test_case "sessions isolated" `Quick test_tls_sessions_isolated;
         Alcotest.test_case "client view agrees" `Quick test_tls_client_view_agrees

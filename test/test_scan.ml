@@ -103,7 +103,7 @@ let test_scan_swap () =
   (match Kernel.malloc k hog (40 * 4096) with
    | addr -> Kernel.write_mem k hog ~addr (String.make (40 * 4096) 'x')
    | exception Kernel.Out_of_memory -> ());
-  let hits = Scanner.scan_swap k ~patterns:[ ("s", "SWAP-ME-PATTERN") ] in
+  let hits = Scanner.scan_swap k (Scanner.matcher [ ("s", "SWAP-ME-PATTERN") ]) in
   Alcotest.(check bool) "pattern found on swap" true (List.length hits >= 1)
 
 (* ---- report ---- *)

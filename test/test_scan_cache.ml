@@ -91,6 +91,53 @@ let test_small_write_rescans_few_pages () =
   Alcotest.(check bool) "few pages re-swept" true (Scan_cache.last_pages_scanned cache <= 2);
   check_matches_cold "small write" k cache
 
+(* ---- never-written pages: accounted as swept, not read ---- *)
+
+let test_first_scan_covers_every_page () =
+  let k = Kernel.create ~config () in
+  let p = Kernel.spawn k ~name:"w" in
+  let addr = Kernel.malloc k p 64 in
+  Kernel.write_mem k p ~addr "BETA-KEY-MATERIAL-PATTERN-LONGER";
+  let cache = Scan_cache.create k ~patterns in
+  check_matches_cold "first scan" k cache;
+  Alcotest.(check int) "every page counted" config.Kernel.num_pages
+    (Scan_cache.last_pages_scanned cache)
+
+let unwritten k pfn = Phys_mem.generation (Kernel.mem k) pfn = 0
+
+let test_zero_tail_in_unwritten_page () =
+  (* the match starts in written page 5 and ends in the zeros of page 6 *)
+  let k = Kernel.create ~config () in
+  let cache = Scan_cache.create k ~patterns:[ ("tail", "TAIL-ZERO\000\000\000\000") ] in
+  Phys_mem.write (Kernel.mem k) ~addr:((6 * ps) - 9) "TAIL-ZERO";
+  Alcotest.(check bool) "page 6 never written" true (unwritten k 6);
+  check_matches_cold "zero tail" k cache;
+  Alcotest.(check (list int)) "found on the first scan" [ (6 * ps) - 9 ]
+    (List.map (fun (h : Scanner.hit) -> h.addr) (Scan_cache.scan cache))
+
+let test_zero_head_in_unwritten_page () =
+  (* the match starts in the zeros of page 7 and ends in written page 8 *)
+  let k = Kernel.create ~config () in
+  let cache = Scan_cache.create k ~patterns:[ ("head", "\000\000\000\000HEAD-ZERO") ] in
+  Phys_mem.write (Kernel.mem k) ~addr:(8 * ps) "HEAD-ZERO";
+  Alcotest.(check bool) "page 7 never written" true (unwritten k 7);
+  check_matches_cold "zero head" k cache;
+  Alcotest.(check (list int)) "found on the first scan" [ (8 * ps) - 4 ]
+    (List.map (fun (h : Scanner.hit) -> h.addr) (Scan_cache.scan cache))
+
+let test_all_zero_needle_reads_everything () =
+  (* a needle of zeros matches inside never-written pages, so none may be
+     skipped; a small machine keeps the hit list short *)
+  let k = Kernel.create ~config:{ config with page_size = 256; num_pages = 16 } () in
+  let zeros = String.make 16 '\000' in
+  let cache = Scan_cache.create k ~patterns:[ ("zeros", zeros); ("x", "XYZ") ] in
+  Phys_mem.write (Kernel.mem k) ~addr:1000 "XYZ-some-bytes";
+  check_matches_cold "all-zero needle" k cache;
+  let hits = Scan_cache.scan cache in
+  Alcotest.(check int) "every zero run counted"
+    (Bytes_util.count ~needle:zeros (Phys_mem.raw (Kernel.mem k)))
+    (List.length (List.filter (fun (h : Scanner.hit) -> h.label = "zeros") hits))
+
 (* ---- location freshness: ownership changes without byte writes ---- *)
 
 let test_location_updates_without_write () =
@@ -175,6 +222,53 @@ let prop_incremental_equals_cold =
       done;
       !ok)
 
+(* ---- the owner table: one rmap pass = one walk per frame ---- *)
+
+let prop_owner_table_matches_per_frame =
+  QCheck.Test.make ~name:"owner table equals per-frame rmap walk" ~count:40
+    QCheck.(int_range 0 1000000)
+    (fun seed ->
+      let rng = Prng.of_int seed in
+      let k = Kernel.create ~config () in
+      let procs = ref [ Kernel.spawn k ~name:"root" ] in
+      let pick () = List.nth !procs (Prng.int rng (List.length !procs)) in
+      let agrees () =
+        let tbl = Helpers.owner_table k in
+        let ok = ref true in
+        for pfn = 0 to config.Kernel.num_pages - 1 do
+          if tbl.(pfn) <> Helpers.frame_owners k ~pfn then ok := false
+        done;
+        !ok
+      in
+      let ok = ref true in
+      for _batch = 0 to 5 do
+        for _op = 0 to 11 do
+          try
+            match Prng.int rng 5 with
+            | 0 -> procs := Kernel.fork k (pick ()) :: !procs
+            | 1 when List.length !procs > 1 ->
+              let p = pick () in
+              Kernel.exit k p;
+              procs := List.filter (fun q -> q != p) !procs
+            | 2 ->
+              let p = pick () in
+              ignore (Kernel.malloc k p (16 + Prng.int rng (2 * ps)))
+            | _ ->
+              (* write through each mapping: a shared frame takes a COW fault *)
+              let p = pick () in
+              let addr = Kernel.malloc k p 32 in
+              Kernel.write_mem k p ~addr "owner";
+              List.iter
+                (fun q ->
+                  if Kernel.pfn_of_vaddr k q addr <> None then
+                    Kernel.write_mem k q ~addr (string_of_int q.Proc.pid))
+                !procs
+          with Kernel.Out_of_memory -> ()
+        done;
+        if not (agrees ()) then ok := false
+      done;
+      !ok)
+
 (* ---- System-level wiring ---- *)
 
 let test_system_scan_matches_cold () =
@@ -216,9 +310,16 @@ let suite =
         Alcotest.test_case "clean re-scan sweeps nothing" `Quick test_clean_rescan_sweeps_nothing;
         Alcotest.test_case "small write re-sweeps few pages" `Quick
           test_small_write_rescans_few_pages;
+        Alcotest.test_case "first scan covers every page" `Quick
+          test_first_scan_covers_every_page;
+        Alcotest.test_case "zero tail in unwritten page" `Quick test_zero_tail_in_unwritten_page;
+        Alcotest.test_case "zero head in unwritten page" `Quick test_zero_head_in_unwritten_page;
+        Alcotest.test_case "all-zero needle reads everything" `Quick
+          test_all_zero_needle_reads_everything;
         Alcotest.test_case "location updates without write" `Quick
           test_location_updates_without_write;
         QCheck_alcotest.to_alcotest prop_incremental_equals_cold;
+        QCheck_alcotest.to_alcotest prop_owner_table_matches_per_frame;
         Alcotest.test_case "System.scan matches cold" `Quick test_system_scan_matches_cold;
         Alcotest.test_case "timeline incremental = full" `Slow
           test_timeline_incremental_equals_full
