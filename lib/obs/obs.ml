@@ -21,6 +21,17 @@ let origin_name = function
   | Heap_copy -> "heap_copy"
   | Bn_temp -> "bn_temp"
 
+(* position in [all_origins]: the per-origin cost array's index *)
+let origin_index = function
+  | Pem_buffer -> 0
+  | Der_temp -> 1
+  | Bn_limbs -> 2
+  | Mont_cache -> 3
+  | Page_cache -> 4
+  | Swap -> 5
+  | Heap_copy -> 6
+  | Bn_temp -> 7
+
 (* BN_CTX temporaries hold reduced CRT intermediates, not key parts: they
    are tracked (the scanner cannot tell the difference) but excluded from
    the breach SLO and the confinement accounting. *)
@@ -35,6 +46,21 @@ type mem_class =
   | Swapped
 
 let all_classes = [ Mlocked_anon; Plain_anon; Cached; Kernel_buf; Free_ram; Swapped ]
+
+(* position in [all_classes] *)
+let class_index = function
+  | Mlocked_anon -> 0
+  | Plain_anon -> 1
+  | Cached -> 2
+  | Kernel_buf -> 3
+  | Free_ram -> 4
+  | Swapped -> 5
+
+let num_classes = 6
+
+(* the ledger's (origin, class) bucket: origin-major, so walking the
+   array visits buckets in sorted order *)
+let exposure_index origin cls = (origin_index origin * num_classes) + class_index cls
 
 let class_name = function
   | Mlocked_anon -> "mlocked_anon"
@@ -70,6 +96,11 @@ type event =
    emitted (0 = untraced), so scanner hits, breaches and alert firings
    can be joined back to the request that caused them *)
 type record = { seq : int; tick : int; event : event; trace : int; span : int }
+
+(* the filler of ring slots never written: [records] reads only written
+   slots, so it never escapes *)
+let no_record =
+  { seq = -1; tick = 0; event = Scan_started { mode = "" }; trace = 0; span = 0 }
 
 (* Floats in exports print as integers when they are integral: series
    values are mostly exact counts, and the fixed form keeps canonical
@@ -124,7 +155,28 @@ type info = {
   birth_span : int;
 }
 
-type interval = { start : int; ilen : int; info : info }
+(* [rank] is the interval's insertion rank: a registry listed newest
+   first is sorted by rank descending, and the pieces one [clear] cuts
+   from an interval keep its rank (they list in address order) *)
+type interval = { start : int; ilen : int; info : info; rank : int }
+
+(* int-keyed tables hashed by the key itself, without the generic
+   hash's C call *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
+(* The provenance registry, indexed by 4 KiB bucket: every interval is
+   filed under each bucket its bytes touch, so an operation on a range
+   visits only the intervals of the buckets it spans *)
+type prov = {
+  buckets : interval list ref Int_tbl.t;  (* no empty lists *)
+  mutable live : int;  (* distinct live intervals *)
+  mutable next_rank : int;
+}
 
 (* ---- causal trace spans (see Trace below) ---- *)
 
@@ -166,6 +218,23 @@ type cost_op =
   | Ct_limb_op
   | Scan_byte
 
+(* declaration order: the per-op cost arrays' index *)
+let op_index = function
+  | Byte_copied -> 0
+  | Byte_zeroed -> 1
+  | Page_fault -> 2
+  | Cow_break -> 3
+  | Swap_out_page -> 4
+  | Swap_in_page -> 5
+  | Page_cache_hit -> 6
+  | Page_cache_miss -> 7
+  | Disk_read_byte -> 8
+  | Mont_word_mul -> 9
+  | Ct_limb_op -> 10
+  | Scan_byte -> 11
+
+let num_cost_ops = 12
+
 type cost_model = {
   byte_copied : int;
   byte_zeroed : int;
@@ -206,6 +275,7 @@ type series = {
   mutable s_last_val : float;
   mutable s_min : float;
   mutable s_max : float;
+  mutable s_derived : series list;  (* rates of this series, install order *)
 }
 
 (* ---- declarative alert rules (see Alert below) ---- *)
@@ -231,6 +301,7 @@ type firing = { f_tick : int; f_rule : string; f_series : string; f_value : floa
 
 type span_node = {
   span_name : string;
+  span_key : string;  (* its duration histogram: "span.<name>.cycles" *)
   mutable calls : int;
   mutable self_cycles : int;
   children_ : (string, span_node) Hashtbl.t;
@@ -238,18 +309,67 @@ type span_node = {
 
 type span_frame = { node_ : span_node; start_cycles : int }
 
-let make_span_root () =
-  { span_name = "machine"; calls = 0; self_cycles = 0; children_ = Hashtbl.create 8 }
+let make_span_node name size =
+  { span_name = name;
+    span_key = "span." ^ name ^ ".cycles";
+    calls = 0;
+    self_cycles = 0;
+    children_ = Hashtbl.create size
+  }
+
+let make_span_root () = make_span_node "machine" 8
+
+(* Counters and histograms named by strings, indexed for the write path:
+   a name's slot comes from its length and two of its bytes, which costs
+   no call, and call sites pass literals, so a slot's list is short and
+   usually matched by physical equality.  The hash table stays the one
+   the readers use. *)
+type 'a sites = (string * 'a) list array
+
+let num_sites = 64
+
+let make_sites () : 'a sites = Array.make num_sites []
+
+let site_slot s =
+  let n = String.length s in
+  if n = 0 then 0
+  else
+    let last = Char.code (String.unsafe_get s (n - 1))
+    and mid = Char.code (String.unsafe_get s (n / 2)) in
+    ((n * 7) + (last * 3) + mid) land (num_sites - 1)
+
+(* the entry [tbl] holds under [name], created by [fresh] *)
+let site_find tbl (sites : 'a sites) name ~fresh =
+  let i = site_slot name in
+  let rec find = function
+    | (s, r) :: rest -> if s == name || String.equal s name then r else find rest
+    | [] ->
+      let r =
+        match Hashtbl.find_opt tbl name with
+        | Some r -> r
+        | None ->
+          let r = fresh () in
+          Hashtbl.replace tbl name r;
+          r
+      in
+      sites.(i) <- (name, r) :: sites.(i);
+      r
+  in
+  find sites.(i)
+
+let site_ref tbl sites name = site_find tbl sites name ~fresh:(fun () -> ref 0)
+
+let reset_sites (sites : 'a sites) = Array.fill sites 0 num_sites []
 
 type ctx = {
   enabled_ : bool;
   capacity : int;
-  ring : record option array;
+  ring : record array;  (* slots past [next_seq] hold [no_record] *)
   mutable next_seq : int;
   mutable tick_ : int;
   counters : (string, int ref) Hashtbl.t;
   histograms : (string, float list ref) Hashtbl.t;
-  mutable intervals : interval list;
+  prov : prov;
   stashes : (int, (int * int * info) list) Hashtbl.t;
   (* causal tracing: ids come from per-ctx counters (never the wall clock
      or any RNG), so trace exports and fleet fingerprints stay
@@ -262,29 +382,33 @@ type ctx = {
   mutable span_next_ : int;  (* next causal span id; 0 means "no span" *)
   mutable tstack_ : tspan list;  (* open causal spans, innermost first *)
   mutable tspans_ : tspan list;  (* completed causal spans, newest first *)
-  trace_leak_ : (int, int ref) Hashtbl.t;
+  trace_leak_ : int ref Int_tbl.t;
       (* trace -> sensitive byte-ticks outside mlocked-anon (the
          per-request leak budget; key 0 holds untraced exposure) *)
   (* exposure ledger *)
   mutable classifier : classifier option;
-  exposure : (origin * mem_class, int ref) Hashtbl.t;
+  exposure : int array;  (* by [exposure_index] *)
   mutable exposure_series : (int * ((origin * mem_class) * int) list) list;
       (* newest first *)
   mutable last_advance_ : int;
-  lifetimes_ : (origin, int list ref) Hashtbl.t;
+  lifetimes_ : int list array;  (* by [origin_index], newest first *)
   mutable breach_age_ : int option;
   (* cost accounting & profiler *)
   mutable cycles_ : int;
-  cost_by_op : (cost_op, int ref * int ref) Hashtbl.t;  (* op -> count, cycles *)
+  cost_count : int array;  (* by [op_index]: units charged *)
+  cost_cyc : int array;  (* by [op_index]: cycles charged *)
   cost_by_sub : (string, int ref) Hashtbl.t;
-  cost_by_origin : (origin, int ref) Hashtbl.t;
+  cost_sub_sites : int ref sites;
+  cost_by_origin : int array;  (* by [origin_index]; -1 = never charged *)
   prof_root_ : span_node;
   mutable prof_stack_ : span_frame list;  (* innermost first *)
   (* time series & alerts *)
   series_ : (string, series) Hashtbl.t;
-  mutable derived_ : (string * string) list;  (* (source, derived name) *)
+  mutable derived_ : (string * series) list;  (* (source, rate series), install order *)
   mutable rules_ : alert_rule list;  (* install order *)
   mutable firings_ : firing list;  (* newest first *)
+  counter_sites : int ref sites;  (* [counters] by call site *)
+  histogram_sites : float list ref sites;  (* [histograms] by call site *)
 }
 
 (* One simulated cycle is one byte moved by the CPU; everything else is
@@ -317,34 +441,38 @@ let default_cost_model =
 let make ~enabled ~capacity =
   { enabled_ = enabled;
     capacity;
-    ring = Array.make (max capacity 1) None;
+    ring = Array.make (max capacity 1) no_record;
     next_seq = 0;
     tick_ = 0;
     counters = Hashtbl.create 32;
     histograms = Hashtbl.create 8;
-    intervals = [];
+    prov = { buckets = Int_tbl.create 64; live = 0; next_rank = 0 };
     stashes = Hashtbl.create 8;
     trace_next_ = 1;
     span_next_ = 1;
     tstack_ = [];
     tspans_ = [];
-    trace_leak_ = Hashtbl.create 16;
+    trace_leak_ = Int_tbl.create 16;
     classifier = None;
-    exposure = Hashtbl.create 32;
+    exposure = Array.make (List.length all_origins * num_classes) 0;
     exposure_series = [];
     last_advance_ = 0;
-    lifetimes_ = Hashtbl.create 8;
+    lifetimes_ = Array.make (List.length all_origins) [];
     breach_age_ = None;
     cycles_ = 0;
-    cost_by_op = Hashtbl.create 16;
+    cost_count = Array.make num_cost_ops 0;
+    cost_cyc = Array.make num_cost_ops 0;
     cost_by_sub = Hashtbl.create 8;
-    cost_by_origin = Hashtbl.create 8;
+    cost_sub_sites = make_sites ();
+    cost_by_origin = Array.make (List.length all_origins) (-1);
     prof_root_ = make_span_root ();
     prof_stack_ = [];
     series_ = Hashtbl.create 32;
     derived_ = [];
     rules_ = [];
     firings_ = [];
+    counter_sites = make_sites ();
+    histogram_sites = make_sites ();
   }
 
 let null = make ~enabled:false ~capacity:0
@@ -422,19 +550,27 @@ module Trace = struct
       ctx.tstack_ <- pop ctx.tstack_
     end
 
+  (* run [f] inside the open span [s], closing it however [f] ends *)
+  let run_in ctx s f =
+    match f () with
+    | v ->
+      end_span ctx s;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      end_span ctx s;
+      Printexc.raise_with_backtrace e bt
+
   let with_span ?pid ?trace ?parent ctx name f =
-    if not ctx.enabled_ then f ()
-    else begin
-      let s = begin_span ?pid ?trace ?parent ctx name in
-      Fun.protect ~finally:(fun () -> end_span ctx s) f
-    end
+    if not ctx.enabled_ then f () else run_in ctx (begin_span ?pid ?trace ?parent ctx name) f
 
   (* Record a causal child span only when a request trace is already
      active.  Kernel paths call this on every operation; untraced work
      (boot noise, background churn, scans) must not mint spurious traces
      or flood the span list. *)
   let causal ?pid ctx name f =
-    if ctx.enabled_ && ctx.tstack_ <> [] then with_span ?pid ctx name f else f ()
+    if ctx.enabled_ && ctx.tstack_ <> [] then run_in ctx (begin_span ?pid ctx name) f
+    else f ()
 
   type span_info = {
     sp_trace : int;
@@ -476,7 +612,7 @@ module Trace = struct
      budgets reproduces the exposure ledger's sensitive-unsafe total
      exactly — both are accumulated by the same [Exposure.advance] pass. *)
   let leak_budget ctx =
-    Hashtbl.fold (fun t r acc -> (t, !r) :: acc) ctx.trace_leak_ []
+    Int_tbl.fold (fun t r acc -> (t, !r) :: acc) ctx.trace_leak_ []
     |> List.filter (fun (_, v) -> v > 0)
     |> List.sort compare
 
@@ -492,7 +628,7 @@ module Trace = struct
           span = current_span ctx
         }
       in
-      ctx.ring.(ctx.next_seq mod ctx.capacity) <- Some r;
+      ctx.ring.(ctx.next_seq mod ctx.capacity) <- r;
       ctx.next_seq <- ctx.next_seq + 1
     end
 
@@ -503,9 +639,7 @@ module Trace = struct
     let first = dropped ctx in
     let acc = ref [] in
     for seq = ctx.next_seq - 1 downto first do
-      match ctx.ring.(seq mod ctx.capacity) with
-      | Some r -> acc := r :: !acc
-      | None -> ()
+      acc := ctx.ring.(seq mod ctx.capacity) :: !acc
     done;
     !acc
 
@@ -653,16 +787,16 @@ let prom_labels labels =
 
 module Metrics = struct
   let incr ?(by = 1) ctx name =
-    if ctx.enabled_ then
-      match Hashtbl.find_opt ctx.counters name with
-      | Some r -> r := !r + by
-      | None -> Hashtbl.replace ctx.counters name (ref by)
+    if ctx.enabled_ then begin
+      let r = site_ref ctx.counters ctx.counter_sites name in
+      r := !r + by
+    end
 
   let observe ctx name v =
-    if ctx.enabled_ then
-      match Hashtbl.find_opt ctx.histograms name with
-      | Some r -> r := v :: !r
-      | None -> Hashtbl.replace ctx.histograms name (ref [ v ])
+    if ctx.enabled_ then begin
+      let r = site_find ctx.histograms ctx.histogram_sites name ~fresh:(fun () -> ref []) in
+      r := v :: !r
+    end
 
   let counter ctx name =
     match Hashtbl.find_opt ctx.counters name with Some r -> !r | None -> 0
@@ -690,6 +824,8 @@ module Metrics = struct
 
   let reset ctx =
     Hashtbl.reset ctx.counters;
+    reset_sites ctx.counter_sites;
+    reset_sites ctx.histogram_sites;
     Hashtbl.reset ctx.histograms
 
   (* empty histograms have no percentiles: print "-" rather than NaN *)
@@ -767,66 +903,145 @@ module Provenance = struct
   (* birth-to-zeroed lifetime histogram, fed by [clear] *)
   let record_lifetime ctx (info : info) =
     let age = ctx.tick_ - info.birth_tick in
-    match Hashtbl.find_opt ctx.lifetimes_ info.origin with
-    | Some r -> r := age :: !r
-    | None -> Hashtbl.replace ctx.lifetimes_ info.origin (ref [ age ])
+    let i = origin_index info.origin in
+    ctx.lifetimes_.(i) <- age :: ctx.lifetimes_.(i)
+
+  (* ---- the bucket index ---- *)
+
+  let bucket_bits = 12
+
+  let first_bucket iv = iv.start asr bucket_bits
+  let last_bucket iv = (iv.start + iv.ilen - 1) asr bucket_bits
+
+  let file p iv =
+    for b = first_bucket iv to last_bucket iv do
+      match Int_tbl.find_opt p.buckets b with
+      | Some ivs -> ivs := iv :: !ivs
+      | None -> Int_tbl.add p.buckets b (ref [ iv ])
+    done;
+    p.live <- p.live + 1
+
+  let overlapping ~addr ~e iv = iv.start < e && iv.start + iv.ilen > addr
+
+  (* [l] without the intervals overlapping [addr, e), sharing the tail
+     past the last one dropped *)
+  let rec drop_overlapping ~addr ~e = function
+    | [] -> []
+    | iv :: rest as l ->
+      let rest' = drop_overlapping ~addr ~e rest in
+      if overlapping ~addr ~e iv then rest' else if rest' == rest then l else iv :: rest'
+
+  (* drop from the buckets [b0..b1] every interval overlapping
+     [addr, e): one pass over each bucket *)
+  let unfile_overlapping p ~b0 ~b1 ~addr ~e =
+    for b = b0 to b1 do
+      match Int_tbl.find_opt p.buckets b with
+      | None -> ()
+      | Some ivs -> (
+        match drop_overlapping ~addr ~e !ivs with
+        | [] -> Int_tbl.remove p.buckets b
+        | rest -> ivs := rest)
+    done
+
+  (* list order: the order a newest-first list of the registry would
+     hold — newer ranks first, the pieces of one interval by address *)
+  let list_order a b =
+    if a.rank <> b.rank then Int.compare b.rank a.rank else Int.compare a.start b.start
+
+  (* The distinct intervals overlapping [addr, addr+len), in list order.
+     An interval filed under several buckets of the range is taken from
+     the first of them only.  A range spanning more buckets than the
+     index holds walks the index instead of the range. *)
+  let rec gather ~addr ~e ~b0 b acc = function
+    | [] -> acc
+    | iv :: rest ->
+      let acc =
+        if overlapping ~addr ~e iv && max (first_bucket iv) b0 = b then iv :: acc else acc
+      in
+      gather ~addr ~e ~b0 b acc rest
+
+  let touching p ~addr ~len =
+    let e = addr + len in
+    let b0 = addr asr bucket_bits and b1 = (e - 1) asr bucket_bits in
+    let acc = ref [] in
+    if b1 - b0 < Int_tbl.length p.buckets then
+      for b = b0 to b1 do
+        match Int_tbl.find_opt p.buckets b with
+        | Some ivs -> acc := gather ~addr ~e ~b0 b !acc !ivs
+        | None -> ()
+      done
+    else
+      Int_tbl.iter
+        (fun b ivs -> if b >= b0 && b <= b1 then acc := gather ~addr ~e ~b0 b !acc !ivs)
+        p.buckets;
+    match !acc with ([] | [ _ ]) as l -> l | l -> List.sort list_order l
+
+  let file_new p ~start ~ilen info =
+    file p { start; ilen; info; rank = p.next_rank };
+    p.next_rank <- p.next_rank + 1
+
+  (* file entries [(offset from base, len, info)] as one insertion: the
+     first entry lists first *)
+  let file_entries p ~base entries =
+    let n = List.length entries in
+    List.iteri
+      (fun i (off, l, info) ->
+        file p { start = base + off; ilen = l; info; rank = p.next_rank + n - 1 - i })
+      entries;
+    p.next_rank <- p.next_rank + n
+
+  (* ---- operations ---- *)
 
   let clear ctx ~addr ~len =
-    if ctx.enabled_ && len > 0 then begin
-      let e = addr + len in
-      (* fast path: most clears cover ranges holding no key material (a
-         freshly faulted page, the target of a copy being registered) —
-         an allocation-free overlap test skips the full list rebuild for
-         them *)
-      if List.exists (fun iv -> iv.start < e && iv.start + iv.ilen > addr) ctx.intervals
-      then
-        ctx.intervals <-
-          List.concat_map
-            (fun iv ->
-              let s = iv.start and ie = iv.start + iv.ilen in
-              if ie <= addr || s >= e then [ iv ]
-              else begin
-                record_lifetime ctx iv.info;
-                (if s < addr then [ { iv with ilen = addr - s } ] else [])
-                @ (if ie > e then [ { start = e; ilen = ie - e; info = iv.info } ] else [])
-              end)
-            ctx.intervals
-    end
+    if ctx.enabled_ && len > 0 then
+      match touching ctx.prov ~addr ~len with
+      | [] -> ()
+      | hits ->
+        let p = ctx.prov in
+        let e = addr + len in
+        (* every interval overlapping the range is a hit, so the buckets
+           the hits span lose exactly the overlapping intervals *)
+        let b0 = List.fold_left (fun b iv -> min b (first_bucket iv)) max_int hits
+        and b1 = List.fold_left (fun b iv -> max b (last_bucket iv)) min_int hits in
+        unfile_overlapping p ~b0 ~b1 ~addr ~e;
+        p.live <- p.live - List.length hits;
+        List.iter
+          (fun iv ->
+            let s = iv.start and ie = iv.start + iv.ilen in
+            record_lifetime ctx iv.info;
+            if s < addr then file p { iv with ilen = addr - s };
+            if ie > e then file p { iv with start = e; ilen = ie - e })
+          hits
 
   let register ctx ~origin ~pid ~addr ~len =
     if ctx.enabled_ && len > 0 then begin
       clear ctx ~addr ~len;
-      ctx.intervals <-
-        { start = addr;
-          ilen = len;
-          info =
-            { origin;
-              pid;
-              birth_tick = ctx.tick_;
-              birth_trace = Trace.current_trace ctx;
-              birth_span = Trace.current_span ctx
-            }
+      file_new ctx.prov ~start:addr ~ilen:len
+        { origin;
+          pid;
+          birth_tick = ctx.tick_;
+          birth_trace = Trace.current_trace ctx;
+          birth_span = Trace.current_span ctx
         }
-        :: ctx.intervals
     end
 
+  (* an empty or negative range overlaps nothing, though [touching]'s
+     overlap test would let an interval straddling [addr] through *)
   let overlaps ctx ~addr ~len =
-    let e = addr + len in
-    List.filter_map
-      (fun iv ->
-        let s = max iv.start addr and ie = min (iv.start + iv.ilen) e in
-        if ie > s then Some (s - addr, ie - s, iv.info) else None)
-      ctx.intervals
+    if len <= 0 then []
+    else
+      let e = addr + len in
+      List.map
+        (fun iv ->
+          let s = max iv.start addr and ie = min (iv.start + iv.ilen) e in
+          (s - addr, ie - s, iv.info))
+        (touching ctx.prov ~addr ~len)
 
   let blit ctx ~src ~dst ~len =
     if ctx.enabled_ && len > 0 then begin
-      let clones =
-        List.map
-          (fun (off, l, info) -> { start = dst + off; ilen = l; info })
-          (overlaps ctx ~addr:src ~len)
-      in
+      let clones = overlaps ctx ~addr:src ~len in
       clear ctx ~addr:dst ~len;
-      ctx.intervals <- clones @ ctx.intervals
+      file_entries ctx.prov ~base:dst clones
     end
 
   let stash ctx ~slot ~addr ~len =
@@ -836,23 +1051,46 @@ module Provenance = struct
     if ctx.enabled_ then begin
       clear ctx ~addr ~len;
       (match Hashtbl.find_opt ctx.stashes slot with
-       | Some entries ->
-         ctx.intervals <-
-           List.map (fun (off, l, info) -> { start = addr + off; ilen = l; info }) entries
-           @ ctx.intervals
+       | Some entries -> file_entries ctx.prov ~base:addr entries
        | None -> ());
       Hashtbl.remove ctx.stashes slot
     end
 
-  let lookup ctx ~addr =
-    List.find_opt (fun iv -> iv.start <= addr && addr < iv.start + iv.ilen) ctx.intervals
-    |> Option.map (fun iv -> iv.info)
+  let rec newest_at addr best = function
+    | [] -> best
+    | iv :: rest ->
+      let newer = match best with Some b -> iv.rank > b.rank | None -> true in
+      newest_at addr
+        (if newer && iv.start <= addr && addr < iv.start + iv.ilen then Some iv else best)
+        rest
 
-  let count ctx = List.length ctx.intervals
+  (* the newest interval holding [addr]: only its bucket is searched *)
+  let lookup ctx ~addr =
+    match Int_tbl.find_opt ctx.prov.buckets (addr asr bucket_bits) with
+    | None -> None
+    | Some ivs -> Option.map (fun iv -> iv.info) (newest_at addr None !ivs)
+
+  (* not inlined: perfbench reads it, and an inlined field read changes
+     the size of its code and so the alignment of its calibration kernel *)
+  let[@inline never] count ctx = ctx.prov.live
+
+  (* address order: (start, len, info), the integers compared without
+     the polymorphic compare *)
+  let address_order a b =
+    if a.start <> b.start then Int.compare a.start b.start
+    else if a.ilen <> b.ilen then Int.compare a.ilen b.ilen
+    else compare a.info b.info
+
+  (* [f] on every live interval once, in index order *)
+  let iter ctx f =
+    Int_tbl.iter
+      (fun b ivs -> List.iter (fun iv -> if first_bucket iv = b then f iv) !ivs)
+      ctx.prov.buckets
 
   let intervals ctx =
-    List.map (fun iv -> (iv.start, iv.ilen, iv.info)) ctx.intervals
-    |> List.sort compare
+    let acc = ref [] in
+    iter ctx (fun iv -> acc := iv :: !acc);
+    List.sort address_order !acc |> List.map (fun iv -> (iv.start, iv.ilen, iv.info))
 
   let stashed ctx =
     Hashtbl.fold (fun slot entries acc -> (slot, entries) :: acc) ctx.stashes []
@@ -887,30 +1125,32 @@ module Exposure = struct
     if ctx.enabled_ then ctx.breach_age_ <- age
 
   let total ctx ~origin ~cls =
-    match Hashtbl.find_opt ctx.exposure (origin, cls) with Some r -> !r | None -> 0
+    ctx.exposure.(exposure_index origin cls)
 
   let totals ctx =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) ctx.exposure []
-    |> List.filter (fun (_, v) -> v > 0)
-    |> List.sort compare
+    List.concat_map
+      (fun origin ->
+        List.filter_map
+          (fun cls ->
+            let v = ctx.exposure.(exposure_index origin cls) in
+            if v > 0 then Some ((origin, cls), v) else None)
+          all_classes)
+      all_origins
 
   let series ctx = List.rev ctx.exposure_series
 
   let last_advance ctx = ctx.last_advance_
 
-  let lifetimes ctx origin =
-    match Hashtbl.find_opt ctx.lifetimes_ origin with
-    | Some r -> List.rev !r
-    | None -> []
+  let lifetimes ctx origin = List.rev ctx.lifetimes_.(origin_index origin)
 
   (* Sample-and-hold integration: every live interval (and every stashed
      swap-slot image) contributes len * (t - last_advance) byte-ticks to
      its (origin, class) bucket, classified at advance time.  Intervals are
-     walked in address order and split on frame boundaries because
-     classification is per frame; every chunk is classified afresh on
-     every advance, so the ledger needs no change notification from the
-     machine.  The ledger only reads simulated state — it never mutates
-     it. *)
+     split on frame boundaries because classification is per frame, and
+     summed in whatever order the index holds them; every chunk is
+     classified afresh on every advance, so the ledger needs no change
+     notification from the machine.  The ledger only reads simulated
+     state — it never mutates it. *)
   let advance ctx t =
     match ctx.classifier with
     | None -> ()
@@ -918,10 +1158,8 @@ module Exposure = struct
       if ctx.enabled_ && t > ctx.last_advance_ then begin
         let dt = t - ctx.last_advance_ in
         let add origin cls bytes =
-          let key = (origin, cls) in
-          match Hashtbl.find_opt ctx.exposure key with
-          | Some r -> r := !r + (bytes * dt)
-          | None -> Hashtbl.replace ctx.exposure key (ref (bytes * dt))
+          let i = exposure_index origin cls in
+          ctx.exposure.(i) <- ctx.exposure.(i) + (bytes * dt)
         in
         (* per-request leak budget: the same sensitive-outside-mlock
            predicate the sensitive-unsafe headline uses, accumulated per
@@ -929,9 +1167,9 @@ module Exposure = struct
            budgets sum to the ledger's sensitive byte-tick total exactly *)
         let leak (info : info) cls bytes =
           if origin_sensitive info.origin && cls <> Mlocked_anon then
-            match Hashtbl.find_opt ctx.trace_leak_ info.birth_trace with
+            match Int_tbl.find_opt ctx.trace_leak_ info.birth_trace with
             | Some r -> r := !r + (bytes * dt)
-            | None -> Hashtbl.replace ctx.trace_leak_ info.birth_trace (ref (bytes * dt))
+            | None -> Int_tbl.replace ctx.trace_leak_ info.birth_trace (ref (bytes * dt))
         in
         let breach (info : info) cls addr len =
           match ctx.breach_age_ with
@@ -939,30 +1177,41 @@ module Exposure = struct
             let age = t - info.birth_tick in
             let prev_age = ctx.last_advance_ - info.birth_tick in
             if age >= limit && prev_age < limit then
-              Trace.emit ctx
-                (Exposure_breach
-                   { origin = info.origin; cls; pid = info.pid; addr; len; age })
-          | _ -> ()
+              Some
+                (Exposure_breach { origin = info.origin; cls; pid = info.pid; addr; len; age })
+            else None
+          | _ -> None
         in
         let account info cls addr len =
           add info.origin cls len;
           leak info cls len;
           breach info cls addr len
         in
-        List.iter
-          (fun iv ->
+        (* the live intervals in index order; only the breach events,
+           which are few, are put in address order before they are
+           emitted *)
+        let breaches = ref [] in
+        Provenance.iter ctx (fun iv ->
             let e = iv.start + iv.ilen in
             let pos = ref iv.start in
             while !pos < e do
               let next = min e (((!pos / gran) + 1) * gran) in
-              account iv.info (classify ~addr:!pos) !pos (next - !pos);
+              (match account iv.info (classify ~addr:!pos) !pos (next - !pos) with
+               | Some ev -> breaches := (iv, !pos, ev) :: !breaches
+               | None -> ());
               pos := next
-            done)
-          (List.sort compare ctx.intervals);
+            done);
+        List.sort
+          (fun (a, pa, _) (b, pb, _) ->
+            let c = Provenance.address_order a b in
+            if c <> 0 then c else Int.compare pa pb)
+          !breaches
+        |> List.iter (fun (_, _, ev) -> Trace.emit ctx ev);
         List.iter
           (fun (slot, entries) ->
             List.iter
-              (fun (off, l, info) -> account info Swapped ((slot * gran) + off) l)
+              (fun (off, l, info) ->
+                Option.iter (Trace.emit ctx) (account info Swapped ((slot * gran) + off) l))
               entries)
           (Provenance.stashed ctx);
         ctx.last_advance_ <- t;
@@ -1045,20 +1294,16 @@ module Cost = struct
     if ctx.enabled_ && n > 0 then begin
       let c = n * cost default_model op in
       ctx.cycles_ <- ctx.cycles_ + c;
-      (match Hashtbl.find_opt ctx.cost_by_op op with
-       | Some (cnt, cyc) ->
-         cnt := !cnt + n;
-         cyc := !cyc + c
-       | None -> Hashtbl.replace ctx.cost_by_op op (ref n, ref c));
-      (match Hashtbl.find_opt ctx.cost_by_sub sub with
-       | Some r -> r := !r + c
-       | None -> Hashtbl.replace ctx.cost_by_sub sub (ref c));
+      let i = op_index op in
+      ctx.cost_count.(i) <- ctx.cost_count.(i) + n;
+      ctx.cost_cyc.(i) <- ctx.cost_cyc.(i) + c;
+      let r = site_ref ctx.cost_by_sub ctx.cost_sub_sites sub in
+      r := !r + c;
       (match origin with
        | None -> ()
-       | Some o -> (
-         match Hashtbl.find_opt ctx.cost_by_origin o with
-         | Some r -> r := !r + c
-         | None -> Hashtbl.replace ctx.cost_by_origin o (ref c)));
+       | Some o ->
+         let j = origin_index o in
+         ctx.cost_by_origin.(j) <- max 0 ctx.cost_by_origin.(j) + c);
       let node =
         match ctx.prof_stack_ with
         | { node_; _ } :: _ -> node_
@@ -1069,27 +1314,32 @@ module Cost = struct
 
   let total_cycles ctx = ctx.cycles_
 
+  (* an op is listed once charged: every charge adds a positive count *)
   let by_op ctx =
     List.filter_map
       (fun op ->
-        match Hashtbl.find_opt ctx.cost_by_op op with
-        | Some (cnt, cyc) -> Some (op, !cnt, !cyc)
-        | None -> None)
+        let i = op_index op in
+        if ctx.cost_count.(i) > 0 then Some (op, ctx.cost_count.(i), ctx.cost_cyc.(i))
+        else None)
       all_ops
 
   let by_subsystem ctx =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) ctx.cost_by_sub []
-    |> List.sort compare
+    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) ctx.cost_by_sub [] |> List.sort compare
 
   let by_origin ctx =
-    Hashtbl.fold (fun o r acc -> (o, !r) :: acc) ctx.cost_by_origin []
-    |> List.sort compare
+    List.filter_map
+      (fun o ->
+        let v = ctx.cost_by_origin.(origin_index o) in
+        if v >= 0 then Some (o, v) else None)
+      all_origins
 
   let reset ctx =
     ctx.cycles_ <- 0;
-    Hashtbl.reset ctx.cost_by_op;
+    Array.fill ctx.cost_count 0 num_cost_ops 0;
+    Array.fill ctx.cost_cyc 0 num_cost_ops 0;
     Hashtbl.reset ctx.cost_by_sub;
-    Hashtbl.reset ctx.cost_by_origin
+    reset_sites ctx.cost_sub_sites;
+    Array.fill ctx.cost_by_origin 0 (Array.length ctx.cost_by_origin) (-1)
 end
 
 (* ---- hierarchical span profiler ---- *)
@@ -1122,9 +1372,7 @@ module Profiler = struct
         match Hashtbl.find_opt parent.children_ name with
         | Some n -> n
         | None ->
-          let n =
-            { span_name = name; calls = 0; self_cycles = 0; children_ = Hashtbl.create 4 }
-          in
+          let n = make_span_node name 4 in
           Hashtbl.replace parent.children_ name n;
           n
       in
@@ -1140,16 +1388,21 @@ module Profiler = struct
         ctx.prof_stack_ <- rest;
         (* per-span-name duration histogram (simulated cycles), exported
            to Prometheus as _bucket summary lines by [Metrics] *)
-        Metrics.observe ctx
-          ("span." ^ f.node_.span_name ^ ".cycles")
-          (float_of_int (ctx.cycles_ - f.start_cycles))
+        Metrics.observe ctx f.node_.span_key (float_of_int (ctx.cycles_ - f.start_cycles))
 
   (* campaign ops can raise (Out_of_memory and friends): always pop *)
   let span ctx name f =
     if not ctx.enabled_ then f ()
     else begin
       enter ctx name;
-      Fun.protect ~finally:(fun () -> exit ctx) f
+      match f () with
+      | v ->
+        exit ctx;
+        v
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        exit ctx;
+        Printexc.raise_with_backtrace e bt
     end
 
   (* collapsed-stack text: one "machine;a;b <self_cycles>" line per node
@@ -1191,18 +1444,28 @@ module Timeseries = struct
       s_last_tick = 0;
       s_last_val = 0.;
       s_min = infinity;
-      s_max = neg_infinity
+      s_max = neg_infinity;
+      s_derived = []
     }
+
+  (* a new series picks up the rates already declared over its name *)
+  let add ctx s =
+    s.s_derived <-
+      List.filter_map (fun (src, d) -> if src = s.s_name then Some d else None) ctx.derived_;
+    Hashtbl.replace ctx.series_ s.s_name s
 
   let define ctx ?(kind = Gauge) ?(capacity = default_capacity) name =
     if ctx.enabled_ && not (Hashtbl.mem ctx.series_ name) then
-      Hashtbl.replace ctx.series_ name (make_series ~name ~kind ~source:None ~cap:capacity)
+      add ctx (make_series ~name ~kind ~source:None ~cap:capacity)
 
   let define_rate ctx ~source name =
     if ctx.enabled_ && not (Hashtbl.mem ctx.series_ name) then begin
-      Hashtbl.replace ctx.series_ name
-        (make_series ~name ~kind:Gauge ~source:(Some source) ~cap:default_capacity);
-      ctx.derived_ <- ctx.derived_ @ [ (source, name) ]
+      let d = make_series ~name ~kind:Gauge ~source:(Some source) ~cap:default_capacity in
+      add ctx d;
+      ctx.derived_ <- ctx.derived_ @ [ (source, d) ];
+      match Hashtbl.find_opt ctx.series_ source with
+      | Some s -> s.s_derived <- s.s_derived @ [ d ]
+      | None -> ()
     end
 
   (* Halve the resolution in place: keep every other retained point
@@ -1237,27 +1500,28 @@ module Timeseries = struct
   (* Recording into an undefined series auto-defines a gauge, so sampling
      sites need no registration step.  A record on a source series also
      appends the per-tick rate to every derived series pointing at it. *)
-  let rec record ctx name v =
+  let rec record_into ctx s v =
+    let had = s.s_seen > 0 in
+    let prev_tick = s.s_last_tick and prev_val = s.s_last_val in
+    offer ctx s v;
+    List.iter
+      (fun d ->
+        let dt = if had then ctx.tick_ - prev_tick else 0 in
+        let rate = if dt > 0 then (v -. prev_val) /. float_of_int dt else 0. in
+        record_into ctx d rate)
+      s.s_derived
+
+  let record ctx name v =
     if ctx.enabled_ then begin
       let s =
         match Hashtbl.find_opt ctx.series_ name with
         | Some s -> s
         | None ->
           let s = make_series ~name ~kind:Gauge ~source:None ~cap:default_capacity in
-          Hashtbl.replace ctx.series_ name s;
+          add ctx s;
           s
       in
-      let had = s.s_seen > 0 in
-      let prev_tick = s.s_last_tick and prev_val = s.s_last_val in
-      offer ctx s v;
-      List.iter
-        (fun (src, dname) ->
-          if src = name then begin
-            let dt = if had then ctx.tick_ - prev_tick else 0 in
-            let rate = if dt > 0 then (v -. prev_val) /. float_of_int dt else 0. in
-            record ctx dname rate
-          end)
-        ctx.derived_
+      record_into ctx s v
     end
 
   let find ctx name = Hashtbl.find_opt ctx.series_ name

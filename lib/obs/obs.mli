@@ -282,7 +282,15 @@ end
     keyed by origin.  Creation sites {!register} the range; zeroing sites
     {!clear} it; COW duplication and swap round-trips {!blit} / {!stash} /
     {!restore} it.  A scanner hit is attributed by {!lookup} on its
-    physical address. *)
+    physical address.
+
+    The registry is indexed by 4 KiB bucket: each interval is filed under
+    every bucket its bytes touch, and each operation visits only the
+    buckets its range spans, so its cost follows the copies near the
+    range, not the registry's size.  Every interval carries an insertion
+    rank; results that list several intervals ({!stashed} entries,
+    {!Exposure.lifetimes}) come newest first, and the pieces a {!clear}
+    cuts from one interval in address order. *)
 module Provenance : sig
   type info = {
     origin : origin;
@@ -323,10 +331,12 @@ module Provenance : sig
       intervals there with their original identity. *)
 
   val lookup : ctx -> addr:int -> info option
-  (** The interval containing physical [addr], if any. *)
+  (** The interval containing physical [addr], if any (the newest, should
+      intervals overlap).  Visits only [addr]'s bucket: cost linear in
+      the intervals touching that 4 KiB page. *)
 
   val count : ctx -> int
-  (** Live intervals (diagnostics). *)
+  (** Live intervals (diagnostics).  O(1): a field kept by the index. *)
 
   val intervals : ctx -> (int * int * info) list
   (** Every live interval as [(addr, len, info)], sorted by address.
@@ -352,10 +362,10 @@ end
     [len * dt] byte·ticks for every live provenance interval — classified
     at advance time, split on frame boundaries — plus every stashed
     swap-slot image (class {!Swapped}).  Every advance walks the intervals
-    in address order and classifies each chunk afresh, so class
-    transitions (COW break, swap-out, eviction, free-without-zero)
-    re-bucket intervals at the next advance with no change notification
-    from the machine.  The ledger only reads simulated state; a
+    and classifies each chunk afresh (breach events are emitted in
+    address order), so class transitions (COW break, swap-out, eviction,
+    free-without-zero) re-bucket intervals at the next advance with no
+    change notification from the machine.  The ledger only reads simulated state; a
     ledger-on run stays byte-identical to an obs-off run. *)
 module Exposure : sig
   type nonrec mem_class = mem_class =

@@ -2,22 +2,27 @@
    B the block size (2, or 1 when m = 1).  The sweep probes the B-byte
    block ending at the last byte of the current m-byte window:
 
-   - shift.(block) is the minimum, over every occurrence of [block] inside
+   - shift.[block] is the minimum, over every occurrence of [block] inside
      the first m bytes of any pattern, of the distance from that occurrence
-     to the window end (default m - B + 1 when the block occurs nowhere).
-     Advancing by it can never step over an occurrence of any pattern, so
+     to the window end (default m - B + 1 when the block occurs nowhere),
+     capped at 255 to fit a byte.  Advancing by it can never step over an
+     occurrence of any pattern — a smaller shift is always safe — so
      overlapping matches are all found.
    - a zero shift means some pattern's length-m prefix ends in this block;
-     hash.(block) lists those candidate patterns, each verified in full,
-     and the window then advances by one byte. *)
+     [candidates] lists those patterns for each such block, each verified
+     in full, and the window then advances by one byte.
+
+   Compiling touches the patterns' bytes and one memset of the table, so
+   a matcher costs microseconds to build. *)
 
 type t = {
   patterns : string array;
   min_len : int;
   max_len : int;
   block : int; (* B *)
-  shift : int array; (* indexed by block value: 256^B entries *)
-  hash : int list array; (* block value -> patterns whose m-prefix ends in it *)
+  shift : Bytes.t; (* indexed by block value: 256^B entries *)
+  candidates : (int, int list) Hashtbl.t;
+      (* zero-shift block value -> patterns whose m-prefix ends in it *)
 }
 
 let max_len t = t.max_len
@@ -27,31 +32,36 @@ let compile patterns =
   Array.iter
     (fun p -> if p = "" then invalid_arg "Multi_search.compile: empty pattern")
     patterns;
+  let candidates = Hashtbl.create 8 in
   if Array.length patterns = 0 then
-    { patterns; min_len = 0; max_len = 0; block = 1; shift = [||]; hash = [||] }
+    { patterns; min_len = 0; max_len = 0; block = 1; shift = Bytes.empty; candidates }
   else begin
     let m = Array.fold_left (fun acc p -> min acc (String.length p)) max_int patterns in
     let maxl = Array.fold_left (fun acc p -> max acc (String.length p)) 0 patterns in
     let block = if m >= 2 then 2 else 1 in
     let table_size = if block = 2 then 0x10000 else 0x100 in
-    let shift = Array.make table_size (m - block + 1) in
-    let hash = Array.make table_size [] in
-    Array.iteri
-      (fun idx p ->
-        for j = block - 1 to m - 1 do
-          let v =
-            if block = 2 then (Char.code p.[j - 1] lsl 8) lor Char.code p.[j]
-            else Char.code p.[j]
-          in
-          let s = m - 1 - j in
-          if s < shift.(v) then shift.(v) <- s;
-          if s = 0 then hash.(v) <- idx :: hash.(v)
-        done)
-      patterns;
-    (* candidate lists were built backwards; matches at one position must be
-       delivered in ascending pattern order *)
-    Array.iteri (fun v l -> hash.(v) <- List.rev l) hash;
-    { patterns; min_len = m; max_len = maxl; block; shift; hash }
+    let shift = Bytes.make table_size (Char.chr (min 255 (m - block + 1))) in
+    (* only the last 255 block positions of a prefix can lower a shift
+       below the cap *)
+    let from = max (block - 1) (m - 255) in
+    (* pattern indices walked downwards, so each candidate list ends up
+       ascending: matches at one position are delivered in pattern order *)
+    for idx = Array.length patterns - 1 downto 0 do
+      let p = patterns.(idx) in
+      for j = from to m - 1 do
+        let v =
+          if block = 2 then (Char.code p.[j - 1] lsl 8) lor Char.code p.[j]
+          else Char.code p.[j]
+        in
+        let s = m - 1 - j in
+        if s < Char.code (Bytes.unsafe_get shift v) then
+          Bytes.unsafe_set shift v (Char.chr s);
+        if s = 0 then
+          Hashtbl.replace candidates v
+            (idx :: Option.value (Hashtbl.find_opt candidates v) ~default:[])
+      done
+    done;
+    { patterns; min_len = m; max_len = maxl; block; shift; candidates }
   end
 
 let iter ?(from = 0) ?until t haystack ~f =
@@ -70,7 +80,7 @@ let iter ?(from = 0) ?until t haystack ~f =
           lor Char.code (Bytes.unsafe_get haystack j)
         else Char.code (Bytes.unsafe_get haystack j)
       in
-      let s = Array.unsafe_get t.shift v in
+      let s = Char.code (Bytes.unsafe_get t.shift v) in
       if s = 0 then begin
         List.iter
           (fun idx ->
@@ -86,7 +96,7 @@ let iter ?(from = 0) ?until t haystack ~f =
               done;
               if !ok then f ~pos:!pos ~pat:idx
             end)
-          (Array.unsafe_get t.hash v);
+          (Hashtbl.find t.candidates v);
         incr pos
       end
       else pos := !pos + s

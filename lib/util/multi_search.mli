@@ -5,10 +5,12 @@
     The matcher is a multi-needle Horspool (Wu–Manber): a shift table over
     2-byte blocks shared by all patterns, computed from the shortest
     pattern length, skips the sweep forward by up to [min_len - 1] bytes
-    per probe; a zero shift verifies the candidate patterns whose prefix
-    ends in the probed block.  All (possibly overlapping) occurrences are
-    reported, including needles that are prefixes of one another and
-    duplicate needles (property-tested against a naive reference). *)
+    (at most 255) per probe; a zero shift verifies the candidate patterns
+    whose prefix ends in the probed block.  {!compile} costs a 64 KiB
+    memset plus the patterns' bytes, so a matcher built per call is
+    cheap.  All (possibly overlapping) occurrences are reported,
+    including needles that are prefixes of one another and duplicate
+    needles (property-tested against a naive reference). *)
 
 type t
 

@@ -90,6 +90,36 @@ let prop_mont_differential =
           && Bn.equal (Bn.mod_pow_fixed_base ~base:a ~exp:e ~modulus:m) expect
           && Bn.equal (Bn.mod_pow ~base:a ~exp:e ~modulus:m) expect))
 
+(* Squaring runs the multiply loop but is counted as the squaring
+   kernel: a^(2^j) by Mont.pow (short-exponent path: the domain entry,
+   j + 1 squarings, one multiply by the base and the exit REDC) equals
+   j Montgomery self-products, and the word-mul count is exactly the
+   per-kernel formulas'. *)
+let prop_sqr_matches_mul =
+  QCheck.Test.make ~name:"Mont squaring = Mont.mul a a, 1-45 limbs, counted as squaring"
+    ~count:90
+    QCheck.(triple (int_range 1 45) (int_range 1 4) (int_range 0 ((1 lsl 30) - 1)))
+    (fun (width, j, seed) ->
+      let rng = Prng.of_int seed in
+      let m =
+        let v = Bn.add (Bn.shift_left (Bn.random_bits rng ((24 * width) - 1)) 1) Bn.one in
+        if Bn.num_limbs v < width || Bn.compare v (Bn.of_int 3) < 0 then all_ones width
+        else v
+      in
+      let ctx = Option.get (Bn.Mont.create m) in
+      let a = if seed mod 7 = 0 then Bn.sub m Bn.one else Bn.random_below rng m in
+      let x = ref (Bn.Mont.to_mont ctx a) in
+      for _ = 1 to j do
+        x := Bn.Mont.mul ctx !x !x
+      done;
+      let w0 = Bn.Mont.word_muls () in
+      let got = Bn.Mont.pow ctx ~base:a ~exp:(Bn.shift_left Bn.one j) in
+      let words = Bn.Mont.word_muls () - w0 in
+      let k = width in
+      let sqr = (k * (k - 1) / 2) + k + (k * k) in
+      Bn.equal got (Bn.Mont.from_mont ctx !x)
+      && words = (2 * k * k) + ((j + 1) * sqr) + (2 * k * k) + (k * (k + 1)))
+
 (* k = 1: a single column in each half, with empty inner product loops;
    edge residues of several single-limb moduli, all-ones 0xffffff among
    them *)
@@ -259,6 +289,7 @@ let test_width_boundary_product () =
 let suite =
   [ ( "mont-kernels",
       [ QCheck_alcotest.to_alcotest prop_mont_differential;
+        QCheck_alcotest.to_alcotest prop_sqr_matches_mul;
         Alcotest.test_case "single-limb modulus" `Quick test_single_limb;
         QCheck_alcotest.to_alcotest prop_crt_differential;
         Alcotest.test_case "crt_exp counters pinned" `Quick test_crt_counters_pinned;

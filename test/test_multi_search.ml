@@ -122,6 +122,43 @@ let prop_chunked_equals_whole =
       done;
       List.rev !pieces = whole)
 
+(* property: needles of one byte and of more than 256 bytes — the block
+   size drops to one byte, and the 255 cap on the byte shift table bites.
+   Long needles are cut from the haystack so they occur, and some from a
+   copy with one byte flipped so they almost do.  Over 16 letters most
+   2-byte blocks of a long needle occur only far from its prefix's end,
+   so their shifts come from the positions just inside the cap. *)
+let prop_short_and_long_needles =
+  QCheck.Test.make ~name:"1-byte and >256-byte needles match naive reference" ~count:150
+    QCheck.(triple (int_range 0 1000000) (int_range 1 4) (int_range 600 1500))
+    (fun (seed, npat, hlen) ->
+      let rng = Prng.of_int seed in
+      let letters = if seed mod 2 = 0 then 2 else 16 in
+      let gen_char () = Char.chr (Char.code 'a' + Prng.int rng letters) in
+      let hay = Bytes.of_string (String.init hlen (fun _ -> gen_char ())) in
+      let patterns =
+        Array.init npat (fun _ ->
+            match Prng.int rng 3 with
+            | 0 -> String.make 1 (gen_char ())
+            | kind ->
+              let n = 257 + Prng.int rng 300 in
+              let at = Prng.int rng (hlen - n) in
+              let p = Bytes.sub hay at n in
+              if kind = 2 then begin
+                let i = Prng.int rng n in
+                Bytes.set p i (if Bytes.get p i = 'a' then 'b' else 'a')
+              end;
+              Bytes.to_string p)
+      in
+      let ms = Multi_search.compile patterns in
+      Multi_search.find_all ms hay = naive patterns hay ~from:0 ~until:hlen)
+
+let test_long_needle () =
+  let needle = String.make 299 'a' ^ "b" in
+  check_equal "300-byte needle" [| needle |] (String.make 700 'a' ^ "b" ^ String.make 50 'a');
+  check_equal "300-byte and 1-byte needles" [| needle; "b" |]
+    ("b" ^ String.make 400 'a' ^ "b" ^ needle)
+
 let suite =
   [ ( "multi_search",
       [ Alcotest.test_case "basic" `Quick test_basic;
@@ -137,6 +174,8 @@ let suite =
         Alcotest.test_case "range" `Quick test_range;
         Alcotest.test_case "lengths" `Quick test_lengths;
         QCheck_alcotest.to_alcotest prop_matches_reference;
-        QCheck_alcotest.to_alcotest prop_chunked_equals_whole
+        QCheck_alcotest.to_alcotest prop_chunked_equals_whole;
+        Alcotest.test_case "needles over 256 bytes" `Quick test_long_needle;
+        QCheck_alcotest.to_alcotest prop_short_and_long_needles
       ] )
   ]

@@ -157,6 +157,94 @@ let test_provenance_stash_restore () =
     Alcotest.(check int) "pid survives" 7 i.Obs.Provenance.pid
   | None -> Alcotest.fail "restore lost the interval"
 
+(* ---- the bucket index against the list reference ---- *)
+
+type prov_op =
+  | Reg of Obs.origin * int * int * int  (* origin, pid, addr, len *)
+  | Clr of int * int
+  | Blit of int * int * int  (* src, dst, len *)
+  | Stash of int * int * int  (* slot, addr, len *)
+  | Restore of int * int * int
+  | Tick
+
+let show_prov_op = function
+  | Reg (o, pid, a, l) -> Printf.sprintf "reg %s pid=%d %d+%d" (Obs.origin_name o) pid a l
+  | Clr (a, l) -> Printf.sprintf "clear %d+%d" a l
+  | Blit (s, d, l) -> Printf.sprintf "blit %d->%d+%d" s d l
+  | Stash (slot, a, l) -> Printf.sprintf "stash %d %d+%d" slot a l
+  | Restore (slot, a, l) -> Printf.sprintf "restore %d %d+%d" slot a l
+  | Tick -> "tick"
+
+(* six pages of addresses; lengths mostly within a page, a third of them
+   up to ~1.5 pages so intervals cross bucket boundaries, a few empty.
+   A restore of another length than its stash leaves overlapping
+   intervals, which only the insertion ranks order. *)
+let gen_prov_op =
+  let open QCheck.Gen in
+  let addr = int_range 0 (6 * 4096) in
+  let len = frequency [ (6, int_range 1 64); (3, int_range 1 6000); (1, int_range (-2) 0) ] in
+  let slot = int_range 0 3 in
+  frequency
+    [ ( 5,
+        map
+          (fun ((o, pid), a, l) -> Reg (o, pid, a, l))
+          (triple (pair (oneofl Obs.all_origins) (int_range 1 3)) addr len) );
+      (3, map2 (fun a l -> Clr (a, l)) addr len);
+      (2, map3 (fun s d l -> Blit (s, d, l)) addr addr len);
+      (1, map3 (fun sl a l -> Stash (sl, a, l)) slot addr len);
+      (1, map3 (fun sl a l -> Restore (sl, a, l)) slot addr len);
+      (1, return Tick)
+    ]
+
+let prop_prov_index_matches_reference =
+  QCheck.Test.make ~name:"provenance index matches list reference" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_prov_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) gen_prov_op))
+    (fun ops ->
+      let obs = Obs.create () and r = Prov_ref.create () in
+      let tick = ref 0 in
+      let agree () =
+        let ivs = Obs.Provenance.intervals obs in
+        let probes =
+          List.init 260 (fun i -> i * 97)
+          @ List.concat_map (fun (a, l, _) -> [ a - 1; a; a + l - 1; a + l ]) ivs
+        in
+        ivs = Prov_ref.intervals r
+        && Obs.Provenance.count obs = Prov_ref.count r
+        && Obs.Provenance.stashed obs = Prov_ref.stashed r
+        && List.for_all
+             (fun addr -> Obs.Provenance.lookup obs ~addr = Prov_ref.lookup r ~addr)
+             probes
+        && List.for_all
+             (fun o -> Obs.Exposure.lifetimes obs o = Prov_ref.lifetimes r o)
+             Obs.all_origins
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+           | Reg (origin, pid, addr, len) ->
+             Obs.Provenance.register obs ~origin ~pid ~addr ~len;
+             Prov_ref.register r ~origin ~pid ~addr ~len
+           | Clr (addr, len) ->
+             Obs.Provenance.clear obs ~addr ~len;
+             Prov_ref.clear r ~addr ~len
+           | Blit (src, dst, len) ->
+             Obs.Provenance.blit obs ~src ~dst ~len;
+             Prov_ref.blit r ~src ~dst ~len
+           | Stash (slot, addr, len) ->
+             Obs.Provenance.stash obs ~slot ~addr ~len;
+             Prov_ref.stash r ~slot ~addr ~len
+           | Restore (slot, addr, len) ->
+             Obs.Provenance.restore obs ~slot ~addr ~len;
+             Prov_ref.restore r ~slot ~addr ~len
+           | Tick ->
+             incr tick;
+             Obs.set_tick obs !tick;
+             r.Prov_ref.tick <- !tick);
+          agree ())
+        ops)
+
 (* ---- end-to-end: key load attribution ---- *)
 
 let test_key_load_attribution () =
@@ -299,6 +387,7 @@ let suite =
           test_provenance_register_supersedes;
         Alcotest.test_case "provenance blit" `Quick test_provenance_blit;
         Alcotest.test_case "provenance stash/restore" `Quick test_provenance_stash_restore;
+        QCheck_alcotest.to_alcotest prop_prov_index_matches_reference;
         Alcotest.test_case "key load attribution" `Quick test_key_load_attribution;
         Alcotest.test_case "timeline origin coverage" `Slow test_timeline_origin_coverage;
         Alcotest.test_case "tracing is side-effect free" `Slow test_tracing_is_side_effect_free
