@@ -21,8 +21,7 @@ type worker = { mutable proc : Proc.t; mutable handled : int; mutable busy : boo
 type conn = {
   worker : worker;
   session : Tls_rsa.session;
-  c_trace : int;  (** causal trace id minted for this connection *)
-  c_span : int;  (** root span id — serve/close re-enter under it *)
+  c_span : int;  (** root span id — serve/close re-enter its trace under it *)
 }
 
 type t = {
@@ -78,13 +77,10 @@ let open_connection t rng =
   | Some w ->
     w.busy <- true;
     let obs = Kernel.obs t.kernel in
-    let c_span = Obs.Trace.begin_span ~pid:w.proc.Proc.pid obs "apache.connection" in
-    let c_trace = Obs.Trace.current_trace obs in
-    Fun.protect ~finally:(fun () -> Obs.Trace.end_span obs c_span) @@ fun () ->
-    Obs.Profiler.span obs "apache.connection"
-    @@ fun () ->
-    Obs.Metrics.incr (Kernel.obs t.kernel) "apache.connections";
-    Obs.Metrics.incr (Kernel.obs t.kernel) "apache.requests";
+    Obs.Trace.with_span ~pid:w.proc.Proc.pid obs "apache.connection" @@ fun () ->
+    let c_span = Obs.Trace.current_span obs in
+    Obs.Metrics.incr obs "apache.connections";
+    Obs.Metrics.incr obs "apache.requests";
     (* mod_ssl handshake in the worker: this is where the Montgomery cache
        (fresh copies of p and q) lands in the worker's heap *)
     let session = handshake t w.proc rng in
@@ -92,14 +88,12 @@ let open_connection t rng =
     let buf = Kernel.malloc t.kernel w.proc 2048 in
     Kernel.write_mem t.kernel w.proc ~addr:buf (Bytes.to_string (Prng.bytes rng 256));
     Kernel.free t.kernel w.proc buf;
-    Some { worker = w; session; c_trace; c_span }
+    Some { worker = w; session; c_span }
 
 let serve t conn rng ~kib =
   let w = conn.worker in
-  Obs.Trace.with_span ~pid:w.proc.Proc.pid ~trace:conn.c_trace ~parent:conn.c_span
+  Obs.Trace.with_span ~pid:w.proc.Proc.pid ~parent:conn.c_span
     (Kernel.obs t.kernel) "apache.serve"
-  @@ fun () ->
-  Obs.Profiler.span (Kernel.obs t.kernel) "apache.serve"
   @@ fun () ->
   for _ = 1 to max 1 kib do
     (* one TLS record per KiB of response body *)
@@ -124,10 +118,8 @@ let cull_idle t =
 let close_connection t conn =
   let w = conn.worker in
   if w.busy then
-    Obs.Trace.with_span ~pid:w.proc.Proc.pid ~trace:conn.c_trace ~parent:conn.c_span
+    Obs.Trace.with_span ~pid:w.proc.Proc.pid ~parent:conn.c_span
       (Kernel.obs t.kernel) "apache.close"
-    @@ fun () ->
-    Obs.Profiler.span (Kernel.obs t.kernel) "apache.close"
     @@ fun () ->
     begin
       Tls_rsa.close t.kernel w.proc conn.session;

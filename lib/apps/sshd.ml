@@ -14,8 +14,7 @@ type conn = {
   child_key : Sim_rsa.t option;  (** a private copy when the child re-execed *)
   session : Ssh_kex.session;
   mutable session_bufs : int list;
-  c_trace : int;  (** causal trace id minted for this connection *)
-  c_span : int;  (** root span id — transfer/close re-enter under it *)
+  c_span : int;  (** root span id — transfer/close re-enter its trace under it *)
 }
 
 type t = {
@@ -45,13 +44,10 @@ let handshake t (proc : Proc.t) (rsa : Sim_rsa.t) rng =
 let open_connection t rng =
   if not t.running then invalid_arg "Sshd.open_connection: server stopped";
   let obs = Kernel.obs t.kernel in
-  let c_span = Obs.Trace.begin_span ~pid:t.listener_proc.Proc.pid obs "sshd.connection" in
-  let c_trace = Obs.Trace.current_trace obs in
-  Fun.protect ~finally:(fun () -> Obs.Trace.end_span obs c_span) @@ fun () ->
+  Obs.Trace.with_span ~pid:t.listener_proc.Proc.pid obs "sshd.connection" @@ fun () ->
+  let c_span = Obs.Trace.current_span obs in
   let child = Kernel.fork t.kernel t.listener_proc in
-  Obs.Profiler.span obs "sshd.connection"
-  @@ fun () ->
-  Obs.Metrics.incr (Kernel.obs t.kernel) "sshd.connections";
+  Obs.Metrics.incr obs "sshd.connections";
   let child_key =
     if t.opts.no_reexec then None
     else
@@ -70,15 +66,13 @@ let open_connection t rng =
         Kernel.write_mem t.kernel child ~addr:buf (Bytes.to_string (Prng.bytes rng size));
         buf)
   in
-  let conn = { child; child_key; session; session_bufs; c_trace; c_span } in
+  let conn = { child; child_key; session; session_bufs; c_span } in
   t.conns <- conn :: t.conns;
   conn
 
 let transfer t conn rng ~kib =
-  Obs.Trace.with_span ~pid:conn.child.Proc.pid ~trace:conn.c_trace ~parent:conn.c_span
+  Obs.Trace.with_span ~pid:conn.child.Proc.pid ~parent:conn.c_span
     (Kernel.obs t.kernel) "sshd.transfer"
-  @@ fun () ->
-  Obs.Profiler.span (Kernel.obs t.kernel) "sshd.transfer"
   @@ fun () ->
   for _ = 1 to max 1 kib do
     let buf = Kernel.malloc t.kernel conn.child 1024 in
@@ -89,10 +83,8 @@ let transfer t conn rng ~kib =
 let close_connection t conn =
   if List.memq conn t.conns then begin
     t.conns <- List.filter (fun c -> c != conn) t.conns;
-    Obs.Trace.with_span ~pid:conn.child.Proc.pid ~trace:conn.c_trace ~parent:conn.c_span
+    Obs.Trace.with_span ~pid:conn.child.Proc.pid ~parent:conn.c_span
       (Kernel.obs t.kernel) "sshd.close"
-    @@ fun () ->
-    Obs.Profiler.span (Kernel.obs t.kernel) "sshd.close"
       (fun () -> Kernel.exit t.kernel conn.child)
   end
 

@@ -58,9 +58,9 @@ type t = {
      i.e. some add/sub/select/reduce sweep became value-dependent. *)
 let install_default_alerts obs =
   Obs.Alert.install obs ~name:"exposure-slo" ~series:"exposure.sensitive_unsafe"
-    (Obs.Alert.Threshold { cmp = Obs.Alert.Gt; value = 0.; for_ticks = 3 });
+    (Obs.Alert.Threshold { value = 0.; for_ticks = 3 });
   Obs.Alert.install obs ~name:"swap-pressure" ~series:"kernel.swap_slots_used"
-    (Obs.Alert.Threshold { cmp = Obs.Alert.Gt; value = 0.; for_ticks = 1 });
+    (Obs.Alert.Threshold { value = 0.; for_ticks = 1 });
   Obs.Alert.install obs ~name:"ct-leakage" ~series:"rsa.private_op.word_muls"
     (Obs.Alert.Spread { min_spread = 1. });
   Obs.Alert.install obs ~name:"ct-leakage-limbs" ~series:"rsa.private_op.limb_traffic"

@@ -62,18 +62,18 @@ let link_of_span (s : Obs.Trace.span_info) =
     lk_end_tick = s.Obs.Trace.sp_end_tick
   }
 
-(* walk parent links from the birth span up to the trace root; the walk is
-   bounded by the span count, so a (never expected) parent cycle cannot
-   hang the tool *)
+(* walk parent links from the birth span up to the trace root.  A parent
+   is opened before its children, so its id is smaller: the walk stops at
+   a (never expected) parent that is not, and cannot cycle *)
 let chain_of obs ~birth_span =
-  let rec up acc guard span =
-    if span = 0 || guard = 0 then acc
-    else
-      match Obs.Trace.span_of_id obs span with
-      | None -> acc
-      | Some s -> up (link_of_span s :: acc) (guard - 1) s.Obs.Trace.sp_parent
+  let rec up acc span =
+    match Obs.Trace.span_of_id obs span with
+    | None -> acc
+    | Some s ->
+      let acc = link_of_span s :: acc and parent = s.Obs.Trace.sp_parent in
+      if parent < span then up acc parent else acc
   in
-  up [] (List.length (Obs.Trace.spans obs) + 1) birth_span
+  up [] birth_span
 
 let span_name obs id =
   match Obs.Trace.span_of_id obs id with

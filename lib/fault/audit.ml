@@ -134,12 +134,26 @@ let check_provenance k acc =
         (Printf.sprintf "count %d but %d intervals listed" (Obs.Provenance.count obs) n)
   end
 
+(* layer 5: no span frame outlives an op (an escaping exception must
+   close every frame it leaves), and the profiler tree holds every
+   charged cycle; with observability off both hold trivially *)
+let check_spans k acc =
+  let obs = Kernel.obs k in
+  let open_frames = Obs.Profiler.depth obs in
+  if open_frames > 0 then
+    report k acc ~check:"spans" (Printf.sprintf "%d frames still open" open_frames);
+  let tree = Obs.Profiler.node_total_cycles (Obs.Profiler.root obs) in
+  let total = Obs.Cost.total_cycles obs in
+  if tree <> total then
+    report k acc ~check:"spans" (Printf.sprintf "profiler tree holds %d of %d cycles" tree total)
+
 let run k =
   let acc = ref [] in
   check_kernel k acc;
   check_swap k acc;
   check_frames k acc;
   check_provenance k acc;
+  check_spans k acc;
   List.rev !acc
 
 let confinement k ~level matcher ~hits =

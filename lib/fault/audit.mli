@@ -15,7 +15,10 @@
     + provenance well-formedness: the key-copy interval registry of
       {!Memguard_obs.Obs.Provenance} holds only in-bounds, positive-length,
       non-overlapping intervals, a lookup at either end of each interval
-      finds it, and the live count equals the number of intervals.
+      finds it, and the live count equals the number of intervals;
+    + span balance: with observability on, no span frame is left open
+      ({!Memguard_obs.Obs.Profiler.depth} is [0]) and the profiler tree's
+      total equals {!Memguard_obs.Obs.Cost.total_cycles}.
 
     Separately, {!confinement} is the oracle for what a memory scan may
     find at a given protection level — under the Integrated solution, key
@@ -36,7 +39,7 @@ val to_string : violation -> string
 (** [\[check\] detail]. *)
 
 val run : Memguard_kernel.Kernel.t -> violation list
-(** The structural audit (layers 1–4 above).  [\[\]] means the machine
+(** The structural audit (layers 1–5 above).  [\[\]] means the machine
     state is internally consistent.  Deterministic: same state, same
     report, same order. *)
 

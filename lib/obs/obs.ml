@@ -180,12 +180,12 @@ type prov = {
 
 (* ---- causal trace spans (see Trace below) ---- *)
 
-(* Request-scoped causal spans are separate from the profiler's span tree:
-   the profiler aggregates *where cycles go* per call path, while a trace
-   span records *which request caused which operation* — a tree keyed by
-   deterministic per-ctx ids, exportable as an OTel-style span list. *)
+(* A causal span records *which request caused which operation*: a tree
+   keyed by deterministic per-ctx ids, exportable as an OTel-style span
+   list.  The profiler's node tree (below) aggregates *where cycles go*
+   per call path; both hang off one stack of open frames. *)
 type tspan = {
-  ts_trace : int;  (* owning trace id; the root span's id names the trace *)
+  ts_trace : int;  (* owning trace id: [trace_roots_] names its root span *)
   ts_span : int;
   ts_parent : int;  (* 0 for a trace root *)
   ts_name : string;
@@ -195,6 +195,11 @@ type tspan = {
   mutable ts_end_tick : int;  (* -1 while open *)
   mutable ts_end_cycles : int;
 }
+
+(* the span of untraced work: trace 0, span 0 *)
+let no_span =
+  { ts_trace = 0; ts_span = 0; ts_parent = 0; ts_name = ""; ts_pid = 0; ts_start_tick = 0;
+    ts_start_cycles = 0; ts_end_tick = 0; ts_end_cycles = 0 }
 
 (* the machine's frame classifier (see [Exposure.set_classifier]) *)
 type classifier = {
@@ -280,10 +285,8 @@ type series = {
 
 (* ---- declarative alert rules (see Alert below) ---- *)
 
-type alert_cmp = Gt | Ge | Lt | Le
-
 type alert_condition =
-  | Threshold of { cmp : alert_cmp; value : float; for_ticks : int }
+  | Threshold of { value : float; for_ticks : int }
   | Spread of { min_spread : float }
 
 type alert_rule = {
@@ -307,7 +310,17 @@ type span_node = {
   children_ : (string, span_node) Hashtbl.t;
 }
 
-type span_frame = { node_ : span_node; start_cycles : int }
+(* An open frame of the one span stack.  A frame opens a causal span, a
+   profiler node, or both; what it does not open it inherits from the
+   frame below, so the top frame always names the innermost span and
+   node.  A frame owns its span (node) exactly when it differs from the
+   one below; the base frame is its own [f_below] and owns nothing. *)
+type frame = {
+  f_span : tspan;  (* [no_span] when untraced *)
+  f_node : span_node;  (* the profiler root when no node is open *)
+  f_start : int;  (* cycles when the frame opened *)
+  f_below : frame;
+}
 
 let make_span_node name size =
   { span_name = name;
@@ -380,8 +393,8 @@ type ctx = {
      (ROADMAP item 9). *)
   mutable trace_next_ : int;  (* next trace id; 0 means "untraced" *)
   mutable span_next_ : int;  (* next causal span id; 0 means "no span" *)
-  mutable tstack_ : tspan list;  (* open causal spans, innermost first *)
-  mutable tspans_ : tspan list;  (* completed causal spans, newest first *)
+  mutable top_ : frame;  (* the innermost open frame, else the base frame *)
+  mutable spans_ : tspan array;  (* causal spans by id; slot 0 unused *)
   trace_leak_ : int ref Int_tbl.t;
       (* trace -> sensitive byte-ticks outside mlocked-anon (the
          per-request leak budget; key 0 holds untraced exposure) *)
@@ -401,7 +414,7 @@ type ctx = {
   cost_sub_sites : int ref sites;
   cost_by_origin : int array;  (* by [origin_index]; -1 = never charged *)
   prof_root_ : span_node;
-  mutable prof_stack_ : span_frame list;  (* innermost first *)
+  mutable trace_roots_ : int array;  (* trace -> the span that minted it; slot 0 unused *)
   (* time series & alerts *)
   series_ : (string, series) Hashtbl.t;
   mutable derived_ : (string * series) list;  (* (source, rate series), install order *)
@@ -439,6 +452,8 @@ let default_cost_model =
   }
 
 let make ~enabled ~capacity =
+  let root = make_span_root () in
+  let rec base = { f_span = no_span; f_node = root; f_start = 0; f_below = base } in
   { enabled_ = enabled;
     capacity;
     ring = Array.make (max capacity 1) no_record;
@@ -450,8 +465,8 @@ let make ~enabled ~capacity =
     stashes = Hashtbl.create 8;
     trace_next_ = 1;
     span_next_ = 1;
-    tstack_ = [];
-    tspans_ = [];
+    top_ = base;
+    spans_ = Array.make 64 no_span;
     trace_leak_ = Int_tbl.create 16;
     classifier = None;
     exposure = Array.make (List.length all_origins * num_classes) 0;
@@ -465,8 +480,8 @@ let make ~enabled ~capacity =
     cost_by_sub = Hashtbl.create 8;
     cost_sub_sites = make_sites ();
     cost_by_origin = Array.make (List.length all_origins) (-1);
-    prof_root_ = make_span_root ();
-    prof_stack_ = [];
+    prof_root_ = root;
+    trace_roots_ = Array.make 16 0;
     series_ = Hashtbl.create 32;
     derived_ = [];
     rules_ = [];
@@ -485,91 +500,128 @@ let enabled ctx = ctx.enabled_
 let set_tick ctx t = if ctx.enabled_ then ctx.tick_ <- t
 let tick ctx = ctx.tick_
 
+(* a sample of the named histogram (see [Metrics.observe]) *)
+let observe ctx name v =
+  if ctx.enabled_ then begin
+    let r = site_find ctx.histograms ctx.histogram_sites name ~fresh:(fun () -> ref []) in
+    r := v :: !r
+  end
+
+(* ---- the span stack ---- *)
+
+(* the profiler node [name] under the innermost open node, entered once
+   more: nodes are keyed by name per parent, so repeated calls accumulate *)
+let enter_node ctx name =
+  let parent = ctx.top_.f_node in
+  let node =
+    match Hashtbl.find_opt parent.children_ name with
+    | Some n -> n
+    | None ->
+      let n = make_span_node name 4 in
+      Hashtbl.replace parent.children_ name n;
+      n
+  in
+  node.calls <- node.calls + 1;
+  node
+
+(* close [fr]: a span it owns gets its end clocks, a node it owns feeds
+   the node's duration (simulated cycles) to its [span.<name>.cycles]
+   histogram, exported to Prometheus as _bucket lines by [Metrics] *)
+let close_frame ctx fr =
+  let below = fr.f_below in
+  if fr.f_span != below.f_span then begin
+    fr.f_span.ts_end_tick <- ctx.tick_;
+    fr.f_span.ts_end_cycles <- ctx.cycles_
+  end;
+  if fr.f_node != below.f_node then
+    observe ctx fr.f_node.span_key (float_of_int (ctx.cycles_ - fr.f_start));
+  ctx.top_ <- below
+
+(* run [f] in a frame carrying [span] and [node], closing the frame
+   however [f] ends: campaign ops can raise (Out_of_memory and friends) *)
+let in_frame ctx span node f =
+  let fr = { f_span = span; f_node = node; f_start = ctx.cycles_; f_below = ctx.top_ } in
+  ctx.top_ <- fr;
+  match f () with
+  | v ->
+    close_frame ctx fr;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    close_frame ctx fr;
+    Printexc.raise_with_backtrace e bt
+
+(* [a] grown, if need be, to hold index [i] *)
+let with_room a i fill =
+  let n = Array.length a in
+  if i < n then a
+  else begin
+    let b = Array.make (max (2 * n) (i + 1)) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
 (* ---- trace ---- *)
 
 module Trace = struct
   (* ---- causal span context ---- *)
 
-  let current_trace ctx = match ctx.tstack_ with s :: _ -> s.ts_trace | [] -> 0
-  let current_span ctx = match ctx.tstack_ with s :: _ -> s.ts_span | [] -> 0
+  let current_trace ctx = ctx.top_.f_span.ts_trace
+  let current_span ctx = ctx.top_.f_span.ts_span
 
-  (* Open a causal span.  With no [?trace] and no span already open, a
-     fresh trace is minted and this span becomes its root; otherwise the
-     span joins the given (or enclosing) trace.  [?parent] lets a caller
-     re-enter a trace whose root closed earlier (an sshd/apache connection
-     spans several calls): pass the connection's root span id.  Returns
-     the span id, 0 when observability is off. *)
-  let begin_span ?(pid = 0) ?trace ?parent ctx name =
-    if not ctx.enabled_ then 0
-    else begin
-      let parent_span =
-        match parent with Some p -> p | None -> current_span ctx
-      in
-      let trace_id =
-        match trace with
-        | Some t -> t
-        | None -> (
-          match ctx.tstack_ with
-          | s :: _ -> s.ts_trace
-          | [] ->
-            let t = ctx.trace_next_ in
-            ctx.trace_next_ <- t + 1;
-            t)
-      in
-      let span = ctx.span_next_ in
-      ctx.span_next_ <- span + 1;
-      ctx.tstack_ <-
-        { ts_trace = trace_id;
-          ts_span = span;
-          ts_parent = parent_span;
-          ts_name = name;
-          ts_pid = pid;
-          ts_start_tick = ctx.tick_;
-          ts_start_cycles = ctx.cycles_;
-          ts_end_tick = -1;
-          ts_end_cycles = -1
-        }
-        :: ctx.tstack_;
-      span
-    end
+  (* A new causal span under [?parent] (an open or closed span's id), or
+     else under the innermost open span.  Under no span, a fresh trace is
+     minted and this span becomes its root; otherwise the span joins its
+     parent's trace.  [?parent] lets a caller re-enter a trace whose root
+     closed earlier (an sshd/apache connection spans several calls). *)
+  let new_span ?(pid = 0) ?parent ctx name =
+    let id = ctx.span_next_ in
+    ctx.span_next_ <- id + 1;
+    let parent =
+      match parent with
+      | Some p when p > 0 && p < id -> ctx.spans_.(p)
+      | _ -> ctx.top_.f_span
+    in
+    let trace =
+      if parent.ts_trace <> 0 then parent.ts_trace
+      else begin
+        let t = ctx.trace_next_ in
+        ctx.trace_next_ <- t + 1;
+        ctx.trace_roots_ <- with_room ctx.trace_roots_ t 0;
+        ctx.trace_roots_.(t) <- id;
+        t
+      end
+    in
+    let s =
+      { ts_trace = trace;
+        ts_span = id;
+        ts_parent = parent.ts_span;
+        ts_name = name;
+        ts_pid = pid;
+        ts_start_tick = ctx.tick_;
+        ts_start_cycles = ctx.cycles_;
+        ts_end_tick = -1;
+        ts_end_cycles = -1
+      }
+    in
+    ctx.spans_ <- with_room ctx.spans_ id no_span;
+    ctx.spans_.(id) <- s;
+    s
 
-  let end_span ctx span =
-    if ctx.enabled_ && span <> 0
-       && List.exists (fun s -> s.ts_span = span) ctx.tstack_
-    then begin
-      (* close down to and including [span]: an escaping exception may
-         leave inner spans open, and they belong to the closing scope *)
-      let rec pop = function
-        | [] -> []
-        | s :: rest ->
-          s.ts_end_tick <- ctx.tick_;
-          s.ts_end_cycles <- ctx.cycles_;
-          ctx.tspans_ <- s :: ctx.tspans_;
-          if s.ts_span = span then rest else pop rest
-      in
-      ctx.tstack_ <- pop ctx.tstack_
-    end
-
-  (* run [f] inside the open span [s], closing it however [f] ends *)
-  let run_in ctx s f =
-    match f () with
-    | v ->
-      end_span ctx s;
-      v
-    | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      end_span ctx s;
-      Printexc.raise_with_backtrace e bt
-
-  let with_span ?pid ?trace ?parent ctx name f =
-    if not ctx.enabled_ then f () else run_in ctx (begin_span ?pid ?trace ?parent ctx name) f
+  (* a causal span and a profiler node of the same name *)
+  let with_span ?pid ?parent ctx name f =
+    if not ctx.enabled_ then f ()
+    else
+      let span = new_span ?pid ?parent ctx name in
+      in_frame ctx span (enter_node ctx name) f
 
   (* Record a causal child span only when a request trace is already
      active.  Kernel paths call this on every operation; untraced work
      (boot noise, background churn, scans) must not mint spurious traces
-     or flood the span list. *)
+     or flood the span list.  The frame opens no profiler node. *)
   let causal ?pid ctx name f =
-    if ctx.enabled_ && ctx.tstack_ <> [] then run_in ctx (begin_span ?pid ctx name) f
+    if ctx.enabled_ && current_trace ctx <> 0 then
+      in_frame ctx (new_span ?pid ctx name) ctx.top_.f_node f
     else f ()
 
   type span_info = {
@@ -584,28 +636,29 @@ module Trace = struct
     sp_end_cycles : int;
   }
 
-  (* all causal spans, id order; still-open spans export with the current
-     clock as their end so a mid-run export renders them *)
-  let spans ctx =
-    let conv (s : tspan) =
-      { sp_trace = s.ts_trace;
-        sp_id = s.ts_span;
-        sp_parent = s.ts_parent;
-        sp_name = s.ts_name;
-        sp_pid = s.ts_pid;
-        sp_start_tick = s.ts_start_tick;
-        sp_end_tick = (if s.ts_end_tick < 0 then ctx.tick_ else s.ts_end_tick);
-        sp_start_cycles = s.ts_start_cycles;
-        sp_end_cycles = (if s.ts_end_cycles < 0 then ctx.cycles_ else s.ts_end_cycles)
-      }
-    in
-    List.map conv (ctx.tstack_ @ ctx.tspans_)
-    |> List.sort (fun a b -> compare a.sp_id b.sp_id)
+  (* still-open spans export with the current clock as their end so a
+     mid-run export renders them *)
+  let info ctx id =
+    let s = ctx.spans_.(id) in
+    { sp_trace = s.ts_trace;
+      sp_id = s.ts_span;
+      sp_parent = s.ts_parent;
+      sp_name = s.ts_name;
+      sp_pid = s.ts_pid;
+      sp_start_tick = s.ts_start_tick;
+      sp_end_tick = (if s.ts_end_tick < 0 then ctx.tick_ else s.ts_end_tick);
+      sp_start_cycles = s.ts_start_cycles;
+      sp_end_cycles = (if s.ts_end_cycles < 0 then ctx.cycles_ else s.ts_end_cycles)
+    }
+
+  (* all causal spans, id order (ids are dense from 1) *)
+  let[@inline never] spans ctx = List.init (ctx.span_next_ - 1) (fun i -> info ctx (i + 1))
+
+  let span_of_id ctx id = if id > 0 && id < ctx.span_next_ then Some (info ctx id) else None
 
   let root_of_trace ctx trace =
-    List.find_opt (fun s -> s.sp_trace = trace && s.sp_parent = 0) (spans ctx)
-
-  let span_of_id ctx id = List.find_opt (fun s -> s.sp_id = id) (spans ctx)
+    if trace > 0 && trace < ctx.trace_next_ then span_of_id ctx ctx.trace_roots_.(trace)
+    else None
 
   (* per-request leak budget: sensitive byte-ticks outside mlocked-anon,
      attributed to the trace whose span registered the copy.  Summing the
@@ -792,11 +845,7 @@ module Metrics = struct
       r := !r + by
     end
 
-  let observe ctx name v =
-    if ctx.enabled_ then begin
-      let r = site_find ctx.histograms ctx.histogram_sites name ~fresh:(fun () -> ref []) in
-      r := v :: !r
-    end
+  let observe = observe
 
   let counter ctx name =
     match Hashtbl.find_opt ctx.counters name with Some r -> !r | None -> 0
@@ -856,7 +905,7 @@ module Metrics = struct
   (* Prometheus text exposition of every histogram as cumulative _bucket
      lines plus _sum and _count, timestamped with the simulation tick —
      the standard histogram triple, so span-duration distributions (fed
-     per span name by [Profiler.exit]) graph directly in Grafana. *)
+     per node name as each profiler frame closes) graph directly in Grafana. *)
   let to_prometheus ?(labels = []) ctx =
     let pre = prom_labels labels in
     let buf = Buffer.create 1024 in
@@ -1304,11 +1353,7 @@ module Cost = struct
        | Some o ->
          let j = origin_index o in
          ctx.cost_by_origin.(j) <- max 0 ctx.cost_by_origin.(j) + c);
-      let node =
-        match ctx.prof_stack_ with
-        | { node_; _ } :: _ -> node_
-        | [] -> ctx.prof_root_
-      in
+      let node = ctx.top_.f_node in
       node.self_cycles <- node.self_cycles + c
     end
 
@@ -1359,51 +1404,15 @@ module Profiler = struct
     Hashtbl.fold (fun _ c acc -> acc + node_total_cycles c) n.children_ n.self_cycles
 
   let root ctx = ctx.prof_root_
-  let depth ctx = List.length ctx.prof_stack_
 
-  let enter ctx name =
-    if ctx.enabled_ then begin
-      let parent =
-        match ctx.prof_stack_ with
-        | { node_; _ } :: _ -> node_
-        | [] -> ctx.prof_root_
-      in
-      let node =
-        match Hashtbl.find_opt parent.children_ name with
-        | Some n -> n
-        | None ->
-          let n = make_span_node name 4 in
-          Hashtbl.replace parent.children_ name n;
-          n
-      in
-      node.calls <- node.calls + 1;
-      ctx.prof_stack_ <- { node_ = node; start_cycles = ctx.cycles_ } :: ctx.prof_stack_
-    end
+  let depth ctx =
+    let rec count fr n = if fr.f_below == fr then n else count fr.f_below (n + 1) in
+    count ctx.top_ 0
 
-  let exit ctx =
-    if ctx.enabled_ then
-      match ctx.prof_stack_ with
-      | [] -> ()
-      | f :: rest ->
-        ctx.prof_stack_ <- rest;
-        (* per-span-name duration histogram (simulated cycles), exported
-           to Prometheus as _bucket summary lines by [Metrics] *)
-        Metrics.observe ctx f.node_.span_key (float_of_int (ctx.cycles_ - f.start_cycles))
-
-  (* campaign ops can raise (Out_of_memory and friends): always pop *)
+  (* a profiler node with no causal span: the frame keeps the enclosing
+     trace context *)
   let span ctx name f =
-    if not ctx.enabled_ then f ()
-    else begin
-      enter ctx name;
-      match f () with
-      | v ->
-        exit ctx;
-        v
-      | exception e ->
-        let bt = Printexc.get_raw_backtrace () in
-        exit ctx;
-        Printexc.raise_with_backtrace e bt
-    end
+    if not ctx.enabled_ then f () else in_frame ctx ctx.top_.f_span (enter_node ctx name) f
 
   (* collapsed-stack text: one "machine;a;b <self_cycles>" line per node
      that accumulated cycles of its own (or is a leaf), ready for
@@ -1609,16 +1618,9 @@ end
 (* ---- declarative alert rules ---- *)
 
 module Alert = struct
-  type cmp = alert_cmp = Gt | Ge | Lt | Le
-
   type condition = alert_condition =
-    | Threshold of { cmp : cmp; value : float; for_ticks : int }
+    | Threshold of { value : float; for_ticks : int }
     | Spread of { min_spread : float }
-
-  let cmp_name = function Gt -> ">" | Ge -> ">=" | Lt -> "<" | Le -> "<="
-
-  let holds cmp v w =
-    match cmp with Gt -> v > w | Ge -> v >= w | Lt -> v < w | Le -> v <= w
 
   let install ctx ~name ~series cond =
     if ctx.enabled_ && not (List.exists (fun r -> r.a_name = name) ctx.rules_) then
@@ -1636,8 +1638,8 @@ module Alert = struct
   let rules ctx = List.map (fun r -> (r.a_name, r.a_series, r.a_cond)) ctx.rules_
 
   let describe_condition = function
-    | Threshold { cmp; value; for_ticks } ->
-      Printf.sprintf "%s %s for %d tick%s" (cmp_name cmp) (float_json value) for_ticks
+    | Threshold { value; for_ticks } ->
+      Printf.sprintf "> %s for %d tick%s" (float_json value) for_ticks
         (if for_ticks = 1 then "" else "s")
     | Spread { min_spread } -> Printf.sprintf "spread >= %s all-time" (float_json min_spread)
 
@@ -1664,8 +1666,8 @@ module Alert = struct
               Trace.emit ctx (Alert_fired { rule = r.a_name; series = r.a_series; value })
             in
             (match r.a_cond with
-             | Threshold { cmp; value; for_ticks } ->
-               if holds cmp s.s_last_val value then begin
+             | Threshold { value; for_ticks } ->
+               if s.s_last_val > value then begin
                  r.a_held <- r.a_held + 1;
                  if r.a_held >= for_ticks && not r.a_active then begin
                    r.a_active <- true;

@@ -114,7 +114,7 @@ type record = { seq : int; tick : int; event : event; trace : int; span : int }
 (** [seq] is a global monotone counter, [tick] the simulation time last
     announced via {!set_tick} (scan snapshots set it to their [~time]).
     [trace]/[span] name the causal span open when the event was emitted
-    (see {!Trace.begin_span}); [0] means untraced. *)
+    (see {!Trace.with_span}); [0] means untraced. *)
 
 type ctx
 
@@ -137,9 +137,12 @@ val tick : ctx -> int
 module Trace : sig
   (** {2 Causal request tracing}
 
-      Request-scoped causal spans, separate from the {!Profiler} call
-      tree: the profiler aggregates where cycles go, a causal span records
-      {e which request caused which operation}.  Connection handlers mint
+      Request-scoped causal spans: a causal span records {e which request
+      caused which operation}, the {!Profiler} call tree {e where cycles
+      go}.  Both hang off one stack of open frames, and a frame opens a
+      span, a profiler node, or both: {!with_span} opens both, {!causal}
+      a span only, {!Profiler.span} a node only; what a frame does not
+      open it inherits from the frame below.  Connection handlers mint
       a trace per connection ([sshd.connection] / [apache.connection]),
       [Ssl.load_private_key] mints one per boot-time key load, and kernel
       operations (fault, COW, swap, read_file, fork, zero_mem, buddy
@@ -152,28 +155,22 @@ module Trace : sig
       fingerprints built over them) are byte-identical across runs and
       domain counts. *)
 
-  val begin_span : ?pid:int -> ?trace:int -> ?parent:int -> ctx -> string -> int
-  (** Open a causal span and return its id ([0] when disabled).  With no
-      [?trace] and no span open, a fresh trace is minted and this span
-      becomes its root; otherwise the span joins the given (or enclosing)
-      trace.  [?parent] re-enters a trace whose root closed earlier (a
-      connection spans open/transfer/close calls): pass the connection's
-      root span id. *)
-
-  val end_span : ctx -> int -> unit
-  (** Close the span (and any still-open inner spans it encloses).  No-op
-      for id [0] or an id not on the open stack. *)
-
-  val with_span : ?pid:int -> ?trace:int -> ?parent:int -> ctx -> string -> (unit -> 'a) -> 'a
-  (** Bracket [f] with {!begin_span}/{!end_span} (exception-safe). *)
+  val with_span : ?pid:int -> ?parent:int -> ctx -> string -> (unit -> 'a) -> 'a
+  (** Run [f] in a frame with a causal span and a profiler node named
+      [name], closed even if [f] raises.  The span is a child of the
+      innermost open span, or of span [?parent] — pass a connection's
+      root span id to re-enter its trace after the root closed (a
+      connection spans open/transfer/close calls) — and joins its
+      parent's trace; under no span it mints a fresh trace as its root.
+      Calls [f] directly when disabled. *)
 
   val causal : ?pid:int -> ctx -> string -> (unit -> 'a) -> 'a
-  (** Like {!with_span}, but records the span only when a trace is
+  (** A causal span with no profiler node, recorded only when a trace is
       already active — the kernel-side hook, so untraced work (boot
       noise, background churn, scans) does not mint spurious traces. *)
 
-  val current_trace : ctx -> int
-  (** Trace id of the innermost open span, [0] when untraced. *)
+  val current_span : ctx -> int
+  (** Id of the innermost open span, [0] when untraced. *)
 
   type span_info = {
     sp_trace : int;
@@ -192,7 +189,7 @@ module Trace : sig
       current tick/cycle clock as their end. *)
 
   val root_of_trace : ctx -> int -> span_info option
-  (** The root span of a trace — the originating request. *)
+  (** The span that minted a trace — the originating request. *)
 
   val span_of_id : ctx -> int -> span_info option
 
@@ -492,12 +489,12 @@ end
 
 (** Hierarchical span profiler over the simulated-cycle clock.
 
-    {!Profiler.span} maintains a stack of open spans; {!Cost.charge}
-    lands in the innermost one.  Spans aggregate into a call tree rooted
-    at ["machine"] — nodes are keyed by name per parent, so repeated
-    calls accumulate — and each closed span feeds its duration to the
-    [span.<name>.cycles] histogram.  The per-request timeline view is
-    the causal spans' ({!Trace.spans_to_chrome}). *)
+    Nodes open on the causal spans' stack of frames, by {!Trace.with_span}
+    (with a span) or {!Profiler.span} (without); {!Cost.charge} lands in
+    the innermost open node.  Nodes aggregate into a call tree rooted at
+    ["machine"] — keyed by name per parent, so repeated calls accumulate
+    — and each closed node feeds its duration to the
+    [span.<name>.cycles] histogram. *)
 module Profiler : sig
   type node
   (** A call-tree node: a span name in one calling context. *)
@@ -522,12 +519,13 @@ module Profiler : sig
       self cycles. *)
 
   val depth : ctx -> int
-  (** Test oracle: currently open spans. *)
+  (** Frames currently open, of either kind: [0] between operations. *)
 
   val span : ctx -> string -> (unit -> 'a) -> 'a
-  (** [span ctx name f] runs [f] inside a span opened as a child of the
-      innermost open span (or the root); the span is closed even if [f]
-      raises.  Calls [f] directly when disabled. *)
+  (** [span ctx name f] runs [f] in a frame with a profiler node opened
+      as a child of the innermost open node (or the root), and no causal
+      span: [f] keeps the enclosing trace.  The frame is closed even if
+      [f] raises.  Calls [f] directly when disabled. *)
 
   val to_collapsed : ctx -> string
   (** Collapsed-stack (flamegraph) text: one
@@ -635,12 +633,10 @@ end
     {!Alert_fired} event, not one per tick.  Evaluation mutates observer
     state only. *)
 module Alert : sig
-  type cmp = Gt | Ge | Lt | Le
-
   type condition =
-    | Threshold of { cmp : cmp; value : float; for_ticks : int }
-        (** the last sample compares true against [value] for [for_ticks]
-            consecutive evaluations (e.g. [sensitive_unsafe > 0 for 3]) *)
+    | Threshold of { value : float; for_ticks : int }
+        (** the last sample is above [value] for [for_ticks] consecutive
+            evaluations (e.g. [sensitive_unsafe > 0 for 3]) *)
     | Spread of { min_spread : float }
         (** [max - min >= min_spread] over every offered sample (the
             all-time envelope).  With [min_spread = 1.] on a cycle-count

@@ -71,7 +71,6 @@ let private_op k proc t c =
     invalid_arg "Sim_rsa.private_op: input out of range";
   let obs = Kernel.obs k in
   Obs.Trace.with_span ~pid:proc.Proc.pid obs "rsa.private_op" @@ fun () ->
-  Obs.Profiler.span obs "rsa.private_op" @@ fun () ->
   if t.flag_cache_private then populate_mont_cache k proc t;
   let p = Sim_bn.value k proc t.p in
   let q = Sim_bn.value k proc t.q in
@@ -116,7 +115,7 @@ let all_parts t = [ t.d; t.p; t.q; t.dp; t.dq; t.qinv ]
 
 let memory_align k proc t =
   if t.aligned_region = None then begin
-    Obs.Trace.with_span ~pid:proc.Proc.pid (Kernel.obs k) "rsa.memory_align" @@ fun () ->
+    Obs.Trace.causal ~pid:proc.Proc.pid (Kernel.obs k) "rsa.memory_align" @@ fun () ->
     let total = List.fold_left (fun acc (b : Sim_bn.t) -> acc + b.Sim_bn.size) 0 (all_parts t) in
     (* posix_memalign: whole pages, page-aligned *)
     let region = Kernel.memalign k proc ~bytes:total in

@@ -11,7 +11,6 @@ let load_private_key k proc ~path ?(nocache = false) ?passphrase mode =
   (* joins the enclosing connection trace, or mints a root trace for a
      boot-time load — either way the PEM/DER copies attribute back here *)
   Obs.Trace.with_span ~pid:proc.Proc.pid (Kernel.obs k) "ssl.key_load" @@ fun () ->
-  Obs.Profiler.span (Kernel.obs k) "ssl.key_load" @@ fun () ->
   (* read(2) the PEM file into a fresh heap buffer (and the page cache) *)
   let pem_buf, pem_len = Kernel.read_file k proc ~path ~nocache in
   Kernel.note_copy k proc ~origin:Obs.Pem_buffer ~addr:pem_buf ~len:pem_len;

@@ -215,6 +215,54 @@ let test_overhead_ordering_and_sums () =
   Alcotest.(check (float 1e-9)) "slowdown normalised to the first row" 1.0
     (List.hd rows).Overhead.slowdown
 
+(* A name opened by [Trace.with_span] counts the same on both sides: its
+   profiler calls, summed over every node of that name, equal its causal
+   spans.  [scan] is a profiler node only; the causal names (kernel paths,
+   page cache, buddy zeroing, rsa.memory_align) are spans only. *)
+let test_paired_spans_stay_paired () =
+  let causal name =
+    String.starts_with ~prefix:"kernel." name
+    || String.starts_with ~prefix:"page_cache." name
+    || List.mem name [ "buddy.zero_on_free"; "rsa.memory_align" ]
+  in
+  let bump tbl name n =
+    Hashtbl.replace tbl name (n + Option.value ~default:0 (Hashtbl.find_opt tbl name))
+  in
+  List.iter
+    (fun r ->
+      let obs = r.Overhead.obs in
+      let level = Protection.name r.Overhead.level in
+      let calls = Hashtbl.create 16 and spans = Hashtbl.create 16 in
+      let rec walk n =
+        bump calls (Obs.Profiler.node_name n) (Obs.Profiler.node_calls n);
+        List.iter walk (Obs.Profiler.node_children n)
+      in
+      List.iter walk (Obs.Profiler.node_children (Obs.Profiler.root obs));
+      List.iter (fun s -> bump spans s.Obs.Trace.sp_name 1) (Obs.Trace.spans obs);
+      let count tbl name = Option.value ~default:0 (Hashtbl.find_opt tbl name) in
+      let names =
+        List.sort_uniq compare
+          (Hashtbl.fold (fun k _ acc -> k :: acc) calls []
+          @ Hashtbl.fold (fun k _ acc -> k :: acc) spans [])
+      in
+      List.iter
+        (fun name ->
+          let what = Printf.sprintf "%s: %s" level name in
+          if name = "scan" then
+            Alcotest.(check int) (what ^ " has no causal span") 0 (count spans name)
+          else if causal name then
+            Alcotest.(check int) (what ^ " has no profiler node") 0 (count calls name)
+          else
+            Alcotest.(check int) (what ^ ": profiler calls = causal spans") (count spans name)
+              (count calls name))
+        names;
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s was opened" level name) true
+            (count spans name > 0))
+        [ "sshd.connection"; "sshd.transfer"; "sshd.close"; "rsa.private_op"; "ssl.key_load" ])
+    (Lazy.force overhead_rows)
+
 (* What [memguard_cli overhead --pages 1024 --json --flamegraph --trace]
    writes: the table, and the integrated run's (the default
    --flame-level) collapsed stacks and causal Chrome trace. *)
@@ -331,6 +379,7 @@ let suite =
         Alcotest.test_case "overhead: ordering & exact sums" `Slow
           test_overhead_ordering_and_sums;
         Alcotest.test_case "overhead exports" `Slow test_overhead_exports;
+        Alcotest.test_case "paired spans stay paired" `Slow test_paired_spans_stay_paired;
         Alcotest.test_case "profiler-on run is byte-identical" `Slow
           test_profiler_on_run_is_byte_identical;
         QCheck_alcotest.to_alcotest prop_campaign_cycles_deterministic

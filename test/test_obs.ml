@@ -351,7 +351,7 @@ let test_exports_escape_as_json () =
   Obs.Trace.with_span obs awkward (fun () -> ());
   Obs.Timeseries.record obs awkward 1.0;
   Obs.Alert.install obs ~name:awkward ~series:awkward
-    (Obs.Alert.Threshold { cmp = Obs.Alert.Gt; value = 0.; for_ticks = 1 });
+    (Obs.Alert.Threshold { value = 0.; for_ticks = 1 });
   Obs.Alert.eval obs ~tick:1;
   Alcotest.(check int) "alert fired" 1 (Obs.Alert.fired obs awkward);
   List.iter

@@ -195,10 +195,10 @@ let test_prometheus_extra_labels () =
 let test_threshold_edge_triggering () =
   let obs = Obs.create () in
   Obs.Alert.install obs ~name:"hot" ~series:"s"
-    (Obs.Alert.Threshold { cmp = Obs.Alert.Gt; value = 0.; for_ticks = 2 });
+    (Obs.Alert.Threshold { value = 0.; for_ticks = 2 });
   (* idempotent per name *)
   Obs.Alert.install obs ~name:"hot" ~series:"s"
-    (Obs.Alert.Threshold { cmp = Obs.Alert.Gt; value = 0.; for_ticks = 2 });
+    (Obs.Alert.Threshold { value = 0.; for_ticks = 2 });
   Alcotest.(check int) "one rule" 1 (List.length (Obs.Alert.rules obs));
   let feed tick v =
     record_at obs tick "s" v;
