@@ -1,10 +1,11 @@
 (* Wall-clock costs that no flight archive or test measures — the scan
-   engine, the telemetry path, each observability sink, the sharded fleet
-   and the chaos campaign —
-   plus the simulated keys no archive holds.  Prints every scalar and
-   writes them to BENCH_scan.json (a scalars-only flight archive; diff
-   two with [memguard_cli diff]).  The paper's figures come from the CLI:
-   see EXPERIMENTS.md, "Reproducing".
+   engine, each observability sink, the sharded fleet and the chaos
+   campaign.  This only times things: every key it prints and writes to
+   BENCH_scan.json (a scalars-only flight archive; diff two with
+   [memguard_cli diff]) is wall-clock, and nothing gates on them.  The
+   simulated keys are bench/simulated.exe's, gated by [dune runtest].
+   The paper's figures come from the CLI: see EXPERIMENTS.md,
+   "Reproducing".
 
    Run with:  dune exec bench/main.exe *)
 
@@ -38,8 +39,7 @@ let run_timeline ?obs scan_mode =
   Timeline.run sys Timeline.Ssh
 
 (* cold single pass vs incremental re-scan, alone and inside the
-   timeline, and the full telemetry path (per-tick series plus the
-   default alert pack) against the same timeline with obs off *)
+   timeline *)
 let scan_engine () =
   let sys = System.create ~num_pages ~seed:11 ~level:Protection.Unprotected () in
   let k = System.kernel sys and patterns = System.patterns sys in
@@ -48,28 +48,7 @@ let scan_engine () =
   ignore (Scan_cache.scan cache);
   let t_idle, _ = time_min 10 (fun () -> Scan_cache.scan cache) in
   let t_full, _ = time_min 3 (fun () -> run_timeline System.Full) in
-  let telemetry () =
-    let obs = Obs.create ~ring_capacity:(1 lsl 20) () in
-    Dashboard.install_default_alerts obs;
-    run_timeline ~obs System.Incremental
-  in
-  (* telemetry on and off timed side by side, one of each per round and
-     the order alternating, so host drift between rounds cancels in each
-     round's ratio; the overhead is the median ratio *)
-  let time f = fst (time_min 1 f) in
-  let off () = time (fun () -> run_timeline System.Incremental) in
-  let rounds =
-    List.init 7 (fun i ->
-        if i mod 2 = 0 then
-          let on = time telemetry in
-          (on, off ())
-        else
-          let off = off () in
-          (time telemetry, off))
-  in
-  let t_incr = List.fold_left (fun acc (_, off) -> Float.min acc off) infinity rounds in
-  let ratios = List.sort compare (List.map (fun (on, off) -> on /. off) rounds) in
-  let median_ratio = List.nth ratios (List.length ratios / 2) in
+  let t_incr, _ = time_min 7 (fun () -> run_timeline System.Incremental) in
   (* traced runs, apart from the timed ones: per-scan wall time *)
   let traced =
     List.map
@@ -79,17 +58,10 @@ let scan_engine () =
         (System.mode_name mode, obs))
       [ System.Full; System.Incremental ]
   in
-  let obs = List.assoc "incremental" traced in
-  let clean = count (Obs.Metrics.counter obs "scan.cache_clean_pages") in
-  let dirty = count (Obs.Metrics.counter obs "scan.cache_dirty_pages") in
-  [ ("num_pages", count num_pages);
-    ("patterns", count (List.length patterns));
-    ("full_scan_single_pass_s", t_single);
+  [ ("full_scan_single_pass_s", t_single);
     ("incremental_rescan_idle_s", t_idle);
     ("timeline_full_rescan_s", t_full);
-    ("timeline_incremental_s", t_incr);
-    ("timeseries_overhead_pct", 100. *. (median_ratio -. 1.));
-    ("scan_cache_hit_rate", clean /. Float.max 1.0 (clean +. dirty))
+    ("timeline_incremental_s", t_incr)
   ]
   @ List.map
       (fun (mode, obs) ->
@@ -147,9 +119,9 @@ let obs_sinks () =
   |> List.map (fun (name, setup, f) ->
          (Printf.sprintf "obs_sink_%s_op_s" name, per_call setup f))
 
-(* an 8-shard fleet on 1, 2 and 4 worker domains: simulated totals from
-   the sequential run, throughput at whichever count ran fastest here
-   (on a 1-core host more domains only add scheduling) *)
+(* an 8-shard fleet on 1, 2 and 4 worker domains: throughput at
+   whichever count ran fastest here (on a 1-core host more domains only
+   add scheduling); bench/simulated.exe gates the simulated totals *)
 let fleet () =
   let cfg =
     { Fleet.default with
@@ -166,36 +138,11 @@ let fleet () =
   in
   let r = snd (List.assoc 1 timed) in
   let best = List.fold_left (fun acc (_, (t, _)) -> Float.min acc t) infinity timed in
-  let sum f = List.fold_left (fun acc s -> acc + f s) 0 r.Fleet.shard_results in
-  let pages = sum (fun s -> s.Fleet.pages_swept) in
-  [ ("fleet_shards", count cfg.Fleet.shards);
-    ("fleet_connections", count r.Fleet.total_connections);
-    ("fleet_requests", count r.Fleet.total_requests);
-    ("fleet_total_cycles", count r.Fleet.total_cycles);
-    ("fleet_sensitive_unsafe_byte_ticks", count r.Fleet.sensitive_unsafe);
-    ("fleet_scan_pages_swept", count pages);
-    ("fleet_scan_sweeps", count (sum (fun s -> s.Fleet.sweeps)));
-    ( "fleet_scan_sweep_cycles",
-      count
-        (sum (fun s ->
-             Option.value ~default:0
-               (List.assoc_opt "scan" s.Fleet.dash.Dashboard.cycles_by_subsystem))) );
-    ("fleet_connections_per_sec", count r.Fleet.total_connections /. best);
+  let pages = List.fold_left (fun acc s -> acc + s.Fleet.pages_swept) 0 r.Fleet.shard_results in
+  [ ("fleet_connections_per_sec", count r.Fleet.total_connections /. best);
     ("fleet_scan_pages_per_sec", count pages /. best)
   ]
   @ List.map (fun (d, (t, _)) -> (Printf.sprintf "fleet_timeline_domains_%d_s" d, t)) timed
-
-(* exposure byte-ticks of the observed timeline at every level *)
-let exposure () =
-  List.concat_map
-    (fun level ->
-      let d = Dashboard.run ~level ~num_pages () in
-      let l = slug (Protection.name level) in
-      [ ("exposure_byte_ticks_" ^ l,
-         count (List.fold_left (fun acc (_, v) -> acc + v) 0 d.Dashboard.totals));
-        ("exposure_sensitive_unsafe_byte_ticks_" ^ l, count (Dashboard.sensitive_unsafe_total d))
-      ])
-    Protection.all
 
 (* ops/s of the fault-injection campaign with its per-op audit and (at
    the guaranteeing levels) confinement scan, best of three campaigns:
@@ -223,9 +170,8 @@ let () =
   let scan = scan_engine () in
   let sinks = obs_sinks () in
   let shards = fleet () in
-  let ledger = exposure () in
   let campaigns = chaos () in
-  let scalars = List.sort compare (scan @ sinks @ shards @ ledger @ campaigns) in
+  let scalars = List.sort compare (scan @ sinks @ shards @ campaigns) in
   List.iter (fun (k, v) -> Format.printf "%-52s %s@." k (Obs.float_json v)) scalars;
   Obs.Snapshot.write "BENCH_scan.json" (Obs.Snapshot.of_scalars ~kind:"bench-scan" scalars);
   Format.printf "wrote BENCH_scan.json@."

@@ -59,7 +59,7 @@ let run ?(levels = default_levels) ?num_pages ?seed ?key_bits ?recorder () =
    | None -> ()
    | Some f ->
      (* scalars-only archive: bench/flight_overhead.json is one of these,
-        and [memguard_cli diff] gates every key of it exactly *)
+        and [dune runtest] gates each key in it byte for byte *)
      let slug level = String.map (function '-' -> '_' | c -> c) (Protection.name level) in
      let scalars =
        List.concat_map

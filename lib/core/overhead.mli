@@ -46,8 +46,8 @@ val run :
     archive (kind ["overhead"]) —
     [overhead_cycles_<level>], [overhead_cycles_<level>_<subsystem>],
     plus requests / signatures / slowdown per level.
-    [bench/flight_overhead.json] is the committed one that
-    [memguard_cli diff] gates against. *)
+    [bench/flight_overhead.json] is the committed one; [dune runtest]
+    requires a fresh recording to match it byte for byte. *)
 
 val pp : Format.formatter -> row list -> unit
 (** The paper-style table: totals, per-connection and per-signature

@@ -732,8 +732,10 @@ module Snapshot : sig
       never leaks into the canonical bytes. *)
 
   val of_scalars : ?kind:string -> ?meta:(string * string) list -> (string * float) list -> t
-  (** Scalars-only archive — the shape of the overhead flight archive
-      and of [BENCH_scan.json]. *)
+  (** Scalars-only archive — the shape of the overhead flight archive,
+      of [bench/flight_simulated.json] (the bench's simulated keys, gated
+      by [dune runtest]) and of [BENCH_scan.json] (wall-clock keys only,
+      gated by nothing). *)
 
   val record :
     kind:string ->

@@ -29,7 +29,6 @@ let () =
          Test_forensics.suite;
          Test_telemetry.suite;
          Test_flight.suite;
-         Test_gate.suite;
          Test_ct.suite;
          Test_mont_kernels.suite;
          Test_final.suite

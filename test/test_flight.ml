@@ -370,6 +370,42 @@ let test_cli_bad_counts () =
       "ext2 --connections=-1"
     ]
 
+(* ---- the archive reader on truncated and corrupted archives ---- *)
+
+(* Cut-off and damaged copies of each committed archive read back [Ok]
+   or [Error], never an exception.  Every prefix of a 26 KB archive
+   costs ~15 s, so past 4 KiB prefixes are sampled; the flips are one
+   to four seeded byte changes per round.  test/dune copies the
+   archives next to the test's run directory. *)
+let test_reader_never_raises () =
+  let rng = Random.State.make [| 30 |] in
+  let read what text =
+    match Obs.Snapshot.of_json text with
+    | Ok _ | Error _ -> ()
+    | exception e -> Alcotest.failf "%s raised %s on %S" what (Printexc.to_string e) text
+  in
+  List.iter
+    (fun name ->
+      let text = In_channel.with_open_bin ("../bench/" ^ name) In_channel.input_all in
+      let n = String.length text in
+      Alcotest.(check bool) (name ^ " reads") true (Result.is_ok (Obs.Snapshot.of_json text));
+      let sampled =
+        if n <= 4097 then [] else List.init 400 (fun _ -> 4097 + Random.State.int rng (n - 4097))
+      in
+      List.iter
+        (fun len -> read (name ^ " prefix") (String.sub text 0 len))
+        (List.init (min 4097 n) Fun.id @ sampled);
+      for _ = 1 to 250 do
+        let b = Bytes.of_string text in
+        for _ = 0 to Random.State.int rng 4 do
+          let i = Random.State.int rng n in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + Random.State.int rng 255)))
+        done;
+        read (name ^ " flip") (Bytes.to_string b)
+      done)
+    [ "flight_baseline.json"; "flight_overhead.json"; "flight_fleet.json";
+      "flight_simulated.json" ]
+
 let suite =
   [ ( "flight",
       [ Alcotest.test_case "float_json goldens" `Quick test_float_json_goldens;
@@ -391,6 +427,7 @@ let suite =
           test_fleet_snapshot_domain_invariant;
         QCheck_alcotest.to_alcotest prop_recorder_is_observer_only;
         Alcotest.test_case "CLI path errors exit 2" `Quick test_cli_path_errors;
-        Alcotest.test_case "CLI bad counts exit 124" `Quick test_cli_bad_counts
+        Alcotest.test_case "CLI bad counts exit 124" `Quick test_cli_bad_counts;
+        Alcotest.test_case "archive reader never raises" `Quick test_reader_never_raises
       ] )
   ]
