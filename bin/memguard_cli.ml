@@ -509,7 +509,7 @@ let observe_cmd =
 
 let overhead_cmd =
   let module Obs = Memguard_obs.Obs in
-  let run seed pages json flamegraph trace flame_level flight =
+  let run seed pages flamegraph trace flame_level flight =
     let recorder =
       Option.map
         (fun path snap ->
@@ -519,11 +519,6 @@ let overhead_cmd =
     in
     let rows = Overhead.run ~num_pages:pages ~seed ?recorder () in
     Overhead.pp Format.std_formatter rows;
-    (match json with
-     | Some path ->
-       write_file path (Overhead.to_json rows);
-       Format.printf "@.wrote %s@." path
-     | None -> ());
     let profiled () =
       match
         List.find_opt (fun (r : Overhead.row) -> r.Overhead.level = flame_level) rows
@@ -543,10 +538,6 @@ let overhead_cmd =
       Format.printf "@.wrote %s (chrome trace, %s level)@." path
         (Protection.name flame_level)
     | None -> ()
-  in
-  let json =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write the overhead table as JSON to $(docv).")
   in
   let flamegraph =
     Arg.(value & opt (some string) None
@@ -569,9 +560,10 @@ let overhead_cmd =
   let flight =
     Arg.(value & opt (some string) None
          & info [ "flight" ] ~docv:"FILE"
-             ~doc:"Record a scalars-only flight archive of the table (cycles, \
+             ~doc:"Record the table as a scalars-only flight archive (cycles, \
                    requests, signatures and slowdown per level, cycles per \
-                   subsystem) to $(docv) — diff two with $(b,memguard diff).")
+                   subsystem) to $(docv) — the report's JSON form; diff two with \
+                   $(b,memguard diff).")
   in
   Cmd.v
     (Cmd.info "overhead"
@@ -580,8 +572,7 @@ let overhead_cmd =
           protection levels under the deterministic simulated-cycle cost model and print \
           the paper-style table (cycles per connection and signature, per-subsystem \
           breakdown, slowdown vs unprotected)")
-    Term.(const run $ seed_arg $ pages_arg 4096 $ json $ flamegraph $ trace $ flame_level
-          $ flight)
+    Term.(const run $ seed_arg $ pages_arg 4096 $ flamegraph $ trace $ flame_level $ flight)
 
 let inspect_cmd =
   let module Obs = Memguard_obs.Obs in

@@ -162,103 +162,93 @@ let class_series t c =
 
 (* ---- JSON twin ---- *)
 
+let hits_json (s : Report.snapshot) =
+  let open Obs.Json in
+  Obj
+    [ ("tick", Int s.Report.time); ("total", Int s.Report.total);
+      ("allocated", Int s.Report.allocated); ("unallocated", Int s.Report.unallocated) ]
+
+let bucket_json ((o, c), v) =
+  let open Obs.Json in
+  Obj
+    [ ("origin", Str (Obs.origin_name o)); ("class", Str (Obs.class_name c));
+      ("byte_ticks", Int v) ]
+
+let metric_json m =
+  let open Obs.Json in
+  Obj
+    [ ("name", Str m.ms_name); ("kind", Str m.ms_kind); ("stride", Int m.ms_stride);
+      ("samples", Int m.ms_samples);
+      ("points", list (fun (tick, v) -> Arr [ Int tick; Num v ]) m.ms_points) ]
+
 let to_json t =
-  let buf = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let comma_sep f xs = List.iteri (fun i x -> if i > 0 then add ","; f x) xs in
-  let bucket ((o, c), v) =
-    add "{\"origin\":\"%s\",\"class\":\"%s\",\"byte_ticks\":%d}" (Obs.origin_name o)
-      (Obs.class_name c) v
-  in
-  add "{\n";
-  add "  \"level\": \"%s\",\n" (Obs.json_escape (Protection.name t.level));
-  add "  \"server\": \"%s\",\n" (Timeline.server_name t.server);
-  add "  \"scan_mode\": \"%s\",\n" (System.mode_name System.Incremental);
-  add "  \"seed\": %d,\n" t.seed;
-  add "  \"num_pages\": %d,\n" t.num_pages;
-  add "  \"breach_age\": %s,\n"
-    (match t.breach_age with Some a -> string_of_int a | None -> "null");
-  add "  \"ticks\": %d,\n" (List.length t.snapshots);
-  add "  \"sensitive_unsafe_byte_ticks\": %d,\n" (sensitive_unsafe_total t);
-  add "  \"hit_series\": [";
-  comma_sep
-    (fun (s : Report.snapshot) ->
-      add "{\"tick\":%d,\"total\":%d,\"allocated\":%d,\"unallocated\":%d}" s.Report.time
-        s.Report.total s.Report.allocated s.Report.unallocated)
-    t.snapshots;
-  add "],\n";
-  add "  \"exposure_series\": [";
-  comma_sep
-    (fun (tick, buckets) ->
-      add "{\"tick\":%d,\"buckets\":[" tick;
-      comma_sep bucket buckets;
-      add "]}")
-    t.series;
-  add "],\n";
-  add "  \"exposure_totals\": [";
-  comma_sep bucket t.totals;
-  add "],\n";
-  add "  \"exposure_by_class\": {";
-  comma_sep
-    (fun c -> add "\"%s\":%d" (Obs.class_name c) (class_total t c))
-    Obs.all_classes;
-  add "},\n";
-  add "  \"lifetime_percentiles\": [";
-  comma_sep
-    (fun (o, ls) ->
-      let fs = List.map float_of_int ls in
-      add "{\"origin\":\"%s\",\"count\":%d,\"p50\":%g,\"p90\":%g,\"p99\":%g,\"max\":%g}"
-        (Obs.origin_name o) (List.length ls)
-        (Obs.Metrics.percentile fs 50.) (Obs.Metrics.percentile fs 90.)
-        (Obs.Metrics.percentile fs 99.) (Obs.Metrics.percentile fs 100.))
-    t.lifetimes;
-  add "],\n";
-  add "  \"breaches\": [";
-  comma_sep
-    (fun b ->
-      add "{\"tick\":%d,\"origin\":\"%s\",\"class\":\"%s\",\"pid\":%d,\"addr\":%d,\"len\":%d,\"age\":%d}"
-        b.tick (Obs.origin_name b.origin) (Obs.class_name b.cls) b.pid b.addr b.len b.age)
-    t.breaches;
-  add "],\n";
-  add "  \"overhead\": {\"total_cycles\": %d, \"by_subsystem\": {" t.cycles;
-  comma_sep (fun (s, v) -> add "\"%s\":%d" (Obs.json_escape s) v) t.cycles_by_subsystem;
-  add "}},\n";
-  add "  \"counters\": {";
-  comma_sep (fun (k, v) -> add "\"%s\":%d" (Obs.json_escape k) v) t.counters;
-  add "},\n";
-  add "  \"timeseries\": [";
-  comma_sep
-    (fun m ->
-      add "{\"name\":\"%s\",\"kind\":\"%s\",\"stride\":%d,\"samples\":%d,\"points\":["
-        (Obs.json_escape m.ms_name) (Obs.json_escape m.ms_kind) m.ms_stride m.ms_samples;
-      comma_sep (fun (tick, v) -> add "[%d,%s]" tick (Obs.float_json v)) m.ms_points;
-      add "]}")
-    t.metrics;
-  add "],\n";
-  add "  \"leak_budgets\": [";
-  comma_sep
-    (fun (b : Forensics.budget_row) ->
-      add "{\"trace\":%d,\"request\":\"%s\",\"pid\":%d,\"start_tick\":%d,\"byte_ticks\":%d}"
-        b.Forensics.br_trace (Obs.json_escape b.Forensics.br_request) b.Forensics.br_pid
-        b.Forensics.br_start_tick b.Forensics.br_byte_ticks)
-    t.budgets;
-  add "],\n";
-  add "  \"alert_rules\": [";
-  comma_sep
-    (fun (name, series, cond) ->
-      add "{\"name\":\"%s\",\"series\":\"%s\",\"condition\":\"%s\"}" (Obs.json_escape name)
-        (Obs.json_escape series)
-        (Obs.json_escape (Obs.Alert.describe_condition cond)))
-    t.alert_rules;
-  add "],\n";
-  add "  \"alerts\": [";
-  comma_sep
-    (fun a ->
-      add "{\"tick\":%d,\"rule\":\"%s\",\"series\":\"%s\",\"value\":%s}" a.fired_tick
-        (Obs.json_escape a.rule) (Obs.json_escape a.rule_series) (Obs.float_json a.value))
-    t.alerts;
-  add "]\n}\n";
-  Buffer.contents buf
+  let open Obs.Json in
+  let ints kvs = Obj (List.map (fun (k, v) -> (k, Int v)) kvs) in
+  let percentile fs p = Num (Obs.Metrics.percentile fs p) in
+  to_string Archive
+    (Obj
+       [ ("level", Str (Protection.name t.level));
+         ("server", Str (Timeline.server_name t.server));
+         ("scan_mode", Str (System.mode_name System.Incremental));
+         ("seed", Int t.seed);
+         ("num_pages", Int t.num_pages);
+         ("breach_age", match t.breach_age with Some a -> Int a | None -> Null);
+         ("ticks", Int (List.length t.snapshots));
+         ("sensitive_unsafe_byte_ticks", Int (sensitive_unsafe_total t));
+         ("hit_series", list hits_json t.snapshots);
+         ( "exposure_series",
+           list
+             (fun (tick, buckets) ->
+               Obj [ ("tick", Int tick); ("buckets", list bucket_json buckets) ])
+             t.series );
+         ("exposure_totals", list bucket_json t.totals);
+         ( "exposure_by_class",
+           ints (List.map (fun c -> (Obs.class_name c, class_total t c)) Obs.all_classes) );
+         ( "lifetime_percentiles",
+           list
+             (fun (o, ls) ->
+               let fs = List.map float_of_int ls in
+               Obj
+                 [ ("origin", Str (Obs.origin_name o)); ("count", Int (List.length ls));
+                   ("p50", percentile fs 50.); ("p90", percentile fs 90.);
+                   ("p99", percentile fs 99.); ("max", percentile fs 100.) ])
+             t.lifetimes );
+         ( "breaches",
+           list
+             (fun b ->
+               Obj
+                 [ ("tick", Int b.tick); ("origin", Str (Obs.origin_name b.origin));
+                   ("class", Str (Obs.class_name b.cls)); ("pid", Int b.pid);
+                   ("addr", Int b.addr); ("len", Int b.len); ("age", Int b.age) ])
+             t.breaches );
+         ( "overhead",
+           Obj [ ("total_cycles", Int t.cycles); ("by_subsystem", ints t.cycles_by_subsystem) ] );
+         ("counters", ints t.counters);
+         ("timeseries", list metric_json t.metrics);
+         ( "leak_budgets",
+           list
+             (fun (b : Forensics.budget_row) ->
+               Obj
+                 [ ("trace", Int b.Forensics.br_trace);
+                   ("request", Str b.Forensics.br_request); ("pid", Int b.Forensics.br_pid);
+                   ("start_tick", Int b.Forensics.br_start_tick);
+                   ("byte_ticks", Int b.Forensics.br_byte_ticks) ])
+             t.budgets );
+         ( "alert_rules",
+           list
+             (fun (name, series, cond) ->
+               Obj
+                 [ ("name", Str name); ("series", Str series);
+                   ("condition", Str (Obs.Alert.describe_condition cond)) ])
+             t.alert_rules );
+         ( "alerts",
+           list
+             (fun a ->
+               Obj
+                 [ ("tick", Int a.fired_tick); ("rule", Str a.rule);
+                   ("series", Str a.rule_series); ("value", Num a.value) ])
+             t.alerts ) ])
+  ^ "\n"
 
 (* ---- self-contained HTML report (inline CSS + SVG, no scripts) ---- *)
 
@@ -266,7 +256,7 @@ let palette =
   [| "#2563eb"; "#dc2626"; "#16a34a"; "#d97706"; "#9333ea"; "#0891b2"; "#db2777";
      "#65a30d" |]
 
-include (Forensics : sig val html_escape : string -> string end)
+let html_escape = Forensics.html_escape
 
 let short_num v =
   if v >= 1_000_000. then Printf.sprintf "%.1fM" (v /. 1_000_000.)

@@ -114,6 +114,19 @@ val class_series : t -> Obs.mem_class -> (int * int) list
     tick. *)
 
 val to_json : t -> string
+(** The machine-readable twin of {!to_html}, in {!Obs.Json}'s [Archive]
+    layout. *)
+
+(** {2 JSON entries the fleet report shares} *)
+
+val hits_json : Report.snapshot -> Obs.Json.t
+(** One tick's scanner hits. *)
+
+val bucket_json : (Obs.origin * Obs.mem_class) * int -> Obs.Json.t
+(** One exposure-ledger bucket. *)
+
+val metric_json : metric_series -> Obs.Json.t
+(** One series, shaped as an entry of {!Obs.Timeseries.to_json}. *)
 
 val to_html : t -> string
 (** Self-contained report: metadata table, per-origin and per-class
@@ -124,10 +137,6 @@ val to_html : t -> string
 val svg_sparkline : (int * float) list -> string
 (** Test oracle: inline 160x28 SVG sparkline of one series, auto-scaled to its
     own min/max envelope.  Shared by the dashboard and diff HTML reports. *)
-
-val html_escape : string -> string
-(** Escape [<], [>] and [&] for interpolation into HTML/SVG text
-    ({!Forensics.html_escape}, re-exported). *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** Terminal summary: headline exposure + totals + breach count. *)

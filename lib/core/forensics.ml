@@ -259,33 +259,38 @@ let budget_table obs =
 
 (* ---- rendering ---- *)
 
-let link_json l =
-  Printf.sprintf
-    "{\"span\":%d,\"parent\":%d,\"name\":\"%s\",\"pid\":%d,\"start_tick\":%d,\"end_tick\":%d}"
-    l.lk_span l.lk_parent (Obs.json_escape l.lk_name) l.lk_pid l.lk_start_tick l.lk_end_tick
-
-let fan_json n =
-  Printf.sprintf
-    "{\"seq\":%d,\"tick\":%d,\"kind\":\"%s\",\"pid\":%d,\"addr\":%d,\"len\":%d,\"origin\":\"%s\",\"span\":%d,\"span_name\":\"%s\",\"verdict\":\"%s\"}"
-    n.fn_seq n.fn_tick (Obs.json_escape n.fn_kind) n.fn_pid n.fn_addr n.fn_len
-    (Obs.json_escape n.fn_origin) n.fn_span (Obs.json_escape n.fn_span_name)
-    (match n.fn_verdict with Some v -> verdict_name v | None -> "")
-
 let to_json t =
-  let chain = String.concat "," (List.map link_json t.f_chain) in
-  let fanout = String.concat "," (List.map fan_json t.f_fanout) in
-  let live =
-    String.concat ","
-      (List.map
-         (fun (a, l, o) -> Printf.sprintf "{\"addr\":%d,\"len\":%d,\"origin\":\"%s\"}" a l
-             (Obs.json_escape o))
-         t.f_live)
-  in
-  Printf.sprintf
-    "{\"tick\":%d,\"label\":\"%s\",\"addr\":%d,\"origin\":\"%s\",\"birth_tick\":%d,\"trace\":%d,\"request\":\"%s\",\"request_pid\":%d,\"chain\":[%s],\"fanout\":[%s],\"live\":[%s],\"leak_budget_byte_ticks\":%d}"
-    t.f_tick (Obs.json_escape t.f_label) t.f_addr (Obs.json_escape t.f_origin)
-    t.f_birth_tick t.f_trace (Obs.json_escape t.f_request) t.f_request_pid chain fanout live
-    t.f_leak_budget
+  let open Obs.Json in
+  to_string Compact
+    (Obj
+       [ ("tick", Int t.f_tick); ("label", Str t.f_label); ("addr", Int t.f_addr);
+         ("origin", Str t.f_origin); ("birth_tick", Int t.f_birth_tick);
+         ("trace", Int t.f_trace); ("request", Str t.f_request);
+         ("request_pid", Int t.f_request_pid);
+         ( "chain",
+           list
+             (fun l ->
+               Obj
+                 [ ("span", Int l.lk_span); ("parent", Int l.lk_parent);
+                   ("name", Str l.lk_name); ("pid", Int l.lk_pid);
+                   ("start_tick", Int l.lk_start_tick); ("end_tick", Int l.lk_end_tick) ])
+             t.f_chain );
+         ( "fanout",
+           list
+             (fun n ->
+               Obj
+                 [ ("seq", Int n.fn_seq); ("tick", Int n.fn_tick); ("kind", Str n.fn_kind);
+                   ("pid", Int n.fn_pid); ("addr", Int n.fn_addr); ("len", Int n.fn_len);
+                   ("origin", Str n.fn_origin); ("span", Int n.fn_span);
+                   ("span_name", Str n.fn_span_name);
+                   ( "verdict",
+                     Str (match n.fn_verdict with Some v -> verdict_name v | None -> "") ) ])
+             t.f_fanout );
+         ( "live",
+           list
+             (fun (a, l, o) -> Obj [ ("addr", Int a); ("len", Int l); ("origin", Str o) ])
+             t.f_live );
+         ("leak_budget_byte_ticks", Int t.f_leak_budget) ])
 
 let pp ppf t =
   let open Format in

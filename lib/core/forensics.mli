@@ -94,10 +94,11 @@ val budget_table : Obs.ctx -> budget_row list
 val to_string : t -> string
 
 val to_json : t -> string
-(** Canonical single-object JSON (deterministic field order). *)
+(** Canonical single-object JSON (deterministic field order), printed in
+    {!Obs.Json}'s [Compact] layout. *)
 
 val to_html : t -> string
 
 val html_escape : string -> string
 (** Escape [<], [>] and [&] for HTML text — shared by every HTML
-    renderer (re-exported as {!Dashboard.html_escape}). *)
+    renderer. *)

@@ -116,23 +116,3 @@ let pp fmt rows =
         subs;
       Format.fprintf fmt "@.")
     rows
-
-let to_json rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"rows\": [";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf (if i > 0 then ",\n    " else "\n    ");
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"level\": \"%s\", \"cycles\": %d, \"requests\": %d, \"signatures\": %d, \
-            \"slowdown\": %.4f, \"by_subsystem\": {%s}}"
-           (Obs.json_escape (Protection.name r.level)) r.cycles r.requests r.signatures
-           r.slowdown
-           (String.concat ", "
-              (List.map
-                 (fun (s, v) -> Printf.sprintf "\"%s\": %d" (Obs.json_escape s) v)
-                 r.by_subsystem))))
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf

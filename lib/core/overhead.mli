@@ -45,12 +45,10 @@ val run :
     against the first row.  [recorder] receives a scalars-only flight
     archive (kind ["overhead"]) —
     [overhead_cycles_<level>], [overhead_cycles_<level>_<subsystem>],
-    plus requests / signatures / slowdown per level.
-    [bench/flight_overhead.json] is the committed one; [dune runtest]
-    requires a fresh recording to match it byte for byte. *)
+    plus requests / signatures / slowdown per level: the report's JSON
+    form.  [bench/flight_overhead.json] is the committed one; [dune
+    runtest] requires a fresh recording to match it byte for byte. *)
 
 val pp : Format.formatter -> row list -> unit
 (** The paper-style table: totals, per-connection and per-signature
     cycles, slowdown, then the per-subsystem breakdown. *)
-
-val to_json : row list -> string

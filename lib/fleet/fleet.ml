@@ -353,123 +353,71 @@ let inspect_shard cfg ~shard ~tick =
 let final_copies (d : Dashboard.t) =
   match List.rev d.Dashboard.snapshots with last :: _ -> last.Report.total | [] -> 0
 
-(* Canonical JSON: sorted lists, integers only, and no [domains] field —
+(* Canonical JSON: sorted lists, fixed number forms, and no [domains] field —
    how many domains executed the fleet is a property of the run, not of
    the simulated result, and the fingerprint must not see it. *)
 let to_json r =
   let d = dashboard r in
-  let buf = Buffer.create 4096 in
-  let add = Buffer.add_string buf in
-  add "{\n";
-  add
-    (Printf.sprintf
-       "  \"config\": {\"shards\": %d, \"level\": \"%s\", \"mix\": \"%s\", \
-        \"num_pages\": %d, \"master_seed\": %d, \"conns_low\": %d, \
-        \"conns_high\": %d, \"churn\": %d, \"scan_mode\": \"%s\"},\n"
-       r.config.shards
-       (Protection.name r.config.level)
-       (mix_name r.config.mix) r.config.num_pages r.config.master_seed
-       r.config.conns_low r.config.conns_high r.config.churn
-       (System.mode_name System.Incremental));
-  add (Printf.sprintf "  \"total_connections\": %d,\n" r.total_connections);
-  add (Printf.sprintf "  \"total_requests\": %d,\n" r.total_requests);
-  add (Printf.sprintf "  \"total_cycles\": %d,\n" r.total_cycles);
-  add (Printf.sprintf "  \"sensitive_unsafe\": %d,\n" r.sensitive_unsafe);
-  add "  \"shards\": [\n";
-  List.iteri
-    (fun i s ->
-      if i > 0 then add ",\n";
-      add
-        (Printf.sprintf
-           "    {\"shard_id\": %d, \"server\": \"%s\", \"connections\": %d, \
-            \"requests\": %d, \"cycles\": %d, \"sensitive_unsafe\": %d, \
-            \"final_copies\": %d, \"breaches\": %d}"
-           s.shard_id
-           (Timeline.server_name s.dash.Dashboard.server)
-           s.connections s.requests s.dash.Dashboard.cycles
-           (Dashboard.sensitive_unsafe_total s.dash)
-           (final_copies s.dash)
-           (List.length s.dash.Dashboard.breaches)))
-    r.shard_results;
-  add "\n  ],\n";
-  add "  \"merged_totals\": [\n";
-  List.iteri
-    (fun i ((o, c), v) ->
-      if i > 0 then add ",\n";
-      add
-        (Printf.sprintf "    {\"origin\": \"%s\", \"class\": \"%s\", \"byte_ticks\": %d}"
-           (Obs.origin_name o) (Obs.class_name c) v))
-    d.Dashboard.totals;
-  add "\n  ],\n";
-  add "  \"merged_counters\": [\n";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then add ",\n";
-      add (Printf.sprintf "    {\"name\": \"%s\", \"value\": %d}" (Obs.json_escape k) v))
-    d.Dashboard.counters;
-  add "\n  ],\n";
-  add "  \"timeseries\": [\n";
-  List.iteri
-    (fun i (m : Dashboard.metric_series) ->
-      if i > 0 then add ",\n";
-      add
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"kind\": \"%s\", \"stride\": %d, \"samples\": %d, \"points\": [%s]}"
-           (Obs.json_escape m.Dashboard.ms_name) (Obs.json_escape m.Dashboard.ms_kind)
-           m.Dashboard.ms_stride m.Dashboard.ms_samples
-           (String.concat ","
-              (List.map
-                 (fun (tick, v) -> Printf.sprintf "[%d,%s]" tick (Obs.float_json v))
-                 m.Dashboard.ms_points))))
-    d.Dashboard.metrics;
-  add "\n  ],\n";
-  add "  \"alerts\": [\n";
-  List.iteri
-    (fun i (shard, (a : Dashboard.alert_firing)) ->
-      if i > 0 then add ",\n";
-      add
-        (Printf.sprintf
-           "    {\"tick\": %d, \"shard\": %d, \"rule\": \"%s\", \"series\": \"%s\", \"value\": %s}"
-           a.Dashboard.fired_tick shard (Obs.json_escape a.Dashboard.rule)
-           (Obs.json_escape a.Dashboard.rule_series)
-           (Obs.float_json a.Dashboard.value)))
-    (merge_alerts r.shard_results);
-  add "\n  ],\n";
-  add "  \"leak_budgets\": [\n";
-  List.iteri
-    (fun i (shard, (b : Forensics.budget_row)) ->
-      if i > 0 then add ",\n";
-      add
-        (Printf.sprintf
-           "    {\"tick\": %d, \"shard\": %d, \"trace\": %d, \"request\": \"%s\", \
-            \"pid\": %d, \"byte_ticks\": %d}"
-           b.Forensics.br_start_tick shard b.Forensics.br_trace
-           (Obs.json_escape b.Forensics.br_request) b.Forensics.br_pid
-           b.Forensics.br_byte_ticks))
-    (merge_budgets r.shard_results);
-  add "\n  ],\n";
-  add "  \"copies_by_tick\": [\n";
-  List.iteri
-    (fun i (sn : Report.snapshot) ->
-      if i > 0 then add ",\n";
-      add
-        (Printf.sprintf
-           "    {\"tick\": %d, \"total\": %d, \"allocated\": %d, \"unallocated\": %d}"
-           sn.Report.time sn.Report.total sn.Report.allocated sn.Report.unallocated))
-    d.Dashboard.snapshots;
-  add "\n  ],\n";
-  add "  \"events\": [\n";
-  List.iteri
-    (fun i e ->
-      if i > 0 then add ",\n";
-      add
-        (Printf.sprintf
-           "    {\"tick\": %d, \"shard\": %d, \"seq\": %d, \"label\": \"%s\", \
-            \"value\": %d}"
-           e.tick e.shard_id e.seq (Obs.json_escape e.label) e.value))
-    r.merged_events;
-  add "\n  ]\n}\n";
-  Buffer.contents buf
+  let c = r.config in
+  let open Obs.Json in
+  to_string Fleet
+    (Obj
+       [ ( "config",
+           Obj
+             [ ("shards", Int c.shards); ("level", Str (Protection.name c.level));
+               ("mix", Str (mix_name c.mix)); ("num_pages", Int c.num_pages);
+               ("master_seed", Int c.master_seed); ("conns_low", Int c.conns_low);
+               ("conns_high", Int c.conns_high); ("churn", Int c.churn);
+               ("scan_mode", Str (System.mode_name System.Incremental)) ] );
+         ("total_connections", Int r.total_connections);
+         ("total_requests", Int r.total_requests);
+         ("total_cycles", Int r.total_cycles);
+         ("sensitive_unsafe", Int r.sensitive_unsafe);
+         ( "shards",
+           list
+             (fun s ->
+               Obj
+                 [ ("shard_id", Int s.shard_id);
+                   ("server", Str (Timeline.server_name s.dash.Dashboard.server));
+                   ("connections", Int s.connections); ("requests", Int s.requests);
+                   ("cycles", Int s.dash.Dashboard.cycles);
+                   ("sensitive_unsafe", Int (Dashboard.sensitive_unsafe_total s.dash));
+                   ("final_copies", Int (final_copies s.dash));
+                   ("breaches", Int (List.length s.dash.Dashboard.breaches)) ])
+             r.shard_results );
+         ("merged_totals", list Dashboard.bucket_json d.Dashboard.totals);
+         ( "merged_counters",
+           list
+             (fun (k, v) -> Obj [ ("name", Str k); ("value", Int v) ])
+             d.Dashboard.counters );
+         ("timeseries", list Dashboard.metric_json d.Dashboard.metrics);
+         ( "alerts",
+           list
+             (fun (shard, (a : Dashboard.alert_firing)) ->
+               Obj
+                 [ ("tick", Int a.Dashboard.fired_tick); ("shard", Int shard);
+                   ("rule", Str a.Dashboard.rule); ("series", Str a.Dashboard.rule_series);
+                   ("value", Num a.Dashboard.value) ])
+             (merge_alerts r.shard_results) );
+         ( "leak_budgets",
+           list
+             (fun (shard, (b : Forensics.budget_row)) ->
+               Obj
+                 [ ("tick", Int b.Forensics.br_start_tick); ("shard", Int shard);
+                   ("trace", Int b.Forensics.br_trace);
+                   ("request", Str b.Forensics.br_request);
+                   ("pid", Int b.Forensics.br_pid);
+                   ("byte_ticks", Int b.Forensics.br_byte_ticks) ])
+             (merge_budgets r.shard_results) );
+         ("copies_by_tick", list Dashboard.hits_json d.Dashboard.snapshots);
+         ( "events",
+           list
+             (fun e ->
+               Obj
+                 [ ("tick", Int e.tick); ("shard", Int e.shard_id); ("seq", Int e.seq);
+                   ("label", Str e.label); ("value", Int e.value) ])
+             r.merged_events ) ])
+  ^ "\n"
 
 let fingerprint r = Digest.to_hex (Digest.string (to_json r))
 
@@ -580,14 +528,14 @@ let to_html r =
         (Printf.sprintf
            "<tr><td>%d</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>\n"
            s.shard_id
-           (Dashboard.html_escape (Timeline.server_name s.dash.Dashboard.server))
+           (Forensics.html_escape (Timeline.server_name s.dash.Dashboard.server))
            s.connections s.requests s.dash.Dashboard.cycles
            (Dashboard.sensitive_unsafe_total s.dash)))
     r.shard_results;
   add
     (Printf.sprintf
        "<tr><th>total</th><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr></table>\n"
-       (Dashboard.html_escape (mix_name r.config.mix))
+       (Forensics.html_escape (mix_name r.config.mix))
        r.total_connections r.total_requests r.total_cycles r.sensitive_unsafe);
   let html = Dashboard.to_html (dashboard r) in
   (* splice the fleet table right under the dashboard's <h1>; if the

@@ -130,7 +130,8 @@ val to_json : report -> string
     their shard), per-request leak budgets (merged by
     [(tick, shard, trace)]) and the merged event stream.  Deterministic —
     contains no wall-clock times, hashes or addresses of OCaml values —
-    so equal fleets render equal bytes; {!fingerprint} digests it.
+    so equal fleets render equal bytes, printed in
+    [Memguard_obs.Obs.Json]'s [Fleet] layout; {!fingerprint} digests them.
     [domain_stats] is intentionally absent. *)
 
 val to_html : report -> string

@@ -113,36 +113,301 @@ let float_json f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.6g" f
 
-(* JSON string escaping for every export.  Printf's %S is OCaml lexing —
-   decimal \ddd escapes, which JSON parsers reject — so it must never
-   render a JSON string. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* The one JSON codec (see obs.mli): no external dependency, no stream
+   support. *)
+module Json = struct
+  type t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
 
-(* a quoted JSON string *)
-let json_str s = "\"" ^ json_escape s ^ "\""
+  type layout = Compact | Archive | Fleet
 
-(* The one-entry-per-line layout shared by the exports: "[\n a,\n b\n]"
-   ("[\n]" when empty), and likewise for objects with "key": value
-   entries. *)
-let json_lines opn cls entries =
-  opn ^ String.concat "," (List.map (fun e -> "\n " ^ e) entries) ^ "\n" ^ cls
+  let list f xs = Arr (List.map f xs)
 
-let json_array = json_lines "[" "]"
-let json_object kvs = json_lines "{" "}" (List.map (fun (k, v) -> json_str k ^ ": " ^ v) kvs)
+  (* Printf's %S is OCaml lexing, whose decimal \ddd escapes JSON parsers
+     reject *)
+  let add_str b s =
+    Buffer.add_char b '"';
+    String.iter
+      (function
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when c < ' ' -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+
+  (* Archive indents each broken-out entry one space, except the root
+     object's members; Fleet indents two spaces a level, keeps an empty
+     line in an empty container and spaces its one-line objects. *)
+  let to_string layout v =
+    let b = Buffer.create 256 in
+    let rec value ~depth ~member = function
+      | Null -> Buffer.add_string b "null"
+      | Bool x -> Buffer.add_string b (string_of_bool x)
+      | Int i -> Buffer.add_string b (string_of_int i)
+      | Num f -> Buffer.add_string b (float_json f)
+      | Str s -> add_str b s
+      | Arr xs -> entries ~depth ~member ~obj:false (List.map (fun x -> ("", x)) xs)
+      | Obj kvs -> entries ~depth ~member ~obj:true kvs
+    and entries ~depth ~member ~obj kvs =
+      let lines =
+        match layout with
+        | Compact -> false
+        | Archive -> depth = 0 || (depth = 1 && member)
+        | Fleet -> depth = 0 || (depth = 1 && member && not obj)
+      in
+      (* what goes before the first entry, between entries, and before the closer *)
+      let first, sep, last =
+        if not lines then ("", (if layout = Fleet && obj then ", " else ","), "")
+        else if layout = Fleet then
+          let ind = String.make (2 * depth) ' ' in
+          ("\n  " ^ ind, ",\n  " ^ ind, (if kvs = [] then "\n\n" else "\n") ^ ind)
+        else
+          let ind = if depth = 0 && obj then "" else " " in
+          ("\n" ^ ind, ",\n" ^ ind, "\n")
+      in
+      let colon = if lines || layout = Fleet then ": " else ":" in
+      Buffer.add_char b (if obj then '{' else '[');
+      List.iteri
+        (fun i (k, x) ->
+          Buffer.add_string b (if i = 0 then first else sep);
+          if obj then begin
+            add_str b k;
+            Buffer.add_string b colon
+          end;
+          value ~depth:(depth + 1) ~member:obj x)
+        kvs;
+      Buffer.add_string b last;
+      Buffer.add_char b (if obj then '}' else ']')
+    in
+    value ~depth:0 ~member:false v;
+    Buffer.contents b
+
+  exception Bad of string
+
+  (* 1e0 .. 1e22, each exact in a double *)
+  let pow10 = Array.init 23 (fun i -> float_of_string ("1e" ^ string_of_int i))
+
+  let parse src =
+    let n = String.length src in
+    let pos = ref 0 in
+    let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
+    let at c = !pos < n && src.[!pos] = c in
+    let skip_ws () =
+      while
+        !pos < n && (match src.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+      do
+        incr pos
+      done
+    in
+    let expect c = if at c then incr pos else fail (Printf.sprintf "expected '%c'" c) in
+    let literal word v =
+      let l = String.length word in
+      let rec same i = i = l || (src.[!pos + i] = word.[i] && same (i + 1)) in
+      if !pos + l <= n && same 0 then begin
+        pos := !pos + l;
+        v
+      end
+      else fail "bad literal"
+    in
+    (* a string with no escape is one [String.sub]; the first escape
+       switches to a buffer *)
+    let parse_string () =
+      expect '"';
+      let start = !pos in
+      while !pos < n && src.[!pos] <> '"' && src.[!pos] <> '\\' do
+        incr pos
+      done;
+      if at '"' then begin
+        incr pos;
+        String.sub src start (!pos - 1 - start)
+      end
+      else begin
+        let buf = Buffer.create (2 * (!pos - start) + 16) in
+        Buffer.add_substring buf src start (!pos - start);
+        let rec go () =
+          if !pos >= n then fail "unterminated string";
+          let c = src.[!pos] in
+          incr pos;
+          if c = '"' then Buffer.contents buf
+          else if c = '\\' then begin
+            if !pos >= n then fail "unterminated escape";
+            let e = src.[!pos] in
+            incr pos;
+            (match e with
+             | '"' -> Buffer.add_char buf '"'
+             | '\\' -> Buffer.add_char buf '\\'
+             | '/' -> Buffer.add_char buf '/'
+             | 'b' -> Buffer.add_char buf '\b'
+             | 'f' -> Buffer.add_char buf '\012'
+             | 'n' -> Buffer.add_char buf '\n'
+             | 'r' -> Buffer.add_char buf '\r'
+             | 't' -> Buffer.add_char buf '\t'
+             | 'u' ->
+               if !pos + 4 > n then fail "bad \\u escape";
+               let hex = String.sub src !pos 4 in
+               pos := !pos + 4;
+               let cp =
+                 match int_of_string_opt ("0x" ^ hex) with
+                 | Some cp -> cp
+                 | None -> fail "bad \\u escape"
+               in
+               (* BMP code points decode as UTF-8 (a lone surrogate as
+                  U+FFFD); exports only ever emit ASCII control escapes,
+                  so this is read-side generosity *)
+               Buffer.add_utf_8_uchar buf
+                 (if Uchar.is_valid cp then Uchar.of_int cp else Uchar.rep)
+             | _ -> fail "bad escape");
+            go ()
+          end
+          else begin
+            Buffer.add_char buf c;
+            go ()
+          end
+        in
+        go ()
+      end
+    in
+    (* fail, quoting the run of number characters at [start] *)
+    let bad_number start what =
+      let stop = ref start in
+      while !stop < n && String.contains "0123456789+-.eE" src.[!stop] do
+        incr stop
+      done;
+      pos := start;
+      fail (what ^ " " ^ String.sub src start (!stop - start))
+    in
+    let digit () = !pos < n && src.[!pos] >= '0' && src.[!pos] <= '9' in
+    (* the run of digits at [pos], which must not be empty, appended to
+       [acc]; [ndigits] counts them *)
+    let ndigits = ref 0 in
+    let digits start acc =
+      if not (digit ()) then bad_number start "bad number";
+      let p0 = !pos and v = ref acc in
+      while digit () do
+        v := (!v * 10) + Char.code src.[!pos] - 48;
+        incr pos
+      done;
+      ndigits := !pos - p0;
+      !v
+    in
+    (* JSON's grammar, stricter than float_of_string's ("+1", "01" and
+       "1." all read there): an optional '-', then 0 or digits not
+       starting with 0, then optional '.' and digits, then optional e/E,
+       sign and digits *)
+    let parse_number () =
+      let start = !pos in
+      let neg = at '-' in
+      if neg then incr pos;
+      let m = ref (digits start 0) in
+      let int_digits = !ndigits in
+      if int_digits > 1 && src.[!pos - int_digits] = '0' then bad_number start "bad number";
+      let int_end = !pos in
+      let frac_digits =
+        if at '.' then begin
+          incr pos;
+          m := digits start !m;
+          !ndigits
+        end
+        else 0
+      in
+      let exp =
+        if at 'e' || at 'E' then begin
+          incr pos;
+          let minus = at '-' in
+          if minus || at '+' then incr pos;
+          let e = digits start 0 in
+          if !ndigits > 3 then 999 else if minus then -e else e
+        end
+        else 0
+      in
+      if !pos < n && String.contains "0123456789+-.eE" src.[!pos] then
+        bad_number start "bad number";
+      let e10 = exp - frac_digits in
+      (* An integer literal of up to 18 digits fits an int.  Up to 15
+         digits scaled by an exact power of ten round once, as
+         float_of_string does.  Anything else is copied out. *)
+      if !pos = int_end && int_digits <= 18 then
+        if neg && !m = 0 then Num (-0.) else Int (if neg then - !m else !m)
+      else if !pos > int_end && int_digits + frac_digits <= 15 && abs e10 <= 22 then begin
+        let f = float_of_int !m in
+        let f = if e10 >= 0 then f *. pow10.(e10) else f /. pow10.(-e10) in
+        Num (if neg then -.f else f)
+      end
+      else begin
+        let lit = String.sub src start (!pos - start) in
+        match if !pos = int_end then int_of_string_opt lit else None with
+        | Some i -> Int i
+        | None -> (
+          match float_of_string_opt lit with
+          | Some f when Float.is_finite f -> Num f
+          | _ -> bad_number start "number out of range")
+      end
+    in
+    let rec parse_value () =
+      skip_ws ();
+      if !pos >= n then fail "unexpected end of input";
+      match src.[!pos] with
+      | 'n' -> literal "null" Null
+      | 't' -> literal "true" (Bool true)
+      | 'f' -> literal "false" (Bool false)
+      | '"' -> Str (parse_string ())
+      | '[' ->
+        incr pos;
+        Arr (entries ']' parse_value)
+      | '{' ->
+        incr pos;
+        Obj
+          (entries '}' (fun () ->
+               skip_ws ();
+               let k = parse_string () in
+               skip_ws ();
+               expect ':';
+               (k, parse_value ())))
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> parse_number ()
+      | _ -> fail "expected value"
+    (* comma-separated entries up to [close] *)
+    and entries : 'a. char -> (unit -> 'a) -> 'a list =
+      fun close entry ->
+        skip_ws ();
+        if at close then begin
+          incr pos;
+          []
+        end
+        else begin
+          let rec loop acc =
+            let acc = entry () :: acc in
+            skip_ws ();
+            if at ',' then begin
+              incr pos;
+              loop acc
+            end
+            else if at close then begin
+              incr pos;
+              List.rev acc
+            end
+            else fail (Printf.sprintf "expected ',' or '%c'" close)
+          in
+          loop []
+        end
+    in
+    try
+      let v = parse_value () in
+      skip_ws ();
+      if !pos <> n then Error (Printf.sprintf "trailing garbage at byte %d" !pos) else Ok v
+    with Bad msg -> Error msg
+
+  let mem k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
+end
 
 (* [birth_trace]/[birth_span] name the request-scoped causal span that
    created the copy; clones made by blit/stash/restore inherit them, so
@@ -696,81 +961,66 @@ module Trace = struct
     done;
     !acc
 
-  let fields_of_event = function
-    | Copy_created { origin; pid; addr; len } ->
-      ("copy_created",
-       [ ("origin", `S (origin_name origin)); ("pid", `I pid); ("addr", `I addr);
-         ("len", `I len) ])
-    | Copy_zeroed { origin; pid; addr; len } ->
-      ("copy_zeroed",
-       [ ("origin", `S (origin_name origin)); ("pid", `I pid); ("addr", `I addr);
-         ("len", `I len) ])
-    | Copy_freed_dirty { origin; pid; addr; len } ->
-      ("copy_freed_dirty",
-       [ ("origin", `S (origin_name origin)); ("pid", `I pid); ("addr", `I addr);
-         ("len", `I len) ])
+  let fields_of_event ev =
+    let open Json in
+    let copy name origin pid addr len =
+      ( name,
+        [ ("origin", Str (origin_name origin)); ("pid", Int pid); ("addr", Int addr);
+          ("len", Int len) ] )
+    in
+    match ev with
+    | Copy_created { origin; pid; addr; len } -> copy "copy_created" origin pid addr len
+    | Copy_zeroed { origin; pid; addr; len } -> copy "copy_zeroed" origin pid addr len
+    | Copy_freed_dirty { origin; pid; addr; len } -> copy "copy_freed_dirty" origin pid addr len
     | Cow_fault { pid; src_pfn; dst_pfn } ->
-      ("cow_fault", [ ("pid", `I pid); ("src_pfn", `I src_pfn); ("dst_pfn", `I dst_pfn) ])
+      ("cow_fault", [ ("pid", Int pid); ("src_pfn", Int src_pfn); ("dst_pfn", Int dst_pfn) ])
     | Page_cache_insert { ino; index; pfn } ->
-      ("page_cache_insert", [ ("ino", `I ino); ("index", `I index); ("pfn", `I pfn) ])
+      ("page_cache_insert", [ ("ino", Int ino); ("index", Int index); ("pfn", Int pfn) ])
     | Page_cache_evict { ino; index; pfn; cleared } ->
       ("page_cache_evict",
-       [ ("ino", `I ino); ("index", `I index); ("pfn", `I pfn); ("cleared", `B cleared) ])
+       [ ("ino", Int ino); ("index", Int index); ("pfn", Int pfn); ("cleared", Bool cleared) ])
     | Swap_out { pid; slot; pfn } ->
-      ("swap_out", [ ("pid", `I pid); ("slot", `I slot); ("pfn", `I pfn) ])
+      ("swap_out", [ ("pid", Int pid); ("slot", Int slot); ("pfn", Int pfn) ])
     | Swap_in { pid; slot; pfn } ->
-      ("swap_in", [ ("pid", `I pid); ("slot", `I slot); ("pfn", `I pfn) ])
-    | Scan_started { mode } -> ("scan_started", [ ("mode", `S mode) ])
+      ("swap_in", [ ("pid", Int pid); ("slot", Int slot); ("pfn", Int pfn) ])
+    | Scan_started { mode } -> ("scan_started", [ ("mode", Str mode) ])
     | Scan_finished { mode; hits; pages_scanned } ->
       ("scan_finished",
-       [ ("mode", `S mode); ("hits", `I hits); ("pages_scanned", `I pages_scanned) ])
+       [ ("mode", Str mode); ("hits", Int hits); ("pages_scanned", Int pages_scanned) ])
     | Audit_violation { check; detail } ->
-      ("audit_violation", [ ("check", `S check); ("detail", `S detail) ])
+      ("audit_violation", [ ("check", Str check); ("detail", Str detail) ])
     | Exposure_breach { origin; cls; pid; addr; len; age } ->
       ("exposure_breach",
-       [ ("origin", `S (origin_name origin)); ("class", `S (class_name cls));
-         ("pid", `I pid); ("addr", `I addr); ("len", `I len); ("age", `I age) ])
+       [ ("origin", Str (origin_name origin)); ("class", Str (class_name cls));
+         ("pid", Int pid); ("addr", Int addr); ("len", Int len); ("age", Int age) ])
     | Alert_fired { rule; series; value } ->
-      ("alert_fired", [ ("rule", `S rule); ("series", `S series); ("value", `F value) ])
-
-  let json_field (k, v) =
-    match v with
-    | `S s -> Printf.sprintf "%s:%s" (json_str k) (json_str s)
-    | `I i -> Printf.sprintf "%s:%d" (json_str k) i
-    | `B b -> Printf.sprintf "%s:%b" (json_str k) b
-    | `F f -> Printf.sprintf "%s:%s" (json_str k) (float_json f)
+      ("alert_fired", [ ("rule", Str rule); ("series", Str series); ("value", Num value) ])
 
   let jsonl_of_record r =
     let name, fields = fields_of_event r.event in
-    String.concat ","
-      (Printf.sprintf "{\"seq\":%d" r.seq
-       :: Printf.sprintf "\"tick\":%d" r.tick
-       :: Printf.sprintf "\"trace\":%d" r.trace
-       :: Printf.sprintf "\"span\":%d" r.span
-       :: Printf.sprintf "\"event\":%s" (json_str name)
-       :: List.map json_field fields)
-    ^ "}"
+    let open Json in
+    to_string Compact
+      (Obj
+         ([ ("seq", Int r.seq); ("tick", Int r.tick); ("trace", Int r.trace);
+            ("span", Int r.span); ("event", Str name) ]
+         @ fields))
 
-  let to_jsonl ctx =
-    let buf = Buffer.create 4096 in
-    List.iter
-      (fun r ->
-        Buffer.add_string buf (jsonl_of_record r);
-        Buffer.add_char buf '\n')
-      (records ctx);
-    Buffer.contents buf
+  let to_jsonl ctx = String.concat "" (List.map (fun r -> jsonl_of_record r ^ "\n") (records ctx))
 
   (* OTel-style span list: one object per causal span, id order, with
      trace_id / span_id / parent_span_id and both clocks (ticks and
      simulated cycles).  Canonical JSON — safe to fingerprint. *)
   let spans_to_json ctx =
-    json_array
-      (List.map
+    let open Json in
+    to_string Archive
+      (list
          (fun s ->
-           Printf.sprintf
-             "{\"trace_id\":%d,\"span_id\":%d,\"parent_span_id\":%d,\"name\":%s,\"pid\":%d,\"start_tick\":%d,\"end_tick\":%d,\"start_cycles\":%d,\"end_cycles\":%d}"
-             s.sp_trace s.sp_id s.sp_parent (json_str s.sp_name) s.sp_pid s.sp_start_tick
-             s.sp_end_tick s.sp_start_cycles s.sp_end_cycles)
+           Obj
+             [ ("trace_id", Int s.sp_trace); ("span_id", Int s.sp_id);
+               ("parent_span_id", Int s.sp_parent); ("name", Str s.sp_name);
+               ("pid", Int s.sp_pid); ("start_tick", Int s.sp_start_tick);
+               ("end_tick", Int s.sp_end_tick); ("start_cycles", Int s.sp_start_cycles);
+               ("end_cycles", Int s.sp_end_cycles) ])
          (spans ctx))
     ^ "\n"
 
@@ -780,26 +1030,26 @@ module Trace = struct
      span rather than under the simulated process that ran them. *)
   let spans_to_chrome ctx =
     let ss = spans ctx in
-    json_array
-      (List.filter_map
-         (fun s ->
-           if s.sp_parent <> 0 then None
-           else
-             Some
-               (Printf.sprintf
-                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":%s}}"
-                  s.sp_trace
-                  (json_str (Printf.sprintf "trace %d: %s" s.sp_trace s.sp_name))))
-         ss
-      @ List.map
-          (fun s ->
-            (* a complete event ("ph":"X") *)
-            Printf.sprintf
-              "{\"name\":%s,\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"tid\":0,\"args\":{\"span\":%d,\"parent\":%d,\"sim_pid\":%d,\"start_tick\":%d}}"
-              (json_str s.sp_name) s.sp_start_cycles
-              (max 1 (s.sp_end_cycles - s.sp_start_cycles))
-              s.sp_trace s.sp_id s.sp_parent s.sp_pid s.sp_start_tick)
-          ss)
+    let open Json in
+    let row s =
+      Obj
+        [ ("name", Str "process_name"); ("ph", Str "M"); ("pid", Int s.sp_trace); ("tid", Int 0);
+          ("args", Obj [ ("name", Str (Printf.sprintf "trace %d: %s" s.sp_trace s.sp_name)) ])
+        ]
+    in
+    (* a complete event ("ph":"X") *)
+    let event s =
+      Obj
+        [ ("name", Str s.sp_name); ("ph", Str "X"); ("ts", Int s.sp_start_cycles);
+          ("dur", Int (max 1 (s.sp_end_cycles - s.sp_start_cycles)));
+          ("pid", Int s.sp_trace); ("tid", Int 0);
+          ("args",
+           Obj
+             [ ("span", Int s.sp_id); ("parent", Int s.sp_parent); ("sim_pid", Int s.sp_pid);
+               ("start_tick", Int s.sp_start_tick) ]) ]
+    in
+    to_string Archive
+      (Arr (List.map row (List.filter (fun s -> s.sp_parent = 0) ss) @ List.map event ss))
     ^ "\n"
 end
 
@@ -1600,19 +1850,17 @@ module Timeseries = struct
   (* Canonical JSON: name-sorted array of series with their retained
      points — the merge unit for fleet reports and the dashboard twin. *)
   let to_json ctx =
-    json_array
-      (List.filter_map
-         (fun name ->
-           Option.map
-             (fun s ->
-               Printf.sprintf
-                 "{\"name\":%s,\"kind\":%s,\"stride\":%d,\"samples\":%d,\"points\":[%s]}"
-                 (json_str s.s_name) (json_str (export_kind s)) s.s_stride s.s_seen
-                 (String.concat ","
-                    (List.init s.s_len (fun j ->
-                         Printf.sprintf "[%d,%s]" s.s_ticks.(j) (float_json s.s_vals.(j))))))
-             (find ctx name))
-         (names ctx))
+    let open Json in
+    to_string Archive
+      (list
+         (fun s ->
+           Obj
+             [ ("name", Str s.s_name); ("kind", Str (export_kind s)); ("stride", Int s.s_stride);
+               ("samples", Int s.s_seen);
+               ("points",
+                Arr (List.init s.s_len (fun j -> Arr [ Int s.s_ticks.(j); Num s.s_vals.(j) ])))
+             ])
+         (List.filter_map (find ctx) (names ctx)))
 end
 
 (* ---- declarative alert rules ---- *)
@@ -1696,218 +1944,9 @@ module Alert = struct
     match List.find_opt (fun r -> r.a_name = name) ctx.rules_ with
     | Some r -> r.a_fired
     | None -> 0
-
-  (* one firing as a JSON object: the archive's alert entry *)
-  let firing_json (tick, rule, series, value) =
-    Printf.sprintf "{\"tick\":%d,\"rule\":%s,\"series\":%s,\"value\":%s}" tick
-      (json_str rule) (json_str series) (float_json value)
 end
 
 (* ---- flight-recorder archives & structural run diffing ---- *)
-
-(* Minimal recursive-descent JSON reader.  The repo emits all its JSON by
-   hand (canonically, for fingerprint stability); this is the matching
-   read side for flight archives — no external dependency, no stream
-   support, whole-document only.  [null] maps to NaN on numeric reads so
-   [float_json]'s NaN encoding round-trips. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Bad of string
-
-  let parse src =
-    let n = String.length src in
-    let pos = ref 0 in
-    let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-    let peek () = if !pos < n then Some src.[!pos] else None in
-    let skip_ws () =
-      while
-        !pos < n && (match src.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        incr pos
-      done
-    in
-    let expect c =
-      if !pos < n && src.[!pos] = c then incr pos
-      else fail (Printf.sprintf "expected '%c'" c)
-    in
-    let literal word v =
-      let l = String.length word in
-      if !pos + l <= n && String.sub src !pos l = word then begin
-        pos := !pos + l;
-        v
-      end
-      else fail "bad literal"
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then fail "unterminated string";
-        let c = src.[!pos] in
-        incr pos;
-        if c = '"' then Buffer.contents buf
-        else if c = '\\' then begin
-          if !pos >= n then fail "unterminated escape";
-          let e = src.[!pos] in
-          incr pos;
-          (match e with
-           | '"' -> Buffer.add_char buf '"'
-           | '\\' -> Buffer.add_char buf '\\'
-           | '/' -> Buffer.add_char buf '/'
-           | 'b' -> Buffer.add_char buf '\b'
-           | 'f' -> Buffer.add_char buf '\012'
-           | 'n' -> Buffer.add_char buf '\n'
-           | 'r' -> Buffer.add_char buf '\r'
-           | 't' -> Buffer.add_char buf '\t'
-           | 'u' ->
-             if !pos + 4 > n then fail "bad \\u escape";
-             let hex = String.sub src !pos 4 in
-             pos := !pos + 4;
-             let cp =
-               match int_of_string_opt ("0x" ^ hex) with
-               | Some cp -> cp
-               | None -> fail "bad \\u escape"
-             in
-             (* BMP code points decode as UTF-8; archives only ever emit
-                ASCII control escapes, so this is read-side generosity *)
-             if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-             else if cp < 0x800 then begin
-               Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-               Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-             end
-             else begin
-               Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-               Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-               Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-             end
-           | _ -> fail "bad escape");
-          go ()
-        end
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      while
-        !pos < n
-        && (match src.[!pos] with
-            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-            | _ -> false)
-      do
-        incr pos
-      done;
-      if !pos = start then fail "expected value";
-      let lit = String.sub src start (!pos - start) in
-      (* float_of_string is laxer than JSON ("+1", "01" and "1." all read),
-         so check JSON's grammar first: an optional '-', then 0 or digits
-         not starting with 0, then optional '.' and digits, then optional
-         e/E, sign and digits.  Each step returns the index after what it
-         read, or -1. *)
-      let l = String.length lit in
-      let digit i = i >= 0 && i < l && lit.[i] >= '0' && lit.[i] <= '9' in
-      let rec digits i = if digit i then digits (i + 1) else i in
-      let int_part i =
-        if i < l && lit.[i] = '0' then i + 1 else if digit i then digits i else -1
-      in
-      let frac i =
-        if i >= 0 && i < l && lit.[i] = '.' then if digit (i + 1) then digits (i + 1) else -1
-        else i
-      in
-      let exp i =
-        if i >= 0 && i < l && (lit.[i] = 'e' || lit.[i] = 'E') then begin
-          let sign = i + 1 < l && (lit.[i + 1] = '+' || lit.[i + 1] = '-') in
-          let j = if sign then i + 2 else i + 1 in
-          if digit j then digits j else -1
-        end
-        else i
-      in
-      let reject what =
-        pos := start;
-        fail (what ^ " " ^ lit)
-      in
-      if exp (frac (int_part (if lit.[0] = '-' then 1 else 0))) <> l then reject "bad number";
-      match float_of_string_opt lit with
-      | Some f when Float.is_finite f -> f
-      | _ -> reject "number out of range"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some 'n' -> literal "null" Null
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some '"' -> Str (parse_string ())
-      | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec loop () =
-            items := parse_value () :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              incr pos;
-              loop ()
-            | Some ']' -> incr pos
-            | _ -> fail "expected ',' or ']'"
-          in
-          loop ();
-          Arr (List.rev !items)
-        end
-      | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec loop () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              incr pos;
-              loop ()
-            | Some '}' -> incr pos
-            | _ -> fail "expected ',' or '}'"
-          in
-          loop ();
-          Obj (List.rev !fields)
-        end
-      | Some _ -> Num (parse_number ())
-    in
-    try
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then Error (Printf.sprintf "trailing garbage at byte %d" !pos) else Ok v
-    with Bad msg -> Error msg
-
-  let mem k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-end
 
 module Snapshot = struct
   let version = 1
@@ -2018,53 +2057,54 @@ module Snapshot = struct
       ~shards ()
 
   let to_json t =
-    let obj f kvs = json_object (List.map (fun (k, v) -> (k, f v)) kvs) in
-    let inline f xs = String.concat "," (List.map f xs) in
-    String.concat ",\n"
-      [ Printf.sprintf "{\n\"flight_version\": %d" t.ar_version;
-        "\"kind\": " ^ json_str t.ar_kind;
-        "\"meta\": " ^ obj json_str t.ar_meta;
-        "\"scalars\": " ^ obj float_json t.ar_scalars;
-        "\"series\": "
-        ^ json_array
-            (List.map
+    let open Json in
+    let obj f kvs = Obj (List.map (fun (k, v) -> (k, f v)) kvs) in
+    let int i = Int i and num f = Num f and str s = Str s in
+    to_string Archive
+      (Obj
+         [ ("flight_version", Int t.ar_version);
+           ("kind", Str t.ar_kind);
+           ("meta", obj str t.ar_meta);
+           ("scalars", obj num t.ar_scalars);
+           ( "series",
+             list
                (fun e ->
-                 Printf.sprintf
-                   "{\"name\":%s,\"kind\":%s,\"stride\":%d,\"samples\":%d,\"last_tick\":%d,\"last\":%s,\"min\":%s,\"max\":%s,\"points\":[%s]}"
-                   (json_str e.e_name) (json_str e.e_kind) e.e_stride e.e_samples
-                   e.e_last_tick (float_json e.e_last) (float_json e.e_min)
-                   (float_json e.e_max)
-                   (inline (fun (tk, v) -> Printf.sprintf "[%d,%s]" tk (float_json v))
-                      e.e_points))
-               t.ar_series);
-        "\"exposure\": "
-        ^ json_array
-            (List.map
+                 Obj
+                   [ ("name", Str e.e_name); ("kind", Str e.e_kind);
+                     ("stride", Int e.e_stride); ("samples", Int e.e_samples);
+                     ("last_tick", Int e.e_last_tick); ("last", Num e.e_last);
+                     ("min", Num e.e_min); ("max", Num e.e_max);
+                     ("points", list (fun (tk, v) -> Arr [ Int tk; Num v ]) e.e_points)
+                   ])
+               t.ar_series );
+           ( "exposure",
+             list
                (fun (o, c, v) ->
-                 Printf.sprintf "{\"origin\":%s,\"class\":%s,\"byte_ticks\":%d}"
-                   (json_str o) (json_str c) v)
-               t.ar_exposure);
-        "\"counters\": " ^ obj string_of_int t.ar_counters;
-        "\"cost_subsystem\": " ^ obj string_of_int t.ar_cost_subsystem;
-        "\"cost_op\": "
-        ^ json_array
-            (List.map
+                 Obj [ ("origin", Str o); ("class", Str c); ("byte_ticks", Int v) ])
+               t.ar_exposure );
+           ("counters", obj int t.ar_counters);
+           ("cost_subsystem", obj int t.ar_cost_subsystem);
+           ( "cost_op",
+             list
                (fun (op, cnt, cyc) ->
-                 Printf.sprintf "{\"op\":%s,\"count\":%d,\"cycles\":%d}" (json_str op)
-                   cnt cyc)
-               t.ar_cost_op);
-        "\"alerts\": " ^ json_array (List.map Alert.firing_json t.ar_alerts);
-        "\"budgets\": " ^ obj string_of_int t.ar_budgets;
-        "\"shards\": "
-        ^ json_array
-            (List.map
+                 Obj [ ("op", Str op); ("count", Int cnt); ("cycles", Int cyc) ])
+               t.ar_cost_op );
+           ( "alerts",
+             list
+               (fun (tick, rule, series, value) ->
+                 Obj
+                   [ ("tick", Int tick); ("rule", Str rule); ("series", Str series);
+                     ("value", Num value) ])
+               t.ar_alerts );
+           ("budgets", obj int t.ar_budgets);
+           ( "shards",
+             list
                (fun sh ->
-                 Printf.sprintf "{\"id\":%d,\"label\":%s,\"cells\":{%s}}" sh.sh_id
-                   (json_str sh.sh_label)
-                   (inline (fun (k, v) -> json_str k ^ ":" ^ float_json v) sh.sh_cells))
-               t.ar_shards)
-      ]
-    ^ "\n}\n"
+                 Obj
+                   [ ("id", Int sh.sh_id); ("label", Str sh.sh_label);
+                     ("cells", obj num sh.sh_cells) ])
+               t.ar_shards ) ])
+    ^ "\n"
 
   let of_json text =
     match Json.parse text with
@@ -2073,80 +2113,69 @@ module Snapshot = struct
       let open Json in
       let jnum = function
         | Num f -> f
+        | Int i -> float_of_int i
         | Null -> Float.nan
         | Bool b -> if b then 1. else 0.
         | _ -> Float.nan
       in
-      let jint j =
-        let f = jnum j in
-        if Float.is_nan f then 0 else int_of_float f
+      let jint = function
+        | Int i -> i
+        | j ->
+          let f = jnum j in
+          if Float.is_nan f then 0 else int_of_float f
       in
       let jstr = function Str s -> s | _ -> "" in
-      let jarr = function Some (Arr l) -> l | _ -> [] in
-      let jobj = function Some (Obj l) -> l | _ -> [] in
+      let g j k = Option.value ~default:Null (mem k j) in
+      (* member [k] of [j], an array or an object, read entry by entry *)
+      let items j k f = List.map f (match mem k j with Some (Arr l) -> l | _ -> []) in
+      let members j k f =
+        List.map (fun (k, v) -> (k, f v)) (match mem k j with Some (Obj l) -> l | _ -> [])
+      in
       (match mem "flight_version" root with
-       | Some (Num v) when v = float_of_int version ->
-         let g j k = Option.value ~default:Null (mem k j) in
-         let series =
-           List.map
-             (fun j ->
-               { e_name = jstr (g j "name");
-                 e_kind = jstr (g j "kind");
-                 e_stride = jint (g j "stride");
-                 e_samples = jint (g j "samples");
-                 e_last_tick = jint (g j "last_tick");
-                 e_last = jnum (g j "last");
-                 e_min = jnum (g j "min");
-                 e_max = jnum (g j "max");
-                 e_points =
-                   List.filter_map
-                     (function Arr [ tk; v ] -> Some (jint tk, jnum v) | _ -> None)
-                     (match g j "points" with Arr l -> l | _ -> [])
-               })
-             (jarr (mem "series" root))
-         in
-         let exposure =
-           List.map
-             (fun j -> (jstr (g j "origin"), jstr (g j "class"), jint (g j "byte_ticks")))
-             (jarr (mem "exposure" root))
-         in
-         let cost_op =
-           List.map
-             (fun j -> (jstr (g j "op"), jint (g j "count"), jint (g j "cycles")))
-             (jarr (mem "cost_op" root))
-         in
-         let alerts =
-           List.map
-             (fun j ->
-               (jint (g j "tick"), jstr (g j "rule"), jstr (g j "series"), jnum (g j "value")))
-             (jarr (mem "alerts" root))
-         in
-         let shards =
-           List.map
-             (fun j ->
-               { sh_id = jint (g j "id");
-                 sh_label = jstr (g j "label");
-                 sh_cells =
-                   List.map (fun (k, v) -> (k, jnum v)) (jobj (mem "cells" j))
-               })
-             (jarr (mem "shards" root))
-         in
+       | Some (Int v) when v = version ->
          Ok
            (make
               ~kind:(match mem "kind" root with Some (Str s) -> s | _ -> "run")
-              ~meta:(List.map (fun (k, v) -> (k, jstr v)) (jobj (mem "meta" root)))
-              ~series ~exposure
-              ~counters:(List.map (fun (k, v) -> (k, jint v)) (jobj (mem "counters" root)))
-              ~cost_subsystem:
-                (List.map (fun (k, v) -> (k, jint v)) (jobj (mem "cost_subsystem" root)))
-              ~cost_op ~alerts
-              ~budgets:(List.map (fun (k, v) -> (k, jint v)) (jobj (mem "budgets" root)))
-              ~scalars:(List.map (fun (k, v) -> (k, jnum v)) (jobj (mem "scalars" root)))
-              ~shards ())
-       | Some (Num v) ->
+              ~meta:(members root "meta" jstr)
+              ~series:
+                (items root "series" (fun j ->
+                     { e_name = jstr (g j "name");
+                       e_kind = jstr (g j "kind");
+                       e_stride = jint (g j "stride");
+                       e_samples = jint (g j "samples");
+                       e_last_tick = jint (g j "last_tick");
+                       e_last = jnum (g j "last");
+                       e_min = jnum (g j "min");
+                       e_max = jnum (g j "max");
+                       e_points =
+                         List.filter_map
+                           (function Arr [ tk; v ] -> Some (jint tk, jnum v) | _ -> None)
+                           (match g j "points" with Arr l -> l | _ -> [])
+                     }))
+              ~exposure:
+                (items root "exposure" (fun j ->
+                     (jstr (g j "origin"), jstr (g j "class"), jint (g j "byte_ticks"))))
+              ~counters:(members root "counters" jint)
+              ~cost_subsystem:(members root "cost_subsystem" jint)
+              ~cost_op:
+                (items root "cost_op" (fun j ->
+                     (jstr (g j "op"), jint (g j "count"), jint (g j "cycles"))))
+              ~alerts:
+                (items root "alerts" (fun j ->
+                     (jint (g j "tick"), jstr (g j "rule"), jstr (g j "series"), jnum (g j "value"))))
+              ~budgets:(members root "budgets" jint)
+              ~scalars:(members root "scalars" jnum)
+              ~shards:
+                (items root "shards" (fun j ->
+                     { sh_id = jint (g j "id");
+                       sh_label = jstr (g j "label");
+                       sh_cells = members j "cells" jnum
+                     }))
+              ())
+       | Some ((Int _ | Num _) as v) ->
          Error
-           (Printf.sprintf "flight archive: unsupported version %.15g (this build reads %d)"
-              v version)
+           (Printf.sprintf "flight archive: unsupported version %s (this build reads %d)"
+              (to_string Compact v) version)
        | _ -> Error "flight archive: missing flight_version")
 
   let write path t =
@@ -2401,23 +2430,25 @@ module Diff = struct
     end
 
   let to_json t =
-    let opt f = function None -> "null" | Some v -> f v in
-    Printf.sprintf "{\n\"compared\": %d,\n\"meta\": %s,\n\"deltas\": %s\n}\n" t.compared
-      (json_array
-         (List.map
-            (fun (k, b, c) ->
-              Printf.sprintf "{\"key\":%s,\"base\":%s,\"current\":%s}" (json_str k)
-                (opt json_str b) (opt json_str c))
-            t.meta_diff))
-      (json_array
-         (List.map
-            (fun d ->
-              Printf.sprintf
-                "{\"key\":%s,\"family\":%s,\"base\":%s,\"current\":%s,\"pct\":%s,\"verdict\":%s,\"hard\":%b}"
-                (json_str d.d_key)
-                (json_str (family_name d.d_family))
-                (opt float_json d.d_base) (opt float_json d.d_cur) (float_json d.d_pct)
-                (json_str (verdict_name d.d_verdict))
-                d.d_hard)
-            t.deltas))
+    let open Json in
+    let opt f = function None -> Null | Some v -> f v in
+    let str s = Str s and num f = Num f in
+    to_string Archive
+      (Obj
+         [ ("compared", Int t.compared);
+           ( "meta",
+             list
+               (fun (k, b, c) ->
+                 Obj [ ("key", Str k); ("base", opt str b); ("current", opt str c) ])
+               t.meta_diff );
+           ( "deltas",
+             list
+               (fun d ->
+                 Obj
+                   [ ("key", Str d.d_key); ("family", Str (family_name d.d_family));
+                     ("base", opt num d.d_base); ("current", opt num d.d_cur);
+                     ("pct", Num d.d_pct); ("verdict", Str (verdict_name d.d_verdict));
+                     ("hard", Bool d.d_hard) ])
+               t.deltas ) ])
+    ^ "\n"
 end

@@ -61,19 +61,49 @@ val class_name : mem_class -> string
 val all_classes : mem_class list
 
 val float_json : float -> string
-(** Deterministic float formatting for canonical exports: integral values
-    print with no fraction or exponent ([4096.] -> ["4096"]), the rest as
-    ["%.6g"], and NaN / the infinities as ["null"] (the ["%.6g"] forms
-    ["nan"]/["inf"] are not JSON and would corrupt every archive
-    downstream; {!Snapshot.of_json} reads [null] back as NaN).  Every
-    JSON renderer that feeds a fingerprint shares it. *)
+(** The number form of every export ({!Json.Num}, and the Prometheus and
+    text renderers): integral values print with no fraction or exponent
+    ([4096.] -> ["4096"]), the rest as ["%.6g"], and NaN / the infinities
+    as ["null"] (the ["%.6g"] forms ["nan"]/["inf"] are not JSON and
+    would corrupt every archive downstream; {!Snapshot.of_json} reads
+    [null] back as NaN). *)
 
-val json_escape : string -> string
-(** JSON string-body escaping (quote, backslash, control characters as
-    [\uXXXX]; bytes from 0x80 pass through, so UTF-8 stays UTF-8).
-    Distinct from [Printf %S], which is {e OCaml} lexing with decimal
-    [\ddd] escapes that JSON parsers reject.  Every JSON writer in the
-    repo renders its strings with this. *)
+(** The one JSON codec: every JSON export builds a {!Json.t} and prints
+    it with {!Json.to_string}, so string escaping, number form and layout
+    are decided here alone. *)
+module Json : sig
+  type t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Num of float  (** printed by {!float_json} *)
+    | Str of string
+        (** escaped for JSON, never with Printf's [%S] (whose decimal
+            [\ddd] escapes JSON parsers reject); bytes from 0x80 pass
+            through, so UTF-8 stays UTF-8 *)
+    | Arr of t list
+    | Obj of (string * t) list
+
+  (** [Compact] prints one line (a JSONL record).  [Archive] puts one
+      entry per line in the root and in each container member of a root
+      object (flight archives).  [Fleet] does so in the root and its
+      array members, two spaces a level (the fleet fingerprint's bytes). *)
+  type layout = Compact | Archive | Fleet
+
+  val list : ('a -> t) -> 'a list -> t
+  (** [list f xs] is [Arr (List.map f xs)]. *)
+
+  val to_string : layout -> t -> string
+  (** No trailing newline. *)
+
+  val parse : string -> (t, string) result
+  (** One whole document; [Error] names the byte offset.  Integer
+      literals read as [Int] (past the int range, as [Num]), but [-0]
+      reads as [Num (-0.)], so [float_json (-0.)] round-trips. *)
+
+  val mem : string -> t -> t option
+  (** A member of an object. *)
+end
 
 (** Typed lifecycle events.  Addresses are {e physical} (or swap-device
     offsets for {!Swap_out}); a virtually contiguous buffer that spans

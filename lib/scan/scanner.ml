@@ -50,10 +50,11 @@ let compile_patterns ~who patterns =
 
 let matcher patterns = compile_patterns ~who:"Scanner.matcher" patterns
 
-(* kept out of line: inlined, it grows each caller's code, and that moves
-   perfbench's calibration kernel, whose speed depends on its placement
-   mod 64 (see the ROADMAP calibration item) *)
-let[@inline never] count_copies ~patterns data =
+(* Inlined on purpose: perfbench's calibration kernel, whose speed depends
+   on its placement mod 64 (ROADMAP calibration item), follows perfbench's
+   Drive, and inlining this there (+32 bytes) offsets the startup code's
+   lost caml_apply9 (224 bytes, no 9-argument closure call is left). *)
+let count_copies ~patterns data =
   Multi_search.count (compile_patterns ~who:"Scanner.count_copies" patterns).ms data
 
 let sort_hits hits =

@@ -199,3 +199,14 @@ let scan_detailed k ~patterns ?(min_bytes = 20) () =
       end);
   List.sort (fun a b -> compare (a.base.addr, a.base.label) (b.base.addr, b.base.label))
     (List.rev !acc)
+
+(* Exports read as values: [json text] parses or fails the test, [field k v]
+   is member [k] of object [v] or fails, [items v] the entries of array [v]
+   or fails. *)
+let json text =
+  match Obs.Json.parse text with Ok v -> v | Error e -> Alcotest.failf "malformed JSON: %s" e
+
+let field k v =
+  match Obs.Json.mem k v with Some x -> x | None -> Alcotest.failf "no member %S" k
+
+let items = function Obs.Json.Arr l -> l | _ -> Alcotest.fail "not a JSON array"

@@ -275,19 +275,13 @@ let test_dashboard_exports () =
   let d =
     Dashboard.run ~level:Protection.Unprotected ~num_pages:2048 ~seed:7 ~breach_age:3 ()
   in
-  let json = Dashboard.to_json d in
+  let json = Helpers.json (Dashboard.to_json d) in
   List.iter
     (fun key ->
-      Alcotest.(check bool) ("json has " ^ key) true (contains ~needle:("\"" ^ key ^ "\"") json))
+      Alcotest.(check bool) ("json has " ^ key) true (Obs.Json.mem key json <> None))
     [ "level"; "server"; "scan_mode"; "seed"; "num_pages"; "breach_age"; "ticks";
       "sensitive_unsafe_byte_ticks"; "hit_series"; "exposure_series"; "exposure_totals";
       "exposure_by_class"; "lifetime_percentiles"; "breaches"; "counters" ];
-  (* the flight-archive reader parses the whole document before it looks
-     for its own schema, so reaching the schema check means well-formed *)
-  Alcotest.(check bool) "json is well-formed" true
-    (match Obs.Snapshot.of_json json with
-     | Error "flight archive: missing flight_version" -> true
-     | _ -> false);
   let html = Dashboard.to_html d in
   Alcotest.(check bool) "html document" true (contains ~needle:"<!DOCTYPE html>" html);
   Alcotest.(check bool) "inline svg charts" true (contains ~needle:"<svg" html);

@@ -256,24 +256,7 @@ let test_meta_diff () =
          k = "level" && base = Some "unprotected" && cur = Some "integrated")
        d.Obs.Diff.meta_diff)
 
-(* ---- overhead / fleet recorders ---- *)
-
-let test_overhead_recorder_matches_gate_keys () =
-  let captured = ref None in
-  ignore (Overhead.run ~num_pages:1024 ~recorder:(fun s -> captured := Some s) ());
-  let snap = Option.get !captured in
-  let scalars = Obs.Snapshot.scalars snap in
-  List.iter
-    (fun key ->
-      Alcotest.(check bool) (key ^ " recorded") true (List.mem_assoc key scalars))
-    [ "overhead_cycles_unprotected"; "overhead_cycles_integrated";
-      "overhead_slowdown_integrated"; "overhead_requests_library"
-    ];
-  (* per-subsystem keys ride along, as bench/flight_overhead.json gates them *)
-  Alcotest.(check bool) "per-subsystem key present" true
-    (List.exists
-       (fun (k, _) -> contains ~needle:"overhead_cycles_integrated_" k)
-       scalars)
+(* ---- fleet recorder ---- *)
 
 let fleet_cfg ~domains =
   { Fleet.default with
@@ -370,13 +353,140 @@ let test_cli_bad_counts () =
       "ext2 --connections=-1"
     ]
 
+(* ---- the JSON codec ---- *)
+
+let archives =
+  [ "flight_baseline.json"; "flight_overhead.json"; "flight_fleet.json";
+    "flight_simulated.json" ]
+
+(* test/dune copies the archives next to the test's run directory *)
+let read_archive name = In_channel.with_open_bin ("../bench/" ^ name) In_channel.input_all
+
+(* What a printed value reads back as: an integral [Num] prints with no
+   fraction or as an exponent form, so it compares as the [Int] it reads
+   as (except -0, which reads back as [Num (-0.)]), and NaN and the
+   infinities print as null. *)
+let rec normalise (v : Obs.Json.t) : Obs.Json.t =
+  match v with
+  | Num f when not (Float.is_finite f) -> Null
+  | Num f when Float.is_integer f && Float.abs f < 0x1p62 && not (f = 0. && Float.sign_bit f)
+    ->
+    Int (int_of_float f)
+  | Arr xs -> Arr (List.map normalise xs)
+  | Obj kvs -> Obj (List.map (fun (k, x) -> (k, normalise x)) kvs)
+  | v -> v
+
+(* structural equality that tells -0. from 0. *)
+let rec same (a : Obs.Json.t) (b : Obs.Json.t) =
+  match (a, b) with
+  | Num x, Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Arr xs, Arr ys -> List.equal same xs ys
+  | Obj xs, Obj ys -> List.equal (fun (k, x) (l, y) -> String.equal k l && same x y) xs ys
+  | _ -> a = b
+
+(* Random values.  Numbers have at most 6 significant digits, the ones
+   [float_json]'s "%.6g" prints exactly, plus -0, NaN and the
+   infinities; integers include both ends of the range; one string holds
+   every byte 0x00-0x7f. *)
+let arb_json =
+  let open QCheck.Gen in
+  let str =
+    oneof
+      [ return (String.init 128 Char.chr); string_size ~gen:char (0 -- 8);
+        string_size ~gen:printable (0 -- 8) ]
+  in
+  let num =
+    oneof
+      [ oneofl [ -0.; Float.nan; Float.infinity; Float.neg_infinity ];
+        map2
+          (fun m e -> float_of_string (Printf.sprintf "%de%d" m e))
+          (int_range (-999999) 999999) (int_range (-30) 30) ]
+  in
+  let leaf =
+    oneof
+      [ return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun i -> Obs.Json.Int i) (oneof [ oneofl [ max_int; min_int; 0 ]; int ]);
+        map (fun f -> Obs.Json.Num f) num;
+        map (fun s -> Obs.Json.Str s) str ]
+  in
+  let gen =
+    sized
+      (fix (fun self n ->
+           if n <= 1 then leaf
+           else
+             frequency
+               [ (2, leaf);
+                 (1, map (fun l -> Obs.Json.Arr l) (list_size (0 -- 4) (self (n / 3))));
+                 (1, map (fun l -> Obs.Json.Obj l) (list_size (0 -- 4) (pair str (self (n / 3))))) ]))
+  in
+  QCheck.make ~print:(Obs.Json.to_string Compact) gen
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"JSON reads back what every layout prints" ~count:500 arb_json
+    (fun v ->
+      List.for_all
+        (fun layout ->
+          match Obs.Json.parse (Obs.Json.to_string layout v) with
+          | Ok back -> same (normalise back) (normalise v)
+          | Error _ -> false)
+        [ Obs.Json.Compact; Archive; Fleet ])
+
+(* Each layout's exact bytes: the archive layout reprints every committed
+   archive, and one value pins all three, an empty array included. *)
+let test_layout_bytes () =
+  List.iter
+    (fun name ->
+      let text = read_archive name in
+      Alcotest.(check string) (name ^ " reprints byte for byte") text
+        (Obs.Json.to_string Archive (Helpers.json text) ^ "\n"))
+    archives;
+  let v =
+    Obs.Json.(
+      Obj
+        [ ("config", Obj [ ("a", Int 1); ("b", Str "x") ]); ("total", Int 2);
+          ("rows", Arr [ Obj [ ("id", Int 0); ("pts", Arr [ Arr [ Int 1; Num 1.5 ] ]) ] ]);
+          ("none", Arr []) ])
+  in
+  List.iter
+    (fun (layout, name, bytes) ->
+      Alcotest.(check string) name bytes (Obs.Json.to_string layout v))
+    [ ( Compact,
+        "compact",
+        {|{"config":{"a":1,"b":"x"},"total":2,"rows":[{"id":0,"pts":[[1,1.5]]}],"none":[]}|} );
+      ( Archive,
+        "archive",
+        {|{
+"config": {
+ "a": 1,
+ "b": "x"
+},
+"total": 2,
+"rows": [
+ {"id":0,"pts":[[1,1.5]]}
+],
+"none": [
+]
+}|} );
+      ( Fleet,
+        "fleet",
+        {|{
+  "config": {"a": 1, "b": "x"},
+  "total": 2,
+  "rows": [
+    {"id": 0, "pts": [[1,1.5]]}
+  ],
+  "none": [
+
+  ]
+}|} ) ]
+
 (* ---- the archive reader on truncated and corrupted archives ---- *)
 
 (* Cut-off and damaged copies of each committed archive read back [Ok]
    or [Error], never an exception.  Every prefix of a 26 KB archive
-   costs ~15 s, so past 4 KiB prefixes are sampled; the flips are one
-   to four seeded byte changes per round.  test/dune copies the
-   archives next to the test's run directory. *)
+   costs ~10 s, so past 4 KiB prefixes are sampled; the flips are one
+   to four seeded byte changes per round. *)
 let test_reader_never_raises () =
   let rng = Random.State.make [| 30 |] in
   let read what text =
@@ -386,7 +496,7 @@ let test_reader_never_raises () =
   in
   List.iter
     (fun name ->
-      let text = In_channel.with_open_bin ("../bench/" ^ name) In_channel.input_all in
+      let text = read_archive name in
       let n = String.length text in
       Alcotest.(check bool) (name ^ " reads") true (Result.is_ok (Obs.Snapshot.of_json text));
       let sampled =
@@ -403,8 +513,7 @@ let test_reader_never_raises () =
         done;
         read (name ^ " flip") (Bytes.to_string b)
       done)
-    [ "flight_baseline.json"; "flight_overhead.json"; "flight_fleet.json";
-      "flight_simulated.json" ]
+    archives
 
 let suite =
   [ ( "flight",
@@ -421,13 +530,13 @@ let suite =
         Alcotest.test_case "family classification" `Quick test_family_classification;
         Alcotest.test_case "verdicts and tolerances" `Quick test_verdicts_and_tolerances;
         Alcotest.test_case "meta diff surfaces config changes" `Quick test_meta_diff;
-        Alcotest.test_case "overhead recorder matches gate keys" `Quick
-          test_overhead_recorder_matches_gate_keys;
         Alcotest.test_case "fleet snapshot domain-invariant" `Quick
           test_fleet_snapshot_domain_invariant;
         QCheck_alcotest.to_alcotest prop_recorder_is_observer_only;
         Alcotest.test_case "CLI path errors exit 2" `Quick test_cli_path_errors;
         Alcotest.test_case "CLI bad counts exit 124" `Quick test_cli_bad_counts;
+        QCheck_alcotest.to_alcotest prop_json_round_trip;
+        Alcotest.test_case "each layout's exact bytes" `Quick test_layout_bytes;
         Alcotest.test_case "archive reader never raises" `Quick test_reader_never_raises
       ] )
   ]

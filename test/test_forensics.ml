@@ -72,13 +72,10 @@ let test_hit_forensics_golden () =
         (Obs.Trace.span_of_id obs n.Forensics.fn_span <> None))
     f.Forensics.f_fanout;
   (* renderers stay consistent with the record *)
-  let js = Forensics.to_json f in
+  let js = Helpers.json (Forensics.to_json f) in
   List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("json has " ^ needle) true
-        (Memguard_util.Bytes_util.count ~needle (Bytes.of_string js) >= 1))
-    [ "\"trace\":"; "\"request\":"; "\"chain\":"; "\"fanout\":";
-      "\"leak_budget_byte_ticks\":" ];
+    (fun key -> Alcotest.(check bool) ("json has " ^ key) true (Obs.Json.mem key js <> None))
+    [ "trace"; "request"; "chain"; "fanout"; "leak_budget_byte_ticks" ];
   let txt = Forensics.to_string f in
   Alcotest.(check bool) "pp names the request" true
     (Memguard_util.Bytes_util.count ~needle:f.Forensics.f_request (Bytes.of_string txt) >= 1)
@@ -143,10 +140,9 @@ let test_forensics_smoke_schema () =
       | Some f -> f
       | None -> Alcotest.fail "hit 0 did not reconstruct")
   in
-  let json = Forensics.to_json f in
+  let json = Helpers.json (Forensics.to_json f) in
   List.iter
-    (fun key ->
-      Alcotest.(check bool) ("json has " ^ key) true (contains ~needle:("\"" ^ key ^ "\":") json))
+    (fun key -> Alcotest.(check bool) ("json has " ^ key) true (Obs.Json.mem key json <> None))
     [ "tick"; "label"; "addr"; "origin"; "birth_tick"; "trace"; "request"; "request_pid";
       "chain"; "fanout"; "live"; "leak_budget_byte_ticks" ];
   Alcotest.(check bool) "hit resolves to a trace" true (f.Forensics.f_trace > 0);
@@ -183,14 +179,10 @@ let test_forensics_smoke_schema () =
            Some s.Obs.Trace.sp_name
          else None)
        spans);
-  let events =
-    List.filter
-      (String.starts_with ~prefix:" {")
-      (String.split_on_char '\n' (Obs.Trace.spans_to_chrome obs))
-  in
+  let events = Helpers.items (Helpers.json (Obs.Trace.spans_to_chrome obs)) in
   Alcotest.(check bool) "chrome trace has events" true (events <> []);
   Alcotest.(check bool) "every chrome event has a phase" true
-    (List.for_all (contains ~needle:"\"ph\":") events);
+    (List.for_all (fun e -> Obs.Json.mem "ph" e <> None) events);
   let rows = Forensics.budget_table obs in
   Alcotest.(check int) "budgets sum to observe's sensitive total"
     (Dashboard.sensitive_unsafe_total (Dashboard.run ~num_pages:4096 ()))
@@ -274,11 +266,7 @@ let test_fleet_budget_fingerprint_across_domains () =
   let r1 = Fleet.run (fleet_cfg 1) and r2 = Fleet.run (fleet_cfg 2) in
   Alcotest.(check string) "fingerprint invariant with tracing on" (Fleet.fingerprint r1)
     (Fleet.fingerprint r2);
-  let has_budgets r =
-    Memguard_util.Bytes_util.count ~needle:"\"leak_budgets\""
-      (Bytes.of_string (Fleet.to_json r))
-    >= 1
-  in
+  let has_budgets r = Obs.Json.mem "leak_budgets" (Helpers.json (Fleet.to_json r)) <> None in
   Alcotest.(check bool) "json embeds the merged budget table" true (has_budgets r1)
 
 (* ---- span-duration histograms: Prometheus golden ---- *)

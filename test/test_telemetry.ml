@@ -18,6 +18,16 @@ module Fleet = Memguard_fleet.Fleet
 let contains ~needle hay =
   Memguard_util.Bytes_util.count ~needle (Bytes.of_string hay) >= 1
 
+(* the entry named [name] of [Timeseries.to_json]'s array *)
+let series_json obs name =
+  match
+    List.find_opt
+      (fun e -> Obs.Json.mem "name" e = Some (Obs.Json.Str name))
+      (Helpers.items (Helpers.json (Obs.Timeseries.to_json obs)))
+  with
+  | Some e -> e
+  | None -> Alcotest.failf "Timeseries.to_json has no series %S" name
+
 let record_at obs tick name v =
   Obs.set_tick obs tick;
   Obs.Timeseries.record obs name v
@@ -61,7 +71,7 @@ let test_derived_rate () =
   Alcotest.(check (option string)) "rate remembers its source" (Some "c")
     (Obs.Timeseries.source obs "r");
   Alcotest.(check bool) "json tags it as a rate" true
-    (contains ~needle:"\"name\":\"r\",\"kind\":\"rate\"" (Obs.Timeseries.to_json obs))
+    (Obs.Json.mem "kind" (series_json obs "r") = Some (Obs.Json.Str "rate"))
 
 let test_downsampling_keeps_envelope () =
   let obs = Obs.create () in
@@ -162,9 +172,8 @@ let test_exports () =
     (contains ~needle:"# TYPE memguard_g_x_y gauge" prom);
   Alcotest.(check bool) "label value escaped" true
     (contains ~needle:"memguard_g_x_y{series=\"g\\\"x\\\\y\"} 1 4" prom);
-  let json = Obs.Timeseries.to_json obs in
-  Alcotest.(check bool) "json name" true (contains ~needle:"\"name\":\"a.b-c\"" json);
-  Alcotest.(check bool) "json points" true (contains ~needle:"[3,7]" json);
+  Alcotest.(check bool) "json points" true
+    (Helpers.field "points" (series_json obs "a.b-c") = Obs.Json.(Arr [ Arr [ Int 3; Int 7 ] ]));
   (* disabled context: recording is a no-op, never an error *)
   Obs.Timeseries.record Obs.null "x" 1.;
   Alcotest.(check (list string)) "null records nothing" [] (Obs.Timeseries.names Obs.null)
@@ -335,10 +344,10 @@ let test_dashboard_telemetry_unprotected () =
     (List.exists (fun a -> a.Dashboard.rule = "ct-leakage") d.Dashboard.alerts);
   Alcotest.(check bool) "limb-traffic sentinel stayed silent" false
     (List.exists (fun a -> a.Dashboard.rule = "ct-leakage-limbs") d.Dashboard.alerts);
-  let json = Dashboard.to_json d in
+  let json = Helpers.json (Dashboard.to_json d) in
   List.iter
     (fun key ->
-      Alcotest.(check bool) ("json has " ^ key) true (contains ~needle:("\"" ^ key ^ "\"") json))
+      Alcotest.(check bool) ("json has " ^ key) true (Obs.Json.mem key json <> None))
     [ "timeseries"; "alert_rules"; "alerts" ];
   let html = Dashboard.to_html d in
   Alcotest.(check bool) "telemetry panel" true (contains ~needle:"Telemetry" html);
@@ -377,7 +386,7 @@ let test_dashboard_telemetry_integrated () =
 
 let test_html_escaping () =
   Alcotest.(check string) "html_escape" "&lt;b&gt;x&amp;y&lt;/b&gt;"
-    (Dashboard.html_escape "<b>x&y</b>");
+    (Forensics.html_escape "<b>x&y</b>");
   let spark = Dashboard.svg_sparkline [ (1, 0.); (2, 5.); (3, 2.) ] in
   Alcotest.(check bool) "sparkline is svg" true (contains ~needle:"<svg" spark);
   Alcotest.(check bool) "sparkline has a polyline" true (contains ~needle:"<polyline" spark)
@@ -403,30 +412,34 @@ let test_observe_alert_smoke () =
     (fun (name, obs, (d : Dashboard.t)) ->
       Alcotest.(check bool) (name ^ ": series sampled") true (d.Dashboard.metrics <> []);
       Alcotest.(check int) (name ^ ": four rules") 4 (List.length d.Dashboard.alert_rules);
-      let json = Dashboard.to_json d in
+      let json = Helpers.json (Dashboard.to_json d) in
       List.iter
         (fun key ->
-          Alcotest.(check bool) (name ^ ": json has " ^ key) true
-            (contains ~needle:("\"" ^ key ^ "\": ") json))
+          Alcotest.(check bool) (name ^ ": json has " ^ key) true (Obs.Json.mem key json <> None))
         [ "level"; "server"; "seed"; "timeseries"; "alert_rules"; "alerts" ];
       List.iter
         (fun (rule, series, cond) ->
           Alcotest.(check int) (name ^ ": " ^ rule ^ " fired = its firings")
             (Obs.Alert.fired obs rule) (fired d rule);
           Alcotest.(check bool) (name ^ ": json rule " ^ rule) true
-            (contains json
-               ~needle:
-                 (Printf.sprintf "{\"name\":\"%s\",\"series\":\"%s\",\"condition\":\"%s\"}"
-                    rule series (Obs.Alert.describe_condition cond))))
+            (List.mem
+               Obs.Json.(
+                 Obj
+                   [ ("name", Str rule); ("series", Str series);
+                     ("condition", Str (Obs.Alert.describe_condition cond)) ])
+               (Helpers.items (Helpers.field "alert_rules" json))))
         d.Dashboard.alert_rules;
       List.iter
         (fun a ->
           Alcotest.(check bool) (name ^ ": json alert " ^ a.Dashboard.rule) true
-            (contains json
-               ~needle:
-                 (Printf.sprintf "{\"tick\":%d,\"rule\":\"%s\",\"series\":\"%s\",\"value\":%s}"
-                    a.Dashboard.fired_tick a.Dashboard.rule a.Dashboard.rule_series
-                    (Obs.float_json a.Dashboard.value))))
+            (List.mem
+               Obs.Json.(
+                 Obj
+                   [ ("tick", Int a.Dashboard.fired_tick); ("rule", Str a.Dashboard.rule);
+                     ("series", Str a.Dashboard.rule_series);
+                     (* the value as the export prints and reads it back *)
+                     ("value", Helpers.json (Obs.float_json a.Dashboard.value)) ])
+               (Helpers.items (Helpers.field "alerts" json))))
         d.Dashboard.alerts;
       List.iter
         (fun rule ->
@@ -535,9 +548,9 @@ let test_fleet_telemetry () =
         true
         (List.length s.Fleet.dash.Dashboard.metrics > 0))
     r.Fleet.shard_results;
-  let json = Fleet.to_json r in
-  Alcotest.(check bool) "fleet json has timeseries" true (contains ~needle:"\"timeseries\"" json);
-  Alcotest.(check bool) "fleet json has alerts" true (contains ~needle:"\"alerts\"" json);
+  let json = Helpers.json (Fleet.to_json r) in
+  Alcotest.(check bool) "fleet json has timeseries" true (Obs.Json.mem "timeseries" json <> None);
+  Alcotest.(check bool) "fleet json has alerts" true (Obs.Json.mem "alerts" json <> None);
   (* the merged free-page gauge is the shard-wise sum at equal ticks *)
   let d = Fleet.dashboard r in
   let merged =
