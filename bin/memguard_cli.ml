@@ -26,6 +26,12 @@ let make_dir path =
       Format.eprintf "memguard: cannot create %s@." msg;
       Stdlib.exit 2
 
+(* the --flight recorder: the run's archive, the one JSON form of its summary *)
+let flight_recorder =
+  Option.map (fun path snap ->
+      write_file path (Memguard_obs.Obs.Snapshot.to_json snap);
+      Format.printf "wrote flight archive to %s@." path)
+
 let level_conv =
   let parse s =
     match Protection.of_name s with
@@ -149,9 +155,7 @@ let timeline_cmd =
       (match series with
        | Some path ->
          write_file path
-           (if Filename.check_suffix path ".prom" then
-              Obs.Timeseries.to_prometheus ~labels:[ ("level", Protection.name level) ] obs
-            else Obs.Timeseries.to_json obs);
+           (Obs.Timeseries.to_prometheus ~labels:[ ("level", Protection.name level) ] obs);
          Format.printf "@.# wrote %d telemetry series to %s@."
            (List.length (Obs.Timeseries.names obs)) path
        | None -> ());
@@ -170,11 +174,20 @@ let timeline_cmd =
          & info [ "metrics" ]
              ~doc:"Collect and print subsystem counters and scan-time histograms.")
   in
+  (* the series' JSON form is the --flight archive's series section *)
+  let prom_path =
+    let parse s =
+      if Filename.check_suffix s ".prom" then Ok s
+      else Error (`Msg (Printf.sprintf "invalid value %S, expected a path ending in .prom" s))
+    in
+    Arg.conv (parse, Format.pp_print_string)
+  in
   let series =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some prom_path) None
          & info [ "series" ] ~docv:"FILE"
-             ~doc:"Write the per-tick telemetry series to $(docv): Prometheus text \
-                   exposition if $(docv) ends in .prom, canonical JSON otherwise.")
+             ~doc:"Write the newest sample of every telemetry series to $(docv) (must \
+                   end in .prom) as Prometheus text exposition; $(b,--flight) holds every \
+                   retained point as JSON.")
   in
   let flight =
     Arg.(value & opt (some string) None
@@ -458,19 +471,17 @@ let chaos_cmd =
 
 let observe_cmd =
   let module Obs = Memguard_obs.Obs in
-  let run level server seed pages churn breach_age html json prom =
+  let run level server seed pages churn breach_age html flight prom =
     let obs = Obs.create () in
-    let d = Dashboard.run ~obs ~level ~num_pages:pages ~seed ~churn ?breach_age ~server () in
+    let d =
+      Dashboard.run ~obs ~level ~num_pages:pages ~seed ~churn ?breach_age ~server
+        ?recorder:(flight_recorder flight) ()
+    in
     Format.printf "%a" Dashboard.pp_summary d;
     Format.printf "%a" Dashboard.pp_telemetry d;
     (match html with
      | Some path ->
        write_file path (Dashboard.to_html d);
-       Format.printf "wrote %s@." path
-     | None -> ());
-    (match json with
-     | Some path ->
-       write_file path (Dashboard.to_json d);
        Format.printf "wrote %s@." path
      | None -> ());
     match prom with
@@ -486,9 +497,12 @@ let observe_cmd =
          & info [ "html" ] ~docv:"FILE"
              ~doc:"Write the self-contained HTML dashboard (inline SVG, no scripts) to $(docv).")
   in
-  let json =
+  let flight =
     Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE" ~doc:"Write the machine-readable JSON twin to $(docv).")
+         & info [ "flight" ] ~docv:"FILE"
+             ~doc:"Record the run's flight archive (the $(b,timeline --flight) archive \
+                   plus the alert firings and, with $(b,--breach-age), that age in \
+                   meta) to $(docv) — diff two with $(b,memguard diff).")
   in
   let prom =
     Arg.(value & opt (some string) None
@@ -502,22 +516,15 @@ let observe_cmd =
          "Exposure observatory: run the fig-5 timeline with the exposure ledger on and \
           the default alert pack armed (exposure SLO, swap pressure, constant-time \
           leakage sentinels), print the exposure summary, the per-tick series table and \
-          any alert firings, and render the byte-tick dashboard (HTML, JSON and/or \
-          Prometheus)")
+          any alert firings, and render the byte-tick dashboard (HTML, flight archive \
+          and/or Prometheus)")
     Term.(const run $ level_arg $ server_arg $ seed_arg $ pages_arg 8192 $ churn_arg
-          $ breach_age_arg $ html $ json $ prom)
+          $ breach_age_arg $ html $ flight $ prom)
 
 let overhead_cmd =
   let module Obs = Memguard_obs.Obs in
   let run seed pages flamegraph trace flame_level flight =
-    let recorder =
-      Option.map
-        (fun path snap ->
-          write_file path (Obs.Snapshot.to_json snap);
-          Format.printf "wrote flight archive to %s@." path)
-        flight
-    in
-    let rows = Overhead.run ~num_pages:pages ~seed ?recorder () in
+    let rows = Overhead.run ~num_pages:pages ~seed ?recorder:(flight_recorder flight) () in
     Overhead.pp Format.std_formatter rows;
     let profiled () =
       match
@@ -700,7 +707,7 @@ let forensics_cmd =
 
 let fleet_cmd =
   let module Fleet = Memguard_fleet.Fleet in
-  let run level mix shards domains pages master_seed conns churn breach_age json html
+  let run level mix shards domains pages master_seed conns churn breach_age html
       print_fingerprint inspect_shard tick flight =
     let cfg =
       { Fleet.shards;
@@ -727,21 +734,9 @@ let fleet_cmd =
       Format.printf "# fleet inspect: shard=%d tick=%d@." shard tick;
       print_string (Fleet.inspect_shard cfg ~shard ~tick)
     | None ->
-      let recorder =
-        Option.map
-          (fun path snap ->
-            write_file path (Memguard_obs.Obs.Snapshot.to_json snap);
-            Format.printf "wrote flight archive to %s@." path)
-          flight
-      in
-      let report = Fleet.run ?recorder cfg in
+      let report = Fleet.run ?recorder:(flight_recorder flight) cfg in
       if print_fingerprint then print_endline (Fleet.fingerprint report)
       else Format.printf "%a" Fleet.pp_summary report;
-      (match json with
-       | Some path ->
-         write_file path (Fleet.to_json report);
-         Format.printf "wrote %s@." path
-       | None -> ());
       match html with
       | Some path ->
         write_file path (Fleet.to_html report);
@@ -783,11 +778,6 @@ let fleet_cmd =
              ~doc:"Low-plateau concurrency per shard (peak is 2K); with the default churn \
                    each shard opens roughly 48K connections over the timeline.")
   in
-  let json =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write the canonical merged report (the fingerprinted bytes) to $(docv).")
-  in
   let html =
     Arg.(value & opt (some string) None
          & info [ "html" ] ~docv:"FILE"
@@ -824,7 +814,7 @@ let fleet_cmd =
           deterministically merge their ledgers, snapshots and cycle counts into one \
           aggregate report")
     Term.(const run $ level_arg $ mix $ shards $ domains $ pages_arg 2048 $ master_seed
-          $ conns $ churn_arg $ breach_age_arg $ json $ html $ print_fingerprint
+          $ conns $ churn_arg $ breach_age_arg $ html $ print_fingerprint
           $ inspect_shard $ tick $ flight)
 
 let diff_cmd =

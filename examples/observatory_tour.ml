@@ -20,18 +20,20 @@ module Obs = Memguard_obs.Obs
 let hrule title = Printf.printf "\n=== %s ===\n" title
 
 let show_level level =
+  let archive = ref None in
   let d =
-    Dashboard.run ~level ~num_pages:2048 ~seed:7 ~breach_age:3 ()
+    Dashboard.run ~level ~num_pages:2048 ~seed:7 ~breach_age:3
+      ~recorder:(fun snap -> archive := Some snap) ()
   in
   Printf.printf "%s:\n" (Protection.name level);
   Format.printf "%a" Dashboard.pp_summary d;
-  d
+  (d, Option.get !archive)
 
 let () =
   hrule "Act 1: exposure ledger, unprotected vs integrated";
-  let unprot = show_level Protection.Unprotected in
+  let unprot, _ = show_level Protection.Unprotected in
   print_newline ();
-  let integ = show_level Protection.Integrated in
+  let integ, integ_archive = show_level Protection.Integrated in
   Printf.printf
     "\nheadline — sensitive byte-ticks outside mlocked-anon:\n  unprotected %d, integrated %d\n"
     (Dashboard.sensitive_unsafe_total unprot)
@@ -64,7 +66,7 @@ let () =
 
   hrule "Act 3: the dashboard files";
   let html = Dashboard.to_html integ in
-  let json = Dashboard.to_json integ in
-  Printf.printf "to_html: %d bytes, to_json: %d bytes\n" (String.length html)
+  let json = Obs.Snapshot.to_json integ_archive in
+  Printf.printf "to_html: %d bytes, flight archive: %d bytes\n" (String.length html)
     (String.length json);
-  Printf.printf "write them with: memguard_cli observe --level integrated --html obs.html --json obs.json\n"
+  Printf.printf "write them with: memguard_cli observe --level integrated --html obs.html --flight obs.json\n"

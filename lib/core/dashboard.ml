@@ -89,11 +89,12 @@ let collect_alerts obs =
     (Obs.Alert.firings obs)
 
 let run ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?rng
-    ?(churn = 3) ?low ?high ?breach_age ?(server = Timeline.Ssh) ?(obs = Obs.create ()) () =
+    ?(churn = 3) ?low ?high ?breach_age ?(server = Timeline.Ssh) ?(obs = Obs.create ())
+    ?recorder () =
   Obs.Exposure.set_breach_age obs breach_age;
   install_default_alerts obs;
   let snapshots =
-    Experiment.timeline ~level ~num_pages ~seed ?rng ~churn ?low ?high ~obs server
+    Experiment.timeline ~level ~num_pages ~seed ?rng ~churn ?low ?high ~obs ?recorder server
   in
   let breaches =
     List.filter_map
@@ -159,96 +160,6 @@ let class_series t c =
        (fun (tick, buckets) ->
          (tick, bucket_sum (fun (o, c') -> c' = c && Obs.origin_sensitive o) buckets))
        t.series
-
-(* ---- JSON twin ---- *)
-
-let hits_json (s : Report.snapshot) =
-  let open Obs.Json in
-  Obj
-    [ ("tick", Int s.Report.time); ("total", Int s.Report.total);
-      ("allocated", Int s.Report.allocated); ("unallocated", Int s.Report.unallocated) ]
-
-let bucket_json ((o, c), v) =
-  let open Obs.Json in
-  Obj
-    [ ("origin", Str (Obs.origin_name o)); ("class", Str (Obs.class_name c));
-      ("byte_ticks", Int v) ]
-
-let metric_json m =
-  let open Obs.Json in
-  Obj
-    [ ("name", Str m.ms_name); ("kind", Str m.ms_kind); ("stride", Int m.ms_stride);
-      ("samples", Int m.ms_samples);
-      ("points", list (fun (tick, v) -> Arr [ Int tick; Num v ]) m.ms_points) ]
-
-let to_json t =
-  let open Obs.Json in
-  let ints kvs = Obj (List.map (fun (k, v) -> (k, Int v)) kvs) in
-  let percentile fs p = Num (Obs.Metrics.percentile fs p) in
-  to_string Archive
-    (Obj
-       [ ("level", Str (Protection.name t.level));
-         ("server", Str (Timeline.server_name t.server));
-         ("scan_mode", Str (System.mode_name System.Incremental));
-         ("seed", Int t.seed);
-         ("num_pages", Int t.num_pages);
-         ("breach_age", match t.breach_age with Some a -> Int a | None -> Null);
-         ("ticks", Int (List.length t.snapshots));
-         ("sensitive_unsafe_byte_ticks", Int (sensitive_unsafe_total t));
-         ("hit_series", list hits_json t.snapshots);
-         ( "exposure_series",
-           list
-             (fun (tick, buckets) ->
-               Obj [ ("tick", Int tick); ("buckets", list bucket_json buckets) ])
-             t.series );
-         ("exposure_totals", list bucket_json t.totals);
-         ( "exposure_by_class",
-           ints (List.map (fun c -> (Obs.class_name c, class_total t c)) Obs.all_classes) );
-         ( "lifetime_percentiles",
-           list
-             (fun (o, ls) ->
-               let fs = List.map float_of_int ls in
-               Obj
-                 [ ("origin", Str (Obs.origin_name o)); ("count", Int (List.length ls));
-                   ("p50", percentile fs 50.); ("p90", percentile fs 90.);
-                   ("p99", percentile fs 99.); ("max", percentile fs 100.) ])
-             t.lifetimes );
-         ( "breaches",
-           list
-             (fun b ->
-               Obj
-                 [ ("tick", Int b.tick); ("origin", Str (Obs.origin_name b.origin));
-                   ("class", Str (Obs.class_name b.cls)); ("pid", Int b.pid);
-                   ("addr", Int b.addr); ("len", Int b.len); ("age", Int b.age) ])
-             t.breaches );
-         ( "overhead",
-           Obj [ ("total_cycles", Int t.cycles); ("by_subsystem", ints t.cycles_by_subsystem) ] );
-         ("counters", ints t.counters);
-         ("timeseries", list metric_json t.metrics);
-         ( "leak_budgets",
-           list
-             (fun (b : Forensics.budget_row) ->
-               Obj
-                 [ ("trace", Int b.Forensics.br_trace);
-                   ("request", Str b.Forensics.br_request); ("pid", Int b.Forensics.br_pid);
-                   ("start_tick", Int b.Forensics.br_start_tick);
-                   ("byte_ticks", Int b.Forensics.br_byte_ticks) ])
-             t.budgets );
-         ( "alert_rules",
-           list
-             (fun (name, series, cond) ->
-               Obj
-                 [ ("name", Str name); ("series", Str series);
-                   ("condition", Str (Obs.Alert.describe_condition cond)) ])
-             t.alert_rules );
-         ( "alerts",
-           list
-             (fun a ->
-               Obj
-                 [ ("tick", Int a.fired_tick); ("rule", Str a.rule);
-                   ("series", Str a.rule_series); ("value", Num a.value) ])
-             t.alerts ) ])
-  ^ "\n"
 
 (* ---- self-contained HTML report (inline CSS + SVG, no scripts) ---- *)
 

@@ -1,7 +1,8 @@
 (** The exposure-observatory report pipeline: run the fig-5 timeline with
     the exposure ledger on, and render the result as a self-contained HTML
-    dashboard (inline CSS + SVG, no scripts) plus a machine-readable JSON
-    twin — the [memguard_cli observe] backend.
+    dashboard (inline CSS + SVG, no scripts) and a terminal summary — the
+    [memguard_cli observe] backend.  The run's one JSON form is its flight
+    archive ({!Memguard_obs.Obs.Snapshot}, through [run ~recorder]).
 
     The report joins three data sets the observability layer accumulates
     during one scripted run:
@@ -88,14 +89,17 @@ val run :
   ?breach_age:int ->
   ?server:Timeline.server ->
   ?obs:Obs.ctx ->
+  ?recorder:(Obs.Snapshot.t -> unit) ->
   unit ->
   t
 (** One observed fig-5 timeline run ({!Experiment.timeline} on a fresh
     system) with the default alert pack installed and, when [breach_age]
     is given, the exposure SLO armed.  Defaults match
-    {!Experiment.timeline}: [Unprotected], 8192 pages, seed 1, [Ssh].  [rng], [low] and [high] are forwarded to
-    {!Experiment.timeline} unchanged (the fleet passes a per-shard stream
-    and its plateau sizes).  [obs] (default: a fresh enabled context) is
+    {!Experiment.timeline}: [Unprotected], 8192 pages, seed 1, [Ssh].  [rng], [low], [high] and
+    [recorder] are forwarded to {!Experiment.timeline} unchanged (the
+    fleet passes a per-shard stream and its plateau sizes; [memguard_cli
+    observe --flight] a recorder, whose archive names [breach_age] in its
+    meta when it is given).  [obs] (default: a fresh enabled context) is
     the context the run records into; pass one to keep reading it after
     the run — the fleet takes its event stream from it, [memguard_cli
     observe --prom] its series and span histograms. *)
@@ -112,21 +116,6 @@ val class_total : t -> Obs.mem_class -> int
 val class_series : t -> Obs.mem_class -> (int * int) list
 (** Test oracle: cumulative byte·ticks of sensitive origins in one class per
     tick. *)
-
-val to_json : t -> string
-(** The machine-readable twin of {!to_html}, in {!Obs.Json}'s [Archive]
-    layout. *)
-
-(** {2 JSON entries the fleet report shares} *)
-
-val hits_json : Report.snapshot -> Obs.Json.t
-(** One tick's scanner hits. *)
-
-val bucket_json : (Obs.origin * Obs.mem_class) * int -> Obs.Json.t
-(** One exposure-ledger bucket. *)
-
-val metric_json : metric_series -> Obs.Json.t
-(** One series, shaped as an entry of {!Obs.Timeseries.to_json}. *)
 
 val to_html : t -> string
 (** Self-contained report: metadata table, per-origin and per-class

@@ -51,7 +51,7 @@ type shard_result = {
 }
 
 (* wall-clock throughput of one worker domain: everything here depends on
-   the host machine and the scheduler, so it must never reach [to_json]
+   the host machine and the scheduler, so it must never reach [canonical]
    (the fingerprint would stop being a pure function of the config) *)
 type domain_stat = {
   domain : int;
@@ -248,7 +248,7 @@ let run_sharded cfg =
   let results = Array.make n None in
   (* per-domain throughput accounting: which shards each worker ran and
      how long it took.  Wall-clock and scheduling-dependent by nature, so
-     it is reported alongside — never inside — the canonical JSON. *)
+     it is reported alongside — never inside — the fingerprinted value. *)
   let ran = Array.make workers [] in
   let walls = Array.make workers 0. in
   (* work-stealing over shard ids: assignment of shard to domain is
@@ -353,77 +353,98 @@ let inspect_shard cfg ~shard ~tick =
 let final_copies (d : Dashboard.t) =
   match List.rev d.Dashboard.snapshots with last :: _ -> last.Report.total | [] -> 0
 
-(* Canonical JSON: sorted lists, fixed number forms, and no [domains] field —
-   how many domains executed the fleet is a property of the run, not of
-   the simulated result, and the fingerprint must not see it. *)
-let to_json r =
+let hits_json (s : Report.snapshot) =
+  let open Obs.Json in
+  Obj
+    [ ("tick", Int s.Report.time); ("total", Int s.Report.total);
+      ("allocated", Int s.Report.allocated); ("unallocated", Int s.Report.unallocated) ]
+
+let bucket_json ((o, c), v) =
+  let open Obs.Json in
+  Obj
+    [ ("origin", Str (Obs.origin_name o)); ("class", Str (Obs.class_name c));
+      ("byte_ticks", Int v) ]
+
+let metric_json (m : Dashboard.metric_series) =
+  let open Obs.Json in
+  Obj
+    [ ("name", Str m.Dashboard.ms_name); ("kind", Str m.Dashboard.ms_kind);
+      ("stride", Int m.Dashboard.ms_stride); ("samples", Int m.Dashboard.ms_samples);
+      ("points", list (fun (tick, v) -> Arr [ Int tick; Num v ]) m.Dashboard.ms_points) ]
+
+(* The fingerprint's input, printed in the [Fleet] layout, which exists
+   for it alone.  Members, order and layout are frozen: any change moves
+   every pinned digest.  Sorted lists, fixed number forms, and no
+   [domains] field — how many domains executed the fleet is a property
+   of the run, not of the simulated result, and the fingerprint must not
+   see it. *)
+let canonical r =
   let d = dashboard r in
   let c = r.config in
   let open Obs.Json in
-  to_string Fleet
-    (Obj
-       [ ( "config",
-           Obj
-             [ ("shards", Int c.shards); ("level", Str (Protection.name c.level));
-               ("mix", Str (mix_name c.mix)); ("num_pages", Int c.num_pages);
-               ("master_seed", Int c.master_seed); ("conns_low", Int c.conns_low);
-               ("conns_high", Int c.conns_high); ("churn", Int c.churn);
-               ("scan_mode", Str (System.mode_name System.Incremental)) ] );
-         ("total_connections", Int r.total_connections);
-         ("total_requests", Int r.total_requests);
-         ("total_cycles", Int r.total_cycles);
-         ("sensitive_unsafe", Int r.sensitive_unsafe);
-         ( "shards",
-           list
-             (fun s ->
-               Obj
-                 [ ("shard_id", Int s.shard_id);
-                   ("server", Str (Timeline.server_name s.dash.Dashboard.server));
-                   ("connections", Int s.connections); ("requests", Int s.requests);
-                   ("cycles", Int s.dash.Dashboard.cycles);
-                   ("sensitive_unsafe", Int (Dashboard.sensitive_unsafe_total s.dash));
-                   ("final_copies", Int (final_copies s.dash));
-                   ("breaches", Int (List.length s.dash.Dashboard.breaches)) ])
-             r.shard_results );
-         ("merged_totals", list Dashboard.bucket_json d.Dashboard.totals);
-         ( "merged_counters",
-           list
-             (fun (k, v) -> Obj [ ("name", Str k); ("value", Int v) ])
-             d.Dashboard.counters );
-         ("timeseries", list Dashboard.metric_json d.Dashboard.metrics);
-         ( "alerts",
-           list
-             (fun (shard, (a : Dashboard.alert_firing)) ->
-               Obj
-                 [ ("tick", Int a.Dashboard.fired_tick); ("shard", Int shard);
-                   ("rule", Str a.Dashboard.rule); ("series", Str a.Dashboard.rule_series);
-                   ("value", Num a.Dashboard.value) ])
-             (merge_alerts r.shard_results) );
-         ( "leak_budgets",
-           list
-             (fun (shard, (b : Forensics.budget_row)) ->
-               Obj
-                 [ ("tick", Int b.Forensics.br_start_tick); ("shard", Int shard);
-                   ("trace", Int b.Forensics.br_trace);
-                   ("request", Str b.Forensics.br_request);
-                   ("pid", Int b.Forensics.br_pid);
-                   ("byte_ticks", Int b.Forensics.br_byte_ticks) ])
-             (merge_budgets r.shard_results) );
-         ("copies_by_tick", list Dashboard.hits_json d.Dashboard.snapshots);
-         ( "events",
-           list
-             (fun e ->
-               Obj
-                 [ ("tick", Int e.tick); ("shard", Int e.shard_id); ("seq", Int e.seq);
-                   ("label", Str e.label); ("value", Int e.value) ])
-             r.merged_events ) ])
-  ^ "\n"
+  Obj
+    [ ( "config",
+        Obj
+          [ ("shards", Int c.shards); ("level", Str (Protection.name c.level));
+            ("mix", Str (mix_name c.mix)); ("num_pages", Int c.num_pages);
+            ("master_seed", Int c.master_seed); ("conns_low", Int c.conns_low);
+            ("conns_high", Int c.conns_high); ("churn", Int c.churn);
+            ("scan_mode", Str (System.mode_name System.Incremental)) ] );
+      ("total_connections", Int r.total_connections);
+      ("total_requests", Int r.total_requests);
+      ("total_cycles", Int r.total_cycles);
+      ("sensitive_unsafe", Int r.sensitive_unsafe);
+      ( "shards",
+        list
+          (fun s ->
+            Obj
+              [ ("shard_id", Int s.shard_id);
+                ("server", Str (Timeline.server_name s.dash.Dashboard.server));
+                ("connections", Int s.connections); ("requests", Int s.requests);
+                ("cycles", Int s.dash.Dashboard.cycles);
+                ("sensitive_unsafe", Int (Dashboard.sensitive_unsafe_total s.dash));
+                ("final_copies", Int (final_copies s.dash));
+                ("breaches", Int (List.length s.dash.Dashboard.breaches)) ])
+          r.shard_results );
+      ("merged_totals", list bucket_json d.Dashboard.totals);
+      ( "merged_counters",
+        list
+          (fun (k, v) -> Obj [ ("name", Str k); ("value", Int v) ])
+          d.Dashboard.counters );
+      ("timeseries", list metric_json d.Dashboard.metrics);
+      ( "alerts",
+        list
+          (fun (shard, (a : Dashboard.alert_firing)) ->
+            Obj
+              [ ("tick", Int a.Dashboard.fired_tick); ("shard", Int shard);
+                ("rule", Str a.Dashboard.rule); ("series", Str a.Dashboard.rule_series);
+                ("value", Num a.Dashboard.value) ])
+          (merge_alerts r.shard_results) );
+      ( "leak_budgets",
+        list
+          (fun (shard, (b : Forensics.budget_row)) ->
+            Obj
+              [ ("tick", Int b.Forensics.br_start_tick); ("shard", Int shard);
+                ("trace", Int b.Forensics.br_trace);
+                ("request", Str b.Forensics.br_request);
+                ("pid", Int b.Forensics.br_pid);
+                ("byte_ticks", Int b.Forensics.br_byte_ticks) ])
+          (merge_budgets r.shard_results) );
+      ("copies_by_tick", list hits_json d.Dashboard.snapshots);
+      ( "events",
+        list
+          (fun e ->
+            Obj
+              [ ("tick", Int e.tick); ("shard", Int e.shard_id); ("seq", Int e.seq);
+                ("label", Str e.label); ("value", Int e.value) ])
+          r.merged_events ) ]
 
-let fingerprint r = Digest.to_hex (Digest.string (to_json r))
+let fingerprint r =
+  Digest.to_hex (Digest.string (Obs.Json.to_string Fleet (canonical r) ^ "\n"))
 
 (* Flight archive of a fleet report.  Everything comes from the merged
    (domain-invariant) views, and the meta block deliberately excludes the
-   domain count — like [to_json], the archive is a pure function of the
+   domain count — like [canonical], the archive is a pure function of the
    config, so two runs of the same config diff to zero deltas whatever
    parallelism executed them.  The fingerprint itself rides along in meta:
    any drift the flattened scalars might miss still surfaces there. *)

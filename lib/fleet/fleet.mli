@@ -73,8 +73,8 @@ type shard_result = {
 
 (** Wall-clock throughput of one worker domain.  Scheduling- and
     host-dependent by nature: reported in {!pp_summary} (and the bench
-    riders) but deliberately excluded from {!to_json}, so the
-    fingerprint stays a pure function of the config. *)
+    riders) but deliberately excluded from {!fingerprint} and
+    {!snapshot}, so both stay pure functions of the config. *)
 type domain_stat = {
   domain : int;
   shards_run : int list;  (** ascending shard ids this domain executed *)
@@ -113,8 +113,8 @@ val run : ?recorder:(Memguard_obs.Obs.Snapshot.t -> unit) -> config -> report
 val dashboard : report -> Memguard.Dashboard.t
 (** Test oracle: the merged fleet as a [Dashboard.t]: per-tick snapshots,
     exposure series and totals, lifetimes, breaches, counters and cycles are the
-    shard-wise sums/concatenations, so every dashboard renderer (HTML, JSON,
-    summary) consumes the fleet exactly as it consumes one machine.  The
+    shard-wise sums/concatenations, so the dashboard renderers (HTML and
+    summary) consume the fleet exactly as they consume one machine.  The
     embedded snapshots carry merged hit {e counts} only (no per-hit lists —
     those stay per shard). *)
 
@@ -124,31 +124,31 @@ val inspect_shard : config -> shard:int -> tick:int -> string
     shard's /proc view at any tick, reproduced on demand from the master
     seed. *)
 
-val to_json : report -> string
-(** Canonical machine-readable report: config, per-shard summaries,
-    merged totals, merged telemetry series, alert firings (tagged with
-    their shard), per-request leak budgets (merged by
-    [(tick, shard, trace)]) and the merged event stream.  Deterministic —
-    contains no wall-clock times, hashes or addresses of OCaml values —
-    so equal fleets render equal bytes, printed in
-    [Memguard_obs.Obs.Json]'s [Fleet] layout; {!fingerprint} digests them.
-    [domain_stats] is intentionally absent. *)
-
 val to_html : report -> string
 (** Self-contained HTML: the merged {!dashboard} rendered by
     [Dashboard.to_html] with a fleet banner (per-shard table) prepended. *)
 
 val fingerprint : report -> string
-(** MD5 hex digest of {!to_json} — the determinism guard: must not
-    depend on [config.domains] or scheduling. *)
+(** The determinism guard: must not depend on [config.domains] or
+    scheduling.  It is the MD5 hex digest of a private canonical value —
+    config, per-shard summaries, merged totals, counters, telemetry
+    series, shard-tagged alert firings and leak budgets, [copies_by_tick]
+    and the merged event stream, with no wall-clock times, hashes or
+    addresses of OCaml values and no [domain_stats] — printed in
+    [Memguard_obs.Obs.Json]'s [Fleet] layout.  The fingerprint is the
+    only reason that layout exists, and the value's members, their order
+    and the layout are frozen: any change moves every pinned digest
+    ([bench/flight_fleet.json]'s meta).  The fleet's JSON form is
+    {!snapshot}. *)
 
 val snapshot : report -> Memguard_obs.Obs.Snapshot.t
 (** Test oracle: flight archive (kind ["fleet"]) of the merged report: merged
     series (with envelopes over the merged points), exposure totals, counters,
     subsystem cycles, alert firings, per-request leak budgets keyed
     ["s<shard>:t<trace>"], one {!Memguard_obs.Obs.Snapshot.shard_env} per shard,
-    and fleet-wide total scalars.  Like {!to_json} it is a pure function of the
-    config — meta excludes the domain count and carries {!fingerprint} — so
-    same-config archives diff to zero. *)
+    and fleet-wide total scalars.  Like {!fingerprint} it is a pure function of
+    the config — meta excludes the domain count and carries {!fingerprint} —
+    so same-config archives diff to zero.  [memguard_cli fleet --flight]
+    writes it. *)
 
 val pp_summary : Format.formatter -> report -> unit

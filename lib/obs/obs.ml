@@ -1846,21 +1846,6 @@ module Timeseries = struct
         | _ -> ())
       (names ctx);
     Buffer.contents buf
-
-  (* Canonical JSON: name-sorted array of series with their retained
-     points — the merge unit for fleet reports and the dashboard twin. *)
-  let to_json ctx =
-    let open Json in
-    to_string Archive
-      (list
-         (fun s ->
-           Obj
-             [ ("name", Str s.s_name); ("kind", Str (export_kind s)); ("stride", Int s.s_stride);
-               ("samples", Int s.s_seen);
-               ("points",
-                Arr (List.init s.s_len (fun j -> Arr [ Int s.s_ticks.(j); Num s.s_vals.(j) ])))
-             ])
-         (List.filter_map (find ctx) (names ctx)))
 end
 
 (* ---- declarative alert rules ---- *)
@@ -2009,6 +1994,13 @@ module Snapshot = struct
      their full sample lists would bloat archives without adding diffable
      signal beyond the cost totals already captured. *)
   let record ~kind ?(meta = []) ?(scalars = []) ?(shards = []) ctx =
+    (* an armed breach SLO is part of the run's configuration, so a
+       changed one shows in [Diff] as a meta difference *)
+    let meta =
+      match ctx.breach_age_ with
+      | Some age -> ("breach_age", string_of_int age) :: meta
+      | None -> meta
+    in
     let series =
       List.filter_map
         (fun name ->

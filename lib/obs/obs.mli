@@ -629,8 +629,8 @@ module Timeseries : sig
 
   val source : ctx -> string -> string option
   (** [Some src] when the series is a derived per-tick rate of [src]
-      (see {!define_rate}); [None] for directly recorded series.  JSON
-      exports tag such series with kind ["rate"]. *)
+      (see {!define_rate}); [None] for directly recorded series.  A
+      {!Snapshot} tags such series with kind ["rate"]. *)
 
   val envelope : ctx -> string -> ((int * float) * float * float) option
   (** Test oracle: [((last_tick, last), min, max)] over {e all} offered
@@ -646,12 +646,8 @@ module Timeseries : sig
       backslash/quote/newline escaped per the exposition format.
       [labels] (default none) prepends extra label pairs to every sample
       line — e.g. [("level", "integrated")] so scrapes of several
-      protection levels don't collide on the series name. *)
-
-  val to_json : ctx -> string
-  (** Canonical JSON array (name-sorted) of
-      [{"name", "kind", "stride", "samples", "points": [[tick, v], ...]}]
-      — the merge unit for fleet reports. *)
+      protection levels don't collide on the series name.  The series'
+      one JSON form is the [series] section of a {!Snapshot}. *)
 end
 
 (** Declarative SLO alerting over {!Timeseries}.
@@ -777,7 +773,9 @@ module Snapshot : sig
   (** Capture everything observable in [ctx]: all sampled series (with
       exact envelopes), {!Exposure.totals}, counters, {!Cost.by_subsystem}
       and {!Cost.by_op}, {!Alert.firings} and {!Trace.leak_budget}
-      (keyed ["t<trace>"]).  Adds computed scalars:
+      (keyed ["t<trace>"]).  When the breach SLO is armed
+      ({!Exposure.set_breach_age}), meta also holds its age as
+      ["breach_age"].  Adds computed scalars:
       ["exposure.sensitive_unsafe_total"] (byte-ticks of sensitive
       origins outside mlocked memory — the paper's headline, [0] at
       Integrated) and ["hist:<name>/count"] per histogram.  Read-only on

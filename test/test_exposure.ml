@@ -272,16 +272,41 @@ let test_introspect_render () =
 (* ---- the dashboard files ---- *)
 
 let test_dashboard_exports () =
+  let recorded = ref None in
   let d =
-    Dashboard.run ~level:Protection.Unprotected ~num_pages:2048 ~seed:7 ~breach_age:3 ()
+    Dashboard.run ~level:Protection.Unprotected ~num_pages:2048 ~seed:7 ~breach_age:3
+      ~recorder:(fun s -> recorded := Some s)
+      ()
   in
-  let json = Helpers.json (Dashboard.to_json d) in
-  List.iter
-    (fun key ->
-      Alcotest.(check bool) ("json has " ^ key) true (Obs.Json.mem key json <> None))
-    [ "level"; "server"; "scan_mode"; "seed"; "num_pages"; "breach_age"; "ticks";
-      "sensitive_unsafe_byte_ticks"; "hit_series"; "exposure_series"; "exposure_totals";
-      "exposure_by_class"; "lifetime_percentiles"; "breaches"; "counters" ];
+  (* the run's one JSON form: its flight archive, as observe --flight
+     writes it and diff reads it back *)
+  let a = Option.get !recorded in
+  (match Obs.Snapshot.of_json (Obs.Snapshot.to_json a) with
+   | Ok back ->
+     Alcotest.(check string) "archive reads back" (Obs.Snapshot.to_json a)
+       (Obs.Snapshot.to_json back)
+   | Error e -> Alcotest.failf "archive does not read back: %s" e);
+  Alcotest.(check (list (pair string string))) "meta names the configuration"
+    [ ("breach_age", "3"); ("churn", "3"); ("level", "unprotected"); ("num_pages", "2048");
+      ("scan_mode", "incremental"); ("seed", "7"); ("server", "ssh") ]
+    a.Obs.Snapshot.ar_meta;
+  let scalar k = List.assoc_opt k a.Obs.Snapshot.ar_scalars in
+  Alcotest.(check (option (float 0.))) "ticks"
+    (Some (float_of_int (List.length d.Dashboard.snapshots)))
+    (scalar "timeline.snapshots");
+  Alcotest.(check (option (float 0.))) "headline is Dashboard.sensitive_unsafe_total"
+    (Some (float_of_int (Dashboard.sensitive_unsafe_total d)))
+    (scalar "exposure.sensitive_unsafe_total");
+  Alcotest.(check (list (triple string string int))) "exposure is the dashboard's totals"
+    (List.sort compare
+       (List.map
+          (fun ((o, c), v) -> (Obs.origin_name o, Obs.class_name c, v))
+          d.Dashboard.totals))
+    a.Obs.Snapshot.ar_exposure;
+  Alcotest.(check (list (pair string int))) "counters are the dashboard's"
+    (List.sort compare d.Dashboard.counters) a.Obs.Snapshot.ar_counters;
+  Alcotest.(check (list (pair string int))) "cycles are the dashboard's"
+    (List.sort compare d.Dashboard.cycles_by_subsystem) a.Obs.Snapshot.ar_cost_subsystem;
   let html = Dashboard.to_html d in
   Alcotest.(check bool) "html document" true (contains ~needle:"<!DOCTYPE html>" html);
   Alcotest.(check bool) "inline svg charts" true (contains ~needle:"<svg" html);

@@ -7,7 +7,7 @@
 
 open Memguard
 module Fleet = Memguard_fleet.Fleet
-module Json = Memguard_obs.Obs.Json
+module Obs = Memguard_obs.Obs
 
 (* keep the unit-test fleet small: 3 shards x 512 pages runs in ~1s *)
 let cfg ?(shards = 3) ?(domains = 1) ?(seed = 1) () =
@@ -28,8 +28,7 @@ let test_fingerprint_domain_invariant () =
   let r2 = Fleet.run (cfg ~domains:2 ()) in
   let r4 = Fleet.run (cfg ~domains:4 ()) in
   Alcotest.(check string) "domains 1 = domains 2" (Fleet.fingerprint r1) (Fleet.fingerprint r2);
-  Alcotest.(check string) "domains 1 = domains 4" (Fleet.fingerprint r1) (Fleet.fingerprint r4);
-  Alcotest.(check string) "json byte-identical" (Fleet.to_json r1) (Fleet.to_json r4)
+  Alcotest.(check string) "domains 1 = domains 4" (Fleet.fingerprint r1) (Fleet.fingerprint r4)
 
 let test_fingerprint_seed_sensitive () =
   let a = Fleet.run (cfg ~seed:1 ()) and b = Fleet.run (cfg ~seed:2 ()) in
@@ -149,18 +148,22 @@ let test_dashboard_and_renderers () =
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     go 0
   in
-  let json = Helpers.json (Fleet.to_json report) in
-  Alcotest.(check (list int)) "json lists every shard" [ 0; 1; 2 ]
-    (List.map
-       (fun sh ->
-         match Helpers.field "shard_id" sh with
-         | Json.Int i -> i
-         | _ -> Alcotest.fail "shard_id is not an integer")
-       (Helpers.items (Helpers.field "shards" json)));
-  Alcotest.(check bool) "json carries the connection total" true
-    (Helpers.field "total_connections" json = Json.Int report.Fleet.total_connections);
-  Alcotest.(check bool) "json carries the cycle total" true
-    (Helpers.field "total_cycles" json = Json.Int report.Fleet.total_cycles);
+  (* the archive as [fleet --flight] writes it and [diff] reads it back *)
+  let archive =
+    match Obs.Snapshot.of_json (Obs.Snapshot.to_json (Fleet.snapshot report)) with
+    | Ok a -> a
+    | Error e -> Alcotest.failf "fleet archive does not read back: %s" e
+  in
+  Alcotest.(check (list int)) "archive lists every shard" [ 0; 1; 2 ]
+    (List.map (fun (sh : Obs.Snapshot.shard_env) -> sh.Obs.Snapshot.sh_id)
+       archive.Obs.Snapshot.ar_shards);
+  let scalar k = List.assoc_opt k archive.Obs.Snapshot.ar_scalars in
+  Alcotest.(check (option (float 0.))) "archive carries the connection total"
+    (Some (float_of_int report.Fleet.total_connections))
+    (scalar "fleet.total_connections");
+  Alcotest.(check (option (float 0.))) "archive carries the cycle total"
+    (Some (float_of_int report.Fleet.total_cycles))
+    (scalar "fleet.total_cycles");
   let html = Fleet.to_html report in
   Alcotest.(check bool) "html has fleet banner" true (contains html "shard");
   Alcotest.(check bool) "html has no nan" false (contains html "nan");

@@ -266,8 +266,13 @@ let test_fleet_budget_fingerprint_across_domains () =
   let r1 = Fleet.run (fleet_cfg 1) and r2 = Fleet.run (fleet_cfg 2) in
   Alcotest.(check string) "fingerprint invariant with tracing on" (Fleet.fingerprint r1)
     (Fleet.fingerprint r2);
-  let has_budgets r = Obs.Json.mem "leak_budgets" (Helpers.json (Fleet.to_json r)) <> None in
-  Alcotest.(check bool) "json embeds the merged budget table" true (has_budgets r1)
+  (* the archive keys each merged row by shard and trace *)
+  let archived = (Fleet.snapshot r1).Obs.Snapshot.ar_budgets in
+  Alcotest.(check int) "archive embeds the merged budget table"
+    (List.length (Fleet.dashboard r1).Dashboard.budgets)
+    (List.length archived);
+  Alcotest.(check int) "archived budgets sum to the fleet ledger" r1.Fleet.sensitive_unsafe
+    (List.fold_left (fun acc (_, v) -> acc + v) 0 archived)
 
 (* ---- span-duration histograms: Prometheus golden ---- *)
 

@@ -362,7 +362,6 @@ let test_exports_escape_as_json () =
     [ ("Trace.to_jsonl", Obs.Trace.to_jsonl obs);
       ("Trace.spans_to_json", Obs.Trace.spans_to_json obs);
       ("Trace.spans_to_chrome", Obs.Trace.spans_to_chrome obs);
-      ("Timeseries.to_json", Obs.Timeseries.to_json obs);
       ("Snapshot.to_json", Obs.Snapshot.to_json (Obs.Snapshot.record ~kind:"test" obs))
     ];
   let snap = Obs.Snapshot.of_scalars ~meta:[ ("name", awkward) ] [ ("x", 1.) ] in

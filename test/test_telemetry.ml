@@ -1,10 +1,10 @@
 (* The telemetry layer: time-series registry (downsampling, counters,
-   derived rates, Prometheus/JSON exports), the declarative alert engine
-   (edge triggering, thresholds, rates, window spreads), the constant-time
-   leakage sentinel over the Montgomery word-mul cost, the observe
-   integration (with the CI alert-smoke checks on its JSON twin and
-   Prometheus page), the fleet-level series merge, and the pinned /proc-style
-   introspection goldens. *)
+   derived rates, Prometheus and flight-archive exports), the declarative
+   alert engine (edge triggering, thresholds, rates, window spreads), the
+   constant-time leakage sentinel over the Montgomery word-mul cost, the
+   observe integration (with the CI alert-smoke checks on its flight
+   archive and Prometheus page), the fleet-level series merge, and the
+   pinned /proc-style introspection goldens. *)
 
 open Memguard
 module Obs = Memguard_obs.Obs
@@ -18,15 +18,15 @@ module Fleet = Memguard_fleet.Fleet
 let contains ~needle hay =
   Memguard_util.Bytes_util.count ~needle (Bytes.of_string hay) >= 1
 
-(* the entry named [name] of [Timeseries.to_json]'s array *)
-let series_json obs name =
+(* the series named [name] in an archive of [obs], its one JSON form *)
+let archived_series obs name =
   match
     List.find_opt
-      (fun e -> Obs.Json.mem "name" e = Some (Obs.Json.Str name))
-      (Helpers.items (Helpers.json (Obs.Timeseries.to_json obs)))
+      (fun (e : Obs.Snapshot.series_env) -> e.Obs.Snapshot.e_name = name)
+      (Obs.Snapshot.record ~kind:"test" obs).Obs.Snapshot.ar_series
   with
   | Some e -> e
-  | None -> Alcotest.failf "Timeseries.to_json has no series %S" name
+  | None -> Alcotest.failf "the archive has no series %S" name
 
 let record_at obs tick name v =
   Obs.set_tick obs tick;
@@ -70,8 +70,8 @@ let test_derived_rate () =
     (Obs.Timeseries.points obs "r");
   Alcotest.(check (option string)) "rate remembers its source" (Some "c")
     (Obs.Timeseries.source obs "r");
-  Alcotest.(check bool) "json tags it as a rate" true
-    (Obs.Json.mem "kind" (series_json obs "r") = Some (Obs.Json.Str "rate"))
+  Alcotest.(check string) "the archive tags it as a rate" "rate"
+    (archived_series obs "r").Obs.Snapshot.e_kind
 
 let test_downsampling_keeps_envelope () =
   let obs = Obs.create () in
@@ -172,8 +172,8 @@ let test_exports () =
     (contains ~needle:"# TYPE memguard_g_x_y gauge" prom);
   Alcotest.(check bool) "label value escaped" true
     (contains ~needle:"memguard_g_x_y{series=\"g\\\"x\\\\y\"} 1 4" prom);
-  Alcotest.(check bool) "json points" true
-    (Helpers.field "points" (series_json obs "a.b-c") = Obs.Json.(Arr [ Arr [ Int 3; Int 7 ] ]));
+  Alcotest.(check (list (pair int (float 0.)))) "archived points" [ (3, 7.) ]
+    (archived_series obs "a.b-c").Obs.Snapshot.e_points;
   (* disabled context: recording is a no-op, never an error *)
   Obs.Timeseries.record Obs.null "x" 1.;
   Alcotest.(check (list string)) "null records nothing" [] (Obs.Timeseries.names Obs.null)
@@ -318,8 +318,30 @@ let test_sentinel_fires_on_leaky_cost () =
 
 (* ---- system sampling + dashboard integration ---- *)
 
+(* the archive's series and alerts are the dashboard's *)
+let check_archive name (d : Dashboard.t) (a : Obs.Snapshot.t) =
+  Alcotest.(check (list string)) (name ^ ": archived series")
+    (List.filter_map
+       (fun m -> if m.Dashboard.ms_points = [] then None else Some m.Dashboard.ms_name)
+       d.Dashboard.metrics)
+    (List.map
+       (fun (e : Obs.Snapshot.series_env) -> e.Obs.Snapshot.e_name)
+       a.Obs.Snapshot.ar_series);
+  Alcotest.(check (list (pair (pair int string) (pair string (float 0.)))))
+    (name ^ ": archived alerts")
+    (List.map
+       (fun f ->
+         ((f.Dashboard.fired_tick, f.Dashboard.rule), (f.Dashboard.rule_series, f.Dashboard.value)))
+       d.Dashboard.alerts)
+    (List.map (fun (t, r, s, v) -> ((t, r), (s, v))) a.Obs.Snapshot.ar_alerts)
+
 let test_dashboard_telemetry_unprotected () =
-  let d = Dashboard.run ~level:Protection.Unprotected ~num_pages:2048 ~seed:7 () in
+  let recorded = ref None in
+  let d =
+    Dashboard.run ~level:Protection.Unprotected ~num_pages:2048 ~seed:7
+      ~recorder:(fun s -> recorded := Some s)
+      ()
+  in
   let series name =
     match List.find_opt (fun m -> m.Dashboard.ms_name = name) d.Dashboard.metrics with
     | Some m -> m
@@ -344,11 +366,7 @@ let test_dashboard_telemetry_unprotected () =
     (List.exists (fun a -> a.Dashboard.rule = "ct-leakage") d.Dashboard.alerts);
   Alcotest.(check bool) "limb-traffic sentinel stayed silent" false
     (List.exists (fun a -> a.Dashboard.rule = "ct-leakage-limbs") d.Dashboard.alerts);
-  let json = Helpers.json (Dashboard.to_json d) in
-  List.iter
-    (fun key ->
-      Alcotest.(check bool) ("json has " ^ key) true (Obs.Json.mem key json <> None))
-    [ "timeseries"; "alert_rules"; "alerts" ];
+  check_archive "unprotected" d (Option.get !recorded);
   let html = Dashboard.to_html d in
   Alcotest.(check bool) "telemetry panel" true (contains ~needle:"Telemetry" html);
   Alcotest.(check bool) "sparklines" true (contains ~needle:"class=\"spark\"" html);
@@ -394,58 +412,60 @@ let test_html_escaping () =
 (* ---- observe at the CI alert-smoke configuration ---- *)
 
 (* [memguard_cli observe --pages 4096 --breach-age 3] at both ends of the
-   protection spectrum, keeping each run's context: observe --prom
-   renders its page from it *)
+   protection spectrum, keeping each run's context (observe --prom
+   renders its page from it) and its flight archive (observe --flight) *)
 let observed =
   let run level =
     let obs = Obs.create () in
-    (obs, Dashboard.run ~obs ~level ~num_pages:4096 ~breach_age:3 ())
+    let recorded = ref None in
+    let d =
+      Dashboard.run ~obs ~level ~num_pages:4096 ~breach_age:3
+        ~recorder:(fun s -> recorded := Some s)
+        ()
+    in
+    (obs, d, Option.get !recorded)
   in
   lazy (run Protection.Unprotected, run Protection.Integrated)
 
 let test_observe_alert_smoke () =
-  let (uobs, unprot), (iobs, integ) = Lazy.force observed in
+  let (uobs, unprot, uarchive), (iobs, integ, iarchive) = Lazy.force observed in
   let fired (d : Dashboard.t) rule =
     List.length (List.filter (fun a -> a.Dashboard.rule = rule) d.Dashboard.alerts)
   in
   List.iter
-    (fun (name, obs, (d : Dashboard.t)) ->
+    (fun (name, obs, (d : Dashboard.t), (a : Obs.Snapshot.t)) ->
       Alcotest.(check bool) (name ^ ": series sampled") true (d.Dashboard.metrics <> []);
       Alcotest.(check int) (name ^ ": four rules") 4 (List.length d.Dashboard.alert_rules);
-      let json = Helpers.json (Dashboard.to_json d) in
       List.iter
         (fun key ->
-          Alcotest.(check bool) (name ^ ": json has " ^ key) true (Obs.Json.mem key json <> None))
-        [ "level"; "server"; "seed"; "timeseries"; "alert_rules"; "alerts" ];
+          Alcotest.(check bool) (name ^ ": meta has " ^ key) true
+            (List.mem_assoc key a.Obs.Snapshot.ar_meta))
+        [ "level"; "server"; "seed"; "breach_age" ];
+      check_archive name d a;
       List.iter
-        (fun (rule, series, cond) ->
+        (fun (rule, _, _) ->
           Alcotest.(check int) (name ^ ": " ^ rule ^ " fired = its firings")
-            (Obs.Alert.fired obs rule) (fired d rule);
-          Alcotest.(check bool) (name ^ ": json rule " ^ rule) true
-            (List.mem
-               Obs.Json.(
-                 Obj
-                   [ ("name", Str rule); ("series", Str series);
-                     ("condition", Str (Obs.Alert.describe_condition cond)) ])
-               (Helpers.items (Helpers.field "alert_rules" json))))
+            (Obs.Alert.fired obs rule) (fired d rule))
         d.Dashboard.alert_rules;
-      List.iter
-        (fun a ->
-          Alcotest.(check bool) (name ^ ": json alert " ^ a.Dashboard.rule) true
-            (List.mem
-               Obs.Json.(
-                 Obj
-                   [ ("tick", Int a.Dashboard.fired_tick); ("rule", Str a.Dashboard.rule);
-                     ("series", Str a.Dashboard.rule_series);
-                     (* the value as the export prints and reads it back *)
-                     ("value", Helpers.json (Obs.float_json a.Dashboard.value)) ])
-               (Helpers.items (Helpers.field "alerts" json))))
-        d.Dashboard.alerts;
+      (* the alerts as the archive prints and reads them back *)
+      (match Obs.Snapshot.of_json (Obs.Snapshot.to_json a) with
+       | Ok back ->
+         Alcotest.(check (list (pair (pair int string) (pair string string))))
+           (name ^ ": alerts read back")
+           (List.map
+              (fun f ->
+                ( (f.Dashboard.fired_tick, f.Dashboard.rule),
+                  (f.Dashboard.rule_series, Obs.float_json f.Dashboard.value) ))
+              d.Dashboard.alerts)
+           (List.map
+              (fun (t, r, s, v) -> ((t, r), (s, Obs.float_json v)))
+              back.Obs.Snapshot.ar_alerts)
+       | Error e -> Alcotest.failf "%s: archive does not read back: %s" name e);
       List.iter
         (fun rule ->
           Alcotest.(check int) (name ^ ": " ^ rule ^ " sentinel silent") 0 (fired d rule))
         [ "ct-leakage"; "ct-leakage-limbs" ])
-    [ ("unprotected", uobs, unprot); ("integrated", iobs, integ) ];
+    [ ("unprotected", uobs, unprot, uarchive); ("integrated", iobs, integ, iarchive) ];
   Alcotest.(check bool) "exposure SLO fires unprotected" true (fired unprot "exposure-slo" > 0);
   Alcotest.(check (list string)) "integrated stays silent" []
     (List.map (fun a -> a.Dashboard.rule) integ.Dashboard.alerts);
@@ -495,7 +515,7 @@ let prom_sample_ok line =
   | _ -> false
 
 let test_observe_prometheus_page () =
-  let (obs, _), _ = Lazy.force observed in
+  let (obs, _, _), _ = Lazy.force observed in
   let labels = [ ("level", "unprotected") ] in
   let page =
     Obs.Timeseries.to_prometheus ~labels obs ^ Obs.Metrics.to_prometheus ~labels obs
@@ -548,9 +568,8 @@ let test_fleet_telemetry () =
         true
         (List.length s.Fleet.dash.Dashboard.metrics > 0))
     r.Fleet.shard_results;
-  let json = Helpers.json (Fleet.to_json r) in
-  Alcotest.(check bool) "fleet json has timeseries" true (Obs.Json.mem "timeseries" json <> None);
-  Alcotest.(check bool) "fleet json has alerts" true (Obs.Json.mem "alerts" json <> None);
+  (* the merged series and alerts reach the fleet's archive *)
+  check_archive "fleet" (Fleet.dashboard r) (Fleet.snapshot r);
   (* the merged free-page gauge is the shard-wise sum at equal ticks *)
   let d = Fleet.dashboard r in
   let merged =
