@@ -49,7 +49,8 @@ let fleet () =
       count
         (sum (fun s ->
              Option.value ~default:0
-               (List.assoc_opt "scan" s.Fleet.dash.Dashboard.cycles_by_subsystem))) )
+               (List.assoc_opt "scan"
+                  s.Fleet.dash.Dashboard.archive.Obs.Snapshot.ar_cost_subsystem))) )
   ]
 
 (* exposure byte-ticks of the observed timeline at every level *)

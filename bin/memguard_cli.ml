@@ -26,11 +26,14 @@ let make_dir path =
       Format.eprintf "memguard: cannot create %s@." msg;
       Stdlib.exit 2
 
-(* the --flight recorder: the run's archive, the one JSON form of its summary *)
-let flight_recorder =
-  Option.map (fun path snap ->
-      write_file path (Memguard_obs.Obs.Snapshot.to_json snap);
+(* --flight: the run's archive, the one JSON form of its summary; built
+   only when a path was given *)
+let write_flight flight archive =
+  Option.iter
+    (fun path ->
+      write_file path (Memguard_obs.Obs.Snapshot.to_json (archive ()));
       Format.printf "wrote flight archive to %s@." path)
+    flight
 
 let level_conv =
   let parse s =
@@ -474,9 +477,9 @@ let observe_cmd =
   let run level server seed pages churn breach_age html flight prom =
     let obs = Obs.create () in
     let d =
-      Dashboard.run ~obs ~level ~num_pages:pages ~seed ~churn ?breach_age ~server
-        ?recorder:(flight_recorder flight) ()
+      Dashboard.run ~obs ~level ~num_pages:pages ~seed ~churn ?breach_age ~server ()
     in
+    write_flight flight (fun () -> d.Dashboard.archive);
     Format.printf "%a" Dashboard.pp_summary d;
     Format.printf "%a" Dashboard.pp_telemetry d;
     (match html with
@@ -524,7 +527,8 @@ let observe_cmd =
 let overhead_cmd =
   let module Obs = Memguard_obs.Obs in
   let run seed pages flamegraph trace flame_level flight =
-    let rows = Overhead.run ~num_pages:pages ~seed ?recorder:(flight_recorder flight) () in
+    let rows = Overhead.run ~num_pages:pages ~seed () in
+    write_flight flight (fun () -> Overhead.snapshot rows);
     Overhead.pp Format.std_formatter rows;
     let profiled () =
       match
@@ -734,7 +738,8 @@ let fleet_cmd =
       Format.printf "# fleet inspect: shard=%d tick=%d@." shard tick;
       print_string (Fleet.inspect_shard cfg ~shard ~tick)
     | None ->
-      let report = Fleet.run ?recorder:(flight_recorder flight) cfg in
+      let report = Fleet.run cfg in
+      write_flight flight (fun () -> Fleet.snapshot report);
       if print_fingerprint then print_endline (Fleet.fingerprint report)
       else Format.printf "%a" Fleet.pp_summary report;
       match html with

@@ -20,20 +20,16 @@ module Obs = Memguard_obs.Obs
 let hrule title = Printf.printf "\n=== %s ===\n" title
 
 let show_level level =
-  let archive = ref None in
-  let d =
-    Dashboard.run ~level ~num_pages:2048 ~seed:7 ~breach_age:3
-      ~recorder:(fun snap -> archive := Some snap) ()
-  in
+  let d = Dashboard.run ~level ~num_pages:2048 ~seed:7 ~breach_age:3 () in
   Printf.printf "%s:\n" (Protection.name level);
   Format.printf "%a" Dashboard.pp_summary d;
-  (d, Option.get !archive)
+  d
 
 let () =
   hrule "Act 1: exposure ledger, unprotected vs integrated";
-  let unprot, _ = show_level Protection.Unprotected in
+  let unprot = show_level Protection.Unprotected in
   print_newline ();
-  let integ, integ_archive = show_level Protection.Integrated in
+  let integ = show_level Protection.Integrated in
   Printf.printf
     "\nheadline — sensitive byte-ticks outside mlocked-anon:\n  unprotected %d, integrated %d\n"
     (Dashboard.sensitive_unsafe_total unprot)
@@ -66,7 +62,8 @@ let () =
 
   hrule "Act 3: the dashboard files";
   let html = Dashboard.to_html integ in
-  let json = Obs.Snapshot.to_json integ_archive in
+  (* every observed run keeps its flight archive: the JSON observe --flight writes *)
+  let json = Obs.Snapshot.to_json integ.Dashboard.archive in
   Printf.printf "to_html: %d bytes, flight archive: %d bytes\n" (String.length html)
     (String.length json);
   Printf.printf "write them with: memguard_cli observe --level integrated --html obs.html --flight obs.json\n"

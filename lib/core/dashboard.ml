@@ -11,21 +11,6 @@ type breach = {
   age : int;
 }
 
-type metric_series = {
-  ms_name : string;
-  ms_kind : string;
-  ms_stride : int;
-  ms_samples : int;
-  ms_points : (int * float) list;
-}
-
-type alert_firing = {
-  fired_tick : int;
-  rule : string;
-  rule_series : string;
-  value : float;
-}
-
 type t = {
   level : Protection.level;
   server : Timeline.server;
@@ -37,13 +22,9 @@ type t = {
   totals : ((Obs.origin * Obs.mem_class) * int) list;
   lifetimes : (Obs.origin * int list) list;
   breaches : breach list;
-  counters : (string * int) list;
-  cycles : int;
-  cycles_by_subsystem : (string * int) list;
-  metrics : metric_series list;
   alert_rules : (string * string * Obs.Alert.condition) list;
-  alerts : alert_firing list;
   budgets : Forensics.budget_row list;
+  archive : Obs.Snapshot.t;
 }
 
 (* The standing SLO pack every observed run arms:
@@ -66,35 +47,16 @@ let install_default_alerts obs =
   Obs.Alert.install obs ~name:"ct-leakage-limbs" ~series:"rsa.private_op.limb_traffic"
     (Obs.Alert.Spread { min_spread = 1. })
 
-let collect_metrics obs =
-  List.map
-    (fun name ->
-      { ms_name = name;
-        ms_kind =
-          (if Obs.Timeseries.source obs name <> None then "rate"
-           else
-             match Obs.Timeseries.kind obs name with
-             | Some k -> Obs.Timeseries.kind_name k
-             | None -> "gauge");
-        ms_stride = Obs.Timeseries.stride obs name;
-        ms_samples = Obs.Timeseries.sample_count obs name;
-        ms_points = Obs.Timeseries.points obs name
-      })
-    (Obs.Timeseries.names obs)
-
-let collect_alerts obs =
-  List.map
-    (fun (tick, rule, series, value) ->
-      { fired_tick = tick; rule; rule_series = series; value })
-    (Obs.Alert.firings obs)
-
 let run ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?rng
     ?(churn = 3) ?low ?high ?breach_age ?(server = Timeline.Ssh) ?(obs = Obs.create ())
-    ?recorder () =
+    () =
   Obs.Exposure.set_breach_age obs breach_age;
   install_default_alerts obs;
+  let archive = ref None in
   let snapshots =
-    Experiment.timeline ~level ~num_pages ~seed ?rng ~churn ?low ?high ~obs ?recorder server
+    Experiment.timeline ~level ~num_pages ~seed ?rng ~churn ?low ?high ~obs
+      ~recorder:(fun a -> archive := Some a)
+      server
   in
   let breaches =
     List.filter_map
@@ -119,13 +81,9 @@ let run ?(level = Protection.Unprotected) ?(num_pages = 8192) ?(seed = 1) ?rng
           match Obs.Exposure.lifetimes obs o with [] -> None | ls -> Some (o, ls))
         Obs.all_origins;
     breaches;
-    counters = Obs.Metrics.counters obs;
-    cycles = Obs.Cost.total_cycles obs;
-    cycles_by_subsystem = Obs.Cost.by_subsystem obs;
-    metrics = collect_metrics obs;
     alert_rules = Obs.Alert.rules obs;
-    alerts = collect_alerts obs;
-    budgets = Forensics.budget_table obs
+    budgets = Forensics.budget_table obs;
+    archive = Option.get !archive
   }
 
 (* ---- derived views ---- *)
@@ -141,6 +99,8 @@ let sensitive_unsafe_total t =
     t.totals
 
 let class_total t cls = bucket_sum (fun (_, c) -> c = cls) t.totals
+
+let cycles t = bucket_sum (fun _ -> true) t.archive.Obs.Snapshot.ar_cost_subsystem
 
 let origins_present t =
   List.filter (fun o -> List.exists (fun ((o', _), _) -> o' = o) t.totals) Obs.all_origins
@@ -341,8 +301,8 @@ let to_html t =
   add "<table><tr><th>subsystem</th><th>cycles</th></tr>";
   List.iter
     (fun (s, v) -> add "<tr><td>%s</td><td>%d</td></tr>" (html_escape s) v)
-    t.cycles_by_subsystem;
-  add "<tr><th>total</th><th>%d</th></tr></table>\n" t.cycles;
+    t.archive.Obs.Snapshot.ar_cost_subsystem;
+  add "<tr><th>total</th><th>%d</th></tr></table>\n" (cycles t);
   (* breaches *)
   add "<h2>SLO breaches</h2>\n";
   (match t.breaches with
@@ -378,21 +338,20 @@ let to_html t =
      add "</table>\n");
   (* telemetry panels: one sparkline per series *)
   add "<h2>Telemetry (per-tick series)</h2>\n";
-  (match t.metrics with
+  (match t.archive.Obs.Snapshot.ar_series with
    | [] -> add "<p>no series were recorded</p>\n"
-   | ms ->
+   | es ->
      add
        "<table><tr><th>series</th><th>kind</th><th>last</th><th>min</th><th>max</th><th>samples</th><th>trend</th></tr>";
      List.iter
-       (fun m ->
-         let ys = List.map snd m.ms_points in
-         let last = match List.rev ys with v :: _ -> v | [] -> 0. in
-         let mn = List.fold_left min last ys and mx = List.fold_left max last ys in
+       (fun (e : Obs.Snapshot.series_env) ->
          add
            "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%s</td></tr>"
-           (html_escape m.ms_name) (html_escape m.ms_kind) (short_num last) (short_num mn)
-           (short_num mx) m.ms_samples (svg_sparkline m.ms_points))
-       ms;
+           (html_escape e.Obs.Snapshot.e_name) (html_escape e.Obs.Snapshot.e_kind)
+           (short_num e.Obs.Snapshot.e_last) (short_num e.Obs.Snapshot.e_min)
+           (short_num e.Obs.Snapshot.e_max) e.Obs.Snapshot.e_samples
+           (svg_sparkline e.Obs.Snapshot.e_points))
+       es;
      add "</table>\n");
   (* alerts *)
   add "<h2>Alerts</h2>\n";
@@ -404,15 +363,14 @@ let to_html t =
         (html_escape (Obs.Alert.describe_condition cond)))
     t.alert_rules;
   add "</table>\n";
-  (match t.alerts with
+  (match t.archive.Obs.Snapshot.ar_alerts with
    | [] -> add "<p class=\"ok\">no alerts fired</p>\n"
    | als ->
      add "<table><tr><th>tick</th><th>rule</th><th>series</th><th>value</th></tr>";
      List.iter
-       (fun a ->
-         add "<tr><td>%d</td><td class=\"bad\">%s</td><td>%s</td><td>%s</td></tr>"
-           a.fired_tick (html_escape a.rule) (html_escape a.rule_series)
-           (short_num a.value))
+       (fun (tick, rule, series, value) ->
+         add "<tr><td>%d</td><td class=\"bad\">%s</td><td>%s</td><td>%s</td></tr>" tick
+           (html_escape rule) (html_escape series) (short_num value))
        als;
      add "</table>\n");
   add "</body></html>\n";
@@ -440,21 +398,25 @@ let pp_summary fmt t =
            b.Forensics.br_trace b.Forensics.br_request b.Forensics.br_pid
            b.Forensics.br_byte_ticks)
        bs);
-  Format.fprintf fmt "alerts fired: %d%s@." (List.length t.alerts)
-    (match t.alerts with
+  let alerts = t.archive.Obs.Snapshot.ar_alerts in
+  Format.fprintf fmt "alerts fired: %d%s@." (List.length alerts)
+    (match alerts with
      | [] -> ""
      | als ->
        " ("
        ^ String.concat ", "
-           (List.sort_uniq compare (List.map (fun a -> a.rule) als))
+           (List.sort_uniq compare (List.map (fun (_, rule, _, _) -> rule) als))
        ^ ")");
-  Format.fprintf fmt "simulated cycles: %d (%s)@." t.cycles
+  Format.fprintf fmt "simulated cycles: %d (%s)@." (cycles t)
     (String.concat ", "
-       (List.map (fun (s, v) -> Printf.sprintf "%s %d" s v) t.cycles_by_subsystem))
+       (List.map
+          (fun (s, v) -> Printf.sprintf "%s %d" s v)
+          t.archive.Obs.Snapshot.ar_cost_subsystem))
 
 (* per-tick table over the headline series, then every alert firing *)
 let pp_telemetry fmt t =
-  Format.fprintf fmt "# telemetry: %d series, %d rules@." (List.length t.metrics)
+  let series = t.archive.Obs.Snapshot.ar_series in
+  Format.fprintf fmt "# telemetry: %d series, %d rules@." (List.length series)
     (List.length t.alert_rules);
   let headline =
     [ ("free", "kernel.free_pages"); ("swap", "kernel.swap_slots_used");
@@ -465,8 +427,10 @@ let pp_telemetry fmt t =
   let cols =
     List.map
       (fun (h, name) ->
-        match List.find_opt (fun m -> m.ms_name = name) t.metrics with
-        | Some m -> (h, m.ms_points)
+        match
+          List.find_opt (fun (e : Obs.Snapshot.series_env) -> e.Obs.Snapshot.e_name = name) series
+        with
+        | Some e -> (h, e.Obs.Snapshot.e_points)
         | None -> (h, []))
       headline
   in
@@ -484,13 +448,13 @@ let pp_telemetry fmt t =
         cols;
       Format.fprintf fmt "@.")
     ticks;
-  match t.alerts with
+  match t.archive.Obs.Snapshot.ar_alerts with
   | [] -> Format.fprintf fmt "no alerts fired@."
   | als ->
     List.iter
-      (fun a ->
-        Format.fprintf fmt "ALERT tick=%d rule=%s series=%s value=%s@." a.fired_tick a.rule
-          a.rule_series (Obs.float_json a.value))
+      (fun (tick, rule, series, value) ->
+        Format.fprintf fmt "ALERT tick=%d rule=%s series=%s value=%s@." tick rule series
+          (Obs.float_json value))
       als
 
 (* ---- differential run observatory (memguard_cli diff --html) ---- *)

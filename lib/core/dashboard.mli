@@ -1,8 +1,9 @@
 (** The exposure-observatory report pipeline: run the fig-5 timeline with
     the exposure ledger on, and render the result as a self-contained HTML
     dashboard (inline CSS + SVG, no scripts) and a terminal summary — the
-    [memguard_cli observe] backend.  The run's one JSON form is its flight
-    archive ({!Memguard_obs.Obs.Snapshot}, through [run ~recorder]).
+    [memguard_cli observe] backend.  Every run keeps its flight archive
+    ({!Memguard_obs.Obs.Snapshot}) in [archive]: the run's one JSON form,
+    and the one copy of its telemetry the renderers read.
 
     The report joins three data sets the observability layer accumulates
     during one scripted run:
@@ -24,23 +25,6 @@ type breach = {
   age : int;
 }
 
-type metric_series = {
-  ms_name : string;
-  ms_kind : string;  (** ["gauge"] / ["counter"] / ["rate"] *)
-  ms_stride : int;  (** downsampling stride at end of run (1 = lossless) *)
-  ms_samples : int;  (** samples offered, before downsampling *)
-  ms_points : (int * float) list;  (** retained (tick, value) points *)
-}
-(** One telemetry series as collected at the end of a run — a snapshot of
-    {!Obs.Timeseries} state, decoupled from the live context. *)
-
-type alert_firing = {
-  fired_tick : int;
-  rule : string;
-  rule_series : string;
-  value : float;
-}
-
 type t = {
   level : Protection.level;
   server : Timeline.server;
@@ -52,19 +36,21 @@ type t = {
   totals : ((Obs.origin * Obs.mem_class) * int) list;
   lifetimes : (Obs.origin * int list) list;
   breaches : breach list;
-  counters : (string * int) list;
-  cycles : int;  (** total simulated cycles charged during the run *)
-  cycles_by_subsystem : (string * int) list;
-      (** per-subsystem cost breakdown, sums to [cycles] *)
-  metrics : metric_series list;  (** telemetry series, name-sorted *)
   alert_rules : (string * string * Obs.Alert.condition) list;
       (** installed rules as (name, series, condition), install order *)
-  alerts : alert_firing list;  (** chronological alert firings *)
   budgets : Forensics.budget_row list;
       (** per-request leak budgets (trace-id sorted); the rows sum exactly
           to [sensitive_unsafe_total] — both sides are accumulated by the
           same exposure-ledger pass *)
+  archive : Obs.Snapshot.t;
+      (** the run's flight archive: telemetry series with their envelopes,
+          counters, per-subsystem cycles and chronological alert firings
+          are read from it, and [memguard_cli observe --flight] writes it *)
 }
+(** The typed views above are what the archive either does not hold
+    (snapshots, per-tick exposure, lifetimes, breaches, rule conditions,
+    budget rows with request, pid and start tick) or holds keyed by name
+    where the fleet's fingerprint needs variant order ([totals]). *)
 
 val install_default_alerts : Obs.ctx -> unit
 (** Arm the standing SLO pack on a context: [exposure-slo] (sensitive
@@ -89,17 +75,17 @@ val run :
   ?breach_age:int ->
   ?server:Timeline.server ->
   ?obs:Obs.ctx ->
-  ?recorder:(Obs.Snapshot.t -> unit) ->
   unit ->
   t
 (** One observed fig-5 timeline run ({!Experiment.timeline} on a fresh
     system) with the default alert pack installed and, when [breach_age]
     is given, the exposure SLO armed.  Defaults match
-    {!Experiment.timeline}: [Unprotected], 8192 pages, seed 1, [Ssh].  [rng], [low], [high] and
-    [recorder] are forwarded to {!Experiment.timeline} unchanged (the
-    fleet passes a per-shard stream and its plateau sizes; [memguard_cli
-    observe --flight] a recorder, whose archive names [breach_age] in its
-    meta when it is given).  [obs] (default: a fresh enabled context) is
+    {!Experiment.timeline}: [Unprotected], 8192 pages, seed 1, [Ssh].
+    [rng], [low] and [high] are forwarded to {!Experiment.timeline}
+    unchanged (the fleet passes a per-shard stream and its plateau
+    sizes).  [archive] is what {!Experiment.timeline}'s recorder hands
+    over after the last tick (kind ["timeline"]); its meta names
+    [breach_age] when it is given.  [obs] (default: a fresh enabled context) is
     the context the run records into; pass one to keep reading it after
     the run — the fleet takes its event stream from it, [memguard_cli
     observe --prom] its series and span histograms. *)
@@ -108,6 +94,11 @@ val sensitive_unsafe_total : t -> int
 (** Byte·ticks accumulated by {e sensitive} origins in any class other
     than mlocked-anon — the headline number: zero at Integrated (the
     confinement result), growing monotonically at Unprotected. *)
+
+val cycles : t -> int
+(** Total simulated cycles charged during the run: the sum of the
+    archive's per-subsystem cycles, which equals
+    {!Memguard_obs.Obs.Cost.total_cycles} of the run's context. *)
 
 val class_total : t -> Obs.mem_class -> int
 (** Test oracle: total byte·ticks accumulated in one memory class (all

@@ -46,39 +46,33 @@ let run_level ?(num_pages = 4096) ?(seed = 1) ?(key_bits = 256) level =
     obs
   }
 
-let run ?(levels = default_levels) ?num_pages ?seed ?key_bits ?recorder () =
-  let rows = List.map (run_level ?num_pages ?seed ?key_bits) levels in
-  let rows =
-    match rows with
-    | [] -> []
-    | base :: _ ->
-      let b = float_of_int (max 1 base.cycles) in
-      List.map (fun r -> { r with slowdown = float_of_int r.cycles /. b }) rows
+let run ?(levels = default_levels) ?num_pages ?seed ?key_bits () =
+  match List.map (run_level ?num_pages ?seed ?key_bits) levels with
+  | [] -> []
+  | base :: _ as rows ->
+    let b = float_of_int (max 1 base.cycles) in
+    List.map (fun r -> { r with slowdown = float_of_int r.cycles /. b }) rows
+
+(* scalars-only archive: bench/flight_overhead.json is one of these, and
+   [dune runtest] gates each key in it byte for byte *)
+let snapshot rows =
+  let slug level = String.map (function '-' -> '_' | c -> c) (Protection.name level) in
+  let scalars =
+    List.concat_map
+      (fun r ->
+        let s = slug r.level in
+        [ (Printf.sprintf "overhead_cycles_%s" s, float_of_int r.cycles);
+          (Printf.sprintf "overhead_requests_%s" s, float_of_int r.requests);
+          (Printf.sprintf "overhead_signatures_%s" s, float_of_int r.signatures);
+          (Printf.sprintf "overhead_slowdown_%s" s, r.slowdown)
+        ]
+        @ List.map
+            (fun (sub, c) -> (Printf.sprintf "overhead_cycles_%s_%s" s sub, float_of_int c))
+            r.by_subsystem)
+      rows
   in
-  (match recorder with
-   | None -> ()
-   | Some f ->
-     (* scalars-only archive: bench/flight_overhead.json is one of these,
-        and [dune runtest] gates each key in it byte for byte *)
-     let slug level = String.map (function '-' -> '_' | c -> c) (Protection.name level) in
-     let scalars =
-       List.concat_map
-         (fun r ->
-           let s = slug r.level in
-           [ (Printf.sprintf "overhead_cycles_%s" s, float_of_int r.cycles);
-             (Printf.sprintf "overhead_requests_%s" s, float_of_int r.requests);
-             (Printf.sprintf "overhead_signatures_%s" s, float_of_int r.signatures);
-             (Printf.sprintf "overhead_slowdown_%s" s, r.slowdown)
-           ]
-           @ List.map
-               (fun (sub, c) ->
-                 (Printf.sprintf "overhead_cycles_%s_%s" s sub, float_of_int c))
-               r.by_subsystem)
-         rows
-     in
-     let meta = [ ("levels", String.concat "," (List.map Protection.name levels)) ] in
-     f (Obs.Snapshot.of_scalars ~kind:"overhead" ~meta scalars));
-  rows
+  let meta = [ ("levels", String.concat "," (List.map (fun r -> Protection.name r.level) rows)) ] in
+  Obs.Snapshot.of_scalars ~kind:"overhead" ~meta scalars
 
 let per_request r =
   if r.requests = 0 then 0. else float_of_int r.cycles /. float_of_int r.requests

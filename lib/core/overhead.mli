@@ -38,16 +38,19 @@ val run :
   ?num_pages:int ->
   ?seed:int ->
   ?key_bits:int ->
-  ?recorder:(Memguard_obs.Obs.Snapshot.t -> unit) ->
   unit ->
   row list
 (** Run every level (default {!default_levels}) and normalise slowdown
-    against the first row.  [recorder] receives a scalars-only flight
-    archive (kind ["overhead"]) —
-    [overhead_cycles_<level>], [overhead_cycles_<level>_<subsystem>],
-    plus requests / signatures / slowdown per level: the report's JSON
-    form.  [bench/flight_overhead.json] is the committed one; [dune
-    runtest] requires a fresh recording to match it byte for byte. *)
+    against the first row. *)
+
+val snapshot : row list -> Memguard_obs.Obs.Snapshot.t
+(** The report's JSON form: a scalars-only flight archive (kind
+    ["overhead"]) of the rows — [overhead_cycles_<level>],
+    [overhead_cycles_<level>_<subsystem>], plus requests / signatures /
+    slowdown per level, with the rows' levels in meta.  [memguard_cli
+    overhead --flight] writes it; [bench/flight_overhead.json] is the
+    committed one, and [dune runtest] requires a fresh recording to match
+    it byte for byte. *)
 
 val pp : Format.formatter -> row list -> unit
 (** The paper-style table: totals, per-connection and per-signature

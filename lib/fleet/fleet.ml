@@ -93,7 +93,9 @@ let run_shard cfg shard_id =
       ~low:cfg.conns_low ~high:cfg.conns_high ?breach_age:cfg.breach_age
       ~server:(server_of cfg shard_id) ()
   in
-  let counter name = Option.value (List.assoc_opt name dash.Dashboard.counters) ~default:0 in
+  let counter name =
+    Option.value (List.assoc_opt name dash.Dashboard.archive.Obs.Snapshot.ar_counters) ~default:0
+  in
   let events =
     List.filter_map
       (fun (r : Obs.record) ->
@@ -179,54 +181,64 @@ let merge_lifetimes ds =
    per series we sum values at equal ticks (gauges become fleet-wide
    totals, counters fleet-wide integrals).  Kind comes from the first
    shard carrying the series; stride is the coarsest seen; sample counts
-   add up.  The fold order is the shard order, never the domain
-   schedule — the merged list is deterministic. *)
+   add up.  The envelope is over the merged (possibly strided) points,
+   not the exact per-offer envelope a single-run archive carries — still
+   deterministic, still diffable.  The fold order is the shard order,
+   never the domain schedule — the merged list is deterministic. *)
 let merge_metrics ds =
+  let archived =
+    List.map (fun (d : Dashboard.t) -> d.Dashboard.archive.Obs.Snapshot.ar_series) ds
+  in
   let names =
     List.sort_uniq compare
       (List.concat_map
-         (fun (d : Dashboard.t) -> List.map (fun m -> m.Dashboard.ms_name) d.Dashboard.metrics)
-         ds)
+         (List.map (fun (e : Obs.Snapshot.series_env) -> e.Obs.Snapshot.e_name))
+         archived)
   in
-  List.map
+  List.filter_map
     (fun name ->
       let inst =
         List.filter_map
-          (fun (d : Dashboard.t) ->
-            List.find_opt (fun m -> m.Dashboard.ms_name = name) d.Dashboard.metrics)
-          ds
+          (List.find_opt (fun (e : Obs.Snapshot.series_env) -> e.Obs.Snapshot.e_name = name))
+          archived
       in
       let tbl = Hashtbl.create 64 in
       List.iter
-        (fun m ->
+        (fun (e : Obs.Snapshot.series_env) ->
           List.iter
             (fun (tick, v) ->
               let cur = Option.value (Hashtbl.find_opt tbl tick) ~default:0. in
               Hashtbl.replace tbl tick (cur +. v))
-            m.Dashboard.ms_points)
+            e.Obs.Snapshot.e_points)
         inst;
       let points =
         Hashtbl.fold (fun tick v acc -> (tick, v) :: acc) tbl [] |> List.sort compare
       in
-      { Dashboard.ms_name = name;
-        ms_kind =
-          (match inst with m :: _ -> m.Dashboard.ms_kind | [] -> "gauge");
-        ms_stride =
-          List.fold_left (fun acc m -> max acc m.Dashboard.ms_stride) 1 inst;
-        ms_samples =
-          List.fold_left (fun acc m -> acc + m.Dashboard.ms_samples) 0 inst;
-        ms_points = points
-      })
+      match List.rev points with
+      | [] -> None
+      | (last_tick, last) :: _ ->
+        let vs = List.map snd points in
+        Some
+          { Obs.Snapshot.e_name = name;
+            e_kind = (List.hd inst).Obs.Snapshot.e_kind;
+            e_stride = List.fold_left (fun acc e -> max acc e.Obs.Snapshot.e_stride) 1 inst;
+            e_samples = List.fold_left (fun acc e -> acc + e.Obs.Snapshot.e_samples) 0 inst;
+            e_last_tick = last_tick;
+            e_last = last;
+            e_min = List.fold_left Float.min Float.infinity vs;
+            e_max = List.fold_left Float.max Float.neg_infinity vs;
+            e_points = points
+          })
     names
 
-(* firings ordered by (tick, shard, rule): chronological, shard-stable *)
+(* firings as (shard, (tick, rule, series, value)), ordered by
+   (tick, shard, rule): chronological, shard-stable *)
 let merge_alerts shards =
   List.concat_map
-    (fun s -> List.map (fun a -> (s.shard_id, a)) s.dash.Dashboard.alerts)
+    (fun s -> List.map (fun a -> (s.shard_id, a)) s.dash.Dashboard.archive.Obs.Snapshot.ar_alerts)
     shards
-  |> List.sort (fun (sa, (a : Dashboard.alert_firing)) (sb, b) ->
-         compare (a.Dashboard.fired_tick, sa, a.Dashboard.rule)
-           (b.Dashboard.fired_tick, sb, b.Dashboard.rule))
+  |> List.sort (fun (sa, (ta, ra, _, _)) (sb, (tb, rb, _, _)) ->
+         compare (ta, sa, ra) (tb, sb, rb))
 
 (* per-request leak budgets, merged by (root start tick, shard, trace):
    the key is simulated state only, so the merged table is deterministic
@@ -242,7 +254,7 @@ let merge_budgets shards =
 
 (* ---- parallel execution ---- *)
 
-let run_sharded cfg =
+let run cfg =
   let n = max 1 cfg.shards in
   let workers = max 1 (min cfg.domains n) in
   let results = Array.make n None in
@@ -289,7 +301,7 @@ let run_sharded cfg =
           d_sweep_cycles =
             of_shards (fun s ->
                 Option.value
-                  (List.assoc_opt "scan" s.dash.Dashboard.cycles_by_subsystem)
+                  (List.assoc_opt "scan" s.dash.Dashboard.archive.Obs.Snapshot.ar_cost_subsystem)
                   ~default:0);
           wall_s = walls.(w)
         })
@@ -304,16 +316,74 @@ let run_sharded cfg =
     merged_events;
     total_connections = sum (fun s -> s.connections);
     total_requests = sum (fun s -> s.requests);
-    total_cycles = sum (fun s -> s.dash.Dashboard.cycles);
+    total_cycles = sum (fun s -> Dashboard.cycles s.dash);
     sensitive_unsafe = sum (fun s -> Dashboard.sensitive_unsafe_total s.dash);
     domain_stats
   }
 
 (* ---- dashboard projection ---- *)
 
+let final_copies (d : Dashboard.t) =
+  match List.rev d.Dashboard.snapshots with last :: _ -> last.Report.total | [] -> 0
+
+let config_meta c =
+  [ ("shards", string_of_int c.shards);
+    ("level", Protection.name c.level);
+    ("mix", mix_name c.mix);
+    ("num_pages", string_of_int c.num_pages);
+    ("master_seed", string_of_int c.master_seed);
+    ("conns_low", string_of_int c.conns_low);
+    ("conns_high", string_of_int c.conns_high);
+    ("churn", string_of_int c.churn);
+    ("scan_mode", System.mode_name System.Incremental)
+  ]
+
+(* The merged archive comes from the merged (domain-invariant) views, and
+   its meta deliberately excludes the domain count: like [canonical], it
+   is a pure function of the config, so two runs of the same config diff
+   to zero deltas whatever parallelism executed them. *)
 let dashboard r =
   let ds = List.map (fun s -> s.dash) r.shard_results in
-  let merged field = merge_assoc (List.map field ds) in
+  let totals = merge_assoc (List.map (fun (d : Dashboard.t) -> d.Dashboard.totals) ds) in
+  let archived field =
+    merge_assoc (List.map (fun (d : Dashboard.t) -> field d.Dashboard.archive) ds)
+  in
+  let archive =
+    Obs.Snapshot.make ~kind:"fleet" ~meta:(config_meta r.config) ~series:(merge_metrics ds)
+      ~exposure:
+        (List.map (fun ((o, c), v) -> (Obs.origin_name o, Obs.class_name c, v)) totals)
+      ~counters:(archived (fun a -> a.Obs.Snapshot.ar_counters))
+      ~cost_subsystem:(archived (fun a -> a.Obs.Snapshot.ar_cost_subsystem))
+      ~alerts:(List.map snd (merge_alerts r.shard_results))
+      ~budgets:
+        (List.map
+           (fun (shard, (b : Forensics.budget_row)) ->
+             (Printf.sprintf "s%d:t%d" shard b.Forensics.br_trace, b.Forensics.br_byte_ticks))
+           (merge_budgets r.shard_results))
+      ~scalars:
+        [ ("fleet.total_connections", float_of_int r.total_connections);
+          ("fleet.total_requests", float_of_int r.total_requests);
+          ("fleet.total_cycles", float_of_int r.total_cycles);
+          ("fleet.sensitive_unsafe_byte_ticks", float_of_int r.sensitive_unsafe) ]
+      ~shards:
+        (List.map
+           (fun s ->
+             { Obs.Snapshot.sh_id = s.shard_id;
+               sh_label = Timeline.server_name s.dash.Dashboard.server;
+               sh_cells =
+                 [ ("connections", float_of_int s.connections);
+                   ("requests", float_of_int s.requests);
+                   ("cycles", float_of_int (Dashboard.cycles s.dash));
+                   ("sensitive_unsafe", float_of_int (Dashboard.sensitive_unsafe_total s.dash));
+                   ("final_copies", float_of_int (final_copies s.dash));
+                   ("breaches", float_of_int (List.length s.dash.Dashboard.breaches));
+                   ("pages_swept", float_of_int s.pages_swept);
+                   ("sweeps", float_of_int s.sweeps)
+                 ]
+             })
+           r.shard_results)
+      ()
+  in
   { Dashboard.level = r.config.level;
     server =
       (match r.config.mix with Http_only -> Timeline.Http | _ -> Timeline.Ssh);
@@ -322,21 +392,17 @@ let dashboard r =
     breach_age = r.config.breach_age;
     snapshots = merge_snapshots ds;
     series = merge_series ds;
-    totals = merged (fun d -> d.Dashboard.totals);
+    totals;
     lifetimes = merge_lifetimes ds;
     breaches =
       List.concat_map (fun (d : Dashboard.t) -> d.Dashboard.breaches) ds
       |> List.sort (fun (a : Dashboard.breach) b ->
              compare (a.Dashboard.tick, a.Dashboard.pid, a.Dashboard.addr)
                (b.Dashboard.tick, b.Dashboard.pid, b.Dashboard.addr));
-    counters = merged (fun d -> d.Dashboard.counters);
-    cycles = r.total_cycles;
-    cycles_by_subsystem = merged (fun d -> d.Dashboard.cycles_by_subsystem);
-    metrics = merge_metrics ds;
     (* every shard installs the same default pack *)
     alert_rules = (match ds with d :: _ -> d.Dashboard.alert_rules | [] -> []);
-    alerts = List.map snd (merge_alerts r.shard_results);
-    budgets = List.map snd (merge_budgets r.shard_results)
+    budgets = List.map snd (merge_budgets r.shard_results);
+    archive
   }
 
 let inspect_shard cfg ~shard ~tick =
@@ -350,9 +416,6 @@ let inspect_shard cfg ~shard ~tick =
 
 (* ---- rendering ---- *)
 
-let final_copies (d : Dashboard.t) =
-  match List.rev d.Dashboard.snapshots with last :: _ -> last.Report.total | [] -> 0
-
 let hits_json (s : Report.snapshot) =
   let open Obs.Json in
   Obj
@@ -364,13 +427,6 @@ let bucket_json ((o, c), v) =
   Obj
     [ ("origin", Str (Obs.origin_name o)); ("class", Str (Obs.class_name c));
       ("byte_ticks", Int v) ]
-
-let metric_json (m : Dashboard.metric_series) =
-  let open Obs.Json in
-  Obj
-    [ ("name", Str m.Dashboard.ms_name); ("kind", Str m.Dashboard.ms_kind);
-      ("stride", Int m.Dashboard.ms_stride); ("samples", Int m.Dashboard.ms_samples);
-      ("points", list (fun (tick, v) -> Arr [ Int tick; Num v ]) m.Dashboard.ms_points) ]
 
 (* The fingerprint's input, printed in the [Fleet] layout, which exists
    for it alone.  Members, order and layout are frozen: any change moves
@@ -401,7 +457,7 @@ let canonical r =
               [ ("shard_id", Int s.shard_id);
                 ("server", Str (Timeline.server_name s.dash.Dashboard.server));
                 ("connections", Int s.connections); ("requests", Int s.requests);
-                ("cycles", Int s.dash.Dashboard.cycles);
+                ("cycles", Int (Dashboard.cycles s.dash));
                 ("sensitive_unsafe", Int (Dashboard.sensitive_unsafe_total s.dash));
                 ("final_copies", Int (final_copies s.dash));
                 ("breaches", Int (List.length s.dash.Dashboard.breaches)) ])
@@ -410,15 +466,23 @@ let canonical r =
       ( "merged_counters",
         list
           (fun (k, v) -> Obj [ ("name", Str k); ("value", Int v) ])
-          d.Dashboard.counters );
-      ("timeseries", list metric_json d.Dashboard.metrics);
+          d.Dashboard.archive.Obs.Snapshot.ar_counters );
+      ( "timeseries",
+        list
+          (fun (e : Obs.Snapshot.series_env) ->
+            Obj
+              [ ("name", Str e.Obs.Snapshot.e_name); ("kind", Str e.Obs.Snapshot.e_kind);
+                ("stride", Int e.Obs.Snapshot.e_stride);
+                ("samples", Int e.Obs.Snapshot.e_samples);
+                ( "points",
+                  list (fun (tick, v) -> Arr [ Int tick; Num v ]) e.Obs.Snapshot.e_points ) ])
+          d.Dashboard.archive.Obs.Snapshot.ar_series );
       ( "alerts",
         list
-          (fun (shard, (a : Dashboard.alert_firing)) ->
+          (fun (shard, (tick, rule, series, value)) ->
             Obj
-              [ ("tick", Int a.Dashboard.fired_tick); ("shard", Int shard);
-                ("rule", Str a.Dashboard.rule); ("series", Str a.Dashboard.rule_series);
-                ("value", Num a.Dashboard.value) ])
+              [ ("tick", Int tick); ("shard", Int shard); ("rule", Str rule);
+                ("series", Str series); ("value", Num value) ])
           (merge_alerts r.shard_results) );
       ( "leak_budgets",
         list
@@ -442,101 +506,13 @@ let canonical r =
 let fingerprint r =
   Digest.to_hex (Digest.string (Obs.Json.to_string Fleet (canonical r) ^ "\n"))
 
-(* Flight archive of a fleet report.  Everything comes from the merged
-   (domain-invariant) views, and the meta block deliberately excludes the
-   domain count — like [canonical], the archive is a pure function of the
-   config, so two runs of the same config diff to zero deltas whatever
-   parallelism executed them.  The fingerprint itself rides along in meta:
-   any drift the flattened scalars might miss still surfaces there. *)
+(* The fingerprint rides along in meta: any drift the flattened scalars
+   might miss still surfaces there. *)
 let snapshot r =
-  let d = dashboard r in
-  let meta =
-    [ ("shards", string_of_int r.config.shards);
-      ("level", Protection.name r.config.level);
-      ("mix", mix_name r.config.mix);
-      ("num_pages", string_of_int r.config.num_pages);
-      ("master_seed", string_of_int r.config.master_seed);
-      ("conns_low", string_of_int r.config.conns_low);
-      ("conns_high", string_of_int r.config.conns_high);
-      ("churn", string_of_int r.config.churn);
-      ("scan_mode", System.mode_name System.Incremental);
-      ("fingerprint", fingerprint r)
-    ]
-  in
-  (* merged series only exist as points: the envelope below is over the
-     retained (possibly strided) merge, not the exact per-offer envelope a
-     single-run archive carries — still deterministic, still diffable *)
-  let series =
-    List.filter_map
-      (fun (m : Dashboard.metric_series) ->
-        match List.rev m.Dashboard.ms_points with
-        | [] -> None
-        | (last_tick, last) :: _ ->
-          let vs = List.map snd m.Dashboard.ms_points in
-          Some
-            { Obs.Snapshot.e_name = m.Dashboard.ms_name;
-              e_kind = m.Dashboard.ms_kind;
-              e_stride = m.Dashboard.ms_stride;
-              e_samples = m.Dashboard.ms_samples;
-              e_last_tick = last_tick;
-              e_last = last;
-              e_min = List.fold_left Float.min Float.infinity vs;
-              e_max = List.fold_left Float.max Float.neg_infinity vs;
-              e_points = m.Dashboard.ms_points
-            })
-      d.Dashboard.metrics
-  in
-  let exposure =
-    List.map
-      (fun ((o, c), v) -> (Obs.origin_name o, Obs.class_name c, v))
-      d.Dashboard.totals
-  in
-  let alerts =
-    List.map
-      (fun (_, (a : Dashboard.alert_firing)) ->
-        (a.Dashboard.fired_tick, a.Dashboard.rule, a.Dashboard.rule_series,
-         a.Dashboard.value))
-      (merge_alerts r.shard_results)
-  in
-  let budgets =
-    List.map
-      (fun (shard, (b : Forensics.budget_row)) ->
-        (Printf.sprintf "s%d:t%d" shard b.Forensics.br_trace, b.Forensics.br_byte_ticks))
-      (merge_budgets r.shard_results)
-  in
-  let shards =
-    List.map
-      (fun s ->
-        { Obs.Snapshot.sh_id = s.shard_id;
-          sh_label = Timeline.server_name s.dash.Dashboard.server;
-          sh_cells =
-            [ ("connections", float_of_int s.connections);
-              ("requests", float_of_int s.requests);
-              ("cycles", float_of_int s.dash.Dashboard.cycles);
-              ("sensitive_unsafe", float_of_int (Dashboard.sensitive_unsafe_total s.dash));
-              ("final_copies", float_of_int (final_copies s.dash));
-              ("breaches", float_of_int (List.length s.dash.Dashboard.breaches));
-              ("pages_swept", float_of_int s.pages_swept);
-              ("sweeps", float_of_int s.sweeps)
-            ]
-        })
-      r.shard_results
-  in
-  let scalars =
-    [ ("fleet.total_connections", float_of_int r.total_connections);
-      ("fleet.total_requests", float_of_int r.total_requests);
-      ("fleet.total_cycles", float_of_int r.total_cycles);
-      ("fleet.sensitive_unsafe_byte_ticks", float_of_int r.sensitive_unsafe)
-    ]
-  in
-  Obs.Snapshot.make ~kind:"fleet" ~meta ~series ~exposure
-    ~counters:d.Dashboard.counters ~cost_subsystem:d.Dashboard.cycles_by_subsystem
-    ~alerts ~budgets ~scalars ~shards ()
-
-let run ?recorder cfg =
-  let r = run_sharded cfg in
-  (match recorder with None -> () | Some f -> f (snapshot r));
-  r
+  let a = (dashboard r).Dashboard.archive in
+  { a with
+    Obs.Snapshot.ar_meta =
+      List.sort compare (("fingerprint", fingerprint r) :: a.Obs.Snapshot.ar_meta) }
 
 let to_html r =
   let banner = Buffer.create 1024 in
@@ -550,7 +526,7 @@ let to_html r =
            "<tr><td>%d</td><td>%s</td><td>%d</td><td>%d</td><td>%d</td><td>%d</td></tr>\n"
            s.shard_id
            (Forensics.html_escape (Timeline.server_name s.dash.Dashboard.server))
-           s.connections s.requests s.dash.Dashboard.cycles
+           s.connections s.requests (Dashboard.cycles s.dash)
            (Dashboard.sensitive_unsafe_total s.dash)))
     r.shard_results;
   add

@@ -9,7 +9,8 @@
     with [Prng.derive ~tag:shard_id]), run the scripted timeline
     independently — on OCaml 5 domains when [domains > 1] — and a
     deterministic merge folds the per-shard exposure ledgers, scan
-    snapshots, counters and cycle counts into one aggregate report.
+    snapshots and flight archives (series, counters, cycles, alert
+    firings) into one aggregate report.
 
     Determinism contract: shard [i]'s result is a pure function of
     [(config, i)] — no state is shared between shards (the bignum layer's
@@ -102,21 +103,22 @@ val run_shard : config -> int -> shard_result
     master seed with tag [i].  Pure in [(config, i)]: same inputs,
     byte-identical result. *)
 
-val run : ?recorder:(Memguard_obs.Obs.Snapshot.t -> unit) -> config -> report
+val run : config -> report
 (** Run the whole fleet.  Shards execute on [min domains shards] workers
     (at least one) by work-stealing over shard ids: worker 0 is the
     calling domain and the others are spawned, so with one worker
     everything runs sequentially on the calling domain.  The report is
-    identical either way.  [recorder] receives {!snapshot} of the
-    finished report. *)
+    identical either way.  Its flight archive is {!snapshot}. *)
 
 val dashboard : report -> Memguard.Dashboard.t
 (** Test oracle: the merged fleet as a [Dashboard.t]: per-tick snapshots,
-    exposure series and totals, lifetimes, breaches, counters and cycles are the
-    shard-wise sums/concatenations, so the dashboard renderers (HTML and
-    summary) consume the fleet exactly as they consume one machine.  The
-    embedded snapshots carry merged hit {e counts} only (no per-hit lists —
-    those stay per shard). *)
+    exposure series and totals, lifetimes and breaches are the shard-wise
+    sums/concatenations, and its [archive] is {!snapshot} without the
+    fingerprint in meta (series summed per tick, counters and cycles
+    per name, alert firings in [(tick, shard, rule)] order), so the
+    dashboard renderers (HTML and summary) consume the fleet exactly as
+    they consume one machine.  The embedded snapshots carry merged hit
+    {e counts} only (no per-hit lists — those stay per shard). *)
 
 val inspect_shard : config -> shard:int -> tick:int -> string
 (** Re-run shard [shard] sequentially up to [tick] and render the live
@@ -142,7 +144,7 @@ val fingerprint : report -> string
     {!snapshot}. *)
 
 val snapshot : report -> Memguard_obs.Obs.Snapshot.t
-(** Test oracle: flight archive (kind ["fleet"]) of the merged report: merged
+(** The fleet's flight archive (kind ["fleet"]): merged
     series (with envelopes over the merged points), exposure totals, counters,
     subsystem cycles, alert firings, per-request leak budgets keyed
     ["s<shard>:t<trace>"], one {!Memguard_obs.Obs.Snapshot.shard_env} per shard,

@@ -272,15 +272,13 @@ let test_introspect_render () =
 (* ---- the dashboard files ---- *)
 
 let test_dashboard_exports () =
-  let recorded = ref None in
+  let obs = Obs.create () in
   let d =
-    Dashboard.run ~level:Protection.Unprotected ~num_pages:2048 ~seed:7 ~breach_age:3
-      ~recorder:(fun s -> recorded := Some s)
-      ()
+    Dashboard.run ~obs ~level:Protection.Unprotected ~num_pages:2048 ~seed:7 ~breach_age:3 ()
   in
   (* the run's one JSON form: its flight archive, as observe --flight
      writes it and diff reads it back *)
-  let a = Option.get !recorded in
+  let a = d.Dashboard.archive in
   (match Obs.Snapshot.of_json (Obs.Snapshot.to_json a) with
    | Ok back ->
      Alcotest.(check string) "archive reads back" (Obs.Snapshot.to_json a)
@@ -303,10 +301,12 @@ let test_dashboard_exports () =
           (fun ((o, c), v) -> (Obs.origin_name o, Obs.class_name c, v))
           d.Dashboard.totals))
     a.Obs.Snapshot.ar_exposure;
-  Alcotest.(check (list (pair string int))) "counters are the dashboard's"
-    (List.sort compare d.Dashboard.counters) a.Obs.Snapshot.ar_counters;
-  Alcotest.(check (list (pair string int))) "cycles are the dashboard's"
-    (List.sort compare d.Dashboard.cycles_by_subsystem) a.Obs.Snapshot.ar_cost_subsystem;
+  Alcotest.(check (list (pair string int))) "counters are the run's"
+    (Obs.Metrics.counters obs) a.Obs.Snapshot.ar_counters;
+  Alcotest.(check (list (pair string int))) "cycles are the run's"
+    (Obs.Cost.by_subsystem obs) a.Obs.Snapshot.ar_cost_subsystem;
+  Alcotest.(check int) "subsystem cycles sum to the run's total"
+    (Obs.Cost.total_cycles obs) (Dashboard.cycles d);
   let html = Dashboard.to_html d in
   Alcotest.(check bool) "html document" true (contains ~needle:"<!DOCTYPE html>" html);
   Alcotest.(check bool) "inline svg charts" true (contains ~needle:"<svg" html);

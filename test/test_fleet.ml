@@ -49,9 +49,10 @@ let test_run_matches_run_shard () =
       Alcotest.(check bool) "totals match solo run" true
         (solo.Fleet.dash.Dashboard.totals = sr.Fleet.dash.Dashboard.totals);
       Alcotest.(check bool) "counters match solo run" true
-        (solo.Fleet.dash.Dashboard.counters = sr.Fleet.dash.Dashboard.counters);
-      Alcotest.(check int) "cycles match solo run" solo.Fleet.dash.Dashboard.cycles
-        sr.Fleet.dash.Dashboard.cycles;
+        (solo.Fleet.dash.Dashboard.archive.Obs.Snapshot.ar_counters
+         = sr.Fleet.dash.Dashboard.archive.Obs.Snapshot.ar_counters);
+      Alcotest.(check int) "cycles match solo run" (Dashboard.cycles solo.Fleet.dash)
+        (Dashboard.cycles sr.Fleet.dash);
       Alcotest.(check bool) "events match solo run" true (solo.Fleet.events = sr.Fleet.events))
     report.Fleet.shard_results
 
@@ -68,7 +69,7 @@ let test_merge_linearity () =
     (sum (fun s -> s.Fleet.requests))
     report.Fleet.total_requests;
   Alcotest.(check int) "cycles add up"
-    (sum (fun s -> s.Fleet.dash.Dashboard.cycles))
+    (sum (fun s -> Dashboard.cycles s.Fleet.dash))
     report.Fleet.total_cycles;
   let unsafe_of (s : Fleet.shard_result) =
     List.fold_left
@@ -94,7 +95,7 @@ let prop_merge_linearity =
       let solos = List.init shards (Fleet.run_shard c) in
       let sum f = List.fold_left (fun acc s -> acc + f s) 0 solos in
       report.Fleet.total_connections = sum (fun s -> s.Fleet.connections)
-      && report.Fleet.total_cycles = sum (fun s -> s.Fleet.dash.Dashboard.cycles)
+      && report.Fleet.total_cycles = sum (fun s -> Dashboard.cycles s.Fleet.dash)
       && report.Fleet.total_requests = sum (fun s -> s.Fleet.requests))
 
 let test_merged_event_order () =
@@ -137,8 +138,8 @@ let test_dashboard_and_renderers () =
     (List.fold_left
        (fun acc (k, v) ->
          if k = "sshd.connections" || k = "apache.connections" then acc + v else acc)
-       0 dash.Dashboard.counters);
-  Alcotest.(check int) "dashboard cycles" report.Fleet.total_cycles dash.Dashboard.cycles;
+       0 dash.Dashboard.archive.Obs.Snapshot.ar_counters);
+  Alcotest.(check int) "dashboard cycles" report.Fleet.total_cycles (Dashboard.cycles dash);
   (* like one machine's dashboard, the merge keeps only origins with a
      destroyed copy: an empty list would render as nan percentiles *)
   Alcotest.(check bool) "every merged lifetime list is non-empty" true

@@ -285,9 +285,11 @@ let test_fleet_snapshot_domain_invariant () =
 
 (* Recording must never perturb the run it records: for any seed, the
    timeline's snapshot series is byte-identical with and without a
-   recorder, and the fleet fingerprint likewise. *)
+   recorder.  Every fleet shard records its archive, so the fleet has no
+   recorder-off run; the bench/dune fleet rules pin its fingerprint (in
+   bench/flight_fleet.json's meta) instead. *)
 let prop_recorder_is_observer_only =
-  QCheck.Test.make ~name:"recorder on = recorder off (timeline + fleet)" ~count:5
+  QCheck.Test.make ~name:"recorder on = recorder off (timeline)" ~count:5
     QCheck.(int_range 1 1000)
     (fun seed ->
       let series r = Format.asprintf "%a" Report.pp_series r in
@@ -297,10 +299,7 @@ let prop_recorder_is_observer_only =
         Experiment.timeline ~seed ~num_pages:1024 ~recorder:(fun _ -> incr hits)
           Experiment.Ssh
       in
-      let cfg = { (fleet_cfg ~domains:1) with Fleet.master_seed = seed } in
-      let f_plain = Fleet.fingerprint (Fleet.run cfg) in
-      let f_recorded = Fleet.fingerprint (Fleet.run ~recorder:(fun _ -> incr hits) cfg) in
-      !hits = 2 && series plain = series recorded && f_plain = f_recorded)
+      !hits = 1 && series plain = series recorded)
 
 (* run the CLI; its exit code and stderr *)
 let cli args =

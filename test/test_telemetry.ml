@@ -318,33 +318,37 @@ let test_sentinel_fires_on_leaky_cost () =
 
 (* ---- system sampling + dashboard integration ---- *)
 
-(* the archive's series and alerts are the dashboard's *)
-let check_archive name (d : Dashboard.t) (a : Obs.Snapshot.t) =
+(* the archive's series and alerts are the ones the run's context sampled
+   and fired *)
+let check_archive name obs (a : Obs.Snapshot.t) =
   Alcotest.(check (list string)) (name ^ ": archived series")
-    (List.filter_map
-       (fun m -> if m.Dashboard.ms_points = [] then None else Some m.Dashboard.ms_name)
-       d.Dashboard.metrics)
+    (List.filter (fun n -> Obs.Timeseries.points obs n <> []) (Obs.Timeseries.names obs))
     (List.map
        (fun (e : Obs.Snapshot.series_env) -> e.Obs.Snapshot.e_name)
        a.Obs.Snapshot.ar_series);
   Alcotest.(check (list (pair (pair int string) (pair string (float 0.)))))
     (name ^ ": archived alerts")
-    (List.map
-       (fun f ->
-         ((f.Dashboard.fired_tick, f.Dashboard.rule), (f.Dashboard.rule_series, f.Dashboard.value)))
-       d.Dashboard.alerts)
+    (List.map (fun (t, r, s, v) -> ((t, r), (s, v))) (Obs.Alert.firings obs))
     (List.map (fun (t, r, s, v) -> ((t, r), (s, v))) a.Obs.Snapshot.ar_alerts)
 
+(* one series of an archive, by name *)
+let find_series (a : Obs.Snapshot.t) name =
+  List.find_opt
+    (fun (e : Obs.Snapshot.series_env) -> e.Obs.Snapshot.e_name = name)
+    a.Obs.Snapshot.ar_series
+
+let archived_series (d : Dashboard.t) = find_series d.Dashboard.archive
+
+(* the rules that fired, in firing order *)
+let fired_rules (d : Dashboard.t) =
+  List.map (fun (_, rule, _, _) -> rule) d.Dashboard.archive.Obs.Snapshot.ar_alerts
+
 let test_dashboard_telemetry_unprotected () =
-  let recorded = ref None in
-  let d =
-    Dashboard.run ~level:Protection.Unprotected ~num_pages:2048 ~seed:7
-      ~recorder:(fun s -> recorded := Some s)
-      ()
-  in
+  let obs = Obs.create () in
+  let d = Dashboard.run ~obs ~level:Protection.Unprotected ~num_pages:2048 ~seed:7 () in
   let series name =
-    match List.find_opt (fun m -> m.Dashboard.ms_name = name) d.Dashboard.metrics with
-    | Some m -> m
+    match archived_series d name with
+    | Some e -> e
     | None -> Alcotest.failf "series %s not sampled" name
   in
   List.iter
@@ -355,18 +359,18 @@ let test_dashboard_telemetry_unprotected () =
       "scan.cache_hit_rate"; "cost.total_cycles"; "cost.cycles_per_tick";
       "cost.cycles.bignum"; "rsa.private_op.word_muls"; "rsa.private_op.limb_traffic" ];
   Alcotest.(check string) "cumulative exposure is a counter" "counter"
-    (series "exposure.sensitive_unsafe_byte_ticks").Dashboard.ms_kind;
+    (series "exposure.sensitive_unsafe_byte_ticks").Obs.Snapshot.e_kind;
   Alcotest.(check string) "its derivative is a rate" "rate"
-    (series "exposure.sensitive_unsafe").Dashboard.ms_kind;
+    (series "exposure.sensitive_unsafe").Obs.Snapshot.e_kind;
   Alcotest.(check int) "one kernel sample per tick" 30
-    (series "kernel.free_pages").Dashboard.ms_samples;
+    (series "kernel.free_pages").Obs.Snapshot.e_samples;
   Alcotest.(check bool) "exposure-slo fired at unprotected" true
-    (List.exists (fun a -> a.Dashboard.rule = "exposure-slo") d.Dashboard.alerts);
+    (List.mem "exposure-slo" (fired_rules d));
   Alcotest.(check bool) "constant-time sentinel stayed silent" false
-    (List.exists (fun a -> a.Dashboard.rule = "ct-leakage") d.Dashboard.alerts);
+    (List.mem "ct-leakage" (fired_rules d));
   Alcotest.(check bool) "limb-traffic sentinel stayed silent" false
-    (List.exists (fun a -> a.Dashboard.rule = "ct-leakage-limbs") d.Dashboard.alerts);
-  check_archive "unprotected" d (Option.get !recorded);
+    (List.mem "ct-leakage-limbs" (fired_rules d));
+  check_archive "unprotected" obs d.Dashboard.archive;
   let html = Dashboard.to_html d in
   Alcotest.(check bool) "telemetry panel" true (contains ~needle:"Telemetry" html);
   Alcotest.(check bool) "sparklines" true (contains ~needle:"class=\"spark\"" html);
@@ -374,33 +378,23 @@ let test_dashboard_telemetry_unprotected () =
 
 let test_dashboard_telemetry_integrated () =
   let d = Dashboard.run ~level:Protection.Integrated ~num_pages:2048 ~seed:7 () in
-  Alcotest.(check (list string)) "no alerts at integrated" []
-    (List.map (fun a -> a.Dashboard.rule) d.Dashboard.alerts);
-  let unsafe =
-    List.find_opt
-      (fun m -> m.Dashboard.ms_name = "exposure.sensitive_unsafe")
-      d.Dashboard.metrics
-  in
-  (match unsafe with
-   | Some m ->
+  Alcotest.(check (list string)) "no alerts at integrated" [] (fired_rules d);
+  (match archived_series d "exposure.sensitive_unsafe" with
+   | Some e ->
      Alcotest.(check bool) "sensitive-unsafe rate pinned at zero" true
-       (List.for_all (fun (_, v) -> v = 0.) m.Dashboard.ms_points)
+       (List.for_all (fun (_, v) -> v = 0.) e.Obs.Snapshot.e_points)
    | None -> Alcotest.fail "exposure.sensitive_unsafe not sampled");
   Alcotest.(check int) "four standing rules" 4 (List.length d.Dashboard.alert_rules);
   (* the limb engine's per-op traffic was sampled and showed zero spread *)
-  (match
-     List.find_opt
-       (fun m -> m.Dashboard.ms_name = "rsa.private_op.limb_traffic")
-       d.Dashboard.metrics
-   with
-   | Some m ->
-     (match m.Dashboard.ms_points with
-      | (_, v0) :: rest ->
-        Alcotest.(check bool) "limb traffic positive" true (v0 > 0.);
-        Alcotest.(check bool) "limb traffic constant across ops" true
-          (List.for_all (fun (_, v) -> v = v0) rest)
-      | [] -> Alcotest.fail "limb_traffic sampled but empty")
-   | None -> Alcotest.fail "rsa.private_op.limb_traffic not sampled")
+  match archived_series d "rsa.private_op.limb_traffic" with
+  | Some e ->
+    (match e.Obs.Snapshot.e_points with
+     | (_, v0) :: rest ->
+       Alcotest.(check bool) "limb traffic positive" true (v0 > 0.);
+       Alcotest.(check bool) "limb traffic constant across ops" true
+         (List.for_all (fun (_, v) -> v = v0) rest)
+     | [] -> Alcotest.fail "limb_traffic sampled but empty")
+  | None -> Alcotest.fail "rsa.private_op.limb_traffic not sampled"
 
 let test_html_escaping () =
   Alcotest.(check string) "html_escape" "&lt;b&gt;x&amp;y&lt;/b&gt;"
@@ -413,35 +407,29 @@ let test_html_escaping () =
 
 (* [memguard_cli observe --pages 4096 --breach-age 3] at both ends of the
    protection spectrum, keeping each run's context (observe --prom
-   renders its page from it) and its flight archive (observe --flight) *)
+   renders its page from it); the dashboard keeps the flight archive
+   (observe --flight) *)
 let observed =
   let run level =
     let obs = Obs.create () in
-    let recorded = ref None in
-    let d =
-      Dashboard.run ~obs ~level ~num_pages:4096 ~breach_age:3
-        ~recorder:(fun s -> recorded := Some s)
-        ()
-    in
-    (obs, d, Option.get !recorded)
+    (obs, Dashboard.run ~obs ~level ~num_pages:4096 ~breach_age:3 ())
   in
   lazy (run Protection.Unprotected, run Protection.Integrated)
 
 let test_observe_alert_smoke () =
-  let (uobs, unprot, uarchive), (iobs, integ, iarchive) = Lazy.force observed in
-  let fired (d : Dashboard.t) rule =
-    List.length (List.filter (fun a -> a.Dashboard.rule = rule) d.Dashboard.alerts)
-  in
+  let (uobs, unprot), (iobs, integ) = Lazy.force observed in
+  let fired d rule = List.length (List.filter (String.equal rule) (fired_rules d)) in
   List.iter
-    (fun (name, obs, (d : Dashboard.t), (a : Obs.Snapshot.t)) ->
-      Alcotest.(check bool) (name ^ ": series sampled") true (d.Dashboard.metrics <> []);
+    (fun (name, obs, (d : Dashboard.t)) ->
+      let a = d.Dashboard.archive in
+      Alcotest.(check bool) (name ^ ": series sampled") true (a.Obs.Snapshot.ar_series <> []);
       Alcotest.(check int) (name ^ ": four rules") 4 (List.length d.Dashboard.alert_rules);
       List.iter
         (fun key ->
           Alcotest.(check bool) (name ^ ": meta has " ^ key) true
             (List.mem_assoc key a.Obs.Snapshot.ar_meta))
         [ "level"; "server"; "seed"; "breach_age" ];
-      check_archive name d a;
+      check_archive name obs a;
       List.iter
         (fun (rule, _, _) ->
           Alcotest.(check int) (name ^ ": " ^ rule ^ " fired = its firings")
@@ -453,10 +441,8 @@ let test_observe_alert_smoke () =
          Alcotest.(check (list (pair (pair int string) (pair string string))))
            (name ^ ": alerts read back")
            (List.map
-              (fun f ->
-                ( (f.Dashboard.fired_tick, f.Dashboard.rule),
-                  (f.Dashboard.rule_series, Obs.float_json f.Dashboard.value) ))
-              d.Dashboard.alerts)
+              (fun (t, r, s, v) -> ((t, r), (s, Obs.float_json v)))
+              (Obs.Alert.firings obs))
            (List.map
               (fun (t, r, s, v) -> ((t, r), (s, Obs.float_json v)))
               back.Obs.Snapshot.ar_alerts)
@@ -465,10 +451,9 @@ let test_observe_alert_smoke () =
         (fun rule ->
           Alcotest.(check int) (name ^ ": " ^ rule ^ " sentinel silent") 0 (fired d rule))
         [ "ct-leakage"; "ct-leakage-limbs" ])
-    [ ("unprotected", uobs, unprot, uarchive); ("integrated", iobs, integ, iarchive) ];
+    [ ("unprotected", uobs, unprot); ("integrated", iobs, integ) ];
   Alcotest.(check bool) "exposure SLO fires unprotected" true (fired unprot "exposure-slo" > 0);
-  Alcotest.(check (list string)) "integrated stays silent" []
-    (List.map (fun a -> a.Dashboard.rule) integ.Dashboard.alerts);
+  Alcotest.(check (list string)) "integrated stays silent" [] (fired_rules integ);
   (* observe's stdout: the per-tick table, then one line per firing *)
   let text d = Format.asprintf "%a" Dashboard.pp_telemetry d in
   Alcotest.(check bool) "table has a row per tick" true
@@ -515,7 +500,7 @@ let prom_sample_ok line =
   | _ -> false
 
 let test_observe_prometheus_page () =
-  let (obs, _, _), _ = Lazy.force observed in
+  let (obs, _), _ = Lazy.force observed in
   let labels = [ ("level", "unprotected") ] in
   let page =
     Obs.Timeseries.to_prometheus ~labels obs ^ Obs.Metrics.to_prometheus ~labels obs
@@ -561,48 +546,84 @@ let test_observe_prometheus_page () =
 let test_fleet_telemetry () =
   let cfg = { Fleet.default with shards = 2; domains = 1; num_pages = 1024 } in
   let r = Fleet.run cfg in
-  List.iter
-    (fun s ->
+  let shards = List.map (fun s -> s.Fleet.dash.Dashboard.archive) r.Fleet.shard_results in
+  List.iter2
+    (fun s (a : Obs.Snapshot.t) ->
       Alcotest.(check bool)
         (Printf.sprintf "shard %d sampled series" s.Fleet.shard_id)
         true
-        (List.length s.Fleet.dash.Dashboard.metrics > 0))
-    r.Fleet.shard_results;
-  (* the merged series and alerts reach the fleet's archive *)
-  check_archive "fleet" (Fleet.dashboard r) (Fleet.snapshot r);
+        (List.length a.Obs.Snapshot.ar_series > 0))
+    r.Fleet.shard_results shards;
+  (* the merged series and alerts reach the fleet's archive: every series
+     some shard sampled, and every shard's firings, chronologically *)
+  let d = Fleet.dashboard r and snap = Fleet.snapshot r in
+  let names (a : Obs.Snapshot.t) =
+    List.map (fun (e : Obs.Snapshot.series_env) -> e.Obs.Snapshot.e_name) a.Obs.Snapshot.ar_series
+  in
+  Alcotest.(check (list string)) "fleet: archived series"
+    (List.sort_uniq compare (List.concat_map names shards))
+    (names snap);
+  Alcotest.(check (list (pair (pair int string) (pair string (float 0.)))))
+    "fleet: archived alerts"
+    (List.sort compare
+       (List.concat_map (fun (a : Obs.Snapshot.t) -> a.Obs.Snapshot.ar_alerts) shards)
+    |> List.map (fun (t, r, s, v) -> ((t, r), (s, v))))
+    (List.sort compare snap.Obs.Snapshot.ar_alerts
+    |> List.map (fun (t, r, s, v) -> ((t, r), (s, v))));
+  Alcotest.(check (list int)) "fleet: alerts chronological"
+    (List.sort compare (List.map (fun (t, _, _, _) -> t) snap.Obs.Snapshot.ar_alerts))
+    (List.map (fun (t, _, _, _) -> t) snap.Obs.Snapshot.ar_alerts);
+  (* the merged dashboard keeps the archive fleet --flight writes, less
+     the fingerprint in meta *)
+  let meta = d.Dashboard.archive.Obs.Snapshot.ar_meta in
+  Alcotest.(check string) "fleet: the dashboard keeps the archive it writes"
+    (Obs.Snapshot.to_json
+       { d.Dashboard.archive with
+         Obs.Snapshot.ar_meta = List.sort compare (("fingerprint", Fleet.fingerprint r) :: meta)
+       })
+    (Obs.Snapshot.to_json snap);
+  let shard_series name = List.filter_map (fun a -> find_series a name) shards in
+  (* every merged series: its envelope is over its merged points, and its
+     sample count is the shards' sum *)
+  List.iter
+    (fun (e : Obs.Snapshot.series_env) ->
+      let n = e.Obs.Snapshot.e_name and vs = List.map snd e.Obs.Snapshot.e_points in
+      let last_tick, last = List.nth e.Obs.Snapshot.e_points (List.length vs - 1) in
+      Alcotest.(check int) (n ^ ": last tick") last_tick e.Obs.Snapshot.e_last_tick;
+      Alcotest.(check (float 0.)) (n ^ ": last") last e.Obs.Snapshot.e_last;
+      Alcotest.(check (float 0.)) (n ^ ": min") (List.fold_left Float.min last vs)
+        e.Obs.Snapshot.e_min;
+      Alcotest.(check (float 0.)) (n ^ ": max") (List.fold_left Float.max last vs)
+        e.Obs.Snapshot.e_max;
+      Alcotest.(check int) (n ^ ": samples add up")
+        (List.fold_left
+           (fun acc (s : Obs.Snapshot.series_env) -> acc + s.Obs.Snapshot.e_samples)
+           0 (shard_series n))
+        e.Obs.Snapshot.e_samples)
+    snap.Obs.Snapshot.ar_series;
   (* the merged free-page gauge is the shard-wise sum at equal ticks *)
-  let d = Fleet.dashboard r in
   let merged =
-    match
-      List.find_opt (fun m -> m.Dashboard.ms_name = "kernel.free_pages") d.Dashboard.metrics
-    with
-    | Some m -> m
+    match archived_series d "kernel.free_pages" with
+    | Some e -> e
     | None -> Alcotest.fail "merged kernel.free_pages missing"
   in
   let shard_sum tick =
     List.fold_left
-      (fun acc s ->
-        match
-          List.find_opt
-            (fun m -> m.Dashboard.ms_name = "kernel.free_pages")
-            s.Fleet.dash.Dashboard.metrics
-        with
-        | Some m -> acc +. (try List.assoc tick m.Dashboard.ms_points with Not_found -> 0.)
-        | None -> acc)
-      0. r.Fleet.shard_results
+      (fun acc (e : Obs.Snapshot.series_env) ->
+        acc +. (try List.assoc tick e.Obs.Snapshot.e_points with Not_found -> 0.))
+      0. (shard_series "kernel.free_pages")
   in
   List.iter
     (fun (tick, v) ->
       Alcotest.(check (float 0.0))
         (Printf.sprintf "merged = sum at tick %d" tick)
         (shard_sum tick) v)
-    merged.Dashboard.ms_points;
+    merged.Obs.Snapshot.e_points;
   (* unprotected fleet trips the SLO; integrated fleet stays silent *)
-  Alcotest.(check bool) "fleet exposure-slo fired" true
-    (List.exists (fun a -> a.Dashboard.rule = "exposure-slo") d.Dashboard.alerts);
+  Alcotest.(check bool) "fleet exposure-slo fired" true (List.mem "exposure-slo" (fired_rules d));
   let ri = Fleet.run { cfg with level = Protection.Integrated } in
   Alcotest.(check int) "integrated fleet: no firings" 0
-    (List.length (Fleet.dashboard ri).Dashboard.alerts);
+    (List.length (fired_rules (Fleet.dashboard ri)));
   (* determinism: telemetry and alerts are in the fingerprinted bytes *)
   let r2 = Fleet.run { cfg with domains = 2 } in
   Alcotest.(check string) "fingerprint invariant across domains with series"
